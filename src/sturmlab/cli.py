@@ -1,28 +1,32 @@
 """Command-line entry point: one verb per testbed plus ``verify-all``.
 
-Every verb emits rows as RFC-4180-style CSV (header mandatory) or as a JSON
-object {"meta": {...}, "rows": [...]}; scalars print to stdout.  Exit codes:
-0 success, 1 a verification verb found a failure, 2 usage or parameter
-error, 3 internal error.  A ``RunManifest`` JSON file replays any invocation
-through the same code path, so reruns are byte-identical.
+``VERBS`` is the single source of verbs.  Each entry declares a verb's help,
+flags, handler and artifact columns; the argument parser, the artifact
+renderer and ``RunManifest`` all read it.  Table verbs emit rows as
+RFC-4180-style CSV (header mandatory) or as a JSON object
+{"meta": {...}, "rows": [...]}; text verbs write their text as is.  Exit
+codes: 0 success, 1 a verification verb found a failure, 2 usage or
+parameter error, 3 internal error.  A ``RunManifest`` JSON file replays any
+verb through the same code path, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 
 from . import __version__, checks, cyclic, heaps, jsr, measures, queueing, wigner, words
 
-__all__ = ["RunManifest", "load_manifest", "manifest_argv", "dispatch", "main"]
+__all__ = ["VERBS", "Verb", "RunManifest", "load_manifest", "manifest_argv", "dispatch", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -41,188 +45,111 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit(args, verb: str, parameters: dict, columns: Sequence[str], rows: list[dict]):
-    """Write rows as CSV or JSON to --out (or stdout)."""
-    fmt = getattr(args, "format", "csv")
-    out_path = getattr(args, "out", None)
-    if fmt == "csv":
+def _render(args, name: str, columns: Sequence[str], parameters: dict, rows) -> str:
+    """Rows (sequences in column order) as CSV or as the JSON artifact."""
+    cells = [dict(zip(columns, map(_cell, row), strict=True)) for row in rows]
+    if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[c]) for c in columns])
-        text = buffer.getvalue()
-    else:
-        payload = {
-            "meta": {
-                "verb": verb,
-                "parameters": {k: _cell(v) for k, v in parameters.items()},
-                "seed": getattr(args, "seed", None),
-                "version": __version__,
-            },
-            "rows": [{c: _cell(row[c]) for c in columns} for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
+        writer.writerows(row.values() for row in cells)
+        return buffer.getvalue()
+    payload = {
+        "meta": {
+            "verb": name,
+            "parameters": {k: _cell(v) for k, v in parameters.items()},
+            "seed": getattr(args, "seed", None),
+            "version": __version__,
+        },
+        "rows": cells,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(args, text: str):
+    """Write an artifact to --out, or to stdout without one."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _print(args, text: str):
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _add_output_flags(parser: argparse.ArgumentParser, default_format: str = "csv"):
-    parser.add_argument("--out", help="write the artifact here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default=default_format, help="artifact format"
-    )
+def _arg(*names, **options):
+    """One argparse flag declaration: add_argument's arguments."""
+    return names, options
 
 
 # ---------------------------------------------------------------------------
 # verb handlers
 
 
-def _cmd_words_mechanical(args) -> int:
+def _words_mechanical(args) -> str:
     gamma = words.parse_slope(args.gamma)
     delta = words.parse_slope(args.delta)
-    word = words.mechanical_word(gamma, args.n, delta, bits=args.bits)
-    _print(args, word + "\n")
-    return 0
+    return words.mechanical_word(gamma, args.n, delta, bits=args.bits) + "\n"
 
 
-def _cmd_words_standard(args) -> int:
+def _words_standard(args):
     quotients = tuple(int(x) for x in args.quotients.split(","))
     cf = (
         words.ContinuedFraction.from_slope_quotients(quotients)
         if args.slope_convention
         else words.ContinuedFraction(quotients)
     )
-    produced = words.standard_words(cf)
-    rows = []
-    for i, w in enumerate(produced):
-        rows.append(
-            {
-                "n": i - 1,
-                "word": w,
-                "ones": words.one_length(w),
-                "length": len(w),
-            }
-        )
-    _emit(args, "words standard", {"quotients": args.quotients}, ["n", "word", "ones", "length"], rows)
-    return 0
+    rows = [
+        (i - 1, w, words.one_length(w), len(w))
+        for i, w in enumerate(words.standard_words(cf))
+    ]
+    return {"quotients": args.quotients}, rows, 0
 
 
-def _cmd_words_balanced(args) -> int:
-    orbit = words.balanced_orbit(args.p, args.q)
-    _print(args, orbit.representative + "\n")
-    return 0
+def _words_balanced(args) -> str:
+    return words.balanced_orbit(args.p, args.q).representative + "\n"
 
 
-def _cmd_cyclic_verify(args) -> int:
+def _cyclic_verify(args):
     scans = cyclic.scan_coprime_pairs(args.q_max)
     rows = [
-        {
-            "p": s.p,
-            "q": s.q,
-            "orbits": len(s.rows),
-            "max_product": s.max_product,
-            "argmax": ";".join(s.argmax),
-            "balanced_representative": s.balanced_representative,
-            "passed": s.passed,
-        }
+        (s.p, s.q, len(s.rows), s.max_product, ";".join(s.argmax),
+         s.balanced_representative, s.passed)
         for s in scans
     ]
-    _emit(
-        args,
-        "cyclic verify",
-        {"q_max": args.q_max},
-        ["p", "q", "orbits", "max_product", "argmax", "balanced_representative", "passed"],
-        rows,
-    )
-    return 0 if all(s.passed for s in scans) else 1
+    return {"q_max": args.q_max}, rows, 0 if all(s.passed for s in scans) else 1
 
 
-def _cmd_cyclic_scan(args) -> int:
+def _cyclic_scan(args):
     scan = cyclic.verify_balanced_product_maximum(args.p, args.q)
     rows = [
-        {
-            "representative": r.representative,
-            "factors": ";".join(str(f) for f in r.factors),
-            "product": r.product,
-            "is_balanced": r.balanced,
-            "is_argmax": r.argmax,
-        }
+        (r.representative, ";".join(str(f) for f in r.factors), r.product, r.balanced, r.argmax)
         for r in scan.rows
     ]
-    _emit(
-        args,
-        "cyclic scan",
-        {"p": args.p, "q": args.q},
-        ["representative", "factors", "product", "is_balanced", "is_argmax"],
-        rows,
-    )
-    return 0 if scan.passed else 1
+    return {"p": args.p, "q": args.q}, rows, 0 if scan.passed else 1
 
 
-def _cmd_measures_show(args) -> int:
+def _measures_show(args) -> str:
     mu = measures.sturmian_measure(args.p, args.q)
-    _print(args, json.dumps(mu.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    return 0
+    return json.dumps(mu.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_measures_verify(args) -> int:
+def _measures_verify(args):
     scans = measures.verify_sturmian_least(args.q_max, args.mixtures, args.seed)
     rows = [
-        {
-            "p": s.p,
-            "q": s.q,
-            "competitors": s.competitors,
-            "mixtures": s.mixtures,
-            "counterexamples": len(s.counterexamples),
-            "passed": s.passed,
-        }
+        (s.p, s.q, s.competitors, s.mixtures, len(s.counterexamples), s.passed)
         for s in scans
     ]
-    _emit(
-        args,
-        "measures verify",
-        {"q_max": args.q_max, "mixtures": args.mixtures, "seed": args.seed},
-        ["p", "q", "competitors", "mixtures", "counterexamples", "passed"],
-        rows,
-    )
-    return 0 if all(s.passed for s in scans) else 1
+    parameters = {"q_max": args.q_max, "mixtures": args.mixtures, "seed": args.seed}
+    return parameters, rows, 0 if all(s.passed for s in scans) else 1
 
 
-def _cmd_measures_peaks(args) -> int:
+def _measures_peaks(args):
     thetas = [k / args.grid for k in range(args.grid)]
     scan = measures.peak_objective_scan(thetas, args.max_period, args.kind)
     rows = [
-        {
-            "theta": r["theta"],
-            "kind": r["kind"],
-            "best_word": r["word"],
-            "ratio": r["ratio"],
-            "value": r["value"],
-            "is_balanced": r["balanced"],
-        }
+        (r["theta"], r["kind"], r["word"], r["ratio"], r["value"], r["balanced"])
         for r in scan
     ]
-    _emit(
-        args,
-        "measures peaks",
-        {"grid": args.grid, "max_period": args.max_period, "kind": args.kind},
-        ["theta", "kind", "best_word", "ratio", "value", "is_balanced"],
-        rows,
-    )
-    return 0
+    return {"grid": args.grid, "max_period": args.max_period, "kind": args.kind}, rows, 0
 
 
 def _queue_config(args) -> queueing.QueueConfig:
@@ -244,66 +171,34 @@ def _queue_config(args) -> queueing.QueueConfig:
         overrides["mean_interarrival"] = args.interarrival
     if args.service is not None:
         overrides["service_time"] = args.service
-    if overrides:
-        config = queueing.QueueConfig(
-            mean_interarrival=overrides.get("mean_interarrival", config.mean_interarrival),
-            service_time=overrides.get("service_time", config.service_time),
-            horizon=overrides.get("horizon", config.horizon),
-            seed=overrides.get("seed", config.seed),
-            admission=overrides.get("admission", config.admission),
-        )
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
-def _summary_row(label: str, summary: queueing.QueueSummary) -> dict:
-    return {
-        "label": label,
-        "seed": summary.seed,
-        "gamma": summary.gamma,
-        "horizon": summary.horizon,
-        "mean_cost": summary.mean_cost,
-        "max_queue": summary.max_queue,
-        "admitted_fraction": summary.admitted_fraction,
-    }
+def _summary_row(label: str, summary: queueing.QueueSummary) -> tuple:
+    return (label, summary.seed, summary.gamma, summary.horizon, summary.mean_cost,
+            summary.max_queue, summary.admitted_fraction)
 
 
-_QUEUE_COLUMNS = ["label", "seed", "gamma", "horizon", "mean_cost", "max_queue", "admitted_fraction"]
-
-
-def _cmd_queue_run(args) -> int:
+def _queue_run(args):
     config = _queue_config(args)
     summary = queueing.simulate_queue(config)
-    _emit(
-        args,
-        "queue run",
-        {"horizon": config.horizon, "seed": config.seed},
-        _QUEUE_COLUMNS,
-        [_summary_row("run", summary)],
-    )
-    return 0
+    return {"horizon": config.horizon, "seed": config.seed}, [_summary_row("run", summary)], 0
 
 
-def _cmd_queue_compete(args) -> int:
+def _queue_compete(args):
     config = _queue_config(args)
-    summaries = queueing.admission_competition(config, args.competitors, args.competitor_seed)
-    rows = [_summary_row("mechanical", summaries[0])]
-    rows += [
-        _summary_row(f"shuffle-{i}", s) for i, s in enumerate(summaries[1:])
-    ]
-    _emit(
-        args,
-        "queue compete",
-        {
-            "horizon": config.horizon,
-            "seed": config.seed,
-            "competitors": args.competitors,
-            "competitor_seed": args.competitor_seed,
-        },
-        _QUEUE_COLUMNS,
-        rows,
+    mechanical, *shuffles = queueing.admission_competition(
+        config, args.competitors, args.competitor_seed
     )
-    mechanical = summaries[0]
-    return 0 if all(mechanical.mean_cost <= s.mean_cost for s in summaries[1:]) else 1
+    rows = [_summary_row("mechanical", mechanical)]
+    rows += [_summary_row(f"shuffle-{i}", s) for i, s in enumerate(shuffles)]
+    parameters = {
+        "horizon": config.horizon,
+        "seed": config.seed,
+        "competitors": args.competitors,
+        "competitor_seed": args.competitor_seed,
+    }
+    return parameters, rows, 0 if all(mechanical.mean_cost <= s.mean_cost for s in shuffles) else 1
 
 
 def _heap_model(args) -> heaps.HeapModel:
@@ -312,173 +207,256 @@ def _heap_model(args) -> heaps.HeapModel:
     return heaps.default_model()
 
 
-def _cmd_heaps_scan(args) -> int:
+def _heaps_scan(args):
     model = _heap_model(args)
     rows = []
-    all_balanced = True
     for n in range(1, args.n_max + 1):
         scan = heaps.min_rate_exhaustive(model, n)
         balanced = any(words.is_balanced(w) for w in scan.argmin)
-        all_balanced = all_balanced and balanced
-        rows.append(
-            {
-                "n": n,
-                "min_rate": scan.min_rate,
-                "argmin_words": ";".join(scan.argmin),
-                "balanced_flag": balanced,
-            }
-        )
-    _emit(
-        args,
-        "heaps scan",
-        {"n_max": args.n_max, "model": args.model or "default"},
-        ["n", "min_rate", "argmin_words", "balanced_flag"],
-        rows,
-    )
-    return 0 if all_balanced else 1
+        rows.append((n, scan.min_rate, ";".join(scan.argmin), balanced))
+    parameters = {"n_max": args.n_max, "model": args.model or "default"}
+    return parameters, rows, 0 if all(row[-1] for row in rows) else 1
 
 
-def _cmd_heaps_schedule(args) -> int:
-    model = _heap_model(args)
-    report = heaps.best_balanced_schedule(model, args.q_max)
-    rows = [
-        {
-            "ratio": r.ratio,
-            "word": r.word,
-            "rate": r.rate,
-            "is_best": r == report.best,
-        }
-        for r in report.rows
-    ]
-    _emit(
-        args,
-        "heaps schedule",
-        {"q_max": args.q_max, "model": args.model or "default"},
-        ["ratio", "word", "rate", "is_best"],
-        rows,
-    )
-    return 0
+def _heaps_schedule(args):
+    report = heaps.best_balanced_schedule(_heap_model(args), args.q_max)
+    rows = [(r.ratio, r.word, r.rate, r == report.best) for r in report.rows]
+    return {"q_max": args.q_max, "model": args.model or "default"}, rows, 0
 
 
-def _cmd_jsr_bounds(args) -> int:
+def _jsr_bounds(args):
     pair = jsr.scaled_pair(words.parse_slope(args.alpha))
     bounds = jsr.jsr_bounds(pair, args.n_max, args.norm)
-    rows = [
-        {
-            "n": r.n,
-            "lower": r.lower,
-            "upper": r.upper,
-            "argmax_necklace": r.argmax_necklace,
-        }
-        for r in bounds.rows
-    ]
-    _emit(
-        args,
-        "jsr bounds",
-        {"n_max": args.n_max, "alpha": args.alpha, "norm": args.norm,
-         "lower": bounds.lower, "upper": bounds.upper},
-        ["n", "lower", "upper", "argmax_necklace"],
-        rows,
-    )
-    return 0
+    rows = [(r.n, r.lower, r.upper, r.argmax_necklace) for r in bounds.rows]
+    parameters = {"n_max": args.n_max, "alpha": args.alpha, "norm": args.norm,
+                  "lower": bounds.lower, "upper": bounds.upper}
+    return parameters, rows, 0
 
 
-def _cmd_jsr_scan_ratio(args) -> int:
+def _jsr_scan_ratio(args):
+    if args.alpha_grid < 2:
+        raise ValueError(f"--alpha-grid must be >= 2, got {args.alpha_grid}")
     grid = [Fraction(k, args.alpha_grid - 1) for k in range(args.alpha_grid)]
-    rows_out = []
-    for result in jsr.ratio_staircase(grid, args.n):
-        rows_out.append(
-            {
-                "alpha": result.alpha,
-                "ratio": result.ratio,
-                "necklace": result.necklace,
-                "value": result.value,
-            }
-        )
-    _emit(
-        args,
-        "jsr scan-ratio",
-        {"alpha_grid": args.alpha_grid, "n": args.n},
-        ["alpha", "ratio", "necklace", "value"],
-        rows_out,
-    )
-    return 0
+    rows = [(r.alpha, r.ratio, r.necklace, r.value) for r in jsr.ratio_staircase(grid, args.n)]
+    return {"alpha_grid": args.alpha_grid, "n": args.n}, rows, 0
 
 
-def _cmd_jsr_alpha_star(args) -> int:
-    ctx = jsr.PrecisionContext(bits=args.bits)
-    estimate = jsr.alpha_star_tau(args.terms, ctx)
-    digits = jsr.matching_digits(estimate.value)
+def _jsr_alpha_star(args) -> str:
+    estimate = jsr.alpha_star_tau(args.terms, jsr.PrecisionContext(bits=args.bits))
     lines = [
         f"alpha_star = {mp.nstr(estimate.value, 45)}",
         f"bracket_width <= {mp.nstr(estimate.error, 5)}",
         f"limit_form_gap = {mp.nstr(abs(estimate.limit_form - estimate.value), 5)}",
-        f"matching_digits = {digits}",
+        f"matching_digits = {jsr.matching_digits(estimate.value)}",
     ]
-    _print(args, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_wigner_ground_state(args) -> int:
-    potential = _parse_potential(args.potential, args.param)
+_POTENTIALS = {
+    "coulomb": lambda param: wigner.coulomb(),
+    "power": lambda param: wigner.inverse_power(int(param) if param is not None else 3),
+    "exponential": lambda param: wigner.exponential_decay(
+        float(param) if param is not None else 1.0
+    ),
+    "screened": lambda param: wigner.screened(float(param) if param is not None else 1.0),
+    "anti": lambda param: wigner.anti_coulomb(),
+}
+
+
+def _wigner_ground_state(args):
+    potential = _POTENTIALS[args.potential](args.param)
     report = wigner.ground_state(args.p, args.q, potential, images=args.images)
-    rows = [
-        {
-            "representative": r.orbit.representative,
-            "energy": r.energy,
-            "is_balanced": r.balanced,
-            "is_argmin": r.argmin,
-        }
-        for r in report.rows
-    ]
-    _emit(
-        args,
-        "wigner ground-state",
-        {"p": args.p, "q": args.q, "potential": potential.describe(), "images": args.images},
-        ["representative", "energy", "is_balanced", "is_argmin"],
-        rows,
-    )
-    return 0
+    rows = [(r.orbit.representative, r.energy, r.balanced, r.argmin) for r in report.rows]
+    parameters = {"p": args.p, "q": args.q, "potential": potential.describe(),
+                  "images": args.images}
+    return parameters, rows, 0
 
 
-def _parse_potential(name: str, param: Optional[str]) -> wigner.Potential:
-    if name == "coulomb":
-        return wigner.coulomb()
-    if name == "power":
-        return wigner.inverse_power(int(param) if param is not None else 3)
-    if name == "exponential":
-        return wigner.exponential_decay(float(param) if param is not None else 1.0)
-    if name == "screened":
-        return wigner.screened(float(param) if param is not None else 1.0)
-    if name == "anti":
-        return wigner.anti_coulomb()
-    raise ValueError(f"unknown potential {name!r}")
-
-
-def _cmd_verify_all(args) -> int:
-    names = args.only.split(",") if args.only else None
-    results = checks.run_all(names, jobs=args.jobs)
+def _verify_all(args):
+    """Print the PASS/FAIL table, except when stdout carries the JSON artifact;
+    the CSV artifact is written only with --out."""
+    results = checks.run_all(args.only.split(",") if args.only else None, jobs=args.jobs)
+    rows = [(r.name, r.passed, round(r.seconds, 3), r.detail) for r in results]
+    parameters = {"only": args.only or "", "jobs": args.jobs}
+    code = 0 if all(r.passed for r in results) else 1
+    if args.format == "json" and not args.out:
+        return parameters, rows, code
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status}  {r.name:<{width}}  {r.seconds:7.2f}s  {r.detail}")
-    rows = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "seconds": round(r.seconds, 3),
-            "detail": r.detail,
-        }
-        for r in results
-    ]
-    if args.out:
-        _emit(args, "verify-all", {"only": args.only or "", "jobs": args.jobs},
-              ["name", "passed", "seconds", "detail"], rows)
-    return 0 if all(r.passed for r in results) else 1
+    return (parameters, rows, code) if args.out else code
 
 
-def _cmd_run(args) -> int:
+def _run(args) -> int:
     return dispatch(load_manifest(args.manifest))
+
+
+# ---------------------------------------------------------------------------
+# the verb table
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One CLI verb: its help, argparse flags, handler and artifact columns.
+
+    A table verb names its CSV columns and its handler returns
+    ``(parameters, rows, exit_code)``, each row in column order.  A text verb
+    leaves ``columns`` empty, takes no ``--format``, and its handler returns
+    the artifact text.  A handler that has written its own output returns
+    the exit code instead.  ``columns=None`` marks the replay verb, which
+    writes no artifact: it takes no ``--out`` and no manifest may name it.
+    """
+
+    help: str
+    handler: Callable
+    flags: tuple = ()
+    columns: Optional[tuple[str, ...]] = ()
+
+
+_P_Q = (_arg("--p", type=int, required=True), _arg("--q", type=int, required=True))
+_MODEL = _arg("--model", help="JSON heap model file")
+_QUEUE_FLAGS = (
+    _arg("--config", help="JSON config file"),
+    _arg("--gamma", help="mechanical admission slope"),
+    _arg("--delta", help="mechanical admission phase"),
+    _arg("--word", help="explicit admission word, repeated"),
+    _arg("--horizon", type=int),
+    _arg("--seed", type=int),
+    _arg("--interarrival", type=float, help="mean interarrival time"),
+    _arg("--service", type=float, help="deterministic service time"),
+)
+_QUEUE_COLUMNS = ("label", "seed", "gamma", "horizon", "mean_cost", "max_queue", "admitted_fraction")
+
+_GROUP_HELP = {
+    "words": "mechanical and standard words",
+    "cyclic": "cyclic binary products",
+    "measures": "doubling-map orbit measures",
+    "queue": "seeded admission-control simulation",
+    "heaps": "max-plus heap scheduling",
+    "jsr": "joint spectral radius testbed",
+    "wigner": "ring electron ground states",
+}
+
+VERBS: dict[str, Verb] = {
+    "words mechanical": Verb(
+        "print a mechanical word",
+        _words_mechanical,
+        (
+            _arg("--gamma", required=True, help="slope, 'p/q' or decimal"),
+            _arg("--delta", default="0", help="phase, 'p/q' or decimal"),
+            _arg("--n", type=int, required=True, help="word length"),
+            _arg("--bits", type=int, default=128, help="precision for irrational slopes"),
+        ),
+    ),
+    "words standard": Verb(
+        "table of standard words",
+        _words_standard,
+        (
+            _arg("--quotients", required=True, help="comma-separated exponents"),
+            _arg("--slope-convention", action="store_true",
+                 help="interpret quotients as the ordinary expansion of the slope"),
+        ),
+        ("n", "word", "ones", "length"),
+    ),
+    "words balanced": Verb("print the balanced orbit representative", _words_balanced, _P_Q),
+    "cyclic verify": Verb(
+        "balanced maximizer scan over coprime pairs",
+        _cyclic_verify,
+        (_arg("--q-max", type=int, default=14),),
+        ("p", "q", "orbits", "max_product", "argmax", "balanced_representative", "passed"),
+    ),
+    "cyclic scan": Verb(
+        "orbit product table for one (p, q)",
+        _cyclic_scan,
+        _P_Q,
+        ("representative", "factors", "product", "is_balanced", "is_argmax"),
+    ),
+    "measures show": Verb("JSON record of one balanced measure", _measures_show, _P_Q),
+    "measures verify": Verb(
+        "convex-order least-element scan",
+        _measures_verify,
+        (
+            _arg("--q-max", type=int, default=10),
+            _arg("--mixtures", type=int, default=100),
+            _arg("--seed", type=int, default=0),
+        ),
+        ("p", "q", "competitors", "mixtures", "counterexamples", "passed"),
+    ),
+    "measures peaks": Verb(
+        "maximizing orbit per objective peak",
+        _measures_peaks,
+        (
+            _arg("--grid", type=int, default=32, help="number of peak positions"),
+            _arg("--max-period", type=int, default=8),
+            _arg("--kind", choices=("tent", "cosine"), default="tent"),
+        ),
+        ("theta", "kind", "best_word", "ratio", "value", "is_balanced"),
+    ),
+    "queue run": Verb("single simulation", _queue_run, _QUEUE_FLAGS, _QUEUE_COLUMNS),
+    "queue compete": Verb(
+        "mechanical vs shuffles",
+        _queue_compete,
+        _QUEUE_FLAGS + (
+            _arg("--competitors", type=int, default=50),
+            _arg("--competitor-seed", type=int, default=10_000),
+        ),
+        _QUEUE_COLUMNS,
+    ),
+    "heaps scan": Verb(
+        "exhaustive minimum rate per length",
+        _heaps_scan,
+        (_arg("--n-max", type=int, default=12), _MODEL),
+        ("n", "min_rate", "argmin_words", "balanced_flag"),
+    ),
+    "heaps schedule": Verb(
+        "periodic balanced schedule rates",
+        _heaps_schedule,
+        (_arg("--q-max", type=int, default=8), _MODEL),
+        ("ratio", "word", "rate", "is_best"),
+    ),
+    "jsr bounds": Verb(
+        "brute-force radius bracket",
+        _jsr_bounds,
+        (
+            _arg("--n-max", type=int, default=8),
+            _arg("--alpha", default="1", help="scale of the second matrix"),
+            _arg("--norm", choices=("spectral", "row-sum"), default="spectral"),
+        ),
+        ("n", "lower", "upper", "argmax_necklace"),
+    ),
+    "jsr scan-ratio": Verb(
+        "optimal 1-density staircase",
+        _jsr_scan_ratio,
+        (_arg("--alpha-grid", type=int, default=50), _arg("--n", type=int, default=14)),
+        ("alpha", "ratio", "necklace", "value"),
+    ),
+    "jsr alpha-star": Verb(
+        "threshold constant, two expansions",
+        _jsr_alpha_star,
+        (_arg("--terms", type=int, default=12), _arg("--bits", type=int, default=256)),
+    ),
+    "wigner ground-state": Verb(
+        "orbit energy table",
+        _wigner_ground_state,
+        _P_Q + (
+            _arg("--potential", choices=tuple(_POTENTIALS), default="coulomb"),
+            _arg("--param", help="exponent or decay rate, family-specific"),
+            _arg("--images", type=int, default=0, help="periodic image cutoff"),
+        ),
+        ("representative", "energy", "is_balanced", "is_argmin"),
+    ),
+    "verify-all": Verb(
+        "run the whole verification battery",
+        _verify_all,
+        (
+            _arg("--only", help="comma-separated subset of check names"),
+            _arg("--jobs", type=int, default=1),
+        ),
+        ("name", "passed", "seconds", "detail"),
+    ),
+    "run": Verb("replay a manifest", _run, (_arg("--manifest", required=True),), None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +474,8 @@ class RunManifest:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        head = self.verb.split()[0] if self.verb.strip() else ""
-        known = {"words", "cyclic", "measures", "queue", "heaps", "jsr", "wigner", "verify-all"}
-        if head not in known:
+        verb = VERBS.get(self.verb)
+        if verb is None or verb.columns is None:
             raise ValueError(f"unknown manifest verb {self.verb!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"manifest format must be csv or json, got {self.format!r}")
@@ -530,7 +507,8 @@ def manifest_argv(manifest: RunManifest) -> list[str]:
         argv.extend(["--seed", str(manifest.seed)])
     if manifest.output_path:
         argv.extend(["--out", manifest.output_path])
-    argv.extend(["--format", manifest.format])
+    if VERBS[manifest.verb].columns:
+        argv.extend(["--format", manifest.format])
     return argv
 
 
@@ -540,7 +518,7 @@ def dispatch(manifest: RunManifest) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and entry point
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,139 +527,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="balanced-word optimization testbeds with brute-force verification",
     )
     parser.add_argument("--version", action="version", version=f"sturmlab {__version__}")
-    verbs = parser.add_subparsers(dest="verb", required=True)
-
-    p_words = verbs.add_parser("words", help="mechanical and standard words")
-    words_sub = p_words.add_subparsers(dest="action", required=True)
-    p = words_sub.add_parser("mechanical", help="print a mechanical word")
-    p.add_argument("--gamma", required=True, help="slope, 'p/q' or decimal")
-    p.add_argument("--delta", default="0", help="phase, 'p/q' or decimal")
-    p.add_argument("--n", type=int, required=True, help="word length")
-    p.add_argument("--bits", type=int, default=128, help="precision for irrational slopes")
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_words_mechanical)
-    p = words_sub.add_parser("standard", help="table of standard words")
-    p.add_argument("--quotients", required=True, help="comma-separated exponents")
-    p.add_argument(
-        "--slope-convention",
-        action="store_true",
-        help="interpret quotients as the ordinary expansion of the slope",
-    )
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_words_standard)
-    p = words_sub.add_parser("balanced", help="print the balanced orbit representative")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_words_balanced)
-
-    p_cyclic = verbs.add_parser("cyclic", help="cyclic binary products")
-    cyclic_sub = p_cyclic.add_subparsers(dest="action", required=True)
-    p = cyclic_sub.add_parser("verify", help="balanced maximizer scan over coprime pairs")
-    p.add_argument("--q-max", type=int, default=14)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_cyclic_verify)
-    p = cyclic_sub.add_parser("scan", help="orbit product table for one (p, q)")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_cyclic_scan)
-
-    p_measures = verbs.add_parser("measures", help="doubling-map orbit measures")
-    measures_sub = p_measures.add_subparsers(dest="action", required=True)
-    p = measures_sub.add_parser("show", help="JSON record of one balanced measure")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_measures_show)
-    p = measures_sub.add_parser("verify", help="convex-order least-element scan")
-    p.add_argument("--q-max", type=int, default=10)
-    p.add_argument("--mixtures", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_measures_verify)
-    p = measures_sub.add_parser("peaks", help="maximizing orbit per objective peak")
-    p.add_argument("--grid", type=int, default=32, help="number of peak positions")
-    p.add_argument("--max-period", type=int, default=8)
-    p.add_argument("--kind", choices=("tent", "cosine"), default="tent")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_measures_peaks)
-
-    p_queue = verbs.add_parser("queue", help="seeded admission-control simulation")
-    queue_sub = p_queue.add_subparsers(dest="action", required=True)
-    for name, help_text in (("run", "single simulation"), ("compete", "mechanical vs shuffles")):
-        p = queue_sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--gamma", help="mechanical admission slope")
-        p.add_argument("--delta", help="mechanical admission phase")
-        p.add_argument("--word", help="explicit admission word, repeated")
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--interarrival", type=float, help="mean interarrival time")
-        p.add_argument("--service", type=float, help="deterministic service time")
-        if name == "compete":
-            p.add_argument("--competitors", type=int, default=50)
-            p.add_argument("--competitor-seed", type=int, default=10_000)
-        _add_output_flags(p)
-        p.set_defaults(handler=_cmd_queue_run if name == "run" else _cmd_queue_compete)
-
-    p_heaps = verbs.add_parser("heaps", help="max-plus heap scheduling")
-    heaps_sub = p_heaps.add_subparsers(dest="action", required=True)
-    p = heaps_sub.add_parser("scan", help="exhaustive minimum rate per length")
-    p.add_argument("--n-max", type=int, default=12)
-    p.add_argument("--model", help="JSON heap model file")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_heaps_scan)
-    p = heaps_sub.add_parser("schedule", help="periodic balanced schedule rates")
-    p.add_argument("--q-max", type=int, default=8)
-    p.add_argument("--model", help="JSON heap model file")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_heaps_schedule)
-
-    p_jsr = verbs.add_parser("jsr", help="joint spectral radius testbed")
-    jsr_sub = p_jsr.add_subparsers(dest="action", required=True)
-    p = jsr_sub.add_parser("bounds", help="brute-force radius bracket")
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--alpha", default="1", help="scale of the second matrix")
-    p.add_argument("--norm", choices=("spectral", "row-sum"), default="spectral")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_jsr_bounds)
-    p = jsr_sub.add_parser("scan-ratio", help="optimal 1-density staircase")
-    p.add_argument("--alpha-grid", type=int, default=50)
-    p.add_argument("--n", type=int, default=14)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_jsr_scan_ratio)
-    p = jsr_sub.add_parser("alpha-star", help="threshold constant, two expansions")
-    p.add_argument("--terms", type=int, default=12)
-    p.add_argument("--bits", type=int, default=256)
-    p.add_argument("--out")
-    p.set_defaults(handler=_cmd_jsr_alpha_star)
-
-    p_wigner = verbs.add_parser("wigner", help="ring electron ground states")
-    wigner_sub = p_wigner.add_subparsers(dest="action", required=True)
-    p = wigner_sub.add_parser("ground-state", help="orbit energy table")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument(
-        "--potential",
-        choices=("coulomb", "power", "exponential", "screened", "anti"),
-        default="coulomb",
-    )
-    p.add_argument("--param", help="exponent or decay rate, family-specific")
-    p.add_argument("--images", type=int, default=0, help="periodic image cutoff")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_wigner_ground_state)
-
-    p_verify = verbs.add_parser("verify-all", help="run the whole verification battery")
-    p_verify.add_argument("--only", help="comma-separated subset of check names")
-    p_verify.add_argument("--jobs", type=int, default=1)
-    _add_output_flags(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify_all)
-
-    p_run = verbs.add_parser("run", help="replay a manifest")
-    p_run.add_argument("--manifest", required=True)
-    p_run.set_defaults(handler=_cmd_run)
-
+    top = parser.add_subparsers(dest="verb", required=True)
+    groups = {}
+    for name, verb in VERBS.items():
+        group, _, action = name.partition(" ")
+        if action:
+            if group not in groups:
+                group_parser = top.add_parser(group, help=_GROUP_HELP[group])
+                groups[group] = group_parser.add_subparsers(dest="action", required=True)
+            p = groups[group].add_parser(action, help=verb.help)
+        else:
+            p = top.add_parser(name, help=verb.help)
+        for names, options in verb.flags:
+            p.add_argument(*names, **options)
+        if verb.columns is not None:
+            p.add_argument("--out", help="write the artifact here instead of stdout")
+        if verb.columns:
+            p.add_argument(
+                "--format", choices=("csv", "json"), default="csv", help="artifact format"
+            )
+        p.set_defaults(command=name)
     return parser
 
 
@@ -692,8 +557,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    verb = VERBS[args.command]
     try:
-        return args.handler(args)
+        result = verb.handler(args)
+        if isinstance(result, int):
+            return result
+        if isinstance(result, str):
+            _write(args, result)
+            return 0
+        parameters, rows, code = result
+        _write(args, _render(args, args.command, verb.columns, parameters, rows))
+        return code
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -311,7 +311,6 @@ class PrecisionContext:
     """Working precision for the log-domain alpha evaluations."""
 
     bits: int = 256
-    log_domain: bool = True
 
     def __post_init__(self):
         if self.bits < 128:
@@ -433,20 +432,12 @@ def alpha_inverse(
         q = [pair[1] for pair in gamma_cf.convergents]
         log_rho = [mp.log(r) if r > 1 else mp.mpf(0) for r in sequence.rho]
         partials = []
-        if ctx.log_domain:
-            acc = mp.mpf(0)
-            for n in range(terms + 1):
-                i = n + 1
-                term = quotients[n] * log_rho[i] + log_rho[i - 1] - log_rho[i + 1]
-                acc += (-1) ** n * q[i] * term
-                partials.append(mp.e**acc)
-        else:
-            acc = mp.mpf(1)
-            for n in range(terms + 1):
-                i = n + 1
-                term = sequence.rho[i] ** quotients[n] * sequence.rho[i - 1] / sequence.rho[i + 1]
-                acc *= term ** ((-1) ** n * q[i])
-                partials.append(acc)
+        acc = mp.mpf(0)
+        for n in range(terms + 1):
+            i = n + 1
+            term = quotients[n] * log_rho[i] + log_rho[i - 1] - log_rho[i + 1]
+            acc += (-1) ** n * q[i] * term
+            partials.append(mp.e**acc)
         i = terms + 1
         limit_exponent = (-1) ** terms * (q[i + 1] * log_rho[i] - q[i] * log_rho[i + 1])
         limit_form = mp.e**limit_exponent
@@ -471,18 +462,11 @@ def alpha_star_tau(terms: int, ctx: PrecisionContext = PrecisionContext()) -> Al
         fibs.append(fibs[-1] + fibs[-2])
     with mp.workprec(ctx.bits):
         partials = []
-        if ctx.log_domain:
-            acc = mp.mpf(0)
-            for n in range(1, terms + 1):
-                ratio = mp.mpf(taus[n - 1]) / (mp.mpf(taus[n]) * mp.mpf(taus[n + 1]))
-                acc += (-1) ** n * fibs[n + 1] * mp.log1p(-ratio)
-                partials.append(mp.e**acc)
-        else:
-            acc = mp.mpf(1)
-            for n in range(1, terms + 1):
-                ratio = mp.mpf(taus[n - 1]) / (mp.mpf(taus[n]) * mp.mpf(taus[n + 1]))
-                acc *= (1 - ratio) ** ((-1) ** n * fibs[n + 1])
-                partials.append(acc)
+        acc = mp.mpf(0)
+        for n in range(1, terms + 1):
+            ratio = mp.mpf(taus[n - 1]) / (mp.mpf(taus[n]) * mp.mpf(taus[n + 1]))
+            acc += (-1) ** n * fibs[n + 1] * mp.log1p(-ratio)
+            partials.append(mp.e**acc)
         n = terms
         limit_exponent = (-1) ** n * (
             fibs[n + 1] * mp.log(taus[n]) - fibs[n] * mp.log(taus[n + 1])

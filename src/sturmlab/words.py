@@ -357,6 +357,8 @@ def parse_slope(text: str) -> Union[Fraction, float]:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in slope {text!r}")
         return Fraction(int(num), int(den))
     try:
         return Fraction(int(text))

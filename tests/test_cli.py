@@ -109,6 +109,9 @@ def test_heaps_scan(capsys):
     by_n = {int(r[0]): r for r in rows}
     assert by_n[3][1] == "2/3"
     assert by_n[3][3] == "true"
+    code, out, _ = run_cli(capsys, "heaps", "scan", "--n-max", "0")
+    assert code == 0
+    assert out == "n,min_rate,argmin_words,balanced_flag\r\n"
 
 
 def test_jsr_bounds_golden(capsys):
@@ -165,6 +168,15 @@ def test_verify_all_reports_failure(capsys, monkeypatch):
     assert out.startswith("FAIL")
 
 
+def test_verify_all_json_goes_to_stdout(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify-all", "--only", "trace-recurrence,jsr-golden-ratio", "--format", "json"
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["name"] for row in rows] == ["trace-recurrence", "jsr-golden-ratio"]
+
+
 def test_unknown_check_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify-all", "--only", "no-such-check")
     assert code == 2
@@ -175,6 +187,22 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "no-such-verb")[0] == 2
     assert run_cli(capsys, "words", "mechanical", "--gamma", "2/5")[0] == 2  # missing --n
     assert run_cli(capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "words mechanical --gamma 1/0 --n 5",
+        "jsr bounds --alpha 1/0",
+        "queue run --gamma 1/0",
+        "jsr scan-ratio --alpha-grid 1",
+    ],
+)
+def test_bad_parameter_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_version_flag(capsys):
@@ -236,10 +264,11 @@ def test_manifest_argv_round_trip():
 
 def test_manifest_rejects_unknown_verb(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"verb": "frobnicate", "parameters": {}}))
-    code, _, err = run_cli(capsys, "run", "--manifest", str(bad))
-    assert code == 2
-    assert "unknown manifest verb" in err
+    for verb in ("frobnicate", "words bogus", "run"):
+        bad.write_text(json.dumps({"verb": verb, "parameters": {}}))
+        code, _, err = run_cli(capsys, "run", "--manifest", str(bad))
+        assert code == 2
+        assert "unknown manifest verb" in err
 
 
 def test_missing_manifest_file(capsys):

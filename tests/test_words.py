@@ -201,6 +201,8 @@ def test_balanced_orbit_unique_and_balanced():
 def test_parse_slope_and_format_fraction():
     assert parse_slope("2/5") == Fraction(2, 5)
     assert parse_slope("0.25") == 0.25
+    with pytest.raises(ValueError):
+        parse_slope("1/0")
     assert format_fraction(Fraction(2, 5)) == "2/5"
     assert format_fraction(Fraction(4)) == "4"
 
