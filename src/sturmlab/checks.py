@@ -163,11 +163,7 @@ def _check_heaps_balanced() -> tuple[bool, str]:
     best = report.best
     periodic_ok = best.rate == Fraction(2, 3) and best.ratio == Fraction(1, 3)
     compatible = [n for n in exhaustive if n % best.ratio.denominator == 0]
-    gaps = [
-        n
-        for n in compatible
-        if abs(float(exhaustive[n] - best.rate)) > 1e-12
-    ]
+    gaps = [n for n in compatible if exhaustive[n] != best.rate]
     ok = not missing and periodic_ok and not gaps
     detail = (
         f"balanced argmin for n <= 14 (failures: {missing or 'none'}); best "

@@ -3,8 +3,8 @@
 A length-q word w with p ones encodes the periodic doubling-map orbit of
 x = b(w) / (2^q - 1); the uniform measure on that orbit has barycenter p/q.
 The balanced word's measure is the least element of its barycenter class in
-the convex (majorization) order, which this module checks exactly with
-hockey-stick integrals over merged support points.
+the convex (majorization) order, which this module checks exactly with one
+integer sweep of hockey-stick integrals over the merged support points.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -63,20 +64,27 @@ class DiscreteMeasure:
     def __post_init__(self):
         if len(self.points) != len(self.weights) or not self.points:
             raise ValueError("points and weights must be equal-length and nonempty")
-        if any(not 0 <= x < 1 for x in self.points):
+        d, xs, m, vs = self._integer_form
+        if any(not 0 <= x < d for x in xs):
             raise ValueError("support points must lie in [0, 1)")
-        if any(self.points[i] >= self.points[i + 1] for i in range(len(self.points) - 1)):
+        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
             raise ValueError("support points must be strictly increasing")
-        if any(w <= 0 for w in self.weights) or sum(self.weights) != 1:
+        if any(v <= 0 for v in vs) or sum(vs) != m:
             raise ValueError("weights must be positive and sum to 1")
 
-    @property
-    def barycenter(self) -> Fraction:
-        return sum((w * x for x, w in zip(self.points, self.weights)), Fraction(0))
+    @cached_property
+    def _integer_form(self) -> tuple[int, list[int], int, list[int]]:
+        """(d, xs, m, vs): point i is xs[i] / d, its weight vs[i] / m; d, m are lcms."""
+        d = math.lcm(*[x.denominator for x in self.points])
+        m = math.lcm(*[w.denominator for w in self.weights])
+        xs = [x.numerator * (d // x.denominator) for x in self.points]
+        vs = [w.numerator * (m // w.denominator) for w in self.weights]
+        return d, xs, m, vs
 
-    def hockey_stick(self, t: Fraction) -> Fraction:
-        """Integral of (x - t)_+ against the measure, exactly."""
-        return sum((w * (x - t) for x, w in zip(self.points, self.weights) if x > t), Fraction(0))
+    @cached_property
+    def barycenter(self) -> Fraction:
+        d, xs, m, vs = self._integer_form
+        return Fraction(sum(x * v for x, v in zip(xs, vs)), d * m)
 
     def to_json_dict(self) -> dict:
         record = {
@@ -136,31 +144,47 @@ def mixture(measures: Sequence[DiscreteMeasure], coefficients: Sequence[Fraction
     coefficients = [Fraction(c) for c in coefficients]
     if any(c <= 0 for c in coefficients) or sum(coefficients) != 1:
         raise ValueError("coefficients must be positive and sum to 1")
-    combined: dict[Fraction, Fraction] = {}
-    for mu, c in zip(measures, coefficients):
-        for x, w in zip(mu.points, mu.weights):
-            combined[x] = combined.get(x, Fraction(0)) + c * w
-    points = tuple(sorted(combined))
-    return DiscreteMeasure(points, tuple(combined[x] for x in points))
+    d, m, combined = _merged_weights(measures, coefficients)
+    return DiscreteMeasure(
+        tuple(Fraction(x, d) for x, _ in combined), tuple(Fraction(v, m) for _, v in combined)
+    )
+
+
+def _merged_weights(measures, factors) -> tuple[int, int, list[tuple[int, int]]]:
+    """sum_k factors[k] * measures[k] as sorted (x, v): weight v / m at x / d (d, m lcms)."""
+    d = math.lcm(*(mu._integer_form[0] for mu in measures))
+    m = math.lcm(*(f.denominator * mu._integer_form[2] for mu, f in zip(measures, factors)))
+    merged: dict[int, int] = {}
+    for mu, f in zip(measures, factors):
+        d_mu, xs, m_mu, vs = mu._integer_form
+        step, scale = d // d_mu, f.numerator * (m // (f.denominator * m_mu))
+        for x, v in zip(xs, vs):
+            merged[x * step] = merged.get(x * step, 0) + v * scale
+    return d, m, sorted(merged.items())
 
 
 def convex_order_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[Fraction]:
-    """A threshold t violating mu <=_cx nu, or None when the order holds.
+    """The least threshold t violating mu <=_cx nu, or None when the order holds.
 
     Both measures must have the same barycenter (otherwise they are simply
     incomparable in the convex order and a ValueError is raised).  For
     finitely supported equal-mean measures the order holds iff the
     hockey-stick integral of mu is <= that of nu at every merged support
     point, since the difference is piecewise linear with kinks only there
-    and vanishes at both ends.
+    and vanishes at both ends; with equal mass and mean it is
+    sum_{x <= t} (t - x)(mu(x) - nu(x)), swept upward in exact integers.
     """
     if mu.barycenter != nu.barycenter:
         raise ValueError(
             f"convex order needs equal barycenters: {mu.barycenter} != {nu.barycenter}"
         )
-    for t in sorted(set(mu.points) | set(nu.points)):
-        if mu.hockey_stick(t) > nu.hockey_stick(t):
-            return t
+    d, _, net = _merged_weights((mu, nu), (1, -1))
+    gap = mass = 0
+    for (previous, weight), (t, _) in zip(net, net[1:]):
+        mass += weight
+        gap += mass * (t - previous)
+        if gap > 0:
+            return Fraction(t, d)
     return None
 
 

@@ -12,9 +12,9 @@ cost, which ``admission_competition`` probes with common random numbers.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
 import numpy as np
@@ -90,39 +90,28 @@ class QueueSummary:
 def simulate_queue(config: QueueConfig) -> QueueSummary:
     """Run one seeded simulation and return its summary.
 
-    The event loop tracks the departure time of every admitted customer in a
-    deque: service completions are c_j = max(a_j, c_{j-1}) + service_time, so
-    the queue content just before an arrival is the number of pending
-    completions.
+    Completions c_j = max(c_{j-1}, a_j) + service_time of the admitted
+    customers accumulate in order in plain floats, so no departure/arrival
+    tie can flip.  They never decrease, so the count in the system at arrival
+    k (k included when admitted) is the admissions through k minus the
+    earlier ones with c_j <= a_k, counted for all k by one searchsorted.
     """
     rng = np.random.default_rng(config.seed)
     arrivals = np.cumsum(rng.exponential(config.mean_interarrival, config.horizon))
-    admission = symbol_stream(config.admission, config.horizon)
-    pending: deque[float] = deque()
-    last_completion = 0.0
-    total_cost = 0
-    max_queue = 0
-    admitted = 0
-    for k in range(config.horizon):
-        now = float(arrivals[k])
-        while pending and pending[0] <= now:
-            pending.popleft()
-        in_system = len(pending)
-        if admission[k] == "1":
-            admitted += 1
-            total_cost += in_system + 1
-            last_completion = max(last_completion, now) + config.service_time
-            pending.append(last_completion)
-            in_system += 1
-        if in_system > max_queue:
-            max_queue = in_system
+    admit = np.frombuffer(symbol_stream(config.admission, config.horizon).encode(), np.uint8) == ord("1")
+    completions = np.fromiter(accumulate(
+        arrivals[admit].tolist(), lambda c, a: max(c, a) + config.service_time, initial=0.0
+    ), dtype=np.float64)[1:]
+    admitted_through = np.cumsum(admit)
+    departed = np.searchsorted(completions, arrivals, side="right")
+    in_system = admitted_through - np.minimum(departed, admitted_through - admit)
     return QueueSummary(
         seed=config.seed,
         gamma=config.admission_density,
         horizon=config.horizon,
-        mean_cost=total_cost / config.horizon,
-        max_queue=max_queue,
-        admitted=admitted,
+        mean_cost=int(in_system[admit].sum()) / config.horizon,
+        max_queue=int(in_system.max()),
+        admitted=int(admitted_through[-1]),
     )
 
 
@@ -133,7 +122,7 @@ def random_admission_word(horizon: int, ones: int, seed: int) -> str:
     rng = np.random.default_rng(seed)
     bits = np.zeros(horizon, dtype=np.uint8)
     bits[rng.choice(horizon, size=ones, replace=False)] = 1
-    return "".join("1" if b else "0" for b in bits)
+    return (bits + ord("0")).tobytes().decode("ascii")
 
 
 def admission_competition(
@@ -148,18 +137,10 @@ def admission_competition(
     if competitors < 1:
         raise ValueError("need at least one competitor")
     reference = simulate_queue(config)
-    ones = symbol_stream(config.admission, config.horizon).count("1")
     rows = [reference]
     for i in range(competitors):
-        word = random_admission_word(config.horizon, ones, competitor_seed + i)
-        challenger = QueueConfig(
-            mean_interarrival=config.mean_interarrival,
-            service_time=config.service_time,
-            horizon=config.horizon,
-            seed=config.seed,
-            admission=word,
-        )
-        rows.append(simulate_queue(challenger))
+        word = random_admission_word(config.horizon, reference.admitted, competitor_seed + i)
+        rows.append(simulate_queue(replace(config, admission=word)))
     return rows
 
 

@@ -2,7 +2,8 @@
 
 Words are plain Python strings over the alphabet {'0', '1'}; this module is
 the shared currency for every other testbed in the package.  Exact rational
-slopes are handled with :class:`fractions.Fraction`; irrational slopes go
+slopes (:class:`fractions.Fraction` or int) are handled with integer floor
+division over a common denominator; irrational slopes go
 through mpmath at a configurable working precision, in which case the floor
 in the mechanical-word formula is evaluated on the approximation (the only
 source of error, and only relevant when ``n*gamma + delta`` sits within
@@ -137,23 +138,13 @@ def balance_witness(w: str) -> Optional[tuple[str, str]]:
     return _balance_violation(w)
 
 
-def _floor_terms(gamma, delta, n: int, bits: int) -> list[int]:
-    """floor(k*gamma + delta) for k = 1..n+1, exact or via mpmath."""
-    if isinstance(gamma, (Fraction, int)) and isinstance(delta, (Fraction, int)):
-        g, d = Fraction(gamma), Fraction(delta)
-        return [math.floor(k * g + d) for k in range(1, n + 2)]
-    with mpmath.workprec(bits):
-        g = mpmath.mpf(gamma) if not isinstance(gamma, Fraction) else mpmath.mpf(gamma.numerator) / gamma.denominator
-        d = mpmath.mpf(delta) if not isinstance(delta, Fraction) else mpmath.mpf(delta.numerator) / delta.denominator
-        return [int(mpmath.floor(k * g + d)) for k in range(1, n + 2)]
-
-
 def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0, bits: int = 128) -> str:
     """First ``n`` letters of the mechanical word with slope gamma, phase delta.
 
     Letter k (1-indexed) is ``floor((k+1)*gamma + delta) - floor(k*gamma + delta)``.
-    Exact when gamma and delta are Fraction/int; otherwise evaluated with
-    mpmath at ``bits`` bits of working precision.
+    Exact when gamma = a/b and delta = c/b are Fraction/int: letter k is then
+    ``((k+1)*a + c) // b - (k*a + c) // b``, with period b.  Otherwise the
+    floors are evaluated with mpmath at ``bits`` bits of working precision.
 
     Args:
         gamma: slope in [0, 1].
@@ -171,9 +162,16 @@ def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0, bits: int = 
         raise ValueError(f"slope gamma={gamma} outside [0, 1]")
     if not 0 <= float(delta) < 1:
         raise ValueError(f"phase delta={delta} outside [0, 1)")
-    floors = _floor_terms(gamma, delta, n, bits)
-    word = "".join(str(floors[k + 1] - floors[k]) for k in range(n))
-    return check_word(word)
+    if isinstance(gamma, (Fraction, int)) and isinstance(delta, (Fraction, int)):
+        b = math.lcm(gamma.denominator, delta.denominator)
+        a, c = gamma.numerator * b // gamma.denominator, delta.numerator * b // delta.denominator
+        period = "".join(str(((k + 1) * a + c) // b - (k * a + c) // b) for k in range(1, min(n, b) + 1))
+        return check_word(period) * (n // b) + period[: n % b]
+    with mpmath.workprec(bits):
+        g = mpmath.mpf(gamma) if not isinstance(gamma, Fraction) else mpmath.mpf(gamma.numerator) / gamma.denominator
+        d = mpmath.mpf(delta) if not isinstance(delta, Fraction) else mpmath.mpf(delta.numerator) / delta.denominator
+        floors = [int(mpmath.floor(k * g + d)) for k in range(1, n + 2)]
+    return check_word("".join(str(floors[k + 1] - floors[k]) for k in range(n)))
 
 
 @dataclass(frozen=True)

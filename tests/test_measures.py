@@ -20,7 +20,7 @@ from sturmlab.measures import (
     tent_objective,
     verify_sturmian_least,
 )
-from sturmlab.words import is_balanced
+from sturmlab.words import enumerate_orbits, is_balanced
 
 
 def test_two_fifths_measure_fixture():
@@ -62,6 +62,7 @@ def test_convex_order_balanced_below_clumped():
     assert not convex_order_leq(clumped, balanced)
     witness = convex_order_witness(clumped, balanced)
     assert witness is not None  # a kink where the order fails
+    assert witness == _witness_oracle(clumped, balanced)
 
 
 def test_convex_order_requires_equal_barycenters():
@@ -93,6 +94,57 @@ def _orbit_reps(p, q):
     from sturmlab.words import enumerate_orbits
 
     return [o.representative for o in enumerate_orbits(p, q)]
+
+
+def _hockey_stick(mu, t):
+    """Integral of (x - t)_+ against mu, summed in Fractions."""
+    return sum((w * (x - t) for x, w in zip(mu.points, mu.weights) if x > t), Fraction(0))
+
+
+def _witness_oracle(mu, nu):
+    """First merged support point where mu's hockey stick exceeds nu's."""
+    for t in sorted(set(mu.points) | set(nu.points)):
+        if _hockey_stick(mu, t) > _hockey_stick(nu, t):
+            return t
+    return None
+
+
+def _mixture_oracle(measures, coefficients):
+    """Points and weights of the mixture, accumulated per point in Fractions."""
+    combined = {}
+    for mu, c in zip(measures, coefficients):
+        for x, w in zip(mu.points, mu.weights):
+            combined[x] = combined.get(x, Fraction(0)) + c * w
+    points = tuple(sorted(combined))
+    return points, tuple(combined[x] for x in points)
+
+
+@st.composite
+def _same_mean_measure(draw, p, q):
+    """An orbit measure of density p/q, or a mixture of up to four of them."""
+    pool = [
+        orbit_measure(o.representative)
+        for k in range(1, 10 // q + 1)
+        for o in enumerate_orbits(k * p, k * q)
+    ]
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique_by=id))
+    if len(chosen) == 1:
+        return chosen[0]
+    raw = draw(st.lists(st.integers(1, 100), min_size=len(chosen), max_size=len(chosen)))
+    coefficients = [Fraction(r, sum(raw)) for r in raw]
+    blend = mixture(chosen, coefficients)
+    assert (blend.points, blend.weights) == _mixture_oracle(chosen, coefficients)
+    return blend
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.integers(min_value=2, max_value=9))
+def test_witness_matches_per_threshold_oracle(data, q):
+    p = data.draw(st.integers(min_value=1, max_value=q - 1))
+    mu = data.draw(_same_mean_measure(p, q))
+    nu = data.draw(_same_mean_measure(p, q))
+    assert convex_order_witness(mu, nu) == _witness_oracle(mu, nu)
+    assert convex_order_witness(nu, mu) == _witness_oracle(nu, mu)
 
 
 def test_verify_sturmian_least_small():

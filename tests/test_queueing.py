@@ -1,21 +1,24 @@
 """Seeded admission-control simulation and the shuffle competition."""
 
 import json
+from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmlab.queueing import (
     QueueConfig,
+    QueueSummary,
     admission_competition,
     load_queue_config,
     queue_config_from_dict,
     random_admission_word,
     simulate_queue,
 )
-from sturmlab.words import MechanicalSpec
+from sturmlab.words import MechanicalSpec, symbol_stream
 
 
 def mechanical_config(horizon=4000, seed=0, gamma=Fraction(1, 3)):
@@ -32,6 +35,55 @@ def test_seed_changes_outcome():
     a = simulate_queue(mechanical_config(seed=0))
     b = simulate_queue(mechanical_config(seed=1))
     assert a.mean_cost != b.mean_cost
+
+
+def _simulate_queue_loop(config):
+    """Per-customer event loop: pop departures, then admit and charge."""
+    rng = np.random.default_rng(config.seed)
+    arrivals = np.cumsum(rng.exponential(config.mean_interarrival, config.horizon))
+    admission = symbol_stream(config.admission, config.horizon)
+    pending = deque()
+    last_completion = 0.0
+    total_cost = max_queue = admitted = 0
+    for k in range(config.horizon):
+        now = float(arrivals[k])
+        while pending and pending[0] <= now:
+            pending.popleft()
+        in_system = len(pending)
+        if admission[k] == "1":
+            admitted += 1
+            total_cost += in_system + 1
+            last_completion = max(last_completion, now) + config.service_time
+            pending.append(last_completion)
+            in_system += 1
+        max_queue = max(max_queue, in_system)
+    return QueueSummary(
+        config.seed, config.admission_density, config.horizon,
+        total_cost / config.horizon, max_queue, admitted,
+    )
+
+
+@pytest.mark.parametrize(
+    "admission",
+    ["1", "001", "0110100", MechanicalSpec(Fraction(1, 3)),
+     MechanicalSpec(Fraction(2, 5), Fraction(1, 7)), MechanicalSpec(0.381966)],
+    ids=["word-1", "word-001", "word-0110100", "mech-1/3", "mech-2/5+1/7", "mech-0.381966"],
+)
+@pytest.mark.parametrize(
+    "service_time", [2.0, 0.37 * 3, 0.37 * 7, 0.1, 1e-300],
+    ids=["2", "0.37x3", "0.37x7", "0.1", "1e-300"],
+)
+def test_simulation_matches_event_loop(admission, service_time):
+    for seed in range(4):
+        for mean_interarrival in (1.0, 0.7):
+            config = QueueConfig(mean_interarrival, service_time, 1500, seed, admission)
+            assert simulate_queue(config) == _simulate_queue_loop(config)
+
+
+def test_simulation_matches_event_loop_on_long_shuffle():
+    word = random_admission_word(60_000, 22_500, 5)
+    config = QueueConfig(service_time=0.37 * 7, horizon=60_000, seed=2, admission=word)
+    assert simulate_queue(config) == _simulate_queue_loop(config)
 
 
 def test_admitted_fraction_tracks_slope():

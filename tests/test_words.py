@@ -80,6 +80,25 @@ def test_mechanical_words_are_balanced(a, b, n):
     assert is_balanced(w)
 
 
+def _mechanical_oracle(gamma: Fraction, n: int, delta: Fraction) -> str:
+    """Letter k is floor((k+1)*gamma + delta) - floor(k*gamma + delta), in Fractions."""
+    floors = [math.floor(k * gamma + delta) for k in range(1, n + 2)]
+    return "".join(str(floors[k + 1] - floors[k]) for k in range(n))
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.data(),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=130),
+)
+def test_mechanical_word_matches_fraction_oracle(q, data, phase_den, n):
+    gamma = Fraction(data.draw(st.integers(min_value=0, max_value=q)), q)
+    delta = Fraction(data.draw(st.integers(min_value=0, max_value=phase_den - 1)), phase_den)
+    assert mechanical_word(gamma, n, delta) == _mechanical_oracle(gamma, n, delta)
+    assert mechanical_word(gamma, n) == _mechanical_oracle(gamma, n, Fraction(0))
+
+
 def test_mechanical_word_density_converges():
     gamma = Fraction(3, 7)
     w = mechanical_word(gamma, 7 * 20)
