@@ -43,7 +43,6 @@ from .measures import (
     mixture,
     orbit_measure,
     peak_objective_scan,
-    phi_sample,
     sturmian_measure,
     verify_sturmian_least,
 )

@@ -16,7 +16,6 @@ domain with mpmath and agree with the reference decimal ALPHA_STAR_DECIMAL.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -147,14 +146,6 @@ def scaled_pair(alpha: Scalar) -> list[Mat2]:
     return [A0, alpha * A1]
 
 
-def _necklaces(n: int, k: int):
-    """Lexicographically minimal rotation representatives over k letters."""
-    for word in itertools.product(range(k), repeat=n):
-        doubled = word + word
-        if all(word <= doubled[i : i + n] for i in range(1, n)):
-            yield word
-
-
 @dataclass(frozen=True)
 class BoundsRow:
     n: int
@@ -177,11 +168,13 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
     The lower bound is the best normalized spectral radius over necklaces of
     each length up to n_max; the upper bound is the smallest normalized norm
     maximum over all products of a fixed length.  Both sandwich the true
-    value for any sub-multiplicative norm.
+    value for any sub-multiplicative norm.  Necklaces are the binary ones
+    from :func:`enumerate_orbits` in lexicographic order, letter i standing
+    for ``matrices[i]``, so the set holds one or two matrices.
     """
     matrices = list(matrices)
-    if not matrices:
-        raise ValueError("need at least one matrix")
+    if not 1 <= len(matrices) <= 2:
+        raise ValueError(f"need one or two matrices, got {len(matrices)}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if norm not in _NORMS:
@@ -196,14 +189,16 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
     for n in range(1, n_max + 1):
         lower_n = -math.inf
         argmax = ""
-        for word in _necklaces(n, len(matrices)):
-            product = matrices[word[0]]
+        densities = range(n + 1) if len(matrices) == 2 else (0,)
+        necklaces = sorted(o.representative for ones in densities for o in enumerate_orbits(ones, n))
+        for word in necklaces:
+            product = matrices[int(word[0])]
             for letter in word[1:]:
-                product = product * matrices[letter]
+                product = product * matrices[int(letter)]
             value = product.spectral_radius() ** (1.0 / n)
             if value > lower_n:
                 lower_n = value
-                argmax = "".join(str(letter) for letter in word)
+                argmax = word
         upper_n = _max_norm(matrices, n, norm_fn) ** (1.0 / n)
         lower = max(lower, lower_n)
         upper = min(upper, upper_n)

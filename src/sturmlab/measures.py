@@ -14,9 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
-
-import mpmath
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclic import binary_value
 from .words import (
@@ -39,8 +37,6 @@ __all__ = [
     "convex_order_leq",
     "LeastElementScan",
     "verify_sturmian_least",
-    "PhiSample",
-    "phi_sample",
     "maximize_over_orbits",
     "cosine_objective",
     "tent_objective",
@@ -250,51 +246,6 @@ def verify_sturmian_least(
                     bad.append("mixture:" + "+".join(m.word or "?" for m in chosen))
             scans.append(LeastElementScan(p, q, len(pool), tested_mixtures, tuple(bad)))
     return scans
-
-
-@dataclass(frozen=True)
-class PhiSample:
-    """One truncated evaluation of the conjugacy series at a point."""
-
-    gamma: Union[Fraction, float]
-    x: Union[Fraction, float]
-    terms: int
-    value: Union[Fraction, "mpmath.mpf"]
-    error_bound: Fraction
-
-
-def phi_sample(gamma, x, terms: int, bits: Optional[int] = None) -> PhiSample:
-    """Truncated sum sum_{n<terms} [x + n*gamma mod 1 in [1-gamma, 1)] / 2^{n+1}.
-
-    The full series semiconjugates the rotation by gamma to the doubling map;
-    the truncation error is at most 2^-terms.  Exact Fractions in, exact
-    Fraction out; otherwise mpmath at ``bits`` (default terms + 64) bits.
-    """
-    if terms < 1:
-        raise ValueError("need at least one term")
-    exact = isinstance(gamma, (Fraction, int)) and isinstance(x, (Fraction, int))
-    if exact:
-        g, point = Fraction(gamma), Fraction(x)
-        if not (0 <= g <= 1 and 0 <= point < 1):
-            raise ValueError("need gamma in [0, 1] and x in [0, 1)")
-        value = Fraction(0)
-        for n in range(terms):
-            pos = (point + n * g) % 1
-            if pos >= 1 - g:
-                value += Fraction(1, 2 ** (n + 1))
-        return PhiSample(g, point, terms, value, Fraction(1, 2**terms))
-    prec = bits if bits is not None else terms + 64
-    with mpmath.workprec(prec):
-        g = mpmath.mpf(gamma) if not isinstance(gamma, Fraction) else mpmath.mpf(gamma.numerator) / gamma.denominator
-        point = mpmath.mpf(x) if not isinstance(x, Fraction) else mpmath.mpf(x.numerator) / x.denominator
-        if not (0 <= g <= 1 and 0 <= point < 1):
-            raise ValueError("need gamma in [0, 1] and x in [0, 1)")
-        value = mpmath.mpf(0)
-        for n in range(terms):
-            pos = mpmath.frac(point + n * g)
-            if pos >= 1 - g:
-                value += mpmath.mpf(2) ** (-(n + 1))
-        return PhiSample(float(g), float(point), terms, value, Fraction(1, 2**terms))
 
 
 def maximize_over_orbits(

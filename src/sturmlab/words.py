@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Optional, Union
 
 import mpmath
@@ -158,9 +157,9 @@ def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0, bits: int = 
         gamma = parse_slope(gamma)
     if isinstance(delta, str):
         delta = parse_slope(delta)
-    if not 0 <= float(gamma) <= 1:
+    if not 0 <= gamma <= 1:
         raise ValueError(f"slope gamma={gamma} outside [0, 1]")
-    if not 0 <= float(delta) < 1:
+    if not 0 <= delta < 1:
         raise ValueError(f"phase delta={delta} outside [0, 1)")
     if isinstance(gamma, (Fraction, int)) and isinstance(delta, (Fraction, int)):
         b = math.lcm(gamma.denominator, delta.denominator)
@@ -309,21 +308,42 @@ class Orbit:
 def enumerate_orbits(p: int, q: int) -> list[Orbit]:
     """All rotation orbits of length-``q`` words with exactly ``p`` ones.
 
-    Sorted by representative.  The orbit sizes sum to C(q, p).
+    Sorted by representative.  The orbit sizes sum to C(q, p).  This is the
+    binary Fredricksen-Kessler-Maiorana prenecklace recursion, pruned to
+    fixed density as in Ruskey-Sawada (SIAM J. Comput. 1999): a prenecklace
+    a_1..a_t with period ``period`` extends by copying a_{t+1-period}, or,
+    when that letter is '0', by a '1' that makes the whole prefix Lyndon
+    (period t+1).  Branches whose one-count passes ``p`` or can no longer
+    reach it are cut; a full-length prenecklace is a necklace exactly when
+    its period divides ``q``.  The walk is depth first with '0' before '1',
+    so orbits come out in lexicographic order.
     """
     if q < 1:
         raise ValueError("word length q must be >= 1")
     if not 0 <= p <= q:
         raise ValueError(f"one-count p={p} outside 0..{q}")
-    reps = []
-    for positions in combinations(range(q), p):
-        chars = ["0"] * q
-        for i in positions:
-            chars[i] = "1"
-        w = "".join(chars)
-        if w == canonical_rotation(w):
-            reps.append(w)
-    return [Orbit(w, minimal_period(w)) for w in sorted(reps)]
+    word = ["0"] * (q + 1)  # word[1..q]; word[0] seeds the first copy
+    orbits = []
+    # Stack entries (t, letter, period, ones): set word[t] = letter, giving a
+    # prenecklace of length t with that period and one-count.
+    stack = [(0, "0", 1, 0)]
+    while stack:
+        t, letter, period, ones = stack.pop()
+        word[t] = letter
+        if t == q:
+            if q % period == 0:
+                orbits.append(Orbit("".join(word[1:]), period))
+            continue
+        copied = word[t + 1 - period]
+        if copied == "1":
+            if ones < p:
+                stack.append((t + 1, "1", period, ones + 1))
+            continue
+        if ones < p:
+            stack.append((t + 1, "1", t + 1, ones + 1))
+        if ones + q - t - 1 >= p:
+            stack.append((t + 1, "0", period, ones))
+    return orbits
 
 
 def balanced_orbit(p: int, q: int) -> Orbit:

@@ -1,6 +1,7 @@
 """Joint spectral radius bounds, the density staircase, and the threshold
 constant computed two independent ways."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,8 +27,8 @@ from sturmlab.jsr import (
     standard_matrices,
     tau_sequence,
 )
-from sturmlab.jsr import _necklaces
-from sturmlab.words import ContinuedFraction
+from sturmlab.jsr import _NORMS, BoundsRow, JsrBounds, _max_norm
+from sturmlab.words import ContinuedFraction, enumerate_orbits
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -74,13 +75,55 @@ def _phi(n: int) -> int:
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_necklace_enumeration_count(n):
-    produced = list(_necklaces(n, 2))
+    produced = [o.representative for ones in range(n + 1) for o in enumerate_orbits(ones, n)]
     assert len(produced) == necklace_count(n)
     assert len(set(produced)) == len(produced)
     # Every listed necklace is the least among its rotations.
     for necklace in produced:
         doubled = necklace + necklace
         assert all(necklace <= doubled[k : k + n] for k in range(n))
+
+
+def _necklaces(n: int, k: int):
+    """Lexicographically minimal rotation representatives over k letters."""
+    for word in itertools.product(range(k), repeat=n):
+        doubled = word + word
+        if all(word <= doubled[i : i + n] for i in range(1, n)):
+            yield word
+
+
+def _jsr_bounds_oracle(matrices, n_max: int, norm: str) -> JsrBounds:
+    """The lower-bound loop over every k-ary necklace from itertools.product."""
+    matrices = list(matrices)
+    rows = []
+    lower = 0.0
+    upper = math.inf
+    for n in range(1, n_max + 1):
+        lower_n = -math.inf
+        argmax = ""
+        for word in _necklaces(n, len(matrices)):
+            product = matrices[word[0]]
+            for letter in word[1:]:
+                product = product * matrices[letter]
+            value = product.spectral_radius() ** (1.0 / n)
+            if value > lower_n:
+                lower_n = value
+                argmax = "".join(str(letter) for letter in word)
+        upper_n = _max_norm(matrices, n, _NORMS[norm]) ** (1.0 / n)
+        lower = max(lower, lower_n)
+        upper = min(upper, upper_n)
+        rows.append(BoundsRow(n, lower_n, upper_n, argmax))
+    return JsrBounds(norm, tuple(rows), lower, upper)
+
+
+@pytest.mark.parametrize("norm", sorted(_NORMS))
+@pytest.mark.parametrize(
+    "matrices",
+    [scaled_pair(Fraction(alpha)) for alpha in ("0", "1/3", "1/2", "3/4", "749/1000", "1")] + [[A0]],
+    ids=["alpha=0", "alpha=1/3", "alpha=1/2", "alpha=3/4", "alpha=749/1000", "alpha=1", "A0"],
+)
+def test_bounds_match_product_necklace_oracle(matrices, norm):
+    assert jsr_bounds(matrices, 10, norm) == _jsr_bounds_oracle(matrices, 10, norm)
 
 
 def test_golden_pair_bracket_closes():
@@ -105,6 +148,8 @@ def test_row_sum_norm_also_brackets():
 def test_bounds_input_validation():
     with pytest.raises(ValueError):
         jsr_bounds((), 4)
+    with pytest.raises(ValueError):
+        jsr_bounds((A0, A1, A0 * A1), 4)
     with pytest.raises(ValueError):
         jsr_bounds((A0, A1), 0)
     with pytest.raises(ValueError):

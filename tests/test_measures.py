@@ -15,7 +15,6 @@ from sturmlab.measures import (
     mixture,
     orbit_measure,
     peak_objective_scan,
-    phi_sample,
     sturmian_measure,
     tent_objective,
     verify_sturmian_least,
@@ -153,18 +152,6 @@ def test_verify_sturmian_least_small():
     assert {(s.p, s.q) for s in scans} == {
         (p, q) for q in range(2, 7) for p in range(1, q) if math.gcd(p, q) == 1
     }
-
-
-def test_phi_sample_rational_is_exact():
-    sample = phi_sample(Fraction(2, 5), Fraction(1, 3), terms=12)
-    assert isinstance(sample.value, Fraction)
-    assert sample.error_bound < Fraction(1, 1000)
-
-
-def test_phi_sample_error_bound_brackets_deeper_run():
-    shallow = phi_sample(Fraction(2, 5), Fraction(1, 3), terms=10)
-    deep = phi_sample(Fraction(2, 5), Fraction(1, 3), terms=24)
-    assert abs(deep.value - shallow.value) <= shallow.error_bound
 
 
 def test_tent_objective_peaks_where_asked():

@@ -2,7 +2,9 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,24 @@ def test_mechanical_word_matches_fraction_oracle(q, data, phase_den, n):
     delta = Fraction(data.draw(st.integers(min_value=0, max_value=phase_den - 1)), phase_den)
     assert mechanical_word(gamma, n, delta) == _mechanical_oracle(gamma, n, delta)
     assert mechanical_word(gamma, n) == _mechanical_oracle(gamma, n, Fraction(0))
+
+
+def test_mechanical_word_rejects_exact_slope_just_above_one():
+    with pytest.raises(ValueError, match="slope"):
+        mechanical_word(Fraction(10**20 + 1, 10**20), 5)
+    with mpmath.workprec(192):
+        above_one = mpmath.mpf(1) + mpmath.mpf(2) ** -100
+    with pytest.raises(ValueError, match="slope"):
+        mechanical_word(above_one, 5, bits=192)
+    with pytest.raises(ValueError, match="slope"):
+        mechanical_word(-0.5, 5)
+
+
+def test_mechanical_word_accepts_exact_phase_just_below_one():
+    gamma, delta = Fraction(1, 3), Fraction(10**20 - 1, 10**20)
+    assert mechanical_word(gamma, 5, delta) == _mechanical_oracle(gamma, 5, delta)
+    with pytest.raises(ValueError, match="phase"):
+        mechanical_word(gamma, 5, 1)
 
 
 def test_mechanical_word_density_converges():
@@ -202,6 +222,45 @@ def test_enumerate_orbits_partitions_all_words():
     p, q = 3, 7
     total = sum(len(orbit.members) for orbit in enumerate_orbits(p, q))
     assert total == math.comb(q, p)
+
+
+def _orbits_oracle(p: int, q: int) -> list[tuple[str, int]]:
+    """Every one of the C(q, p) words, kept when it is its own least rotation."""
+    reps = []
+    for positions in combinations(range(q), p):
+        chars = ["0"] * q
+        for i in positions:
+            chars[i] = "1"
+        w = "".join(chars)
+        if w == canonical_rotation(w):
+            reps.append(w)
+    return [(w, minimal_period(w)) for w in sorted(reps)]
+
+
+@pytest.mark.parametrize("q", range(1, 15))
+def test_enumerate_orbits_matches_oracle(q):
+    for p in range(q + 1):
+        produced = [(o.representative, o.period) for o in enumerate_orbits(p, q)]
+        assert produced == _orbits_oracle(p, q), (p, q)
+
+
+def _totient(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def _fixed_density_necklace_count(p: int, q: int) -> int:
+    """(1/q) * sum over d | gcd(p, q) of phi(d) * C(q/d, p/d)."""
+    g = math.gcd(p, q)
+    total = sum(_totient(d) * math.comb(q // d, p // d) for d in range(1, g + 1) if g % d == 0)
+    assert total % q == 0
+    return total // q
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.integers(min_value=1, max_value=22))
+def test_orbit_count_matches_necklace_formula(data, q):
+    p = data.draw(st.integers(min_value=0, max_value=q))
+    assert len(enumerate_orbits(p, q)) == _fixed_density_necklace_count(p, q)
 
 
 def test_balanced_orbit_unique_and_balanced():
