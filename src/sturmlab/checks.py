@@ -116,14 +116,14 @@ def _check_trace_recurrence() -> tuple[bool, str]:
     problems = []
     for label, quotients in (("golden", (1,) * 16), ("shifted", (2,) + (1,) * 15)):
         seq = jsr.standard_matrices(words.ContinuedFraction(quotients))
-        taus = [int(seq.tau_at(n)) for n in range(-1, seq.depth + 1)]
+        taus = [seq.tau_at(n) for n in range(-1, seq.depth + 1)]
         for i in range(4, len(taus)):
             if taus[i] != taus[i - 1] * taus[i - 2] - taus[i - 3]:
                 problems.append(f"{label}@B_{i - 1}")
     golden = jsr.standard_matrices(words.ContinuedFraction((1,) * 16))
     reference = jsr.tau_sequence(17)
     for k in range(2, 18):
-        if reference[k] != int(golden.tau_at(k - 2)):
+        if reference[k] != golden.tau_at(k - 2):
             problems.append(f"seeded-offset@{k}")
     detail = (
         "recurrence exact for n <= 15 on two quotient patterns and the "

@@ -42,6 +42,8 @@ __all__ = [
 
 Number = Union[Fraction, int]
 
+MAX_EXHAUSTIVE_N = 20
+
 
 def _fractions(values: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
@@ -241,10 +243,10 @@ class RateScan:
     argmin: tuple[str, ...]
 
 
-def min_rate_exhaustive(model: HeapModel, n: int, max_n: int = 20) -> RateScan:
+def min_rate_exhaustive(model: HeapModel, n: int) -> RateScan:
     """Minimum of h(w)/n over all 2^n schedules, with the full argmin set."""
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n={n} outside 1..{max_n}")
+    if not 1 <= n <= MAX_EXHAUSTIVE_N:
+        raise ValueError(f"n={n} outside 1..{MAX_EXHAUSTIVE_N}")
     best: Optional[Fraction] = None
     argmin: list[str] = []
     zero = (Fraction(0),) * model.num_columns

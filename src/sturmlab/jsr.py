@@ -7,6 +7,11 @@ the undeformed pair both collapse onto the golden ratio already at length 2.
 Scanning necklaces of a fixed length while alpha sweeps [0, 1] produces a
 non-decreasing staircase of optimal 1-densities with values in [0, 1/2].
 
+Every 2x2 product is ``_mul`` on integer 4-tuples; ``jsr_bounds`` scales
+its entries by their common denominator d and divides a length-n product by
+d**n only where it takes a float, so ``Mat2`` over ``Fraction`` stays at the
+API boundary.
+
 At the golden-mean slope the deformation threshold has two independent
 product expansions, one through the trace sequence tau_{n+1} =
 tau_n tau_{n-1} - tau_{n-2} and one through spectral radii of the standard
@@ -20,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import mpmath as mp
 
@@ -55,9 +60,31 @@ ALPHA_STAR_DECIMAL = "0.749326546330367557943961948091344672091327"
 
 MAX_ALPHA_TERMS = 30
 
+MAX_SCAN_N = 18
+
 
 class PrecisionError(ValueError):
     """Requested evaluation exceeds what the numeric plumbing can honor."""
+
+
+def _mul(x, y):
+    """Product of two 2x2 matrices given as row-major 4-tuples (a, b, c, d)."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _spectral_radius(trace, det) -> float:
+    """Largest eigenvalue modulus of an exact (trace, det) pair, as a float."""
+    disc = trace * trace - 4 * det
+    if disc >= 0:
+        root = math.sqrt(disc)
+        tf = float(trace)
+        return max(abs((tf + root) / 2), abs((tf - root) / 2))
+    return math.sqrt(det)
 
 
 @dataclass(frozen=True)
@@ -76,26 +103,13 @@ class Mat2:
     def __mul__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Mat2(*_mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
 
     def __rmul__(self, scalar: Scalar) -> "Mat2":
         if isinstance(scalar, Mat2):
             return NotImplemented
         s = Fraction(scalar)
         return Mat2(s * self.a, s * self.b, s * self.c, s * self.d)
-
-    def __pow__(self, exponent: int) -> "Mat2":
-        if exponent < 0:
-            raise ValueError("only nonnegative matrix powers are supported")
-        out = Mat2(1, 0, 0, 1)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     @property
     def trace(self) -> Fraction:
@@ -105,18 +119,9 @@ class Mat2:
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    def entries(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return ((self.a, self.b), (self.c, self.d))
-
     def spectral_radius(self) -> float:
         """Largest eigenvalue modulus from the trace/determinant closed form."""
-        t = self.trace
-        disc = t * t - 4 * self.det
-        if disc >= 0:
-            root = math.sqrt(float(disc))
-            tf = float(t)
-            return max(abs((tf + root) / 2), abs((tf - root) / 2))
-        return math.sqrt(float(self.det))
+        return _spectral_radius(self.trace, self.det)
 
     def spectral_norm(self) -> float:
         """Largest singular value; closed form via the squared-entry sum."""
@@ -129,8 +134,10 @@ class Mat2:
         return float(max(abs(self.a) + abs(self.b), abs(self.c) + abs(self.d)))
 
 
-A0 = Mat2(1, 1, 0, 1)
-A1 = Mat2(1, 0, 1, 1)
+_A0 = (1, 1, 0, 1)
+_A1 = (1, 0, 1, 1)
+A0 = Mat2(*_A0)
+A1 = Mat2(*_A1)
 
 _NORMS = {
     "spectral": Mat2.spectral_norm,
@@ -170,7 +177,9 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
     maximum over all products of a fixed length.  Both sandwich the true
     value for any sub-multiplicative norm.  Necklaces are the binary ones
     from :func:`enumerate_orbits` in lexicographic order, letter i standing
-    for ``matrices[i]``, so the set holds one or two matrices.
+    for ``matrices[i]``, so the set holds one or two matrices.  Products run
+    on integers over the entries' common denominator; each length-n product
+    becomes an exact ``Mat2`` only where a float is taken from it.
     """
     matrices = list(matrices)
     if not 1 <= len(matrices) <= 2:
@@ -181,7 +190,10 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
         raise ValueError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
     if len(matrices) ** n_max > 1 << 20:
         raise ValueError("alphabet**n_max beyond the exhaustive budget (2^20)")
-    norm_fn = _NORMS[norm]
+    entries = [(m.a, m.b, m.c, m.d) for m in matrices]
+    scale = math.lcm(*[x.denominator for row in entries for x in row])
+    ints = [tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries]
+    max_norms = _max_norms(ints, scale, n_max, _NORMS[norm])
 
     rows = []
     lower = 0.0
@@ -192,58 +204,49 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
         densities = range(n + 1) if len(matrices) == 2 else (0,)
         necklaces = sorted(o.representative for ones in densities for o in enumerate_orbits(ones, n))
         for word in necklaces:
-            product = matrices[int(word[0])]
+            product = ints[int(word[0])]
             for letter in word[1:]:
-                product = product * matrices[int(letter)]
-            value = product.spectral_radius() ** (1.0 / n)
+                product = _mul(product, ints[int(letter)])
+            value = _exact(product, scale**n).spectral_radius() ** (1.0 / n)
             if value > lower_n:
                 lower_n = value
                 argmax = word
-        upper_n = _max_norm(matrices, n, norm_fn) ** (1.0 / n)
+        upper_n = max_norms[n - 1] ** (1.0 / n)
         lower = max(lower, lower_n)
         upper = min(upper, upper_n)
         rows.append(BoundsRow(n, lower_n, upper_n, argmax))
     return JsrBounds(norm, tuple(rows), lower, upper)
 
 
-def _max_norm(matrices: list[Mat2], n: int, norm_fn) -> float:
-    best = -math.inf
+def _exact(product: tuple[int, ...], scale: int) -> Mat2:
+    """The rational matrix product / scale."""
+    return Mat2(*[Fraction(x, scale) for x in product])
 
-    def extend(product: Optional[Mat2], depth: int):
-        nonlocal best
-        if depth == n:
-            best = max(best, norm_fn(product))
-            return
-        for matrix in matrices:
-            extend(matrix if product is None else product * matrix, depth + 1)
 
-    extend(None, 0)
+def _max_norms(ints: list[tuple[int, ...]], scale: int, n_max: int, norm_fn) -> list[float]:
+    """Largest norm of a length-n product of ``ints`` / scale, for n = 1..n_max."""
+    powers = [scale**n for n in range(n_max + 1)]
+    best = [-math.inf] * n_max
+    stack = [(m, 1) for m in ints]
+    while stack:
+        product, n = stack.pop()
+        best[n - 1] = max(best[n - 1], norm_fn(_exact(product, powers[n])))
+        if n < n_max:
+            stack.extend((_mul(product, m), n + 1) for m in ints)
     return best
 
 
 @lru_cache(maxsize=32)
-def _necklace_traces(n: int) -> tuple[tuple[int, str, int], ...]:
-    """(ones, representative, trace of the 0-1 product) per binary necklace.
-
-    Products use plain integer tuples for speed; the scaling of the second
-    matrix factors out of the product as alpha**ones, so one integer pass
-    serves every alpha.
-    """
-    a0 = (1, 1, 0, 1)
-    a1 = (1, 0, 1, 1)
+def _necklace_log_radii(n: int) -> tuple[tuple[int, str, float], ...]:
+    """(ones, representative, log spectral radius of the 0-1 product) per
+    binary necklace; alpha**ones factors out, so one pass serves every alpha."""
     rows = []
     for ones in range(n + 1):
         for orbit in enumerate_orbits(ones, n):
             m = (1, 0, 0, 1)
             for bit in orbit.representative:
-                x = a0 if bit == "0" else a1
-                m = (
-                    m[0] * x[0] + m[1] * x[2],
-                    m[0] * x[1] + m[1] * x[3],
-                    m[2] * x[0] + m[3] * x[2],
-                    m[2] * x[1] + m[3] * x[3],
-                )
-            rows.append((ones, orbit.representative, m[0] + m[3]))
+                m = _mul(m, _A0 if bit == "0" else _A1)
+            rows.append((ones, orbit.representative, math.log(_spectral_radius(m[0] + m[3], 1))))
     return tuple(rows)
 
 
@@ -256,7 +259,7 @@ class RatioScanResult:
     value: float
 
 
-def optimal_ratio_scan(alpha: Scalar, n: int, max_n: int = 18) -> RatioScanResult:
+def optimal_ratio_scan(alpha: Scalar, n: int) -> RatioScanResult:
     """Best 1-density among length-n necklaces for the pair {A0, alpha*A1}.
 
     Maximizes (alpha**ones * spectral_radius(product))^(1/n).  Necklaces are
@@ -267,15 +270,14 @@ def optimal_ratio_scan(alpha: Scalar, n: int, max_n: int = 18) -> RatioScanResul
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n={n} outside the exhaustive range 1..{max_n}")
+    if not 1 <= n <= MAX_SCAN_N:
+        raise ValueError(f"n={n} outside the exhaustive range 1..{MAX_SCAN_N}")
     if alpha == 0:
         return RatioScanResult(alpha, n, Fraction(0), "0" * n, 1.0)
     log_alpha = math.log(alpha)
     best_score = -math.inf
     best: tuple[int, str] = (0, "0" * n)
-    for ones, representative, trace in _necklace_traces(n):
-        log_rho = math.log((trace + math.sqrt(trace * trace - 4)) / 2) if trace > 2 else 0.0
+    for ones, representative, log_rho in _necklace_log_radii(n):
         score = ones * log_alpha + log_rho
         if score > best_score:
             best_score = score
@@ -285,9 +287,9 @@ def optimal_ratio_scan(alpha: Scalar, n: int, max_n: int = 18) -> RatioScanResul
     )
 
 
-def ratio_staircase(alphas: Sequence[Scalar], n: int, max_n: int = 18) -> list[RatioScanResult]:
+def ratio_staircase(alphas: Sequence[Scalar], n: int) -> list[RatioScanResult]:
     """optimal_ratio_scan across an alpha grid, reusing one necklace pass."""
-    return [optimal_ratio_scan(alpha, n, max_n) for alpha in alphas]
+    return [optimal_ratio_scan(alpha, n) for alpha in alphas]
 
 
 def tau_sequence(n_max: int) -> tuple[int, ...]:
@@ -314,15 +316,14 @@ class PrecisionContext:
 
 @dataclass(frozen=True)
 class StandardMatrixSequence:
-    """B_{-1} = alpha*A1, B_0 = A0, B_{n+1} = B_n^{a_{n+1}} B_{n-1}.
+    """B_{-1} = A1, B_0 = A0, B_{n+1} = B_n^{a_{n+1}} B_{n-1}.
 
     Storage index i holds B_{i-1}; use the accessors to address by n.
     """
 
     cf: ContinuedFraction
-    alpha: Fraction
     matrices: tuple[Mat2, ...]
-    tau: tuple[Fraction, ...]
+    tau: tuple[int, ...]
     rho: tuple[mp.mpf, ...] = field(repr=False)
     bits: int = 256
 
@@ -338,39 +339,32 @@ class StandardMatrixSequence:
     def B(self, n: int) -> Mat2:
         return self.matrices[self._storage(n)]
 
-    def tau_at(self, n: int) -> Fraction:
+    def tau_at(self, n: int) -> int:
         return self.tau[self._storage(n)]
 
-    def rho_at(self, n: int) -> mp.mpf:
-        return self.rho[self._storage(n)]
 
+def standard_matrices(cf: ContinuedFraction, bits: int = 256) -> StandardMatrixSequence:
+    """Integer standard-matrix sequence with traces and spectral radii.
 
-def standard_matrices(cf: ContinuedFraction, alpha: Scalar = 1, bits: int = 256) -> StandardMatrixSequence:
-    """Exact standard-matrix sequence with traces and spectral radii.
-
-    Entries stay rational for rational alpha; spectral radii come from the
-    trace/determinant closed form evaluated at the requested precision.
+    Spectral radii come from the trace/determinant closed form evaluated at
+    the requested precision.
     """
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    matrices = [alpha * A1, A0]
+    matrices = [_A1, _A0]
     for a in cf.partial_quotients:
-        matrices.append(matrices[-1] ** a * matrices[-2])
-    taus = tuple(m.trace for m in matrices)
+        m = matrices[-2]
+        for _ in range(a):
+            m = _mul(matrices[-1], m)
+        matrices.append(m)
+    taus = tuple(m[0] + m[3] for m in matrices)
     with mp.workprec(bits):
-        rhos = tuple(_perron_root(m.trace, m.det) for m in matrices)
-    return StandardMatrixSequence(cf, alpha, tuple(matrices), taus, rhos, bits)
+        rhos = tuple(_perron_root(m[0] + m[3], m[0] * m[3] - m[1] * m[2]) for m in matrices)
+    return StandardMatrixSequence(cf, tuple(Mat2(*m) for m in matrices), taus, rhos, bits)
 
 
-def _mpf_fraction(x: Fraction) -> mp.mpf:
-    return mp.mpf(x.numerator) / x.denominator
-
-
-def _perron_root(trace: Fraction, det: Fraction) -> mp.mpf:
+def _perron_root(trace: int, det: int) -> mp.mpf:
     """(t + sqrt(t^2 - 4 det)) / 2; real for entrywise-nonnegative matrices."""
-    t = _mpf_fraction(trace)
-    disc = t * t - 4 * _mpf_fraction(det)
+    t = mp.mpf(trace)
+    disc = t * t - 4 * det
     if disc < 0:
         raise ValueError("complex spectrum; expected a nonnegative matrix")
     return (t + mp.sqrt(disc)) / 2
@@ -423,7 +417,7 @@ def alpha_inverse(
             f"got {len(quotients)}"
         )
     with mp.workprec(ctx.bits):
-        sequence = standard_matrices(gamma_cf, 1, bits=ctx.bits)
+        sequence = standard_matrices(gamma_cf, bits=ctx.bits)
         q = [pair[1] for pair in gamma_cf.convergents]
         log_rho = [mp.log(r) if r > 1 else mp.mpf(0) for r in sequence.rho]
         partials = []

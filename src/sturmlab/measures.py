@@ -31,7 +31,6 @@ __all__ = [
     "DiscreteMeasure",
     "orbit_measure",
     "sturmian_measure",
-    "barycenter",
     "mixture",
     "convex_order_witness",
     "convex_order_leq",
@@ -128,11 +127,6 @@ def sturmian_measure(p: int, q: int) -> DiscreteMeasure:
     return orbit_measure(balanced_orbit(p, q).representative)
 
 
-def barycenter(mu: DiscreteMeasure) -> Fraction:
-    """Mean of the identity against ``mu``; equals one_ratio of its word."""
-    return mu.barycenter
-
-
 def mixture(measures: Sequence[DiscreteMeasure], coefficients: Sequence[Fraction]) -> DiscreteMeasure:
     """Convex combination of measures; coefficients must be positive, sum 1."""
     if len(measures) != len(coefficients) or not measures:
@@ -217,6 +211,8 @@ def verify_sturmian_least(
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
+    if mixtures_per_pair < 0:
+        raise ValueError(f"mixtures_per_pair must be >= 0, got {mixtures_per_pair}")
     rng = random.Random(seed)
     scans = []
     for q in range(2, q_max + 1):

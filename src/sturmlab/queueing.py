@@ -104,7 +104,11 @@ def simulate_queue(config: QueueConfig) -> QueueSummary:
     ), dtype=np.float64)[1:]
     admitted_through = np.cumsum(admit)
     departed = np.searchsorted(completions, arrivals, side="right")
-    in_system = admitted_through - np.minimum(departed, admitted_through - admit)
+    # admitted_through - min(departed, admitted_through - admit), in place and
+    # without arrivals: three horizon-length arrays alive at once, not five.
+    del arrivals
+    np.minimum(departed, admitted_through - admit, out=departed)
+    in_system = np.subtract(admitted_through, departed, out=departed)
     return QueueSummary(
         seed=config.seed,
         gamma=config.admission_density,

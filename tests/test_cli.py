@@ -196,6 +196,7 @@ def test_usage_errors(capsys):
         "jsr bounds --alpha 1/0",
         "queue run --gamma 1/0",
         "jsr scan-ratio --alpha-grid 1",
+        "measures verify --mixtures -1",
     ],
 )
 def test_bad_parameter_is_usage_error(capsys, argv):

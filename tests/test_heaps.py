@@ -137,8 +137,10 @@ def test_max_cycle_mean_requires_a_cycle():
 
 
 def test_min_rate_exhaustive_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n=25 outside 1\.\.20"):
         min_rate_exhaustive(default_model(), 25)
+    with pytest.raises(ValueError, match=r"n=0 outside 1\.\.20"):
+        min_rate_exhaustive(default_model(), 0)
 
 
 def test_model_serialization_round_trip(tmp_path):

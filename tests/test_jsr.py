@@ -27,7 +27,7 @@ from sturmlab.jsr import (
     standard_matrices,
     tau_sequence,
 )
-from sturmlab.jsr import _NORMS, BoundsRow, JsrBounds, _max_norm
+from sturmlab.jsr import _NORMS, BoundsRow, JsrBounds, RatioScanResult
 from sturmlab.words import ContinuedFraction, enumerate_orbits
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -39,7 +39,6 @@ mat_st = st.builds(Mat2, entries_st, entries_st, entries_st, entries_st)
 def test_mat2_arithmetic():
     assert A0 * A1 == Mat2(2, 1, 1, 1)
     assert A1 * A0 == Mat2(1, 1, 1, 2)
-    assert A0**3 == Mat2(1, 3, 0, 1)
     assert (A0 * A1).det == 1
     assert (A0 * A1).trace == 3
 
@@ -92,8 +91,25 @@ def _necklaces(n: int, k: int):
             yield word
 
 
+def _max_norm(matrices, n: int, norm_fn) -> float:
+    """Largest norm over all length-n products, multiplied as Mat2 over Fraction."""
+    best = -math.inf
+
+    def extend(product, depth: int):
+        nonlocal best
+        if depth == n:
+            best = max(best, norm_fn(product))
+            return
+        for matrix in matrices:
+            extend(matrix if product is None else product * matrix, depth + 1)
+
+    extend(None, 0)
+    return best
+
+
 def _jsr_bounds_oracle(matrices, n_max: int, norm: str) -> JsrBounds:
-    """The lower-bound loop over every k-ary necklace from itertools.product."""
+    """The lower-bound loop over every k-ary necklace from itertools.product
+    and the recursive norm maximum, all on Mat2 over Fraction."""
     matrices = list(matrices)
     rows = []
     lower = 0.0
@@ -118,12 +134,23 @@ def _jsr_bounds_oracle(matrices, n_max: int, norm: str) -> JsrBounds:
 
 @pytest.mark.parametrize("norm", sorted(_NORMS))
 @pytest.mark.parametrize(
-    "matrices",
-    [scaled_pair(Fraction(alpha)) for alpha in ("0", "1/3", "1/2", "3/4", "749/1000", "1")] + [[A0]],
-    ids=["alpha=0", "alpha=1/3", "alpha=1/2", "alpha=3/4", "alpha=749/1000", "alpha=1", "A0"],
+    "matrices, n_max",
+    [(scaled_pair(Fraction(alpha)), 10) for alpha in ("0", "1/3", "1/2", "3/4", "749/1000", "1")]
+    + [
+        ([A0], 10),
+        (scaled_pair(Fraction(0.1)), 8),
+        (scaled_pair(Fraction(2, 7)), 8),
+        ([Mat2(Fraction(1, 2), 1, 0, 1), Mat2(1, 0, Fraction(2, 3), 1)], 8),
+        ([Mat2(0, -1, 1, 0), Mat2(Fraction(-3, 4), 2, 1, Fraction(1, 5))], 8),
+        ([A1], 8),
+    ],
+    ids=[
+        "alpha=0", "alpha=1/3", "alpha=1/2", "alpha=3/4", "alpha=749/1000", "alpha=1", "A0",
+        "alpha=float0.1", "alpha=2/7", "halves-thirds", "rotation-mixed-sign", "A1",
+    ],
 )
-def test_bounds_match_product_necklace_oracle(matrices, norm):
-    assert jsr_bounds(matrices, 10, norm) == _jsr_bounds_oracle(matrices, 10, norm)
+def test_bounds_match_product_necklace_oracle(matrices, n_max, norm):
+    assert jsr_bounds(matrices, n_max, norm) == _jsr_bounds_oracle(matrices, n_max, norm)
 
 
 def test_golden_pair_bracket_closes():
@@ -183,6 +210,46 @@ def test_staircase_is_monotone():
     assert all(Fraction(0) <= r <= Fraction(1, 2) for r in ratios)
 
 
+def _staircase_oracle(alphas, n: int) -> list[RatioScanResult]:
+    """Mat2 product traces per necklace, then the log of the Perron root
+    (t + sqrt(t^2 - 4)) / 2 evaluated afresh for every (alpha, necklace)."""
+    necklaces = []
+    for ones in range(n + 1):
+        for orbit in enumerate_orbits(ones, n):
+            product = Mat2(1, 0, 0, 1)
+            for bit in orbit.representative:
+                product = product * (A0 if bit == "0" else A1)
+            necklaces.append((ones, orbit.representative, int(product.trace)))
+    results = []
+    for alpha in alphas:
+        if alpha == 0:
+            results.append(RatioScanResult(alpha, n, Fraction(0), "0" * n, 1.0))
+            continue
+        best_score = -math.inf
+        best = (0, "0" * n)
+        for ones, representative, trace in necklaces:
+            log_rho = math.log((trace + math.sqrt(trace * trace - 4)) / 2) if trace > 2 else 0.0
+            score = ones * math.log(alpha) + log_rho
+            if score > best_score:
+                best_score = score
+                best = (ones, representative)
+        results.append(RatioScanResult(alpha, n, Fraction(best[0], n), best[1], math.exp(best_score / n)))
+    return results
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_staircase_matches_per_necklace_oracle(n):
+    alphas = [Fraction(k, 30) for k in range(31)] + [Fraction(749, 1000), Fraction(3, 4), Fraction(0.7)]
+    assert ratio_staircase(alphas, n) == _staircase_oracle(alphas, n)
+
+
+def test_ratio_scan_rejects_long_necklaces():
+    with pytest.raises(ValueError):
+        optimal_ratio_scan(Fraction(1, 2), 19)
+    with pytest.raises(ValueError):
+        optimal_ratio_scan(Fraction(1, 2), 0)
+
+
 def test_tau_sequence_fixture():
     assert tau_sequence(10) == (1, 2, 2, 3, 4, 10, 37, 366, 13532, 4952675, 67019597734)
 
@@ -198,6 +265,28 @@ def test_standard_matrices_traces():
     taus = tau_sequence(11)
     for k in range(2, 12):
         assert golden.tau_at(k - 2) == taus[k]
+
+
+def _perron_root_oracle(trace: Fraction, det: Fraction) -> mp.mpf:
+    t = mp.mpf(trace.numerator) / trace.denominator
+    return (t + mp.sqrt(t * t - 4 * (mp.mpf(det.numerator) / det.denominator))) / 2
+
+
+@pytest.mark.parametrize("quotients", [(1,) * 16, (2,) + (1,) * 15, (2, 1, 3, 1, 2)])
+def test_standard_matrices_match_mat2_powers(quotients):
+    """B_{n+1} = B_n^a B_{n-1} built by repeated Mat2 products over Fraction."""
+    seq = standard_matrices(ContinuedFraction(quotients), bits=256)
+    matrices = [A1, A0]
+    for a in quotients:
+        power = Mat2(1, 0, 0, 1)
+        for _ in range(a):
+            power = power * matrices[-1]
+        matrices.append(power * matrices[-2])
+    assert seq.matrices == tuple(matrices)
+    assert seq.tau == tuple(m.trace for m in matrices)
+    assert all(isinstance(t, int) for t in seq.tau)
+    with mp.workprec(256):
+        assert seq.rho == tuple(_perron_root_oracle(m.trace, m.det) for m in matrices)
 
 
 def test_standard_matrix_determinants():

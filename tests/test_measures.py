@@ -154,6 +154,12 @@ def test_verify_sturmian_least_small():
     }
 
 
+def test_verify_sturmian_least_rejects_negative_mixture_budget():
+    with pytest.raises(ValueError, match="mixtures_per_pair"):
+        verify_sturmian_least(4, mixtures_per_pair=-3)
+    assert all(s.mixtures == 0 for s in verify_sturmian_least(4, mixtures_per_pair=0))
+
+
 def test_tent_objective_peaks_where_asked():
     f = tent_objective(0.4)
     assert f(0.4) == pytest.approx(1.0)
