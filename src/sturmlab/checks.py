@@ -175,24 +175,30 @@ def _check_heaps_balanced() -> tuple[bool, str]:
 
 def _check_wigner_ground_states() -> tuple[bool, str]:
     """Ring ground states are balanced for convex decreasing potentials."""
+    potentials = wigner.default_potentials()
+    shipped_convex = all(map(wigner.is_convex_decreasing, potentials))
+    anti_convex = wigner.is_convex_decreasing(wigner.anti_coulomb())
     unbalanced = []
     count = 0
     for q in range(2, 15):
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
-            for potential in wigner.default_potentials():
+            for potential in potentials:
                 report = wigner.ground_state(p, q, potential)
                 count += 1
                 if not report.balanced:
                     unbalanced.append(f"{p}/{q}:{potential.describe()}")
     anti = wigner.ground_state(3, 8, wigner.anti_coulomb())
     anti_clusters = not anti.balanced
-    ok = not unbalanced and anti_clusters
+    ok = shipped_convex and not anti_convex and not unbalanced and anti_clusters
     detail = (
+        f"convex decreasing: shipped potentials {shipped_convex}, concave fixture "
+        f"{anti_convex}; "
         f"{count} (density, potential) ground states all balanced "
         f"(failures: {unbalanced or 'none'}); concave fixture minimizer "
-        f"{anti.argmin[0].representative} is non-balanced: {anti_clusters}"
+        f"{anti.argmin[0].representative} is non-balanced: {anti_clusters}; "
+        f"float tie margin {wigner.TIE_MARGIN}"
     )
     return ok, detail
 

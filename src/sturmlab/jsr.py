@@ -8,9 +8,9 @@ Scanning necklaces of a fixed length while alpha sweeps [0, 1] produces a
 non-decreasing staircase of optimal 1-densities with values in [0, 1/2].
 
 Every 2x2 product is ``_mul`` on integer 4-tuples; ``jsr_bounds`` scales
-its entries by their common denominator d and divides a length-n product by
-d**n only where it takes a float, so ``Mat2`` over ``Fraction`` stays at the
-API boundary.
+its entries by their common denominator d, and its closed forms read a
+length-n product over d**n with one rounding each, so ``Mat2`` over
+``Fraction`` stays at the API boundary.
 
 At the golden-mean slope the deformation threshold has two independent
 product expansions, one through the trace sequence tau_{n+1} =
@@ -77,14 +77,30 @@ def _mul(x, y):
     )
 
 
-def _spectral_radius(trace, det) -> float:
-    """Largest eigenvalue modulus of an exact (trace, det) pair, as a float."""
+def _spectral_radius(trace, det, scale=1) -> float:
+    """Largest eigenvalue modulus of the matrix with exact trace ``trace / scale``
+    and determinant ``det / scale**2``.  Ints round once in true division and
+    Fractions (scale 1) in ``float``: the same correctly rounded values."""
     disc = trace * trace - 4 * det
     if disc >= 0:
-        root = math.sqrt(disc)
-        tf = float(trace)
+        root = math.sqrt(float(disc / scale**2))
+        tf = float(trace / scale)
         return max(abs((tf + root) / 2), abs((tf - root) / 2))
-    return math.sqrt(det)
+    return math.sqrt(float(det / scale**2))
+
+
+def _spectral_norm(m, scale=1) -> float:
+    """Largest singular value of the row-major 2x2 matrix ``m / scale``, from
+    the squared-entry sum; rounds like :func:`_spectral_radius`."""
+    a, b, c, d = m
+    e = a * a + b * b + c * c + d * d
+    gap = e * e - 4 * (a * d - b * c) ** 2
+    return math.sqrt((float(e / scale**2) + math.sqrt(float(gap / scale**4))) / 2)
+
+
+def _row_sum_norm(m, scale=1) -> float:
+    a, b, c, d = m
+    return float(max(abs(a) + abs(b), abs(c) + abs(d)) / scale)
 
 
 @dataclass(frozen=True)
@@ -125,13 +141,10 @@ class Mat2:
 
     def spectral_norm(self) -> float:
         """Largest singular value; closed form via the squared-entry sum."""
-        e = self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-        det = self.det
-        gap = e * e - 4 * det * det
-        return math.sqrt((float(e) + math.sqrt(float(gap))) / 2)
+        return _spectral_norm((self.a, self.b, self.c, self.d))
 
     def row_sum_norm(self) -> float:
-        return float(max(abs(self.a) + abs(self.b), abs(self.c) + abs(self.d)))
+        return _row_sum_norm((self.a, self.b, self.c, self.d))
 
 
 _A0 = (1, 1, 0, 1)
@@ -140,8 +153,8 @@ A0 = Mat2(*_A0)
 A1 = Mat2(*_A1)
 
 _NORMS = {
-    "spectral": Mat2.spectral_norm,
-    "row-sum": Mat2.row_sum_norm,
+    "spectral": _spectral_norm,
+    "row-sum": _row_sum_norm,
 }
 
 
@@ -178,8 +191,8 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
     value for any sub-multiplicative norm.  Necklaces are the binary ones
     from :func:`enumerate_orbits` in lexicographic order, letter i standing
     for ``matrices[i]``, so the set holds one or two matrices.  Products run
-    on integers over the entries' common denominator; each length-n product
-    becomes an exact ``Mat2`` only where a float is taken from it.
+    on integers over the entries' common denominator, and each float is taken
+    from a length-n product and that denominator to the n-th power.
     """
     matrices = list(matrices)
     if not 1 <= len(matrices) <= 2:
@@ -207,7 +220,8 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
             product = ints[int(word[0])]
             for letter in word[1:]:
                 product = _mul(product, ints[int(letter)])
-            value = _exact(product, scale**n).spectral_radius() ** (1.0 / n)
+            a, b, c, d = product
+            value = _spectral_radius(a + d, a * d - b * c, scale**n) ** (1.0 / n)
             if value > lower_n:
                 lower_n = value
                 argmax = word
@@ -218,11 +232,6 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
     return JsrBounds(norm, tuple(rows), lower, upper)
 
 
-def _exact(product: tuple[int, ...], scale: int) -> Mat2:
-    """The rational matrix product / scale."""
-    return Mat2(*[Fraction(x, scale) for x in product])
-
-
 def _max_norms(ints: list[tuple[int, ...]], scale: int, n_max: int, norm_fn) -> list[float]:
     """Largest norm of a length-n product of ``ints`` / scale, for n = 1..n_max."""
     powers = [scale**n for n in range(n_max + 1)]
@@ -230,7 +239,7 @@ def _max_norms(ints: list[tuple[int, ...]], scale: int, n_max: int, norm_fn) -> 
     stack = [(m, 1) for m in ints]
     while stack:
         product, n = stack.pop()
-        best[n - 1] = max(best[n - 1], norm_fn(_exact(product, powers[n])))
+        best[n - 1] = max(best[n - 1], norm_fn(product, powers[n]))
         if n < n_max:
             stack.extend((_mul(product, m), n + 1) for m in ints)
     return best
@@ -382,7 +391,6 @@ class AlphaEstimate:
 
     value: mp.mpf
     error: mp.mpf
-    product_form: mp.mpf
     limit_form: mp.mpf
     partials: tuple[mp.mpf, ...] = field(repr=False)
     terms: int
@@ -431,9 +439,7 @@ def alpha_inverse(
         limit_exponent = (-1) ** terms * (q[i + 1] * log_rho[i] - q[i] * log_rho[i + 1])
         limit_form = mp.e**limit_exponent
         error = abs(partials[-1] - partials[-2])
-        return AlphaEstimate(
-            partials[-1], error, partials[-1], limit_form, tuple(partials), terms, ctx.bits
-        )
+        return AlphaEstimate(partials[-1], error, limit_form, tuple(partials), terms, ctx.bits)
 
 
 def alpha_star_tau(terms: int, ctx: PrecisionContext = PrecisionContext()) -> AlphaEstimate:
@@ -462,9 +468,7 @@ def alpha_star_tau(terms: int, ctx: PrecisionContext = PrecisionContext()) -> Al
         )
         limit_form = mp.e**limit_exponent
         error = abs(partials[-1] - partials[-2])
-        return AlphaEstimate(
-            partials[-1], error, partials[-1], limit_form, tuple(partials), terms, ctx.bits
-        )
+        return AlphaEstimate(partials[-1], error, limit_form, tuple(partials), terms, ctx.bits)
 
 
 def matching_digits(value, reference: str = ALPHA_STAR_DECIMAL) -> int:

@@ -7,9 +7,11 @@ state; for every shipped convex decreasing potential the minimizer is the
 balanced configuration, while a deliberately concave increasing fixture
 rewards clustering and guards the check against being vacuous.
 
-Power-law potentials at integer exponents evaluate to exact rationals, so
-those scans order configurations with no floating-point ambiguity; the
-other families compare with an explicit tie margin.
+A pair's energy and image-tail bound depend only on its offset, so each
+energy reads one per-offset table.  Exact potentials (Coulomb, integer
+powers, the fixture) tabulate integers over a common denominator and give
+one ``Fraction`` per energy, ordering configurations without floating-point
+ambiguity; the float families tie within ``TIE_MARGIN`` of the minimum.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Sequence, Union
 
-from .words import Orbit, check_word, enumerate_orbits, is_balanced, one_length
+from .words import Orbit, check_word, enumerate_orbits, is_balanced
 
 __all__ = [
     "Potential",
@@ -30,17 +34,18 @@ __all__ = [
     "anti_coulomb",
     "default_potentials",
     "is_convex_decreasing",
-    "RingConfiguration",
-    "ring_distance",
     "ring_energy",
     "OrbitEnergy",
     "GroundStateReport",
     "ground_state",
+    "TIE_MARGIN",
 ]
 
 Energy = Union[Fraction, float]
 
 EXHAUSTIVE_Q = 20
+
+TIE_MARGIN = 1e-12  # float energies this close to the minimum count as tied
 
 
 @dataclass(frozen=True)
@@ -159,87 +164,62 @@ def is_convex_decreasing(potential: Potential, r_max: int = 16) -> bool:
     return decreasing and convex and vanishing
 
 
-@dataclass(frozen=True)
-class RingConfiguration:
-    q: int
-    occupancy: str
+class _PairTable:
+    """Pair energies and image-tail bounds by offset m = b - a on a q-site ring.
 
-    def __post_init__(self):
-        check_word(self.occupancy)
-        if self.q != len(self.occupancy):
-            raise ValueError(
-                f"ring size {self.q} != occupancy length {len(self.occupancy)}"
-            )
-        if self.q < 1:
-            raise ValueError("ring needs at least one site")
+    Exact potentials store integers over ``scale``, the lcm of their
+    denominators; float potentials store floats and ``scale`` None.
+    """
 
-    @property
-    def electrons(self) -> tuple[int, ...]:
-        return tuple(i for i, ch in enumerate(self.occupancy) if ch == "1")
+    def __init__(self, potential: Potential, q: int, images: int):
+        if images < 0:
+            raise ValueError("image cutoff must be >= 0")
+        if images > 0:  # refuses a divergent image series even on a ring with no pairs
+            potential.image_tail(1, max(q, 2), images)
+        self.values, self.tails = {}, dict.fromkeys(range(1, q), 0.0)
+        for m in range(1, q):
+            if images == 0:
+                self.values[m] = potential.value(min(m, q - m))
+                continue
+            value = potential.value(m)
+            for k in range(1, images + 1):
+                value = value + potential.value(m + k * q) + potential.value(k * q - m)
+            self.values[m], self.tails[m] = value, potential.image_tail(m, q, images)
+        self.scale = None
+        if all(isinstance(v, Fraction) for v in self.values.values()):
+            self.scale = math.lcm(*(v.denominator for v in self.values.values()))
+            for m, v in self.values.items():
+                self.values[m] = v.numerator * (self.scale // v.denominator)
 
-    @property
-    def density(self) -> Fraction:
-        return Fraction(one_length(self.occupancy), self.q)
+    def energy(self, offsets: Sequence[int]) -> Energy:
+        """Energy of the pairs at ``offsets``; no pairs is an exact 0 under any potential."""
+        if self.scale is not None:
+            return Fraction(sum(self.values[m] for m in offsets), self.scale)
+        # Left to right like a pair loop: builtin sum compensates floats from Python 3.12.
+        return reduce(add, (self.values[m] for m in offsets), 0.0) if offsets else Fraction(0)
+
+    def tail(self, offsets: Sequence[int]) -> float:
+        """Bound on the image-sum truncation error of the pairs at ``offsets``."""
+        return reduce(add, (self.tails[m] for m in offsets), 0.0)
 
 
-def ring_distance(i: int, j: int, q: int) -> int:
-    m = abs(i - j) % q
-    return min(m, q - m)
+def _pair_offsets(w: str) -> list[int]:
+    """Offsets b - a of the electron pairs a < b of w, in (a, b) order."""
+    electrons = [i for i, ch in enumerate(w) if ch == "1"]
+    return [b - a for i, a in enumerate(electrons) for b in electrons[i + 1:]]
 
 
-def _pair_value(potential: Potential, m: int, q: int, images: int) -> Energy:
-    if images == 0:
-        return potential.value(min(m, q - m))
-    total = potential.value(m)
-    for k in range(1, images + 1):
-        total = total + potential.value(m + k * q) + potential.value(k * q - m)
-    return total
-
-
-def ring_energy(
-    configuration: Union[str, RingConfiguration],
-    potential: Potential,
-    images: int = 0,
-) -> Energy:
+def ring_energy(word: str, potential: Potential, images: int = 0) -> Energy:
     """Half-sum of V over ordered electron pairs at ring distance.
 
     With images > 0 each pair interacts through every lattice copy up to the
     cutoff, Sum over k of V(|m + k q|); the potential must have a summable
     image series (checked via its tail bound).
     """
-    if isinstance(configuration, RingConfiguration):
-        w = configuration.occupancy
-    else:
-        check_word(configuration)
-        w = configuration
-    q = len(w)
-    if q < 1:
+    check_word(word)
+    if not word:
         raise ValueError("empty ring")
-    if images < 0:
-        raise ValueError("image cutoff must be >= 0")
-    electrons = [i for i, ch in enumerate(w) if ch == "1"]
-    if images > 0:
-        potential.image_tail(1, max(q, 2), images)
-    total: Energy = Fraction(0)
-    for a in range(len(electrons)):
-        for b in range(a + 1, len(electrons)):
-            m = electrons[b] - electrons[a]
-            total = total + _pair_value(potential, m, q, images)
-    return total
-
-
-def _energy_error_bound(
-    w: str, potential: Potential, images: int
-) -> float:
-    if images == 0:
-        return 0.0
-    q = len(w)
-    electrons = [i for i, ch in enumerate(w) if ch == "1"]
-    bound = 0.0
-    for a in range(len(electrons)):
-        for b in range(a + 1, len(electrons)):
-            bound += potential.image_tail(electrons[b] - electrons[a], q, images)
-    return bound
+    return _PairTable(potential, len(word), images).energy(_pair_offsets(word))
 
 
 @dataclass(frozen=True)
@@ -262,18 +242,12 @@ class GroundStateReport:
     exact: bool
 
 
-def ground_state(
-    p: int,
-    q: int,
-    potential: Potential,
-    images: int = 0,
-    margin: float = 1e-12,
-) -> GroundStateReport:
+def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> GroundStateReport:
     """Exhaustive orbit-level minimum of the ring energy.
 
     Rotation invariance allows scanning one representative per orbit.  With
     exact rational energies the argmin set is sharp; with float energies
-    every orbit within ``margin`` (plus image tail bounds) of the minimum
+    every orbit within ``TIE_MARGIN`` (plus image tail bounds) of the minimum
     counts as tied, so near-degeneracies surface instead of hiding.
     """
     if q < 1:
@@ -283,7 +257,9 @@ def ground_state(
     if q > EXHAUSTIVE_Q:
         raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     orbits = enumerate_orbits(p, q)
-    energies = [ring_energy(o.representative, potential, images) for o in orbits]
+    table = _PairTable(potential, q, images)
+    offsets = [_pair_offsets(o.representative) for o in orbits]
+    energies = [table.energy(pairs) for pairs in offsets]
     exact = images == 0 and all(isinstance(e, Fraction) for e in energies)
     minimum = min(energies)
     if exact:
@@ -292,9 +268,8 @@ def ground_state(
         # Truncated image sums underestimate the true energy by at most the
         # tail bound, so any orbit whose computed energy undercuts the
         # smallest upper envelope could be the true minimizer.
-        bounds = [_energy_error_bound(o.representative, potential, images) for o in orbits]
-        ceiling = min(float(e) + b for e, b in zip(energies, bounds))
-        tied = [float(e) <= ceiling + margin for e in energies]
+        ceiling = min(float(e) + table.tail(pairs) for e, pairs in zip(energies, offsets))
+        tied = [float(e) <= ceiling + TIE_MARGIN for e in energies]
     rows = tuple(
         OrbitEnergy(o, e, is_balanced(o.representative), t)
         for o, e, t in zip(orbits, energies, tied)

@@ -1,5 +1,7 @@
 """Ring configurations of repelling electrons and their ground states."""
 
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sturmlab.wigner import (
-    RingConfiguration,
+    TIE_MARGIN,
+    GroundStateReport,
+    OrbitEnergy,
     anti_coulomb,
     coulomb,
     default_potentials,
@@ -15,22 +19,133 @@ from sturmlab.wigner import (
     ground_state,
     inverse_power,
     is_convex_decreasing,
-    ring_distance,
     ring_energy,
     screened,
 )
-from sturmlab.words import balanced_orbit, is_balanced
+from sturmlab.words import balanced_orbit, enumerate_orbits, is_balanced
 
 words_st = st.text(alphabet="01", min_size=2, max_size=12).filter(
     lambda w: "1" in w
 )
 
+# All five families; power laws with integer (exact) and float exponents,
+# summable and divergent image series.
+POTENTIALS = (
+    coulomb(),
+    inverse_power(1),
+    inverse_power(2),
+    inverse_power(3),
+    inverse_power(2.5),
+    inverse_power(0.5),
+    exponential_decay(1.0),
+    exponential_decay(0.3),
+    screened(1.0),
+    anti_coulomb(),
+)
 
-def test_ring_distance_wraps():
-    assert ring_distance(0, 3, 4) == 1
-    assert ring_distance(0, 2, 4) == 2
-    assert ring_distance(1, 1, 9) == 0
-    assert ring_distance(0, 5, 8) == 3
+
+def _pair_value_oracle(potential, m, q, images):
+    if images == 0:
+        return potential.value(min(m, q - m))
+    total = potential.value(m)
+    for k in range(1, images + 1):
+        total = total + potential.value(m + k * q) + potential.value(k * q - m)
+    return total
+
+
+def _electron_pairs(w):
+    electrons = [i for i, ch in enumerate(w) if ch == "1"]
+    for a in range(len(electrons)):
+        for b in range(a + 1, len(electrons)):
+            yield electrons[b] - electrons[a]
+
+
+def _ring_energy_oracle(w, potential, images=0):
+    """The per-pair sum: one potential value per electron pair, accumulated
+    from Fraction(0) in (a, b) order."""
+    q = len(w)
+    if q < 1:
+        raise ValueError("empty ring")
+    if images < 0:
+        raise ValueError("image cutoff must be >= 0")
+    if images > 0:
+        potential.image_tail(1, max(q, 2), images)
+    total = Fraction(0)
+    for m in _electron_pairs(w):
+        total = total + _pair_value_oracle(potential, m, q, images)
+    return total
+
+
+def _ground_state_oracle(p, q, potential, images):
+    """Orbit scan over the per-pair oracle with per-pair image tail bounds."""
+    orbits = enumerate_orbits(p, q)
+    energies = [_ring_energy_oracle(o.representative, potential, images) for o in orbits]
+    exact = images == 0 and all(isinstance(e, Fraction) for e in energies)
+    minimum = min(energies)
+    if exact:
+        tied = [e == minimum for e in energies]
+    else:
+        bounds = []
+        for o in orbits:
+            bound = 0.0
+            for m in _electron_pairs(o.representative) if images else ():
+                bound += potential.image_tail(m, q, images)
+            bounds.append(bound)
+        ceiling = min(float(e) + b for e, b in zip(energies, bounds))
+        tied = [float(e) <= ceiling + 1e-12 for e in energies]
+    rows = tuple(
+        OrbitEnergy(o, e, is_balanced(o.representative), t)
+        for o, e, t in zip(orbits, energies, tied)
+    )
+    argmin = tuple(row.orbit for row in rows if row.argmin)
+    balanced = all(row.balanced for row in rows if row.argmin)
+    return GroundStateReport(p, q, potential, rows, minimum, argmin, balanced, exact)
+
+
+def _outcome(call, *args):
+    """A result by repr (type and float bits included), or the error raised."""
+    try:
+        return repr(call(*args))
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@given(
+    st.text(alphabet="01", max_size=14),
+    st.sampled_from(POTENTIALS),
+    st.integers(min_value=0, max_value=3),
+)
+def test_ring_energy_matches_pair_oracle(w, potential, images):
+    try:
+        want = _ring_energy_oracle(w, potential, images)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            ring_energy(w, potential, images)
+        return
+    got = ring_energy(w, potential, images)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("images", (0, 1, 3))
+@pytest.mark.parametrize("potential", POTENTIALS, ids=lambda p: p.describe())
+def test_ground_state_matches_pair_oracle(potential, images):
+    for q in range(1, 11):
+        for p in range(q + 1):
+            assert _outcome(ground_state, p, q, potential, images) == _outcome(
+                _ground_state_oracle, p, q, potential, images
+            ), (p, q)
+
+
+def test_float_energies_tie_within_the_margin():
+    # The clumped orbit 00011 costs V(1) more than 00101: exp(-20) is above
+    # TIE_MARGIN and exp(-30) below it, where the two orbits tie.
+    assert math.exp(-30) < TIE_MARGIN < math.exp(-20)
+    sharp = ground_state(2, 5, exponential_decay(20.0))
+    assert [o.representative for o in sharp.argmin] == ["00101"]
+    tied = ground_state(2, 5, exponential_decay(30.0))
+    assert [o.representative for o in tied.argmin] == ["00011", "00101"]
+    assert not tied.balanced and not tied.exact
 
 
 def test_four_site_fixture():
@@ -109,16 +224,6 @@ def test_ground_state_with_images_not_marked_exact():
     report = ground_state(2, 5, inverse_power(3), images=4)
     assert not report.exact
     assert report.balanced
-
-
-def test_configuration_validation():
-    config = RingConfiguration(5, "00101")
-    assert config.electrons == (2, 4)
-    assert config.density == Fraction(2, 5)
-    with pytest.raises(ValueError):
-        RingConfiguration(4, "00101")  # size/occupancy mismatch
-    with pytest.raises(TypeError):
-        RingConfiguration(2, (0, 1))
 
 
 def test_non_coprime_pairs_still_scan():
