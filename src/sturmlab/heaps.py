@@ -4,8 +4,12 @@ A piece occupies a set of columns with a lower and an upper contour; dropping
 it lands the lower contour on the current heights and rewrites the touched
 columns from the upper contour.  A 0-1 word schedules which piece falls.  The
 asymptotic growth rate of a periodic schedule is the maximum cycle mean of
-the word's max-plus matrix, computed exactly over Fractions with Karp's
-algorithm, and the minimum over schedules is attained on balanced words.
+the word's max-plus matrix, computed exactly with Karp's algorithm, and the
+minimum over schedules is attained on balanced words.
+
+Every drop and matrix product runs one integer max-plus inner product: a model
+scales its piece matrices once by d, the lcm of the contours' denominators,
+and only returned values become Fractions.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .words import check_word, mechanical_word
@@ -22,7 +27,6 @@ __all__ = [
     "Piece",
     "HeapModel",
     "default_model",
-    "symmetric_model",
     "drop",
     "heap_height",
     "piece_matrix",
@@ -36,7 +40,6 @@ __all__ = [
     "ScheduleReport",
     "best_balanced_schedule",
     "model_from_dict",
-    "model_to_dict",
     "load_model",
 ]
 
@@ -94,6 +97,12 @@ class HeapModel:
     def piece(self, bit: str) -> Piece:
         return self.piece0 if bit == "0" else self.piece1
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[list[list[Optional[int]]], ...]]:
+        """(d, matrices): piece_matrix(self, bit) is matrices[bit != "0"] over d, the contours' lcm."""
+        d = math.lcm(*(x.denominator for p in (self.piece0, self.piece1) for x in p.lower + p.upper))
+        return d, tuple(_integer_matrix(p, self.num_columns, d) for p in (self.piece0, self.piece1))
+
 
 def default_model() -> HeapModel:
     """Shipped default: optimal ratio 1/3 at rate 2/3, pure rates 1 and 3/2.
@@ -110,32 +119,52 @@ def default_model() -> HeapModel:
     )
 
 
-def symmetric_model() -> HeapModel:
-    """Pieces swapped by the column mirror; the optimal ratio is 1/2."""
-    return HeapModel(
-        num_columns=3,
-        piece0=Piece((0, 1), (Fraction(0), Fraction(0)), (Fraction(1), Fraction(1, 2))),
-        piece1=Piece((1, 2), (Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1))),
-    )
+def _dot(row: Sequence[Optional[Number]], column: Sequence[Optional[Number]]) -> Optional[Number]:
+    """Max-plus inner product max_k row[k] + column[k], with None as -infinity."""
+    best = None
+    for a, b in zip(row, column):
+        if a is not None and b is not None:
+            value = a + b
+            if best is None or value > best:
+                best = value
+    return best
+
+
+def _apply(matrix: list[list[Optional[Number]]], vector: Sequence[Optional[Number]]) -> tuple:
+    """Max-plus matrix-vector product: entry i is the product of row i and the vector."""
+    return tuple([_dot(row, vector) for row in matrix])
+
+
+def _integer_matrix(piece: Piece, n: int, d: int) -> list[list[Optional[int]]]:
+    """The drop matrix of :func:`piece_matrix` over ``n`` columns, times ``d``."""
+    matrix: list[list[Optional[int]]] = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    for ui, i in zip(piece.upper, piece.columns):
+        matrix[i] = [None] * n
+        for lj, j in zip(piece.lower, piece.columns):
+            matrix[i][j] = int((ui - lj) * d)
+    return matrix
+
+
+def _fraction_matrix(matrix: list[list[Optional[int]]], d: int) -> list[list[Optional[Fraction]]]:
+    return [[None if x is None else Fraction(x, d) for x in row] for row in matrix]
 
 
 def drop(heights: Sequence[Number], piece: Piece) -> tuple[Fraction, ...]:
     """Land one piece: lock at L = max(h[c] - lower[c]), rewrite from upper."""
     heights = _fractions(heights)
-    landing = max(heights[c] - piece.lower[i] for i, c in enumerate(piece.columns))
-    out = list(heights)
-    for i, c in enumerate(piece.columns):
-        out[c] = landing + piece.upper[i]
-    return tuple(out)
+    d = math.lcm(*(x.denominator for x in heights + piece.lower + piece.upper))
+    landed = _apply(_integer_matrix(piece, len(heights), d), [int(h * d) for h in heights])
+    return tuple(Fraction(h, d) for h in landed)
 
 
 def heap_height(w: str, model: HeapModel) -> Fraction:
     """Maximum column height after dropping the pieces scheduled by ``w``."""
     check_word(w)
-    heights: tuple[Fraction, ...] = (Fraction(0),) * model.num_columns
+    d, matrices = model._integer_form
+    heights = (0,) * model.num_columns
     for bit in w:
-        heights = drop(heights, model.piece(bit))
-    return max(heights) if heights else Fraction(0)
+        heights = _apply(matrices[bit != "0"], heights)
+    return Fraction(max(heights), d)
 
 
 def piece_matrix(model: HeapModel, bit: str) -> list[list[Optional[Fraction]]]:
@@ -145,95 +174,62 @@ def piece_matrix(model: HeapModel, bit: str) -> list[list[Optional[Fraction]]]:
     columns keep an identity (0) diagonal.  Applying the matrix with
     max-plus arithmetic reproduces :func:`drop` exactly.
     """
-    piece = model.piece(bit)
-    n = model.num_columns
-    matrix: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
-    touched = set(piece.columns)
-    for i in range(n):
-        if i in touched:
-            ui = piece.upper[piece.columns.index(i)]
-            for idx, j in enumerate(piece.columns):
-                matrix[i][j] = ui - piece.lower[idx]
-        else:
-            matrix[i][i] = Fraction(0)
-    return matrix
+    d, matrices = model._integer_form
+    return _fraction_matrix(matrices[bit != "0"], d)
 
 
 def maxplus_matmul(
-    A: list[list[Optional[Fraction]]], B: list[list[Optional[Fraction]]]
-) -> list[list[Optional[Fraction]]]:
+    A: list[list[Optional[Number]]], B: list[list[Optional[Number]]]
+) -> list[list[Optional[Number]]]:
     """(A (x) B)[i][j] = max_k A[i][k] + B[k][j], with None as -infinity."""
-    n = len(A)
-    out: list[list[Optional[Fraction]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        row = A[i]
-        for j in range(n):
-            best: Optional[Fraction] = None
-            for k in range(n):
-                if row[k] is not None and B[k][j] is not None:
-                    value = row[k] + B[k][j]
-                    if best is None or value > best:
-                        best = value
-            out[i][j] = best
-    return out
+    columns = list(zip(*B))
+    return [[_dot(row, column) for column in columns] for row in A]
+
+
+def _integer_word_matrix(model: HeapModel, w: str) -> tuple[int, list[list[Optional[int]]]]:
+    """(d, matrix): :func:`word_matrix` is ``matrix`` over ``d``."""
+    check_word(w)
+    if not w:
+        raise ValueError("word matrix needs a nonempty schedule")
+    d, matrices = model._integer_form
+    matrix = matrices[w[0] != "0"]
+    for bit in w[1:]:
+        matrix = maxplus_matmul(matrices[bit != "0"], matrix)
+    return d, matrix
 
 
 def word_matrix(model: HeapModel, w: str) -> list[list[Optional[Fraction]]]:
     """Matrix of the whole schedule; leftmost letter is applied first."""
-    check_word(w)
-    if not w:
-        raise ValueError("word matrix needs a nonempty schedule")
-    matrix = piece_matrix(model, w[0])
-    for bit in w[1:]:
-        matrix = maxplus_matmul(piece_matrix(model, bit), matrix)
-    return matrix
+    d, matrix = _integer_word_matrix(model, w)
+    return _fraction_matrix(matrix, d)
 
 
-def max_cycle_mean(matrix: list[list[Optional[Fraction]]]) -> Fraction:
-    """Maximum cycle mean of a max-plus matrix (Karp), exact over Fractions.
+def max_cycle_mean(matrix: list[list[Optional[Number]]]) -> Fraction:
+    """Maximum cycle mean of a max-plus matrix (Karp), as an exact Fraction.
 
     A virtual source with 0-weight edges to every node makes all cycles
-    reachable, then Karp's formula max_v min_k (F_N(v) - F_k(v)) / (N - k)
-    applies, where F_k(v) is the best k-edge walk weight into v.
+    reachable, then Karp's formula max_v min_k (F_n(v) - F_k(v)) / (n - k)
+    applies, where F_k(v) is the best (k+1)-edge walk weight from the source to v.
     """
     n = len(matrix)
-    total = n + 1
-    walk: list[list[Optional[Fraction]]] = [[None] * n for _ in range(total + 1)]
-    for v in range(n):
-        walk[1][v] = Fraction(0)
-    for k in range(2, total + 1):
-        previous = walk[k - 1]
-        for v in range(n):
-            best: Optional[Fraction] = None
-            row = matrix[v]
-            for u in range(n):
-                if previous[u] is not None and row[u] is not None:
-                    value = previous[u] + row[u]
-                    if best is None or value > best:
-                        best = value
-            walk[k][v] = best
-    result: Optional[Fraction] = None
-    for v in range(n):
-        final = walk[total][v]
-        if final is None:
-            continue
-        candidate: Optional[Fraction] = None
-        for k in range(1, total):
-            if walk[k][v] is None:
-                continue
-            value = Fraction(final - walk[k][v], total - k)
-            if candidate is None or value < candidate:
-                candidate = value
-        if candidate is not None and (result is None or candidate > result):
-            result = candidate
-    if result is None:
+    walks = [(0,) * n]
+    for _ in range(n):
+        walks.append(_apply(matrix, walks[-1]))
+    means = [
+        min(Fraction(final - walk[v], n - k)
+            for k, walk in enumerate(walks[:n]) if walk[v] is not None)
+        for v, final in enumerate(walks[n])
+        if final is not None
+    ]
+    if not means:
         raise ValueError("matrix digraph has no cycle")
-    return result
+    return max(means)
 
 
 def cycle_rate(w: str, model: HeapModel) -> Fraction:
     """Asymptotic height per drop of the periodic schedule w, w, w, ..."""
-    return max_cycle_mean(word_matrix(model, w)) / len(w)
+    d, matrix = _integer_word_matrix(model, w)
+    return max_cycle_mean(matrix) / (len(w) * d)
 
 
 @dataclass(frozen=True)
@@ -247,10 +243,10 @@ def min_rate_exhaustive(model: HeapModel, n: int) -> RateScan:
     """Minimum of h(w)/n over all 2^n schedules, with the full argmin set."""
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise ValueError(f"n={n} outside 1..{MAX_EXHAUSTIVE_N}")
-    best: Optional[Fraction] = None
+    d, (zero, one) = model._integer_form
+    best: Optional[int] = None
     argmin: list[str] = []
-    zero = (Fraction(0),) * model.num_columns
-    stack = [(zero, "")]
+    stack = [((0,) * model.num_columns, "")]
     while stack:
         heights, prefix = stack.pop()
         if len(prefix) == n:
@@ -261,10 +257,9 @@ def min_rate_exhaustive(model: HeapModel, n: int) -> RateScan:
             elif height == best:
                 argmin.append(prefix)
             continue
-        stack.append((drop(heights, model.piece0), prefix + "0"))
-        stack.append((drop(heights, model.piece1), prefix + "1"))
-    assert best is not None
-    return RateScan(n, Fraction(best, n), tuple(sorted(argmin)))
+        stack.append((_apply(zero, heights), prefix + "0"))
+        stack.append((_apply(one, heights), prefix + "1"))
+    return RateScan(n, Fraction(best, n * d), tuple(sorted(argmin)))
 
 
 @dataclass(frozen=True)
@@ -319,21 +314,6 @@ def model_from_dict(data: dict) -> HeapModel:
         piece0=piece(data["piece0"]),
         piece1=piece(data["piece1"]),
     )
-
-
-def model_to_dict(model: HeapModel) -> dict:
-    def piece(p: Piece) -> dict:
-        return {
-            "columns": list(p.columns),
-            "lower": [str(v) for v in p.lower],
-            "upper": [str(v) for v in p.upper],
-        }
-
-    return {
-        "num_columns": model.num_columns,
-        "piece0": piece(model.piece0),
-        "piece1": piece(model.piece1),
-    }
 
 
 def load_model(path: str) -> HeapModel:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Callable, Iterable, Optional, Union
 
 import mpmath
@@ -169,8 +170,8 @@ def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0, bits: int = 
     with mpmath.workprec(bits):
         g = mpmath.mpf(gamma) if not isinstance(gamma, Fraction) else mpmath.mpf(gamma.numerator) / gamma.denominator
         d = mpmath.mpf(delta) if not isinstance(delta, Fraction) else mpmath.mpf(delta.numerator) / delta.denominator
-        floors = [int(mpmath.floor(k * g + d)) for k in range(1, n + 2)]
-    return check_word("".join(str(floors[k + 1] - floors[k]) for k in range(n)))
+        floors = (int(mpmath.floor(k * g + d)) for k in range(1, n + 2))
+        return "".join("01"[b - a] for a, b in pairwise(floors))
 
 
 @dataclass(frozen=True)
@@ -286,23 +287,14 @@ class Orbit:
     """A cyclic-shift equivalence class of words.
 
     ``representative`` is the lexicographically least rotation and ``period``
-    is the minimal period of any member, which is also the orbit size.
+    is the minimal period of any member, which is also the orbit size.  Both
+    are derived by the constructors (:func:`enumerate_orbits`,
+    :func:`balanced_orbit`, ``cyclic.orbit_product``), so they are not checked
+    again here.
     """
 
     representative: str
     period: int
-
-    def __post_init__(self):
-        check_word(self.representative)
-        if self.representative != canonical_rotation(self.representative):
-            raise ValueError(f"{self.representative!r} is not a canonical rotation")
-        if self.period != minimal_period(self.representative):
-            raise ValueError("period does not match the representative")
-
-    @property
-    def members(self) -> list[str]:
-        """The distinct rotations, in left-rotation order from the representative."""
-        return rotations(self.representative)[: self.period]
 
 
 def enumerate_orbits(p: int, q: int) -> list[Orbit]:

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,14 +22,165 @@ from sturmlab.heaps import (
     maxplus_matmul,
     min_rate_exhaustive,
     model_from_dict,
-    model_to_dict,
     piece_matrix,
-    symmetric_model,
     word_matrix,
 )
 from sturmlab.words import is_balanced, mechanical_word
 
 words_st = st.text(alphabet="01", min_size=1, max_size=10)
+
+# The model example in README.md, verbatim.
+README_MODEL_JSON = """\
+{
+  "num_columns": 3,
+  "piece0": {"columns": [0, 1], "lower": ["0", "0"], "upper": ["1", "1/2"]},
+  "piece1": {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1/2", "3/2"]}
+}
+"""
+
+
+@pytest.fixture
+def symmetric_model() -> HeapModel:
+    """Pieces swapped by the column mirror; the optimal ratio is 1/2."""
+    return HeapModel(
+        num_columns=3,
+        piece0=Piece((0, 1), (0, 0), (1, Fraction(1, 2))),
+        piece1=Piece((1, 2), (0, 0), (Fraction(1, 2), 1)),
+    )
+
+
+# Fraction oracles: the one-value-at-a-time forms that the integer
+# max-plus product in sturmlab.heaps replaces.
+
+
+def _drop_oracle(heights, piece):
+    heights = tuple(Fraction(h) for h in heights)
+    landing = max(heights[c] - piece.lower[i] for i, c in enumerate(piece.columns))
+    out = list(heights)
+    for i, c in enumerate(piece.columns):
+        out[c] = landing + piece.upper[i]
+    return tuple(out)
+
+
+def _heap_height_oracle(w, model):
+    heights = (Fraction(0),) * model.num_columns
+    for bit in w:
+        heights = _drop_oracle(heights, model.piece(bit))
+    return max(heights)
+
+
+def _piece_matrix_oracle(model, bit):
+    piece = model.piece(bit)
+    n = model.num_columns
+    matrix = [[None] * n for _ in range(n)]
+    for i in range(n):
+        if i in piece.columns:
+            ui = piece.upper[piece.columns.index(i)]
+            for idx, j in enumerate(piece.columns):
+                matrix[i][j] = ui - piece.lower[idx]
+        else:
+            matrix[i][i] = Fraction(0)
+    return matrix
+
+
+def _matmul_oracle(A, B):
+    n = len(A)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if A[i][k] is not None and B[k][j] is not None:
+                    value = A[i][k] + B[k][j]
+                    if out[i][j] is None or value > out[i][j]:
+                        out[i][j] = value
+    return out
+
+
+def _word_matrix_oracle(model, w):
+    matrix = _piece_matrix_oracle(model, w[0])
+    for bit in w[1:]:
+        matrix = _matmul_oracle(_piece_matrix_oracle(model, bit), matrix)
+    return matrix
+
+
+def _karp_oracle(matrix):
+    """Karp over Fractions: walk[k][v] is the best k-edge walk into v from a 0-weight source."""
+    n = len(matrix)
+    total = n + 1
+    walk = [[None] * n for _ in range(total + 1)]
+    walk[1] = [Fraction(0)] * n
+    for k in range(2, total + 1):
+        for v in range(n):
+            for u in range(n):
+                if walk[k - 1][u] is not None and matrix[v][u] is not None:
+                    value = walk[k - 1][u] + matrix[v][u]
+                    if walk[k][v] is None or value > walk[k][v]:
+                        walk[k][v] = value
+    means = [
+        min(Fraction(walk[total][v] - walk[k][v], total - k) for k in range(1, total) if walk[k][v] is not None)
+        for v in range(n)
+        if walk[total][v] is not None
+    ]
+    return max(means)
+
+
+def _min_rate_oracle(model, n):
+    """Every schedule of length n, dropped one Fraction at a time."""
+    best, argmin = None, []
+    for bits in product("01", repeat=n):
+        w = "".join(bits)
+        height = _heap_height_oracle(w, model)
+        if best is None or height < best:
+            best, argmin = height, [w]
+        elif height == best:
+            argmin.append(w)
+    return best / n, tuple(sorted(argmin))
+
+
+@st.composite
+def heap_models(draw):
+    """1-4 columns, every column covered, contours with mixed denominators."""
+    c = draw(st.integers(min_value=1, max_value=4))
+    columns = st.lists(st.integers(min_value=0, max_value=c - 1), min_size=1, max_size=c, unique=True)
+    heights = st.fractions(min_value=0, max_value=4, max_denominator=7)
+    cols0 = draw(columns)
+    missing = [i for i in range(c) if i not in cols0]
+    cols1 = draw(columns.filter(lambda cols: set(missing) <= set(cols)))
+
+    def piece(cols):
+        lower = [draw(heights) for _ in cols]
+        lower = [x - min(lower) for x in lower]
+        return Piece(tuple(cols), tuple(lower), tuple(x + draw(heights) for x in lower))
+
+    return HeapModel(c, piece(cols0), piece(cols1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    heap_models(),
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.text(alphabet="01", min_size=1, max_size=8), min_size=1, max_size=6),
+)
+def test_integer_product_matches_fraction_oracles(model, n, schedules):
+    scan = min_rate_exhaustive(model, n)
+    assert repr((scan.min_rate, scan.argmin)) == repr(_min_rate_oracle(model, n))
+    for w in schedules:
+        assert repr(heap_height(w, model)) == repr(_heap_height_oracle(w, model))
+        expected = _word_matrix_oracle(model, w)
+        assert repr(word_matrix(model, w)) == repr(expected)
+        assert repr(cycle_rate(w, model)) == repr(_karp_oracle(expected) / len(w))
+    for bit in "01":
+        assert repr(piece_matrix(model, bit)) == repr(_piece_matrix_oracle(model, bit))
+        heights = [Fraction(k, 3) for k in range(model.num_columns)]
+        assert repr(drop(heights, model.piece(bit))) == repr(_drop_oracle(heights, model.piece(bit)))
+
+
+@given(words_st, words_st)
+def test_maxplus_matmul_matches_triple_loop(u, v):
+    model = default_model()
+    left, right = word_matrix(model, u), word_matrix(model, v)
+    assert maxplus_matmul(left, right) == _matmul_oracle(left, right)
+    assert max_cycle_mean(left) == _karp_oracle(left)
 
 
 def test_piece_validation():
@@ -109,10 +261,10 @@ def test_best_balanced_schedule_default_model():
     assert report.best.word == mechanical_word(Fraction(1, 3), 3)
 
 
-def test_symmetric_model_prefers_alternation():
-    report = best_balanced_schedule(symmetric_model(), q_max=6)
+def test_symmetric_model_prefers_alternation(symmetric_model):
+    report = best_balanced_schedule(symmetric_model, q_max=6)
     assert report.best.ratio == Fraction(1, 2)
-    assert cycle_rate("01", symmetric_model()) == report.best.rate
+    assert cycle_rate("01", symmetric_model) == report.best.rate
 
 
 def test_uniform_contours_are_degenerate():
@@ -144,12 +296,12 @@ def test_min_rate_exhaustive_guard():
 
 
 def test_model_serialization_round_trip(tmp_path):
-    model = default_model()
-    data = model_to_dict(model)
-    assert model_from_dict(data) == model
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert README_MODEL_JSON in readme
+    assert model_from_dict(json.loads(README_MODEL_JSON)) == default_model()
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(data))
-    assert load_model(str(path)) == model
+    path.write_text(README_MODEL_JSON)
+    assert load_model(str(path)) == default_model()
 
 
 def test_piece_matrix_shape():

@@ -1,6 +1,7 @@
 """Core word combinatorics: balance, mechanical words, standard words."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -132,6 +133,19 @@ def test_mechanical_word_irrational_slope_balanced():
     assert abs(one_length(w) / 200 - gamma) < 1 / 200
 
 
+def test_mechanical_word_float_slope_streams_its_floors():
+    # The mpmath path pairs consecutive floors as they are made instead of
+    # keeping all n + 1 of them: the traced peak stays near the output size.
+    tracemalloc.start()
+    try:
+        w = mechanical_word(0.3819660112501051, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 50_000
+    assert peak < 2**20
+
+
 def test_mechanical_phase_shifts_word_not_density():
     gamma = Fraction(2, 5)
     plain = mechanical_word(gamma, 40)
@@ -220,7 +234,7 @@ def test_minimal_period():
 
 def test_enumerate_orbits_partitions_all_words():
     p, q = 3, 7
-    total = sum(len(orbit.members) for orbit in enumerate_orbits(p, q))
+    total = sum(orbit.period for orbit in enumerate_orbits(p, q))
     assert total == math.comb(q, p)
 
 
