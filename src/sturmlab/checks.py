@@ -47,21 +47,13 @@ def _check_cyclic_products() -> tuple[bool, str]:
 def _check_sturmian_measure() -> tuple[bool, str]:
     """Support, weights and barycenter of the 2/5 orbit measure, exactly."""
     mu = measures.sturmian_measure(2, 5)
-    want_points = tuple(
-        Fraction(k, 31) for k in (5, 9, 10, 18, 20)
-    )
     ok = (
-        mu.points == want_points
+        mu.points == tuple(Fraction(k, 31) for k in (5, 9, 10, 18, 20))
         and set(mu.weights) == {Fraction(1, 5)}
         and mu.barycenter == Fraction(2, 5)
     )
-    detail = (
-        "support "
-        + "{"
-        + ", ".join(words.format_fraction(x) for x in mu.points)
-        + "}"
-        + f", weights 1/5, barycenter {words.format_fraction(mu.barycenter)}"
-    )
+    support = ", ".join(words.format_fraction(x) for x in mu.points)
+    detail = f"support {{{support}}}, weights 1/5, barycenter {words.format_fraction(mu.barycenter)}"
     return ok, detail
 
 

@@ -95,11 +95,13 @@ class HeapModel:
             raise ValueError("pieces must jointly cover every column")
 
     def piece(self, bit: str) -> Piece:
+        if bit not in ("0", "1"):
+            raise ValueError(f"a schedule bit is '0' or '1', got {bit!r}")
         return self.piece0 if bit == "0" else self.piece1
 
     @cached_property
     def _integer_form(self) -> tuple[int, tuple[list[list[Optional[int]]], ...]]:
-        """(d, matrices): piece_matrix(self, bit) is matrices[bit != "0"] over d, the contours' lcm."""
+        """(d, matrices): piece_matrix(self, bit) is matrices[int(bit)] over d, the contours' lcm."""
         d = math.lcm(*(x.denominator for p in (self.piece0, self.piece1) for x in p.lower + p.upper))
         return d, tuple(_integer_matrix(p, self.num_columns, d) for p in (self.piece0, self.piece1))
 
@@ -152,6 +154,8 @@ def _fraction_matrix(matrix: list[list[Optional[int]]], d: int) -> list[list[Opt
 def drop(heights: Sequence[Number], piece: Piece) -> tuple[Fraction, ...]:
     """Land one piece: lock at L = max(h[c] - lower[c]), rewrite from upper."""
     heights = _fractions(heights)
+    if any(not 0 <= c < len(heights) for c in piece.columns):
+        raise ValueError(f"piece columns {piece.columns} outside {len(heights)} heights")
     d = math.lcm(*(x.denominator for x in heights + piece.lower + piece.upper))
     landed = _apply(_integer_matrix(piece, len(heights), d), [int(h * d) for h in heights])
     return tuple(Fraction(h, d) for h in landed)
@@ -174,8 +178,8 @@ def piece_matrix(model: HeapModel, bit: str) -> list[list[Optional[Fraction]]]:
     columns keep an identity (0) diagonal.  Applying the matrix with
     max-plus arithmetic reproduces :func:`drop` exactly.
     """
-    d, matrices = model._integer_form
-    return _fraction_matrix(matrices[bit != "0"], d)
+    d, _ = model._integer_form
+    return _fraction_matrix(_integer_matrix(model.piece(bit), model.num_columns, d), d)
 
 
 def maxplus_matmul(
@@ -288,12 +292,7 @@ def best_balanced_schedule(model: HeapModel, q_max: int) -> ScheduleReport:
         for p in range(0, q + 1):
             if math.gcd(p, q) != 1:
                 continue
-            if p == 0:
-                word = "0"
-            elif p == q:
-                word = "1"
-            else:
-                word = mechanical_word(Fraction(p, q), q)
+            word = mechanical_word(Fraction(p, q), q)
             rows.append(ScheduleRow(Fraction(p, q), word, cycle_rate(word, model)))
     best = min(rows, key=lambda r: (r.rate, r.ratio.denominator, r.ratio.numerator))
     return ScheduleReport(tuple(rows), best)

@@ -10,6 +10,7 @@ integer sweep of hockey-stick integrals over the merged support points.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -78,8 +79,7 @@ class DiscreteMeasure:
 
     @cached_property
     def barycenter(self) -> Fraction:
-        d, xs, m, vs = self._integer_form
-        return Fraction(sum(x * v for x, v in zip(xs, vs)), d * m)
+        return _barycenter([(1, self._integer_form)])
 
     def to_json_dict(self) -> dict:
         record = {
@@ -93,6 +93,17 @@ class DiscreteMeasure:
         return record
 
 
+def _orbit_support(w: str) -> tuple[int, list[int], int, list[int]]:
+    """:func:`orbit_measure` as (d, xs, m, vs): points b(r) / (2^t - 1), weights 1 / t."""
+    check_word(w)
+    if not w:
+        raise ValueError("orbit measure is undefined for the empty word")
+    if set(w) == {"1"}:
+        raise ValueError("the all-ones word encodes the excluded endpoint x = 1")
+    t = minimal_period(w)
+    return 2**t - 1, sorted(binary_value(r) for r in rotations(w[:t])), t, [1] * t
+
+
 def orbit_measure(w: str) -> DiscreteMeasure:
     """Uniform measure on the doubling-map orbit encoded by the word ``w``.
 
@@ -101,17 +112,8 @@ def orbit_measure(w: str) -> DiscreteMeasure:
     distinct points).  The all-ones word is rejected: its encoded point is 1,
     the excluded endpoint.
     """
-    check_word(w)
-    if not w:
-        raise ValueError("orbit measure is undefined for the empty word")
-    if set(w) == {"1"}:
-        raise ValueError("the all-ones word encodes the excluded endpoint x = 1")
-    t = minimal_period(w)
-    core = w[:t]
-    denominator = 2**t - 1
-    points = sorted(Fraction(binary_value(r), denominator) for r in rotations(core))
-    weight = Fraction(1, t)
-    return DiscreteMeasure(tuple(points), (weight,) * t, word=w)
+    d, xs, t, _ = _orbit_support(w)
+    return DiscreteMeasure(tuple(Fraction(x, d) for x in xs), (Fraction(1, t),) * t, word=w)
 
 
 def sturmian_measure(p: int, q: int) -> DiscreteMeasure:
@@ -122,8 +124,6 @@ def sturmian_measure(p: int, q: int) -> DiscreteMeasure:
     """
     if not 0 <= p < q:
         raise ValueError(f"need 0 <= p < q, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p/q = {p}/{q} is not in lowest terms")
     return orbit_measure(balanced_orbit(p, q).representative)
 
 
@@ -134,41 +134,45 @@ def mixture(measures: Sequence[DiscreteMeasure], coefficients: Sequence[Fraction
     coefficients = [Fraction(c) for c in coefficients]
     if any(c <= 0 for c in coefficients) or sum(coefficients) != 1:
         raise ValueError("coefficients must be positive and sum to 1")
-    d, m, combined = _merged_weights(measures, coefficients)
+    d, m, combined = _merged_weights([(c, mu._integer_form) for mu, c in zip(measures, coefficients)])
     return DiscreteMeasure(
         tuple(Fraction(x, d) for x, _ in combined), tuple(Fraction(v, m) for _, v in combined)
     )
 
 
-def _merged_weights(measures, factors) -> tuple[int, int, list[tuple[int, int]]]:
-    """sum_k factors[k] * measures[k] as sorted (x, v): weight v / m at x / d (d, m lcms)."""
-    d = math.lcm(*(mu._integer_form[0] for mu in measures))
-    m = math.lcm(*(f.denominator * mu._integer_form[2] for mu, f in zip(measures, factors)))
+def _merged_weights(terms) -> tuple[int, int, list[tuple[int, int]]]:
+    """sum_k f_k * form_k over rational f_k and forms (d_k, xs, m_k, vs) as in
+    DiscreteMeasure, as sorted (x, v): weight v / m at x / d (d, m lcms)."""
+    d = math.lcm(*(form[0] for _, form in terms))
+    m = math.lcm(*(f.denominator * form[2] for f, form in terms))
     merged: dict[int, int] = {}
-    for mu, f in zip(measures, factors):
-        d_mu, xs, m_mu, vs = mu._integer_form
-        step, scale = d // d_mu, f.numerator * (m // (f.denominator * m_mu))
+    for f, (d_k, xs, m_k, vs) in terms:
+        step, scale = d // d_k, f.numerator * (m // (f.denominator * m_k))
         for x, v in zip(xs, vs):
             merged[x * step] = merged.get(x * step, 0) + v * scale
     return d, m, sorted(merged.items())
 
 
-def convex_order_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[Fraction]:
-    """The least threshold t violating mu <=_cx nu, or None when the order holds.
+def _barycenter(terms) -> Fraction:
+    """Barycenter of sum_k f_k * form_k over positive f_k and probability forms."""
+    moment = sum(Fraction(f * sum(map(operator.mul, xs, vs)), d * m) for f, (d, xs, m, vs) in terms)
+    return moment / sum(f for f, _ in terms)
 
-    Both measures must have the same barycenter (otherwise they are simply
-    incomparable in the convex order and a ValueError is raised).  For
-    finitely supported equal-mean measures the order holds iff the
-    hockey-stick integral of mu is <= that of nu at every merged support
-    point, since the difference is piecewise linear with kinks only there
-    and vanishes at both ends; with equal mass and mean it is
-    sum_{x <= t} (t - x)(mu(x) - nu(x)), swept upward in exact integers.
+
+def _first_violation(terms) -> Optional[Fraction]:
+    """Least support point where sum_k f_k * form_k has a positive hockey-stick gap.
+
+    Every form is a probability measure; the positive and negative parts must
+    share mass and barycenter (else ValueError).  Then the gap has kinks only
+    at support points, vanishes at both ends, and is swept upward in integers.
     """
-    if mu.barycenter != nu.barycenter:
-        raise ValueError(
-            f"convex order needs equal barycenters: {mu.barycenter} != {nu.barycenter}"
-        )
-    d, _, net = _merged_weights((mu, nu), (1, -1))
+    d, _, net = _merged_weights(terms)
+    if sum(v for _, v in net):
+        raise ValueError("convex order needs equal total masses")
+    if sum(x * v for x, v in net):
+        plus = _barycenter([(f, form) for f, form in terms if f > 0])
+        minus = _barycenter([(-f, form) for f, form in terms if f < 0])
+        raise ValueError(f"convex order needs equal barycenters: {plus} != {minus}")
     gap = mass = 0
     for (previous, weight), (t, _) in zip(net, net[1:]):
         mass += weight
@@ -176,6 +180,17 @@ def convex_order_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[F
         if gap > 0:
             return Fraction(t, d)
     return None
+
+
+def convex_order_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[Fraction]:
+    """The least threshold t violating mu <=_cx nu, or None when the order holds.
+
+    Both measures must have the same barycenter (otherwise they are simply
+    incomparable in the convex order and a ValueError is raised).  The order
+    holds iff the hockey-stick integral of mu is <= that of nu at every
+    merged support point.
+    """
+    return _first_violation([(1, mu._integer_form), (-1, nu._integer_form)])
 
 
 def convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
@@ -219,28 +234,25 @@ def verify_sturmian_least(
         for p in range(1, q):
             if math.gcd(p, q) != 1:
                 continue
-            sturmian = sturmian_measure(p, q)
-            pool = []
-            k = 1
-            while k * q <= q_max:
-                for orbit in enumerate_orbits(k * p, k * q):
-                    pool.append(orbit_measure(orbit.representative))
-                k += 1
-            bad = []
-            for competitor in pool:
-                if not convex_order_leq(sturmian, competitor):
-                    bad.append(competitor.word or "<mixture>")
-            tested_mixtures = 0
+            sturmian = _orbit_support(balanced_orbit(p, q).representative)
+            pool = [
+                (orbit.representative, _orbit_support(orbit.representative))
+                for k in range(1, q_max // q + 1)
+                for orbit in enumerate_orbits(k * p, k * q)
+            ]
+            bad = [
+                word for word, form in pool
+                if _first_violation([(1, sturmian), (-1, form)]) is not None
+            ]
             for _ in range(mixtures_per_pair):
                 size = rng.randint(2, min(4, len(pool))) if len(pool) >= 2 else 1
                 chosen = rng.sample(pool, size)
-                raw = [Fraction(rng.randint(1, 100)) for _ in chosen]
-                total = sum(raw)
-                blend = mixture(chosen, [c / total for c in raw])
-                tested_mixtures += 1
-                if not convex_order_leq(sturmian, blend):
-                    bad.append("mixture:" + "+".join(m.word or "?" for m in chosen))
-            scans.append(LeastElementScan(p, q, len(pool), tested_mixtures, tuple(bad)))
+                raw = [rng.randint(1, 100) for _ in chosen]
+                # sturmian <=_cx sum_k raw_k mu_k / sum(raw), scaled by sum(raw).
+                terms = [(sum(raw), sturmian)] + [(-r, form) for r, (_, form) in zip(raw, chosen)]
+                if _first_violation(terms) is not None:
+                    bad.append("mixture:" + "+".join(word for word, _ in chosen))
+            scans.append(LeastElementScan(p, q, len(pool), mixtures_per_pair, tuple(bad)))
     return scans
 
 
@@ -257,18 +269,19 @@ def maximize_over_orbits(
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    best: Optional[tuple[DiscreteMeasure, float]] = None
+    best: Optional[tuple[str, float]] = None
     for length in range(1, max_period + 1):
         for p in range(0, length):
             for orbit in enumerate_orbits(p, length):
                 if orbit.period != length:
                     continue
-                mu = orbit_measure(orbit.representative)
-                value = sum(float(w) * f(float(x)) for x, w in zip(mu.points, mu.weights))
+                d, xs, t, _ = _orbit_support(orbit.representative)
+                # 1 / t and x / d round correctly, so they are float(Fraction(...)).
+                value = sum(1 / t * f(x / d) for x in xs)
                 if best is None or value > best[1]:
-                    best = (mu, value)
+                    best = (orbit.representative, value)
     assert best is not None
-    return best
+    return orbit_measure(best[0]), best[1]
 
 
 def cosine_objective(theta: float) -> Callable[[float], float]:
@@ -300,14 +313,8 @@ def peak_objective_scan(
     rows = []
     for theta in thetas:
         mu, value = maximize_over_orbits(factory(theta), max_period)
-        rows.append(
-            {
-                "theta": theta,
-                "kind": kind,
-                "word": mu.word,
-                "ratio": format_fraction(mu.barycenter),
-                "value": value,
-                "balanced": is_balanced(mu.word or ""),
-            }
-        )
+        rows.append(dict(
+            theta=theta, kind=kind, word=mu.word, ratio=format_fraction(mu.barycenter),
+            value=value, balanced=is_balanced(mu.word or ""),
+        ))
     return rows

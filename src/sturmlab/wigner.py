@@ -11,7 +11,7 @@ A pair's energy and image-tail bound depend only on its offset, so each
 energy reads one per-offset table.  Exact potentials (Coulomb, integer
 powers, the fixture) tabulate integers over a common denominator and give
 one ``Fraction`` per energy, ordering configurations without floating-point
-ambiguity; the float families tie within ``TIE_MARGIN`` of the minimum.
+ambiguity; float families tie within a relative ``TIE_MARGIN`` of the minimum.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ Energy = Union[Fraction, float]
 
 EXHAUSTIVE_Q = 20
 
-TIE_MARGIN = 1e-12  # float energies this close to the minimum count as tied
+TIE_MARGIN = 1e-12  # float energies within this fraction of the minimum count as tied
 
 
 @dataclass(frozen=True)
@@ -247,8 +247,8 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
 
     Rotation invariance allows scanning one representative per orbit.  With
     exact rational energies the argmin set is sharp; with float energies
-    every orbit within ``TIE_MARGIN`` (plus image tail bounds) of the minimum
-    counts as tied, so near-degeneracies surface instead of hiding.
+    every orbit within a relative ``TIE_MARGIN`` of the minimum (plus image
+    tail bounds) counts as tied, so near-degeneracies surface instead of hiding.
     """
     if q < 1:
         raise ValueError("ring needs at least one site")
@@ -269,7 +269,7 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
         # tail bound, so any orbit whose computed energy undercuts the
         # smallest upper envelope could be the true minimizer.
         ceiling = min(float(e) + table.tail(pairs) for e, pairs in zip(energies, offsets))
-        tied = [float(e) <= ceiling + TIE_MARGIN for e in energies]
+        tied = [float(e) <= ceiling + TIE_MARGIN * abs(ceiling) for e in energies]
     rows = tuple(
         OrbitEnergy(o, e, is_balanced(o.representative), t)
         for o, e, t in zip(orbits, energies, tied)

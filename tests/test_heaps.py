@@ -207,6 +207,22 @@ def test_drop_stacks_on_highest_support():
     assert heights == (Fraction(1), Fraction(1), Fraction(2))
 
 
+def test_drop_rejects_columns_beyond_the_heights():
+    with pytest.raises(ValueError, match="outside 1 heights"):
+        drop((0,), default_model().piece1)
+    with pytest.raises(ValueError, match="outside 3 heights"):
+        drop((0, 0, 0), Piece((-1,), (0,), (1,)))
+
+
+@pytest.mark.parametrize("bit", ["x", "", "01", "2"])
+def test_piece_and_piece_matrix_reject_other_bits(bit):
+    model = default_model()
+    with pytest.raises(ValueError, match="schedule bit"):
+        model.piece(bit)
+    with pytest.raises(ValueError, match="schedule bit"):
+        piece_matrix(model, bit)
+
+
 def test_heap_height_matches_word_matrix():
     model = default_model()
     for bits in product("01", repeat=6):

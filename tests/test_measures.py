@@ -1,16 +1,22 @@
 """Orbit measures of the doubling map and the convex order."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlab import measures
 from sturmlab.measures import (
     DiscreteMeasure,
+    LeastElementScan,
+    _first_violation,
+    _orbit_support,
     convex_order_leq,
     convex_order_witness,
+    cosine_objective,
     maximize_over_orbits,
     mixture,
     orbit_measure,
@@ -19,7 +25,7 @@ from sturmlab.measures import (
     tent_objective,
     verify_sturmian_least,
 )
-from sturmlab.words import enumerate_orbits, is_balanced
+from sturmlab.words import Orbit, enumerate_orbits, is_balanced
 
 
 def test_two_fifths_measure_fixture():
@@ -65,8 +71,17 @@ def test_convex_order_balanced_below_clumped():
 
 
 def test_convex_order_requires_equal_barycenters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 1/4$"):
         convex_order_leq(orbit_measure("01"), orbit_measure("0001"))
+
+
+def test_signed_sweep_requires_cancelling_mass_and_barycenter():
+    half, third, quarter = (_orbit_support(w) for w in ("01", "001", "0001"))
+    # 2 * (01) against (001) + (0001): equal mass, barycenters 1/2 and 7/24.
+    with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 7/24$"):
+        _first_violation([(2, half), (-1, third), (-1, quarter)])
+    with pytest.raises(ValueError, match="equal total masses"):
+        _first_violation([(1, half), (-2, half)])
 
 
 @given(
@@ -144,6 +159,99 @@ def test_witness_matches_per_threshold_oracle(data, q):
     nu = data.draw(_same_mean_measure(p, q))
     assert convex_order_witness(mu, nu) == _witness_oracle(mu, nu)
     assert convex_order_witness(nu, mu) == _witness_oracle(nu, mu)
+
+
+# The DiscreteMeasure forms that the signed integer sweep replaces: every
+# mixture is built with `mixture` and compared with `convex_order_leq`, and
+# every scored orbit is a validated `orbit_measure`.
+
+
+def _verify_sturmian_least_oracle(q_max, mixtures_per_pair, seed):
+    rng = random.Random(seed)
+    scans = []
+    for q in range(2, q_max + 1):
+        for p in range(1, q):
+            if math.gcd(p, q) != 1:
+                continue
+            sturmian = sturmian_measure(p, q)
+            pool = [
+                orbit_measure(o.representative)
+                for k in range(1, q_max // q + 1)
+                for o in enumerate_orbits(k * p, k * q)
+            ]
+            bad = [mu.word for mu in pool if not convex_order_leq(sturmian, mu)]
+            for _ in range(mixtures_per_pair):
+                size = rng.randint(2, min(4, len(pool))) if len(pool) >= 2 else 1
+                chosen = rng.sample(pool, size)
+                raw = [Fraction(rng.randint(1, 100)) for _ in chosen]
+                total = sum(raw)
+                blend = mixture(chosen, [c / total for c in raw])
+                if not convex_order_leq(sturmian, blend):
+                    bad.append("mixture:" + "+".join(mu.word for mu in chosen))
+            scans.append(LeastElementScan(p, q, len(pool), mixtures_per_pair, tuple(bad)))
+    return scans
+
+
+def _maximize_over_orbits_oracle(f, max_period):
+    best = None
+    for length in range(1, max_period + 1):
+        for p in range(length):
+            for orbit in enumerate_orbits(p, length):
+                if orbit.period != length:
+                    continue
+                mu = orbit_measure(orbit.representative)
+                value = sum(float(w) * f(float(x)) for x, w in zip(mu.points, mu.weights))
+                if best is None or value > best[1]:
+                    best = (mu, value)
+    return best
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 9), st.integers(), st.integers(0, 30))
+def test_verify_sturmian_least_matches_mixture_oracle(q_max, seed, mixtures):
+    assert verify_sturmian_least(q_max, mixtures, seed) == _verify_sturmian_least_oracle(
+        q_max, mixtures, seed
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([tent_objective, cosine_objective]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(1, 9),
+)
+def test_maximize_over_orbits_matches_measure_oracle(factory, theta, max_period):
+    f = factory(theta)
+    assert maximize_over_orbits(f, max_period) == _maximize_over_orbits_oracle(f, max_period)
+
+
+def _clumped(p, q):
+    return Orbit("0" * (q - p) + "1" * p, q)
+
+
+def _last_unbalanced(p, q):
+    """The lexicographically greatest unbalanced orbit, else the clumped one."""
+    unbalanced = [o for o in enumerate_orbits(p, q) if not is_balanced(o.representative)]
+    return unbalanced[-1] if unbalanced else _clumped(p, q)
+
+
+@pytest.mark.parametrize("stand_in", [_clumped, _last_unbalanced])
+def test_sweep_flags_an_unbalanced_orbit_in_the_least_role(monkeypatch, stand_in):
+    # Put an unbalanced orbit where the balanced one belongs: competitors and
+    # mixtures must then turn up counterexamples, the same ones the
+    # DiscreteMeasure oracle finds.
+    monkeypatch.setattr(measures, "balanced_orbit", stand_in)
+    scans = verify_sturmian_least(8, mixtures_per_pair=20, seed=4)
+    assert scans == _verify_sturmian_least_oracle(8, 20, 4)
+    failed = {(s.p, s.q) for s in scans if not s.passed}
+    assert (2, 5) in failed and (3, 8) in failed
+    # Classes whose stand-in is balanced (p = 1 or p = q - 1) still pass.
+    assert all(s.passed for s in scans if s.p in (1, s.q - 1))
+    mixed = [sum(c.startswith("mixture:") for c in s.counterexamples) for s in scans]
+    assert any(mixed)
+    if stand_in is _last_unbalanced:
+        # Some mixtures pass and some fail in one class, so weights matter.
+        assert any(0 < n < s.mixtures for n, s in zip(mixed, scans))
 
 
 def test_verify_sturmian_least_small():

@@ -1,6 +1,5 @@
 """Ring configurations of repelling electrons and their ground states."""
 
-import math
 import re
 from fractions import Fraction
 
@@ -92,7 +91,7 @@ def _ground_state_oracle(p, q, potential, images):
                 bound += potential.image_tail(m, q, images)
             bounds.append(bound)
         ceiling = min(float(e) + b for e, b in zip(energies, bounds))
-        tied = [float(e) <= ceiling + 1e-12 for e in energies]
+        tied = [float(e) <= ceiling + 1e-12 * abs(ceiling) for e in energies]
     rows = tuple(
         OrbitEnergy(o, e, is_balanced(o.representative), t)
         for o, e, t in zip(orbits, energies, tied)
@@ -138,12 +137,18 @@ def test_ground_state_matches_pair_oracle(potential, images):
 
 
 def test_float_energies_tie_within_the_margin():
-    # The clumped orbit 00011 costs V(1) more than 00101: exp(-20) is above
-    # TIE_MARGIN and exp(-30) below it, where the two orbits tie.
-    assert math.exp(-30) < TIE_MARGIN < math.exp(-20)
-    sharp = ground_state(2, 5, exponential_decay(20.0))
+    # The margin is relative: a steep potential whose energies are all tiny
+    # stays sharp, ...
+    for rate in (20.0, 30.0):
+        sharp = ground_state(2, 5, exponential_decay(rate))
+        assert [o.representative for o in sharp.argmin] == ["00101"]
+        assert sharp.balanced and not sharp.exact
+    # ... while a flat one ties: the one pair sits at ring distance 1 or 2,
+    # so the energies exp(-r) and exp(-2r) differ by about r relative to 1.
+    assert 1e-13 < TIE_MARGIN < 1e-11
+    sharp = ground_state(2, 5, exponential_decay(1e-11))
     assert [o.representative for o in sharp.argmin] == ["00101"]
-    tied = ground_state(2, 5, exponential_decay(30.0))
+    tied = ground_state(2, 5, exponential_decay(1e-13))
     assert [o.representative for o in tied.argmin] == ["00011", "00101"]
     assert not tied.balanced and not tied.exact
 
