@@ -87,7 +87,7 @@ def _arg(*names, **options):
 def _words_mechanical(args) -> str:
     gamma = words.parse_slope(args.gamma)
     delta = words.parse_slope(args.delta)
-    return words.mechanical_word(gamma, args.n, delta, bits=args.bits) + "\n"
+    return words.mechanical_word(gamma, args.n, delta) + "\n"
 
 
 def _words_standard(args):
@@ -346,7 +346,6 @@ VERBS: dict[str, Verb] = {
             _arg("--gamma", required=True, help="slope, 'p/q' or decimal"),
             _arg("--delta", default="0", help="phase, 'p/q' or decimal"),
             _arg("--n", type=int, required=True, help="word length"),
-            _arg("--bits", type=int, default=128, help="precision for irrational slopes"),
         ),
     ),
     "words standard": Verb(

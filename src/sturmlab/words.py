@@ -1,13 +1,13 @@
 """Finite 0-1 words: balance tests, mechanical words, standard words, orbits.
 
 Words are plain Python strings over the alphabet {'0', '1'}; this module is
-the shared currency for every other testbed in the package.  Exact rational
-slopes (:class:`fractions.Fraction` or int) are handled with integer floor
-division over a common denominator; irrational slopes go
-through mpmath at a configurable working precision, in which case the floor
-in the mechanical-word formula is evaluated on the approximation (the only
-source of error, and only relevant when ``n*gamma + delta`` sits within
-rounding distance of an integer).
+the shared currency for every other testbed in the package.  Rational slopes
+(:class:`fractions.Fraction`, int, and float, which is an exact dyadic
+rational) are handled with integer floor division over a common denominator;
+only ``mpmath.mpf`` slopes go through mpmath, at a configurable working
+precision, in which case the floor in the mechanical-word formula is
+evaluated on the approximation (the only source of error, and only relevant
+when ``n*gamma + delta`` sits within rounding distance of an integer).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Optional, Union
 
 import mpmath
@@ -123,9 +123,32 @@ def _balance_violation(w: str) -> Optional[tuple[str, str]]:
 
 
 def is_balanced(w: str) -> bool:
-    """True iff every pair of equal-length factors differs by at most one '1'."""
+    """True iff every pair of equal-length factors differs by at most one '1'.
+
+    Equivalently (Lothaire, ch. 2), S_k - k*g spreads less than 1 for some g,
+    S_k = |w[:k]|_1.  Lowering g walks the max right along the upper hull and
+    the min left along the lower one; the spread is least where they cross.
+    """
     check_word(w)
-    return _balance_violation(w) is None
+    if "00" in w and "11" in w:
+        return False
+    upper, lower = [(0, 0)], [(0, 0)]
+    for x, y in enumerate(accumulate(c == "1" for c in w), 1):
+        for hull, sign in ((upper, 1), (lower, -1)):
+            while len(hull) > 1 and sign * ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                            - (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])) >= 0:
+                hull.pop()
+            hull.append((x, y))
+    i, j, a, b = 0, len(lower) - 1, 0, 1
+    while upper[i][0] < lower[j][0]:
+        (ux, uy), (vx, vy) = upper[i], upper[i + 1]
+        (lx, ly), (mx, my) = lower[j - 1], lower[j]
+        if (vy - uy) * (mx - lx) >= (my - ly) * (vx - ux):
+            a, b, i = vy - uy, vx - ux, i + 1
+        else:
+            a, b, j = my - ly, mx - lx, j - 1
+    (ux, uy), (lx, ly) = upper[i], lower[j]
+    return b * (uy - ly) - a * (ux - lx) < b
 
 
 def balance_witness(w: str) -> Optional[tuple[str, str]]:
@@ -134,23 +157,22 @@ def balance_witness(w: str) -> Optional[tuple[str, str]]:
     The pair returned is the first maximal/minimal count pair at the smallest
     violating factor length, so the witness is deterministic.
     """
-    check_word(w)
-    return _balance_violation(w)
+    return None if is_balanced(w) else _balance_violation(w)
 
 
 def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0, bits: int = 128) -> str:
     """First ``n`` letters of the mechanical word with slope gamma, phase delta.
 
     Letter k (1-indexed) is ``floor((k+1)*gamma + delta) - floor(k*gamma + delta)``.
-    Exact when gamma = a/b and delta = c/b are Fraction/int: letter k is then
-    ``((k+1)*a + c) // b - (k*a + c) // b``, with period b.  Otherwise the
-    floors are evaluated with mpmath at ``bits`` bits of working precision.
+    Exact for Fraction, int and float (dyadic) inputs: for gamma = a/b and
+    delta = c/b letter k is ``((k+1)*a + c) // b - (k*a + c) // b``, period b.
+    ``mpmath.mpf`` inputs take mpmath floors at ``bits`` bits of precision.
 
     Args:
         gamma: slope in [0, 1].
         n: number of letters, >= 0.
         delta: phase in [0, 1).
-        bits: mpmath working precision for non-rational inputs.
+        bits: mpmath working precision for ``mpf`` inputs, >= 53.
     """
     if n < 0:
         raise ValueError("length n must be >= 0")
@@ -162,11 +184,15 @@ def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0, bits: int = 
         raise ValueError(f"slope gamma={gamma} outside [0, 1]")
     if not 0 <= delta < 1:
         raise ValueError(f"phase delta={delta} outside [0, 1)")
-    if isinstance(gamma, (Fraction, int)) and isinstance(delta, (Fraction, int)):
+    if not isinstance(gamma, mpmath.mpf) and not isinstance(delta, mpmath.mpf):
+        gamma, delta = Fraction(gamma), Fraction(delta)
         b = math.lcm(gamma.denominator, delta.denominator)
         a, c = gamma.numerator * b // gamma.denominator, delta.numerator * b // delta.denominator
-        period = "".join(str(((k + 1) * a + c) // b - (k * a + c) // b) for k in range(1, min(n, b) + 1))
-        return check_word(period) * (n // b) + period[: n % b]
+        floors = ((k * a + c) // b for k in range(1, min(n, b) + 2))
+        period = "".join("01"[y - x] for x, y in pairwise(floors))
+        return period * (n // b) + period[: n % b]
+    if bits < 53:
+        raise ValueError(f"mpmath precision bits={bits} is below 53")
     with mpmath.workprec(bits):
         g = mpmath.mpf(gamma) if not isinstance(gamma, Fraction) else mpmath.mpf(gamma.numerator) / gamma.denominator
         d = mpmath.mpf(delta) if not isinstance(delta, Fraction) else mpmath.mpf(delta.numerator) / delta.denominator

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -25,6 +27,16 @@ def test_words_mechanical_fixture(capsys):
     code, out, _ = run_cli(capsys, "words", "mechanical", "--gamma", "2/5", "--n", "10")
     assert code == 0
     assert out == "0101001010\n"
+
+
+def test_words_mechanical_float_slope_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "words", "mechanical", "--gamma", "0.3", "--n", "20")
+    gamma = Fraction(0.3)  # the double nearest 0.3, just below 3/10
+    assert code == 0
+    assert out == "".join(str(floor((k + 1) * gamma) - floor(k * gamma)) for k in range(1, 21)) + "\n"
+    assert out != "".join(str((k + 1) * 3 // 10 - k * 3 // 10) for k in range(1, 21)) + "\n"
+    # The precision flag is gone: float slopes no longer reach mpmath.
+    assert run_cli(capsys, "words", "mechanical", "--gamma", "0.5", "--n", "5", "--bits", "0")[0] == 2
 
 
 def test_words_balanced(capsys):

@@ -3,13 +3,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, pairwise, product
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sturmlab.checks import _naive_balance
 from sturmlab.words import (
     ContinuedFraction,
     MechanicalSpec,
@@ -55,8 +56,7 @@ def test_balance_matches_naive_oracle(w):
     assert is_balanced(w) == naive_balance(w)
 
 
-@given(words_st)
-def test_balance_witness_is_a_real_violation(w):
+def _assert_witness_is_a_real_violation(w):
     witness = balance_witness(w)
     if witness is None:
         assert is_balanced(w)
@@ -65,6 +65,53 @@ def test_balance_witness_is_a_real_violation(w):
         assert len(u) == len(v)
         assert u in factor_set(w, len(u)) and v in factor_set(w, len(v))
         assert abs(one_length(u) - one_length(v)) >= 2
+
+
+@given(words_st)
+def test_balance_witness_is_a_real_violation(w):
+    _assert_witness_is_a_real_violation(w)
+
+
+@st.composite
+def near_balanced_words(draw):
+    """Words of up to 300 letters that lack "00" or lack "11".
+
+    Random text almost always holds both, which settles balance at length 2;
+    these words reach the hull test instead.  Either a mechanical word of
+    rational slope and phase with one letter flipped or one adjacent pair
+    swapped, or a free word over the blocks {1, 10} (complemented or not).
+    """
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=1, max_value=60))
+        gamma = Fraction(draw(st.integers(min_value=0, max_value=q)), q)
+        delta = Fraction(draw(st.integers(min_value=0, max_value=q - 1)), q)
+        w = list(mechanical_word(gamma, draw(st.integers(min_value=2, max_value=300)), delta))
+        k = draw(st.integers(min_value=0, max_value=len(w) - 2))
+        if draw(st.booleans()):
+            w[k] = "01"[w[k] == "0"]
+        else:
+            w[k], w[k + 1] = w[k + 1], w[k]
+        w = "".join(w)
+    else:
+        w = "".join(draw(st.lists(st.sampled_from(["1", "10"]), max_size=150)))
+        if draw(st.booleans()):
+            w = w.translate(str.maketrans("01", "10"))
+    assume("00" not in w or "11" not in w)
+    return w
+
+
+@settings(deadline=None)
+@given(near_balanced_words())
+def test_balance_matches_oracles_on_near_balanced_words(w):
+    assert is_balanced(w) == naive_balance(w) == _naive_balance(w)
+    _assert_witness_is_a_real_violation(w)
+
+
+def test_balance_matches_naive_oracle_on_every_short_word():
+    for m in range(15):
+        for letters in product("01", repeat=m):
+            w = "".join(letters)
+            assert is_balanced(w) == naive_balance(w), w
 
 
 def test_mechanical_fixture():
@@ -134,7 +181,8 @@ def test_mechanical_word_irrational_slope_balanced():
 
 
 def test_mechanical_word_float_slope_streams_its_floors():
-    # The mpmath path pairs consecutive floors as they are made instead of
+    # A float slope is an exact dyadic rational whose period exceeds n, so the
+    # integer path pairs consecutive floors as they are made instead of
     # keeping all n + 1 of them: the traced peak stays near the output size.
     tracemalloc.start()
     try:
@@ -144,6 +192,37 @@ def test_mechanical_word_float_slope_streams_its_floors():
         tracemalloc.stop()
     assert len(w) == 50_000
     assert peak < 2**20
+
+
+def _mechanical_mpmath_oracle(gamma, n: int, delta, bits: int) -> str:
+    """Letter k from mpmath floors of k*gamma + delta at ``bits`` bits."""
+    with mpmath.workprec(bits):
+        g, d = mpmath.mpf(gamma), mpmath.mpf(delta)
+        floors = [int(mpmath.floor(k * g + d)) for k in range(1, n + 2)]
+    return "".join("01"[b - a] for a, b in pairwise(floors))
+
+
+@settings(deadline=None)
+@given(
+    st.floats(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=3000),
+    st.floats(min_value=0, max_value=1, exclude_max=True),
+)
+@example(5e-324, 3000, 5e-324)
+@example(0.5, 3000, 2.0**-1000)
+@example(2.0**-60, 3000, 1 - 2.0**-53)
+@example(1.0, 3000, 1 - 2.0**-53)
+def test_float_mechanical_word_matches_mpmath_oracle(gamma, n, delta):
+    assert mechanical_word(gamma, n, delta) == _mechanical_mpmath_oracle(gamma, n, delta, 128)
+
+
+def test_mechanical_word_rejects_precision_below_a_double():
+    gamma = mpmath.mpf(0.3)
+    assert mechanical_word(gamma, 20, bits=53) == _mechanical_mpmath_oracle(gamma, 20, 0, 53)
+    with pytest.raises(ValueError, match="bits"):
+        mechanical_word(gamma, 20, bits=52)
+    with pytest.raises(ValueError, match="bits"):
+        mechanical_word(Fraction(1, 3), 20, mpmath.mpf(0.25), bits=0)
 
 
 def test_mechanical_phase_shifts_word_not_density():
