@@ -7,19 +7,25 @@ customer k is the number of admitted customers still in the system on its
 arrival, counting itself when admitted; rejected customers cost zero.  With
 admission density fixed, mechanically spread admissions minimize the mean
 cost, which ``admission_competition`` probes with common random numbers.
+
+A run counts only the admitted customers, computes their completions one
+float step at a time as the recursion defines them (``_completions``), and
+shares the arrival stream of one (seed, mean, horizon) between consecutive
+runs, so a competition draws it a single time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
-from typing import Optional, Union
+from functools import lru_cache
+from typing import Union
 
 import numpy as np
 
-from .words import MechanicalSpec, check_word, one_ratio, parse_slope, symbol_stream
+from .words import MechanicalSpec, check_word, parse_slope, symbol_stream
 
 __all__ = [
     "QueueConfig",
@@ -52,14 +58,14 @@ class QueueConfig:
     admission: AdmissionSource = "1"
 
     def __post_init__(self):
-        if self.mean_interarrival <= 0:
-            raise ValueError("mean_interarrival must be positive")
-        if self.service_time <= 0:
-            raise ValueError("service_time must be positive")
+        for name in ("mean_interarrival", "service_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if isinstance(self.admission, str):
-            check_word(self.admission)
+            check_word(self.admission)  # the only check a word admission gets
             if not self.admission:
                 raise ValueError("admission word must be nonempty")
 
@@ -68,7 +74,7 @@ class QueueConfig:
         if isinstance(self.admission, MechanicalSpec):
             gamma = self.admission.gamma
             return gamma if isinstance(gamma, (Fraction, int)) else float(gamma)
-        return one_ratio(self.admission)
+        return Fraction(self.admission.count("1"), len(self.admission))
 
 
 @dataclass(frozen=True)
@@ -87,35 +93,55 @@ class QueueSummary:
         return self.admitted / self.horizon
 
 
+@lru_cache(maxsize=1)
+def _arrival_times(seed: int, mean_interarrival: float, horizon: int) -> np.ndarray:
+    """The seeded arrival instants, read-only so runs can share one draw."""
+    rng = np.random.default_rng(seed)
+    arrivals = np.cumsum(rng.exponential(mean_interarrival, horizon))
+    arrivals.flags.writeable = False
+    return arrivals
+
+
+def _completions(arrivals: np.ndarray, service_time: float) -> np.ndarray:
+    """c_j = max(c_{j-1}, a_j) + service_time, one float step per customer."""
+    last = 0.0
+    steps = (last := (last if last > a else a) + service_time for a in arrivals.tolist())
+    return np.fromiter(steps, np.float64, len(arrivals))
+
+
 def simulate_queue(config: QueueConfig) -> QueueSummary:
     """Run one seeded simulation and return its summary.
 
-    Completions c_j = max(c_{j-1}, a_j) + service_time of the admitted
-    customers accumulate in order in plain floats, so no departure/arrival
-    tie can flip.  They never decrease, so the count in the system at arrival
-    k (k included when admitted) is the admissions through k minus the
-    earlier ones with c_j <= a_k, counted for all k by one searchsorted.
+    The arrival stream comes from ``_arrival_times``, drawn once per (seed,
+    mean, horizon) and shared by consecutive runs.  Completions of the
+    admitted customers come from ``_completions``, in sequence.  They
+    never decrease and no customer leaves before arriving (c_j >= a_j), so
+    admitted customer j finds j + 1 - min(#{c <= a_j}, j) customers in the
+    system, itself included, counted by one searchsorted over the admitted
+    customers only.  A rejected customer finds no more than the last
+    admitted one before it did, so the worst backlog is reached at an
+    admission.
     """
-    rng = np.random.default_rng(config.seed)
-    arrivals = np.cumsum(rng.exponential(config.mean_interarrival, config.horizon))
-    admit = np.frombuffer(symbol_stream(config.admission, config.horizon).encode(), np.uint8) == ord("1")
-    completions = np.fromiter(accumulate(
-        arrivals[admit].tolist(), lambda c, a: max(c, a) + config.service_time, initial=0.0
-    ), dtype=np.float64)[1:]
-    admitted_through = np.cumsum(admit)
-    departed = np.searchsorted(completions, arrivals, side="right")
-    # admitted_through - min(departed, admitted_through - admit), in place and
-    # without arrivals: three horizon-length arrays alive at once, not five.
-    del arrivals
-    np.minimum(departed, admitted_through - admit, out=departed)
-    in_system = np.subtract(admitted_through, departed, out=departed)
+    arrivals = _arrival_times(config.seed, config.mean_interarrival, config.horizon)
+    if isinstance(config.admission, str):  # validated once, by QueueConfig
+        pattern = np.frombuffer(config.admission.encode(), np.uint8) == ord("1")
+        # np.tile, not np.resize: resize concatenates one copy per repetition.
+        admit = np.tile(pattern, -(-config.horizon // len(pattern)))[: config.horizon]
+    else:
+        admit = np.frombuffer(symbol_stream(config.admission, config.horizon).encode(), np.uint8) == ord("1")
+    admitted = arrivals[admit]
+    completions = _completions(admitted, config.service_time)
+    earlier = np.arange(len(admitted))
+    departed = np.searchsorted(completions, admitted, side="right")
+    np.minimum(departed, earlier, out=departed)
+    in_system = np.subtract(earlier + 1, departed, out=departed)
     return QueueSummary(
         seed=config.seed,
         gamma=config.admission_density,
         horizon=config.horizon,
-        mean_cost=int(in_system[admit].sum()) / config.horizon,
-        max_queue=int(in_system.max()),
-        admitted=int(admitted_through[-1]),
+        mean_cost=int(in_system.sum()) / config.horizon,
+        max_queue=int(in_system.max(initial=0)),
+        admitted=len(admitted),
     )
 
 
@@ -152,6 +178,8 @@ def queue_config_from_dict(data: dict) -> QueueConfig:
     """Build a QueueConfig from parsed JSON."""
     admission = data.get("admission", "1")
     if isinstance(admission, dict):
+        if "gamma" not in admission:
+            raise ValueError("queue config 'admission' object needs a 'gamma' key (the slope)")
         gamma = parse_slope(str(admission["gamma"]))
         delta = parse_slope(str(admission.get("delta", "0")))
         admission = MechanicalSpec(gamma, delta)

@@ -76,8 +76,27 @@ def rotations(w: str) -> list[str]:
 
 
 def canonical_rotation(w: str) -> str:
-    """Lexicographically least rotation; the canonical orbit representative."""
-    return min(rotations(w))
+    """Lexicographically least rotation; the canonical orbit representative.
+
+    Two-candidate least-rotation scan in O(len(w)) time and memory.  Every
+    start below j other than i is already beaten.  When rotations i < j agree
+    on k letters and then differ, the larger one and the k starts after it
+    are beaten too, each by the matching start after the smaller one.
+    """
+    check_word(w)
+    m = len(w)
+    doubled = (w + w).encode()
+    i, j, k = 0, 1, 0
+    while j < m and k < m:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+        elif a < b:
+            j += k + 1
+            k = 0
+        else:
+            i, j, k = j, max(i + k + 1, j + 1), 0
+    return w[i:] + w[:i]
 
 
 def minimal_period(w: str) -> int:

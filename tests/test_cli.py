@@ -207,6 +207,9 @@ def test_usage_errors(capsys):
         "words mechanical --gamma 1/0 --n 5",
         "jsr bounds --alpha 1/0",
         "queue run --gamma 1/0",
+        "queue run --interarrival nan",
+        "queue run --service inf",
+        "queue compete --service nan",
         "jsr scan-ratio --alpha-grid 1",
         "measures verify --mixtures -1",
     ],
@@ -216,6 +219,15 @@ def test_bad_parameter_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_queue_config_without_gamma_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "queue.json"
+    path.write_text(json.dumps({"admission": {"delta": "0"}}))
+    code, out, err = run_cli(capsys, "queue", "run", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "'gamma'" in err and "admission" in err
 
 
 def test_version_flag(capsys):

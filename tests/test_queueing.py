@@ -2,7 +2,9 @@
 
 import json
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 from sturmlab.queueing import (
     QueueConfig,
     QueueSummary,
+    _arrival_times,
+    _completions,
     admission_competition,
     load_queue_config,
     queue_config_from_dict,
@@ -78,6 +82,78 @@ def test_simulation_matches_event_loop(admission, service_time):
         for mean_interarrival in (1.0, 0.7):
             config = QueueConfig(mean_interarrival, service_time, 1500, seed, admission)
             assert simulate_queue(config) == _simulate_queue_loop(config)
+
+
+def _completions_oracle(arrivals, service_time):
+    """The sequential recursion c_j = max(c_{j-1}, a_j) + s in plain floats."""
+    return np.fromiter(accumulate(
+        np.asarray(arrivals, dtype=np.float64).tolist(),
+        lambda c, a: max(c, a) + service_time, initial=0.0,
+    ), dtype=np.float64)[1:]
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+# Service times: below the arrival resolution (c_j can equal a_j), an inexact
+# float product, exact ties with integer arrivals, and one larger than any
+# gap drawn below (one busy period).
+SERVICE_TIMES = st.sampled_from([1e-300, 0.37 * 7, 2.0, 40.0])
+float_gaps = st.lists(st.floats(min_value=0.0, max_value=5.0), max_size=300)
+integer_gaps = st.lists(st.integers(min_value=0, max_value=4), max_size=300)
+
+
+@settings(max_examples=300)
+@given(st.one_of(float_gaps, integer_gaps), SERVICE_TIMES, st.floats(min_value=0.0, max_value=1e6))
+def test_completions_match_recursion_bitwise(gaps, service_time, start):
+    arrivals = start + np.cumsum(np.asarray(gaps, dtype=np.float64))
+    assert _same_bits(_completions(arrivals, service_time), _completions_oracle(arrivals, service_time))
+
+
+@pytest.mark.parametrize("service_time", [1e-300, 0.37 * 7, 2.0, 40.0])
+def test_completions_match_recursion_on_seeded_streams(service_time):
+    rng = np.random.default_rng(7)
+    for arrivals in (
+        np.cumsum(rng.exponential(1.0, 2000)),
+        np.floor(np.cumsum(rng.exponential(1.0, 2000))),  # integer arrivals: exact ties
+        np.arange(500, dtype=np.float64),  # a_j = j: with s = 2, c_{j-1} > a_j throughout
+    ):
+        assert _same_bits(_completions(arrivals, service_time), _completions_oracle(arrivals, service_time))
+
+
+@pytest.mark.parametrize("arrivals", [[], [3.5], [0.0, 2.0, 4.0, 6.0], [1.0, 1.0, 1.0]],
+                         ids=["empty", "one", "touching", "simultaneous"])
+def test_completions_small_cases(arrivals):
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    for service_time in (1e-300, 2.0):
+        assert _same_bits(_completions(arrivals, service_time), _completions_oracle(arrivals, service_time))
+
+
+def test_rejecting_everyone_matches_event_loop():
+    config = QueueConfig(horizon=50, admission="0")
+    assert simulate_queue(config) == _simulate_queue_loop(config) == QueueSummary(0, Fraction(0), 50, 0.0, 0, 0)
+
+
+def test_competition_matches_event_loop_runs():
+    config = mechanical_config(horizon=6000, seed=3)
+    expected = [_simulate_queue_loop(config)]
+    for i in range(6):
+        word = random_admission_word(config.horizon, expected[0].admitted, 10_000 + i)
+        expected.append(_simulate_queue_loop(replace(config, admission=word)))
+    assert admission_competition(config, 6) == expected
+
+
+def test_overload_matches_event_loop():
+    config = QueueConfig(horizon=100_000)  # service 2 per mean gap 1: rho = 2
+    assert simulate_queue(config) == _simulate_queue_loop(config)
+
+
+def test_arrivals_are_drawn_once_and_read_only():
+    first = _arrival_times(5, 1.0, 1000)
+    assert _arrival_times(5, 1.0, 1000) is first
+    assert not first.flags.writeable
+    assert np.array_equal(first, np.cumsum(np.random.default_rng(5).exponential(1.0, 1000)))
 
 
 def test_simulation_matches_event_loop_on_long_shuffle():
@@ -160,6 +236,15 @@ def test_invalid_config_rejected():
         queue_config_from_dict({"horizon": 0})
     with pytest.raises(ValueError):
         queue_config_from_dict({"admission": "01x"})
+    for key in ("mean_interarrival", "service_time"):
+        for value in ("nan", "inf", "-inf", "0", "-1"):
+            with pytest.raises(ValueError, match=key):
+                queue_config_from_dict({key: value})
+
+
+def test_missing_gamma_is_named():
+    with pytest.raises(ValueError, match="'gamma'"):
+        queue_config_from_dict({"admission": {"delta": "0"}})
 
 
 @settings(deadline=None, max_examples=20)

@@ -297,6 +297,41 @@ def test_convergents_recurrence():
         assert (p0, q0) == (a * p1 + p2, a * q1 + q2)
 
 
+def least_rotation_oracle(w: str) -> str:
+    """Build every rotation and keep the least: quadratic memory."""
+    return min(rotations(w))
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="01", max_size=300))
+@example("")
+@example("0101")
+@example("10" * 150)
+def test_canonical_rotation_matches_oracle(w):
+    assert canonical_rotation(w) == least_rotation_oracle(w)
+
+
+def test_canonical_rotation_matches_oracle_exhaustively():
+    for m in range(1, 13):
+        for letters in product("01", repeat=m):
+            w = "".join(letters)
+            assert canonical_rotation(w) == least_rotation_oracle(w)
+
+
+def test_canonical_rotation_memory_is_linear():
+    # All 8000 rotations at once would be 8000^2 bytes (about 61 MiB).
+    w = mechanical_word(Fraction(1, 8000), 8000)
+    tracemalloc.start()
+    try:
+        rep = canonical_rotation(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == "0" * 7999 + "1"
+    assert peak < 2**16
+    assert balanced_orbit(1, 8000).representative == rep
+
+
 @given(words_st.filter(bool), st.integers(min_value=0, max_value=39))
 def test_canonical_rotation_is_rotation_invariant(w, k):
     k %= len(w)
@@ -325,7 +360,7 @@ def _orbits_oracle(p: int, q: int) -> list[tuple[str, int]]:
         for i in positions:
             chars[i] = "1"
         w = "".join(chars)
-        if w == canonical_rotation(w):
+        if w == least_rotation_oracle(w):
             reps.append(w)
     return [(w, minimal_period(w)) for w in sorted(reps)]
 
