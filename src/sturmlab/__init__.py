@@ -38,7 +38,6 @@ from .cyclic import (
 )
 from .measures import (
     DiscreteMeasure,
-    convex_order_leq,
     convex_order_witness,
     maximize_over_orbits,
     mixture,
@@ -67,11 +66,9 @@ from .heaps import (
     best_balanced_schedule,
     cycle_rate,
     default_model,
-    heap_height,
     load_model,
     max_cycle_mean,
     min_rate_exhaustive,
-    word_matrix,
 )
 from .jsr import (
     ALPHA_STAR_DECIMAL,
@@ -99,7 +96,6 @@ from .wigner import (
     ground_state,
     inverse_power,
     is_convex_decreasing,
-    ring_energy,
     screened,
 )
 

@@ -143,6 +143,8 @@ def _measures_verify(args):
 
 
 def _measures_peaks(args):
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     thetas = [k / args.grid for k in range(args.grid)]
     scan = measures.peak_objective_scan(thetas, args.max_period, args.kind)
     rows = [
@@ -208,6 +210,8 @@ def _heap_model(args) -> heaps.HeapModel:
 
 
 def _heaps_scan(args):
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     model = _heap_model(args)
     rows = []
     for n in range(1, args.n_max + 1):
@@ -473,19 +477,23 @@ class RunManifest:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        verb = VERBS.get(self.verb)
+        verb = VERBS.get(self.verb) if isinstance(self.verb, str) else None
         if verb is None or verb.columns is None:
             raise ValueError(f"unknown manifest verb {self.verb!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"manifest format must be csv or json, got {self.format!r}")
+        if not isinstance(self.output_path, (str, type(None))):
+            raise ValueError(f"manifest output_path must be a string, got {self.output_path!r}")
 
 
 def load_manifest(path: str) -> RunManifest:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict) or not isinstance(data.get("parameters", {}), dict):
+        raise ValueError("a manifest is a JSON object whose 'parameters' is an object")
     return RunManifest(
         verb=data["verb"],
-        parameters=dict(data.get("parameters", {})),
+        parameters=data.get("parameters", {}),
         output_path=data.get("output_path"),
         format=data.get("format", "csv"),
         seed=data.get("seed"),

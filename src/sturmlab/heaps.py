@@ -27,10 +27,6 @@ __all__ = [
     "Piece",
     "HeapModel",
     "default_model",
-    "drop",
-    "heap_height",
-    "piece_matrix",
-    "word_matrix",
     "maxplus_matmul",
     "max_cycle_mean",
     "cycle_rate",
@@ -94,14 +90,9 @@ class HeapModel:
         if covered != set(range(self.num_columns)):
             raise ValueError("pieces must jointly cover every column")
 
-    def piece(self, bit: str) -> Piece:
-        if bit not in ("0", "1"):
-            raise ValueError(f"a schedule bit is '0' or '1', got {bit!r}")
-        return self.piece0 if bit == "0" else self.piece1
-
     @cached_property
     def _integer_form(self) -> tuple[int, tuple[list[list[Optional[int]]], ...]]:
-        """(d, matrices): piece_matrix(self, bit) is matrices[int(bit)] over d, the contours' lcm."""
+        """(d, matrices): the drop matrix of piece0 and of piece1, times d, the contours' lcm."""
         d = math.lcm(*(x.denominator for p in (self.piece0, self.piece1) for x in p.lower + p.upper))
         return d, tuple(_integer_matrix(p, self.num_columns, d) for p in (self.piece0, self.piece1))
 
@@ -138,7 +129,11 @@ def _apply(matrix: list[list[Optional[Number]]], vector: Sequence[Optional[Numbe
 
 
 def _integer_matrix(piece: Piece, n: int, d: int) -> list[list[Optional[int]]]:
-    """The drop matrix of :func:`piece_matrix` over ``n`` columns, times ``d``."""
+    """Max-plus drop matrix of ``piece`` over ``n`` columns, times ``d``; None is -infinity.
+
+    Row i, column j holds upper_i - lower_j on the piece's columns; untouched
+    columns keep an identity (0) diagonal.
+    """
     matrix: list[list[Optional[int]]] = [[0 if i == j else None for j in range(n)] for i in range(n)]
     for ui, i in zip(piece.upper, piece.columns):
         matrix[i] = [None] * n
@@ -147,65 +142,12 @@ def _integer_matrix(piece: Piece, n: int, d: int) -> list[list[Optional[int]]]:
     return matrix
 
 
-def _fraction_matrix(matrix: list[list[Optional[int]]], d: int) -> list[list[Optional[Fraction]]]:
-    return [[None if x is None else Fraction(x, d) for x in row] for row in matrix]
-
-
-def drop(heights: Sequence[Number], piece: Piece) -> tuple[Fraction, ...]:
-    """Land one piece: lock at L = max(h[c] - lower[c]), rewrite from upper."""
-    heights = _fractions(heights)
-    if any(not 0 <= c < len(heights) for c in piece.columns):
-        raise ValueError(f"piece columns {piece.columns} outside {len(heights)} heights")
-    d = math.lcm(*(x.denominator for x in heights + piece.lower + piece.upper))
-    landed = _apply(_integer_matrix(piece, len(heights), d), [int(h * d) for h in heights])
-    return tuple(Fraction(h, d) for h in landed)
-
-
-def heap_height(w: str, model: HeapModel) -> Fraction:
-    """Maximum column height after dropping the pieces scheduled by ``w``."""
-    check_word(w)
-    d, matrices = model._integer_form
-    heights = (0,) * model.num_columns
-    for bit in w:
-        heights = _apply(matrices[bit != "0"], heights)
-    return Fraction(max(heights), d)
-
-
-def piece_matrix(model: HeapModel, bit: str) -> list[list[Optional[Fraction]]]:
-    """Max-plus matrix of one drop; None encodes -infinity.
-
-    Row i, column j holds upper_i - lower_j on the piece's columns; untouched
-    columns keep an identity (0) diagonal.  Applying the matrix with
-    max-plus arithmetic reproduces :func:`drop` exactly.
-    """
-    d, _ = model._integer_form
-    return _fraction_matrix(_integer_matrix(model.piece(bit), model.num_columns, d), d)
-
-
 def maxplus_matmul(
     A: list[list[Optional[Number]]], B: list[list[Optional[Number]]]
 ) -> list[list[Optional[Number]]]:
     """(A (x) B)[i][j] = max_k A[i][k] + B[k][j], with None as -infinity."""
     columns = list(zip(*B))
     return [[_dot(row, column) for column in columns] for row in A]
-
-
-def _integer_word_matrix(model: HeapModel, w: str) -> tuple[int, list[list[Optional[int]]]]:
-    """(d, matrix): :func:`word_matrix` is ``matrix`` over ``d``."""
-    check_word(w)
-    if not w:
-        raise ValueError("word matrix needs a nonempty schedule")
-    d, matrices = model._integer_form
-    matrix = matrices[w[0] != "0"]
-    for bit in w[1:]:
-        matrix = maxplus_matmul(matrices[bit != "0"], matrix)
-    return d, matrix
-
-
-def word_matrix(model: HeapModel, w: str) -> list[list[Optional[Fraction]]]:
-    """Matrix of the whole schedule; leftmost letter is applied first."""
-    d, matrix = _integer_word_matrix(model, w)
-    return _fraction_matrix(matrix, d)
 
 
 def max_cycle_mean(matrix: list[list[Optional[Number]]]) -> Fraction:
@@ -231,8 +173,17 @@ def max_cycle_mean(matrix: list[list[Optional[Number]]]) -> Fraction:
 
 
 def cycle_rate(w: str, model: HeapModel) -> Fraction:
-    """Asymptotic height per drop of the periodic schedule w, w, w, ..."""
-    d, matrix = _integer_word_matrix(model, w)
+    """Asymptotic height per drop of the periodic schedule w, w, w, ...
+
+    The schedule's max-plus matrix applies the leftmost letter first.
+    """
+    check_word(w)
+    if not w:
+        raise ValueError("word matrix needs a nonempty schedule")
+    d, matrices = model._integer_form
+    matrix = matrices[w[0] != "0"]
+    for bit in w[1:]:
+        matrix = maxplus_matmul(matrices[bit != "0"], matrix)
     return max_cycle_mean(matrix) / (len(w) * d)
 
 
@@ -300,19 +251,19 @@ def best_balanced_schedule(model: HeapModel, q_max: int) -> ScheduleReport:
 
 def model_from_dict(data: dict) -> HeapModel:
     """Build a HeapModel from parsed JSON; contours accept 'p/q' strings."""
-
-    def piece(entry: dict) -> Piece:
-        return Piece(
-            tuple(entry["columns"]),
-            tuple(Fraction(str(v)) for v in entry["lower"]),
-            tuple(Fraction(str(v)) for v in entry["upper"]),
-        )
-
-    return HeapModel(
-        num_columns=int(data["num_columns"]),
-        piece0=piece(data["piece0"]),
-        piece1=piece(data["piece1"]),
-    )
+    try:
+        num_columns = int(data["num_columns"])
+        pieces = [
+            Piece(
+                tuple(int(c) for c in data[key]["columns"]),
+                tuple(Fraction(str(v)) for v in data[key]["lower"]),
+                tuple(Fraction(str(v)) for v in data[key]["upper"]),
+            )
+            for key in ("piece0", "piece1")
+        ]
+    except TypeError as exc:
+        raise ValueError(f"malformed heap model: {exc}") from None
+    return HeapModel(num_columns, *pieces)
 
 
 def load_model(path: str) -> HeapModel:

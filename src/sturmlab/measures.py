@@ -34,7 +34,6 @@ __all__ = [
     "sturmian_measure",
     "mixture",
     "convex_order_witness",
-    "convex_order_leq",
     "LeastElementScan",
     "verify_sturmian_least",
     "maximize_over_orbits",
@@ -191,11 +190,6 @@ def convex_order_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[F
     merged support point.
     """
     return _first_violation([(1, mu._integer_form), (-1, nu._integer_form)])
-
-
-def convex_order_leq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
-    """True iff mu <=_cx nu (same barycenter, mu less spread out)."""
-    return convex_order_witness(mu, nu) is None
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,8 @@ def check_multimodular(
 def window_average(J: LatticeFunction, source, n: int):
     """Average of J over the first ``n`` sliding windows of a symbol source.
 
-    The source may be a word (extended periodically), a MechanicalSpec, or a
-    finite iterable providing at least n + arity - 1 symbols.  Returns an
-    exact Fraction when J returns ints/Fractions, else a float.
+    The source may be a word (extended periodically) or a MechanicalSpec.
+    Returns an exact Fraction when J returns ints/Fractions, else a float.
     """
     if n < 1:
         raise ValueError("need at least one window")

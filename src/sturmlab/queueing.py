@@ -68,6 +68,8 @@ class QueueConfig:
             check_word(self.admission)  # the only check a word admission gets
             if not self.admission:
                 raise ValueError("admission word must be nonempty")
+        elif not isinstance(self.admission, MechanicalSpec):
+            raise ValueError(f"admission must be a 0/1 word or a MechanicalSpec, got {self.admission!r}")
 
     @property
     def admission_density(self) -> Union[Fraction, float]:
@@ -176,6 +178,8 @@ def admission_competition(
 
 def queue_config_from_dict(data: dict) -> QueueConfig:
     """Build a QueueConfig from parsed JSON."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a queue config is a JSON object, got {type(data).__name__}")
     admission = data.get("admission", "1")
     if isinstance(admission, dict):
         if "gamma" not in admission:
@@ -183,13 +187,16 @@ def queue_config_from_dict(data: dict) -> QueueConfig:
         gamma = parse_slope(str(admission["gamma"]))
         delta = parse_slope(str(admission.get("delta", "0")))
         admission = MechanicalSpec(gamma, delta)
-    return QueueConfig(
-        mean_interarrival=float(data.get("mean_interarrival", 1.0)),
-        service_time=float(data.get("service_time", 2.0)),
-        horizon=int(data.get("horizon", 10_000)),
-        seed=int(data.get("seed", 0)),
-        admission=admission,
-    )
+    try:
+        numbers = dict(
+            mean_interarrival=float(data.get("mean_interarrival", 1.0)),
+            service_time=float(data.get("service_time", 2.0)),
+            horizon=int(data.get("horizon", 10_000)),
+            seed=int(data.get("seed", 0)),
+        )
+    except TypeError as exc:
+        raise ValueError(f"queue config numbers: {exc}") from None
+    return QueueConfig(admission=admission, **numbers)
 
 
 def load_queue_config(path: str) -> QueueConfig:

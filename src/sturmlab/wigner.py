@@ -23,7 +23,7 @@ from functools import reduce
 from operator import add
 from typing import Sequence, Union
 
-from .words import Orbit, check_word, enumerate_orbits, is_balanced
+from .words import Orbit, enumerate_orbits, is_balanced
 
 __all__ = [
     "Potential",
@@ -34,7 +34,6 @@ __all__ = [
     "anti_coulomb",
     "default_potentials",
     "is_convex_decreasing",
-    "ring_energy",
     "OrbitEnergy",
     "GroundStateReport",
     "ground_state",
@@ -207,19 +206,6 @@ def _pair_offsets(w: str) -> list[int]:
     """Offsets b - a of the electron pairs a < b of w, in (a, b) order."""
     electrons = [i for i, ch in enumerate(w) if ch == "1"]
     return [b - a for i, a in enumerate(electrons) for b in electrons[i + 1:]]
-
-
-def ring_energy(word: str, potential: Potential, images: int = 0) -> Energy:
-    """Half-sum of V over ordered electron pairs at ring distance.
-
-    With images > 0 each pair interacts through every lattice copy up to the
-    cutoff, Sum over k of V(|m + k q|); the potential must have a summable
-    image series (checked via its tail bound).
-    """
-    check_word(word)
-    if not word:
-        raise ValueError("empty ring")
-    return _PairTable(potential, len(word), images).energy(_pair_offsets(word))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,9 @@
 
 Words are plain Python strings over the alphabet {'0', '1'}; this module is
 the shared currency for every other testbed in the package.  Rational slopes
-(:class:`fractions.Fraction`, int, and float, which is an exact dyadic
-rational) are handled with integer floor division over a common denominator;
-only ``mpmath.mpf`` slopes go through mpmath, at a configurable working
-precision, in which case the floor in the mechanical-word formula is
-evaluated on the approximation (the only source of error, and only relevant
-when ``n*gamma + delta`` sits within rounding distance of an integer).
+(:class:`fractions.Fraction`, int, float and ``mpmath.mpf``, the last two
+exact dyadic rationals) are read exactly and handled with integer floor
+division over a common denominator, so mechanical words carry no rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import mpmath
 
@@ -179,19 +176,26 @@ def balance_witness(w: str) -> Optional[tuple[str, str]]:
     return None if is_balanced(w) else _balance_violation(w)
 
 
-def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0, bits: int = 128) -> str:
+def _exact(x) -> Fraction:
+    """The rational a Fraction, int, float or mpmath.mpf holds; an mpf is man * 2**exp."""
+    if isinstance(x, mpmath.mpf):
+        man, exp = x.man_exp  # unsigned mantissa: callers pass values >= 0
+        return Fraction(man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0) -> str:
     """First ``n`` letters of the mechanical word with slope gamma, phase delta.
 
     Letter k (1-indexed) is ``floor((k+1)*gamma + delta) - floor(k*gamma + delta)``.
-    Exact for Fraction, int and float (dyadic) inputs: for gamma = a/b and
-    delta = c/b letter k is ``((k+1)*a + c) // b - (k*a + c) // b``, period b.
-    ``mpmath.mpf`` inputs take mpmath floors at ``bits`` bits of precision.
+    Every input is read as the exact rational it holds (float and
+    ``mpmath.mpf`` are dyadic): for gamma = a/b and delta = c/b letter k is
+    ``((k+1)*a + c) // b - (k*a + c) // b``, period b.
 
     Args:
         gamma: slope in [0, 1].
         n: number of letters, >= 0.
         delta: phase in [0, 1).
-        bits: mpmath working precision for ``mpf`` inputs, >= 53.
     """
     if n < 0:
         raise ValueError("length n must be >= 0")
@@ -203,20 +207,12 @@ def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0, bits: int = 
         raise ValueError(f"slope gamma={gamma} outside [0, 1]")
     if not 0 <= delta < 1:
         raise ValueError(f"phase delta={delta} outside [0, 1)")
-    if not isinstance(gamma, mpmath.mpf) and not isinstance(delta, mpmath.mpf):
-        gamma, delta = Fraction(gamma), Fraction(delta)
-        b = math.lcm(gamma.denominator, delta.denominator)
-        a, c = gamma.numerator * b // gamma.denominator, delta.numerator * b // delta.denominator
-        floors = ((k * a + c) // b for k in range(1, min(n, b) + 2))
-        period = "".join("01"[y - x] for x, y in pairwise(floors))
-        return period * (n // b) + period[: n % b]
-    if bits < 53:
-        raise ValueError(f"mpmath precision bits={bits} is below 53")
-    with mpmath.workprec(bits):
-        g = mpmath.mpf(gamma) if not isinstance(gamma, Fraction) else mpmath.mpf(gamma.numerator) / gamma.denominator
-        d = mpmath.mpf(delta) if not isinstance(delta, Fraction) else mpmath.mpf(delta.numerator) / delta.denominator
-        floors = (int(mpmath.floor(k * g + d)) for k in range(1, n + 2))
-        return "".join("01"[b - a] for a, b in pairwise(floors))
+    gamma, delta = _exact(gamma), _exact(delta)
+    b = math.lcm(gamma.denominator, delta.denominator)
+    a, c = gamma.numerator * b // gamma.denominator, delta.numerator * b // delta.denominator
+    floors = ((k * a + c) // b for k in range(1, min(n, b) + 2))
+    period = "".join("01"[y - x] for x, y in pairwise(floors))
+    return period * (n // b) + period[: n % b]
 
 
 @dataclass(frozen=True)
@@ -225,18 +221,13 @@ class MechanicalSpec:
 
     gamma: SlopeLike
     delta: SlopeLike = 0
-    bits: int = 128
 
     def prefix(self, n: int) -> str:
-        return mechanical_word(self.gamma, n, self.delta, self.bits)
+        return mechanical_word(self.gamma, n, self.delta)
 
 
 def symbol_stream(source, n: int) -> str:
-    """Materialize ``n`` symbols from an admission/sequence source.
-
-    Sources: a nonempty word (repeated cyclically), a MechanicalSpec, or a
-    finite iterable of 0/1 items (which must supply at least ``n`` symbols).
-    """
+    """Materialize ``n`` symbols from a nonempty word (repeated cyclically) or a MechanicalSpec."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if isinstance(source, MechanicalSpec):
@@ -247,13 +238,6 @@ def symbol_stream(source, n: int) -> str:
             raise ValueError("cannot stream symbols from an empty word")
         reps = -(-n // len(source))
         return (source * reps)[:n]
-    if isinstance(source, Iterable):
-        out = []
-        for item in source:
-            out.append(str(int(item)))
-            if len(out) == n:
-                return check_word("".join(out))
-        raise ValueError(f"source provided only {len(out)} of {n} requested symbols")
     raise TypeError(f"unsupported symbol source: {type(source).__name__}")
 
 

@@ -1,0 +1,173 @@
+"""Fault catalogue: every mutant listed here must be killed by the tests it names.
+
+Each entry plants one known fault in a temporary copy of ``src/`` and runs
+its target tests against that copy with ``-x``, one pytest process at a
+time.  A target run that passes is a survivor.  A snippet that does not
+occur exactly once in its file is stale and fails the run too, so a refactor
+that changes catalogued code has to update the catalogue.  Before any mutant,
+the clean copy must pass every target, so a kill is never a broken test.
+
+Usage (from any directory):
+
+    python3 tests/mutants.py            # the whole catalogue
+    python3 tests/mutants.py NAME ...   # selected entries
+
+Exit status 0 when every selected mutant is killed.  Tier-1 does not collect
+this file: pytest only collects ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/sturmlab
+    snippet: str  # must occur exactly once in the file
+    replacement: str
+    targets: tuple[str, ...]  # pytest node ids relative to the repository root
+
+
+MUTANTS = (
+    Mutant("hull-spread-le", "words.py",
+           "- a * (ux - lx) < b", "- a * (ux - lx) <= b",
+           ("tests/test_words.py::test_balance_matches_naive_oracle_on_every_short_word",)),
+    Mutant("hull-slope-compare-reversed", "words.py",
+           "if (vy - uy) * (mx - lx) >= (my - ly) * (vx - ux):",
+           "if (vy - uy) * (mx - lx) <= (my - ly) * (vx - ux):",
+           ("tests/test_words.py::test_balance_matches_naive_oracle_on_every_short_word",)),
+    Mutant("rotation-scan-compare-flipped", "words.py",
+           "elif a < b:", "elif a > b:",
+           ("tests/test_words.py::test_canonical_rotation_matches_oracle_exhaustively",)),
+    Mutant("necklace-period-test", "words.py",
+           "if q % period == 0:", "if period == q:",
+           ("tests/test_words.py::test_enumerate_orbits_matches_oracle",)),
+    Mutant("mechanical-short-period", "words.py",
+           "min(n, b) + 2", "min(n, b) + 1",
+           ("tests/test_words.py::test_mechanical_word_matches_fraction_oracle",)),
+    Mutant("mpf-exponent-sign", "words.py",
+           "Fraction(2) ** exp", "Fraction(2) ** -exp",
+           ("tests/test_words.py::test_mpf_mechanical_word_matches_exact_oracles",)),
+    Mutant("queue-min-for-max", "queueing.py",
+           "(last if last > a else a)", "(last if last < a else a)",
+           ("tests/test_queueing.py::test_completions_small_cases",)),
+    Mutant("queue-start-value", "queueing.py",
+           "last = 0.0", "last = 1.0",
+           ("tests/test_queueing.py::test_completions_match_recursion_bitwise",
+            "tests/test_queueing.py::test_completions_small_cases")),
+    Mutant("queue-searchsorted-left", "queueing.py",
+           'side="right"', 'side="left"',
+           ("tests/test_queueing.py::test_departure_at_an_arrival_instant_is_counted",)),
+    Mutant("queue-admission-unchecked", "queueing.py",
+           "elif not isinstance(self.admission, MechanicalSpec):", "elif False:",
+           ("tests/test_cli.py::test_malformed_json_is_usage_error",)),
+    Mutant("heaps-dot-compare-flipped", "heaps.py",
+           "if best is None or value > best:", "if best is None or value < best:",
+           ("tests/test_heaps.py::test_integer_product_matches_fraction_oracles",)),
+    Mutant("heaps-rate-unscaled", "heaps.py",
+           "return max_cycle_mean(matrix) / (len(w) * d)", "return max_cycle_mean(matrix) / len(w)",
+           ("tests/test_heaps.py::test_integer_product_matches_fraction_oracles",)),
+    Mutant("measures-gap-ge", "measures.py",
+           "if gap > 0:", "if gap >= 0:",
+           ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),
+    Mutant("wigner-table-line-distance", "wigner.py",
+           "potential.value(min(m, q - m))", "potential.value(m)",
+           ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-image-sign", "wigner.py",
+           "potential.value(k * q - m)", "potential.value(k * q + m)",
+           ("tests/test_wigner.py::test_ring_energy_matches_pair_oracle",)),
+)
+
+
+def _run(src: Path, cwd: Path, args: list[str]) -> subprocess.CompletedProcess:
+    # No bytecode: a same-size mutant written within the same second as the
+    # original would otherwise reuse a stale .pyc.
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+# Hypothesis without shrinking (a kill needs one failing example, not the
+# smallest) and with fixed examples, so a kill does not depend on luck.
+_PYTEST = """import sys, pytest
+from hypothesis import Phase, settings
+phases = [Phase.explicit, Phase.generate]
+settings.register_profile("mutants", database=None, derandomize=True, phases=phases)
+settings.load_profile("mutants")
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+def _pytest(src: Path, cwd: Path, targets) -> subprocess.CompletedProcess:
+    nodes = [str(ROOT / t) for t in targets]
+    return _run(src, cwd, ["-c", _PYTEST, "-x", "-q", "-rf", "-p", "no:cacheprovider", *nodes])
+
+
+def _killers(output: str) -> list[str]:
+    failed = [line.removeprefix("FAILED ").split(" - ")[0] for line in output.splitlines()
+              if line.startswith("FAILED ")]
+    return [node[node.rfind("tests/"):] for node in failed]
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    problems = []
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        # Hypothesis keeps its example database under the working directory,
+        # so the runs work in the temporary directory, not the repository.
+        cwd = Path(tmp)
+        src = cwd / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        where = _run(src, cwd, ["-c", "import sturmlab; print(sturmlab.__file__)"]).stdout.strip()
+        if not where.startswith(str(src)):
+            print(f"the copy is not the imported package: sturmlab comes from {where!r}", file=sys.stderr)
+            return 2
+        targets = sorted({t for m in chosen for t in m.targets})
+        clean = _pytest(src, cwd, targets)
+        if clean.returncode != 0:
+            print(f"targets fail on the clean copy:\n{clean.stdout}{clean.stderr}", file=sys.stderr)
+            return 2
+        for m in chosen:
+            path = src / "sturmlab" / m.file
+            original = path.read_text(encoding="utf-8")
+            count = original.count(m.snippet)
+            if count != 1:
+                problems.append(m.name)
+                print(f"STALE     {m.name}: snippet occurs {count} times in {m.file}")
+                continue
+            path.write_text(original.replace(m.snippet, m.replacement), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                result = _pytest(src, cwd, m.targets)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            seconds = time.perf_counter() - start
+            if result.returncode == 1:
+                print(f"KILLED    {m.name:<30} {seconds:5.1f}s  by {', '.join(_killers(result.stdout))}")
+                continue
+            problems.append(m.name)
+            verdict = "SURVIVED" if result.returncode == 0 else f"ERROR({result.returncode})"
+            print(f"{verdict:<9} {m.name:<30} {seconds:5.1f}s")
+            print(result.stdout[-2000:] + result.stderr[-2000:])
+    total = time.perf_counter() - started
+    print(f"{len(chosen) - len(problems)}/{len(chosen)} mutants killed in {total:.1f}s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -121,9 +121,6 @@ def test_heaps_scan(capsys):
     by_n = {int(r[0]): r for r in rows}
     assert by_n[3][1] == "2/3"
     assert by_n[3][3] == "true"
-    code, out, _ = run_cli(capsys, "heaps", "scan", "--n-max", "0")
-    assert code == 0
-    assert out == "n,min_rate,argmin_words,balanced_flag\r\n"
 
 
 def test_jsr_bounds_golden(capsys):
@@ -212,10 +209,41 @@ def test_usage_errors(capsys):
         "queue compete --service nan",
         "jsr scan-ratio --alpha-grid 1",
         "measures verify --mixtures -1",
+        "heaps scan --n-max 0",
+        "measures peaks --grid 0",
+        "measures peaks --grid -3",
     ],
 )
 def test_bad_parameter_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+_PIECE = {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1", "1"]}
+
+
+@pytest.mark.parametrize(
+    "verb, flag, data",
+    [
+        ("run", "--manifest", {"verb": "words mechanical", "parameters": [1]}),
+        ("run", "--manifest", ["words mechanical"]),
+        ("run", "--manifest", {"verb": ["x"]}),
+        ("run", "--manifest", {"verb": "cyclic scan", "parameters": {}, "output_path": 5}),
+        ("queue run", "--config", {"admission": 5}),
+        ("queue run", "--config", {"admission": [0, 1, 1], "horizon": 3}),
+        ("queue run", "--config", [{"admission": "01"}]),
+        ("queue run", "--config", {"horizon": [100]}),
+        ("heaps schedule", "--model", {"num_columns": 3, "piece0": dict(_PIECE, columns=5), "piece1": _PIECE}),
+        ("heaps schedule", "--model", {"num_columns": 3, "piece0": [_PIECE], "piece1": _PIECE}),
+        ("heaps schedule", "--model", [3]),
+    ],
+)
+def test_malformed_json_is_usage_error(tmp_path, capsys, verb, flag, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, *verb.split(), flag, str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")

@@ -14,16 +14,13 @@ from sturmlab.heaps import (
     Piece,
     best_balanced_schedule,
     cycle_rate,
+    RateScan,
     default_model,
-    drop,
-    heap_height,
     load_model,
     max_cycle_mean,
     maxplus_matmul,
     min_rate_exhaustive,
     model_from_dict,
-    piece_matrix,
-    word_matrix,
 )
 from sturmlab.words import is_balanced, mechanical_word
 
@@ -53,6 +50,10 @@ def symmetric_model() -> HeapModel:
 # max-plus product in sturmlab.heaps replaces.
 
 
+def _piece(model, bit):
+    return model.piece0 if bit == "0" else model.piece1
+
+
 def _drop_oracle(heights, piece):
     heights = tuple(Fraction(h) for h in heights)
     landing = max(heights[c] - piece.lower[i] for i, c in enumerate(piece.columns))
@@ -65,12 +66,12 @@ def _drop_oracle(heights, piece):
 def _heap_height_oracle(w, model):
     heights = (Fraction(0),) * model.num_columns
     for bit in w:
-        heights = _drop_oracle(heights, model.piece(bit))
+        heights = _drop_oracle(heights, _piece(model, bit))
     return max(heights)
 
 
 def _piece_matrix_oracle(model, bit):
-    piece = model.piece(bit)
+    piece = _piece(model, bit)
     n = model.num_columns
     matrix = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -165,20 +166,18 @@ def test_integer_product_matches_fraction_oracles(model, n, schedules):
     scan = min_rate_exhaustive(model, n)
     assert repr((scan.min_rate, scan.argmin)) == repr(_min_rate_oracle(model, n))
     for w in schedules:
-        assert repr(heap_height(w, model)) == repr(_heap_height_oracle(w, model))
         expected = _word_matrix_oracle(model, w)
-        assert repr(word_matrix(model, w)) == repr(expected)
         assert repr(cycle_rate(w, model)) == repr(_karp_oracle(expected) / len(w))
-    for bit in "01":
-        assert repr(piece_matrix(model, bit)) == repr(_piece_matrix_oracle(model, bit))
-        heights = [Fraction(k, 3) for k in range(model.num_columns)]
-        assert repr(drop(heights, model.piece(bit))) == repr(_drop_oracle(heights, model.piece(bit)))
+        assert repr(max_cycle_mean(expected)) == repr(_karp_oracle(expected))
+        if len(w) > 1:
+            head = _word_matrix_oracle(model, w[:-1])
+            assert maxplus_matmul(_piece_matrix_oracle(model, w[-1]), head) == expected
 
 
 @given(words_st, words_st)
 def test_maxplus_matmul_matches_triple_loop(u, v):
     model = default_model()
-    left, right = word_matrix(model, u), word_matrix(model, v)
+    left, right = _word_matrix_oracle(model, u), _word_matrix_oracle(model, v)
     assert maxplus_matmul(left, right) == _matmul_oracle(left, right)
     assert max_cycle_mean(left) == _karp_oracle(left)
 
@@ -200,56 +199,48 @@ def test_model_requires_column_cover():
 
 def test_drop_stacks_on_highest_support():
     model = default_model()
-    heights = drop((Fraction(0),) * 3, model.piece0)
+    heights = _drop_oracle((Fraction(0),) * 3, model.piece0)
     assert heights == (Fraction(1), Fraction(1, 2), Fraction(0))
-    heights = drop(heights, model.piece1)
+    heights = _drop_oracle(heights, model.piece1)
     # piece1 lands on the shared column at height 1/2.
     assert heights == (Fraction(1), Fraction(1), Fraction(2))
-
-
-def test_drop_rejects_columns_beyond_the_heights():
-    with pytest.raises(ValueError, match="outside 1 heights"):
-        drop((0,), default_model().piece1)
-    with pytest.raises(ValueError, match="outside 3 heights"):
-        drop((0, 0, 0), Piece((-1,), (0,), (1,)))
-
-
-@pytest.mark.parametrize("bit", ["x", "", "01", "2"])
-def test_piece_and_piece_matrix_reject_other_bits(bit):
-    model = default_model()
-    with pytest.raises(ValueError, match="schedule bit"):
-        model.piece(bit)
-    with pytest.raises(ValueError, match="schedule bit"):
-        piece_matrix(model, bit)
+    # Of the four two-drop schedules (heights 2, 2, 3/2, 3) "10" stacks lowest.
+    assert min_rate_exhaustive(model, 2) == RateScan(2, Fraction(3, 4), ("10",))
 
 
 def test_heap_height_matches_word_matrix():
     model = default_model()
+    heights = []
     for bits in product("01", repeat=6):
         w = "".join(bits)
-        matrix = word_matrix(model, w)
+        matrix = _word_matrix_oracle(model, w)
         finite = [x for row in matrix for x in row if x is not None]
-        assert heap_height(w, model) == max(finite)
+        assert _heap_height_oracle(w, model) == max(finite)
+        heights.append(max(finite))
+    assert min_rate_exhaustive(model, 6).min_rate == min(heights) / 6
 
 
 @given(words_st, words_st)
 def test_word_matrix_is_multiplicative(u, v):
     model = default_model()
-    left = word_matrix(model, u + v)
-    right = maxplus_matmul(word_matrix(model, v), word_matrix(model, u))
+    left = _word_matrix_oracle(model, u + v)
+    right = maxplus_matmul(_word_matrix_oracle(model, v), _word_matrix_oracle(model, u))
     assert left == right
 
 
 @given(words_st)
 def test_height_dominates_cycle_mean(w):
     model = default_model()
-    assert heap_height(w, model) >= max_cycle_mean(word_matrix(model, w))
+    assert _heap_height_oracle(w, model) >= max_cycle_mean(_word_matrix_oracle(model, w))
+    assert _heap_height_oracle(w, model) >= cycle_rate(w, model) * len(w)
 
 
 def test_pure_schedule_rates():
     model = default_model()
     assert cycle_rate("0", model) == Fraction(1)
     assert cycle_rate("1", model) == Fraction(3, 2)
+    with pytest.raises(ValueError, match="nonempty schedule"):
+        cycle_rate("", model)
 
 
 def test_balanced_third_is_the_optimum():
@@ -293,8 +284,9 @@ def test_uniform_contours_are_degenerate():
     )
     rates = {cycle_rate(w, model) for w in ("0", "1", "01", "0011", "010011")}
     assert rates == {Fraction(2)}
-    for bits in product("01", repeat=6):
-        assert heap_height("".join(bits), model) == 12
+    scan = min_rate_exhaustive(model, 6)
+    assert scan.min_rate == 2
+    assert scan.argmin == tuple("".join(bits) for bits in product("01", repeat=6))
 
 
 def test_max_cycle_mean_requires_a_cycle():
@@ -322,8 +314,11 @@ def test_model_serialization_round_trip(tmp_path):
 
 def test_piece_matrix_shape():
     model = default_model()
-    matrix = piece_matrix(model, "0")
+    d, (matrix, _) = model._integer_form
+    assert d == 2
     assert len(matrix) == 3 and all(len(row) == 3 for row in matrix)
     # Column 2 is untouched by piece0: identity row.
-    assert matrix[2][2] == Fraction(0)
+    assert matrix[2][2] == 0
     assert matrix[2][0] is None and matrix[2][1] is None
+    scaled = [[None if x is None else Fraction(x, d) for x in row] for row in matrix]
+    assert scaled == _piece_matrix_oracle(model, "0")

@@ -14,7 +14,6 @@ from sturmlab.measures import (
     LeastElementScan,
     _first_violation,
     _orbit_support,
-    convex_order_leq,
     convex_order_witness,
     cosine_objective,
     maximize_over_orbits,
@@ -63,8 +62,7 @@ def test_point_mass_at_zero():
 def test_convex_order_balanced_below_clumped():
     balanced = orbit_measure("00101")
     clumped = orbit_measure("00011")
-    assert convex_order_leq(balanced, clumped)
-    assert not convex_order_leq(clumped, balanced)
+    assert convex_order_witness(balanced, clumped) is None
     witness = convex_order_witness(clumped, balanced)
     assert witness is not None  # a kink where the order fails
     assert witness == _witness_oracle(clumped, balanced)
@@ -72,7 +70,7 @@ def test_convex_order_balanced_below_clumped():
 
 def test_convex_order_requires_equal_barycenters():
     with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 1/4$"):
-        convex_order_leq(orbit_measure("01"), orbit_measure("0001"))
+        convex_order_witness(orbit_measure("01"), orbit_measure("0001"))
 
 
 def test_signed_sweep_requires_cancelling_mass_and_barycenter():
@@ -101,7 +99,7 @@ def test_mixtures_preserve_barycenter_and_dominate(q_index, numerator):
     t = Fraction(numerator, 21)
     mixed = mixture(competitors[:2], [t, 1 - t])
     assert mixed.barycenter == Fraction(p, q)
-    assert convex_order_leq(mu, mixed)
+    assert convex_order_witness(mu, mixed) is None
 
 
 def _orbit_reps(p, q):
@@ -162,7 +160,7 @@ def test_witness_matches_per_threshold_oracle(data, q):
 
 
 # The DiscreteMeasure forms that the signed integer sweep replaces: every
-# mixture is built with `mixture` and compared with `convex_order_leq`, and
+# mixture is built with `mixture` and compared with `convex_order_witness`, and
 # every scored orbit is a validated `orbit_measure`.
 
 
@@ -179,14 +177,14 @@ def _verify_sturmian_least_oracle(q_max, mixtures_per_pair, seed):
                 for k in range(1, q_max // q + 1)
                 for o in enumerate_orbits(k * p, k * q)
             ]
-            bad = [mu.word for mu in pool if not convex_order_leq(sturmian, mu)]
+            bad = [mu.word for mu in pool if convex_order_witness(sturmian, mu) is not None]
             for _ in range(mixtures_per_pair):
                 size = rng.randint(2, min(4, len(pool))) if len(pool) >= 2 else 1
                 chosen = rng.sample(pool, size)
                 raw = [Fraction(rng.randint(1, 100)) for _ in chosen]
                 total = sum(raw)
                 blend = mixture(chosen, [c / total for c in raw])
-                if not convex_order_leq(sturmian, blend):
+                if convex_order_witness(sturmian, blend) is not None:
                     bad.append("mixture:" + "+".join(mu.word for mu in chosen))
             scans.append(LeastElementScan(p, q, len(pool), mixtures_per_pair, tuple(bad)))
     return scans

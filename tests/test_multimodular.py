@@ -129,5 +129,7 @@ def test_window_average_accepts_mechanical_source():
 
 def test_window_average_needs_enough_symbols():
     J = convex_window_load(3)
-    with pytest.raises(ValueError):
-        window_average(J, iter("0101"), 10)
+    with pytest.raises(ValueError, match="empty word"):
+        window_average(J, "", 10)
+    with pytest.raises(TypeError, match="unsupported symbol source"):
+        window_average(J, iter("0101" * 5), 10)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlab import queueing
 from sturmlab.queueing import (
     QueueConfig,
     QueueSummary,
@@ -128,6 +129,16 @@ def test_completions_small_cases(arrivals):
     arrivals = np.asarray(arrivals, dtype=np.float64)
     for service_time in (1e-300, 2.0):
         assert _same_bits(_completions(arrivals, service_time), _completions_oracle(arrivals, service_time))
+
+
+def test_departure_at_an_arrival_instant_is_counted(monkeypatch):
+    # Arrivals 1, 2, 3, ... with s = 1: every customer leaves exactly when the
+    # next arrives, and the event loop pops a departure at the arrival instant
+    # (pending[0] <= now), so each arrival finds only itself in the system.
+    arrivals = np.arange(1.0, 51.0)
+    monkeypatch.setattr(queueing, "_arrival_times", lambda seed, mean, horizon: arrivals[:horizon])
+    config = QueueConfig(1.0, 1.0, 50, 0, "1")
+    assert simulate_queue(config) == QueueSummary(0, Fraction(1), 50, 1.0, 1, 50)
 
 
 def test_rejecting_everyone_matches_event_loop():

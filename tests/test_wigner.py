@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from sturmlab.wigner import (
     TIE_MARGIN,
+    _pair_offsets,
+    _PairTable,
     GroundStateReport,
     OrbitEnergy,
     anti_coulomb,
@@ -18,7 +20,6 @@ from sturmlab.wigner import (
     ground_state,
     inverse_power,
     is_convex_decreasing,
-    ring_energy,
     screened,
 )
 from sturmlab.words import balanced_orbit, enumerate_orbits, is_balanced
@@ -101,6 +102,16 @@ def _ground_state_oracle(p, q, potential, images):
     return GroundStateReport(p, q, potential, rows, minimum, argmin, balanced, exact)
 
 
+def _ring_energy(w, potential, images=0):
+    """Energy of ``w`` through the per-offset table that ground_state reads."""
+    return _PairTable(potential, len(w), images).energy(_pair_offsets(w))
+
+
+def _energies(p, q, potential, images=0):
+    """ground_state's energy per orbit representative."""
+    return {r.orbit.representative: r.energy for r in ground_state(p, q, potential, images).rows}
+
+
 def _outcome(call, *args):
     """A result by repr (type and float bits included), or the error raised."""
     try:
@@ -110,7 +121,7 @@ def _outcome(call, *args):
 
 
 @given(
-    st.text(alphabet="01", max_size=14),
+    st.text(alphabet="01", min_size=1, max_size=14),
     st.sampled_from(POTENTIALS),
     st.integers(min_value=0, max_value=3),
 )
@@ -119,9 +130,9 @@ def test_ring_energy_matches_pair_oracle(w, potential, images):
         want = _ring_energy_oracle(w, potential, images)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
-            ring_energy(w, potential, images)
+            _ring_energy(w, potential, images)
         return
-    got = ring_energy(w, potential, images)
+    got = _ring_energy(w, potential, images)
     assert type(got) is type(want)
     assert got == want
 
@@ -154,28 +165,24 @@ def test_float_energies_tie_within_the_margin():
 
 
 def test_four_site_fixture():
-    spread = ring_energy("0101", coulomb())
-    clumped = ring_energy("0011", coulomb())
-    assert spread == Fraction(1, 2)
-    assert clumped == Fraction(1)
-    assert spread < clumped
+    assert _energies(2, 4, coulomb()) == {"0011": Fraction(1), "0101": Fraction(1, 2)}
 
 
 def test_energy_is_exact_for_rational_potentials():
-    assert isinstance(ring_energy("00101", coulomb()), Fraction)
-    assert isinstance(ring_energy("00101", inverse_power(3)), Fraction)
-    assert isinstance(ring_energy("00101", exponential_decay(1.0)), float)
+    kinds = ((coulomb(), Fraction), (inverse_power(3), Fraction), (exponential_decay(1.0), float))
+    for potential, kind in kinds:
+        assert {type(e) for e in _energies(2, 5, potential).values()} == {kind}
 
 
 @given(words_st, st.integers(min_value=0, max_value=11))
 def test_energy_is_rotation_invariant(w, k):
     k %= len(w)
-    assert ring_energy(w[k:] + w[:k], coulomb()) == ring_energy(w, coulomb())
+    assert _ring_energy(w[k:] + w[:k], coulomb()) == _ring_energy(w, coulomb())
 
 
 @given(words_st)
 def test_energy_is_reflection_invariant(w):
-    assert ring_energy(w[::-1], coulomb()) == ring_energy(w, coulomb())
+    assert _ring_energy(w[::-1], coulomb()) == _ring_energy(w, coulomb())
 
 
 def test_ground_state_two_fifths():
@@ -213,16 +220,14 @@ def test_convexity_classifier():
 
 def test_images_tighten_toward_infinite_ring():
     for potential in (inverse_power(3), exponential_decay(1.0)):
-        shallow = ring_energy("0101", potential, images=1)
-        deep = ring_energy("0101", potential, images=6)
-        deeper = ring_energy("0101", potential, images=12)
+        shallow, deep, deeper = (_energies(2, 4, potential, k)["0101"] for k in (1, 6, 12))
         assert float(shallow) <= float(deep) <= float(deeper)
         assert abs(float(deeper) - float(deep)) < abs(float(deep) - float(shallow)) + 1e-15
 
 
 def test_coulomb_images_diverge():
     with pytest.raises(ValueError, match="diverges"):
-        ring_energy("0101", coulomb(), images=3)
+        ground_state(2, 4, coulomb(), images=3)
 
 
 def test_ground_state_with_images_not_marked_exact():

@@ -155,7 +155,7 @@ def test_mechanical_word_rejects_exact_slope_just_above_one():
     with mpmath.workprec(192):
         above_one = mpmath.mpf(1) + mpmath.mpf(2) ** -100
     with pytest.raises(ValueError, match="slope"):
-        mechanical_word(above_one, 5, bits=192)
+        mechanical_word(above_one, 5)
     with pytest.raises(ValueError, match="slope"):
         mechanical_word(-0.5, 5)
 
@@ -175,7 +175,7 @@ def test_mechanical_word_density_converges():
 
 def test_mechanical_word_irrational_slope_balanced():
     gamma = (3 - math.sqrt(5)) / 2
-    w = mechanical_word(gamma, 200, bits=192)
+    w = mechanical_word(gamma, 200)
     assert is_balanced(w)
     assert abs(one_length(w) / 200 - gamma) < 1 / 200
 
@@ -216,13 +216,42 @@ def test_float_mechanical_word_matches_mpmath_oracle(gamma, n, delta):
     assert mechanical_word(gamma, n, delta) == _mechanical_mpmath_oracle(gamma, n, delta, 128)
 
 
-def test_mechanical_word_rejects_precision_below_a_double():
-    gamma = mpmath.mpf(0.3)
-    assert mechanical_word(gamma, 20, bits=53) == _mechanical_mpmath_oracle(gamma, 20, 0, 53)
-    with pytest.raises(ValueError, match="bits"):
-        mechanical_word(gamma, 20, bits=52)
-    with pytest.raises(ValueError, match="bits"):
-        mechanical_word(Fraction(1, 3), 20, mpmath.mpf(0.25), bits=0)
+def _dyadic(man: int, exp: int) -> Fraction:
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@st.composite
+def mpf_parts(draw, below_one: bool):
+    """(man, exp) with man * 2**exp in [0, 1], or [0, 1) when ``below_one``."""
+    width = draw(st.integers(min_value=1, max_value=256))
+    man = draw(st.integers(min_value=0, max_value=2**width - below_one))
+    return man, -width - draw(st.integers(min_value=0, max_value=40))
+
+
+@settings(deadline=None, max_examples=50)
+@given(mpf_parts(False), st.integers(min_value=0, max_value=3000), mpf_parts(True))
+@example((2**199 - 1, -200), 3000, (0, 0))
+@example((1, -1), 3000, (2**256 - 1, -256))
+@example((2**256 - 1, -256), 3000, (2**256 - 1, -296))
+def test_mpf_mechanical_word_matches_exact_oracles(gamma_parts, n, delta_parts):
+    with mpmath.workprec(300):
+        gamma, delta = mpmath.mpf(gamma_parts), mpmath.mpf(delta_parts)
+    w = mechanical_word(gamma, n, delta)
+    # k*gamma + delta for k <= 3001 spans at most 12 bits above the binary point
+    # and 296 below it, so 320 bits of mpmath are exact.
+    assert w == _mechanical_mpmath_oracle(gamma, n, delta, 320)
+    assert w == _mechanical_oracle(_dyadic(*gamma_parts), n, _dyadic(*delta_parts))
+
+
+def test_mpf_slope_just_below_a_rational_is_read_exactly():
+    for p, q in ((1, 3), (2, 7), (5, 12), (10, 39)):
+        with mpmath.workprec(192):
+            gamma = mpmath.mpf(p) / q - mpmath.mpf(2) ** -150
+        exact = _dyadic(*gamma.man_exp)
+        assert mechanical_word(gamma, 4 * q) == _mechanical_oracle(exact, 4 * q, Fraction(0))
+    with mpmath.workprec(192):
+        third = mpmath.mpf(1) / 3 - mpmath.mpf(2) ** -150
+    assert mechanical_word(third, 12) == "001001001001"
 
 
 def test_mechanical_phase_shifts_word_not_density():
@@ -237,7 +266,7 @@ def test_mechanical_phase_shifts_word_not_density():
 
 def test_sturmian_complexity_is_n_plus_one():
     for gamma in ((3 - math.sqrt(5)) / 2, math.sqrt(2) - 1):
-        w = mechanical_word(gamma, 600, bits=192)
+        w = mechanical_word(gamma, 600)
         for n in range(1, 17):
             assert complexity(w, n) == n + 1
 
@@ -421,6 +450,7 @@ def test_mechanical_spec_prefix_matches_function():
 def test_symbol_stream_sources():
     assert symbol_stream("01", 5) == "01010"
     assert symbol_stream(MechanicalSpec(Fraction(2, 5)), 10) == "0101001010"
-    assert symbol_stream(iter("110110"), 4) == "1101"
-    with pytest.raises(ValueError):
-        symbol_stream(iter("11"), 4)
+    with pytest.raises(ValueError, match="empty word"):
+        symbol_stream("", 4)
+    with pytest.raises(TypeError, match="unsupported symbol source"):
+        symbol_stream(iter("01"), 2)
