@@ -5,7 +5,9 @@ it lands the lower contour on the current heights and rewrites the touched
 columns from the upper contour.  A 0-1 word schedules which piece falls.  The
 asymptotic growth rate of a periodic schedule is the maximum cycle mean of
 the word's max-plus matrix, computed exactly with Karp's algorithm, and the
-minimum over schedules is attained on balanced words.
+minimum over schedules is attained on balanced words.  The least height of n
+drops comes from a Pareto frontier of height profiles, and all schedules that
+reach it from a depth-first search that cuts only hopeless prefixes.
 
 Every drop and matrix product runs one integer max-plus inner product: a model
 scales its piece matrices once by d, the lcm of the contours' denominators,
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,10 +47,6 @@ Number = Union[Fraction, int]
 MAX_EXHAUSTIVE_N = 20
 
 
-def _fractions(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class Piece:
     """Columns plus aligned lower/upper contour heights (lower min is 0)."""
@@ -57,9 +56,11 @@ class Piece:
     upper: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
-        object.__setattr__(self, "lower", _fractions(self.lower))
-        object.__setattr__(self, "upper", _fractions(self.upper))
+        object.__setattr__(self, "columns", tuple(self.columns))
+        if any(type(c) is not int for c in self.columns):
+            raise ValueError(f"piece columns must be integers, got {list(self.columns)}")
+        object.__setattr__(self, "lower", tuple(Fraction(v) for v in self.lower))
+        object.__setattr__(self, "upper", tuple(Fraction(v) for v in self.upper))
         if not self.columns:
             raise ValueError("a piece must occupy at least one column")
         if len(set(self.columns)) != len(self.columns):
@@ -194,26 +195,52 @@ class RateScan:
     argmin: tuple[str, ...]
 
 
+def _frontier_minima(matrices, start: tuple, n: int) -> list[int]:
+    """Least top height after r drops from ``start`` (None is -infinity), for r = 0..n.
+
+    Each depth keeps only its Pareto-minimal profiles: drops are monotone, so a dominated
+    profile never ends lower, and sorted with None first a profile follows all that dominate it.
+    """
+    frontier = [start]
+    minima = [max(x for x in start if x is not None)]
+    for _ in range(n):
+        profiles = sorted({_apply(m, h) for h in frontier for m in matrices},
+                          key=lambda h: [(x is not None, x or 0) for x in h])
+        frontier = []
+        for h in profiles:
+            if not any(all(a is None or (b is not None and a <= b) for a, b in zip(g, h)) for g in frontier):
+                frontier.append(h)
+        minima.append(min(max(x for x in h if x is not None) for h in frontier))
+    return minima
+
+
 def min_rate_exhaustive(model: HeapModel, n: int) -> RateScan:
-    """Minimum of h(w)/n over all 2^n schedules, with the full argmin set."""
+    """Minimum of h(w)/n over all 2^n schedules, with the full argmin set.
+
+    The minimum is the frontier minimum from the ground.  The argmin comes from
+    a depth-first search that cuts a prefix with heights h and r drops left only
+    when max_j h_j + tails[r][j], with tails[r][j] the r-drop frontier minimum
+    from 0 on column j alone, is strictly above it: ties survive, so it is exact.
+    """
     if not 1 <= n <= MAX_EXHAUSTIVE_N:
         raise ValueError(f"n={n} outside 1..{MAX_EXHAUSTIVE_N}")
     d, (zero, one) = model._integer_form
-    best: Optional[int] = None
+    columns = range(model.num_columns)
+    ground = (0,) * model.num_columns
+    best = _frontier_minima((zero, one), ground, n)[n]
+    units = [tuple(0 if i == j else None for i in columns) for j in columns]
+    tails = list(zip(*(_frontier_minima((zero, one), unit, n) for unit in units)))
     argmin: list[str] = []
-    stack = [((0,) * model.num_columns, "")]
+    stack = [(ground, "")]
     while stack:
         heights, prefix = stack.pop()
-        if len(prefix) == n:
-            height = max(heights)
-            if best is None or height < best:
-                best = height
-                argmin = [prefix]
-            elif height == best:
-                argmin.append(prefix)
+        left = n - len(prefix)
+        if max(map(operator.add, heights, tails[left])) > best:
             continue
-        stack.append((_apply(zero, heights), prefix + "0"))
-        stack.append((_apply(one, heights), prefix + "1"))
+        if left:
+            stack += (_apply(zero, heights), prefix + "0"), (_apply(one, heights), prefix + "1")
+        else:
+            argmin.append(prefix)
     return RateScan(n, Fraction(best, n * d), tuple(sorted(argmin)))
 
 
@@ -255,7 +282,7 @@ def model_from_dict(data: dict) -> HeapModel:
         num_columns = int(data["num_columns"])
         pieces = [
             Piece(
-                tuple(int(c) for c in data[key]["columns"]),
+                tuple(data[key]["columns"]),
                 tuple(Fraction(str(v)) for v in data[key]["lower"]),
                 tuple(Fraction(str(v)) for v in data[key]["upper"]),
             )

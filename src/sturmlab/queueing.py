@@ -191,11 +191,14 @@ def queue_config_from_dict(data: dict) -> QueueConfig:
         numbers = dict(
             mean_interarrival=float(data.get("mean_interarrival", 1.0)),
             service_time=float(data.get("service_time", 2.0)),
-            horizon=int(data.get("horizon", 10_000)),
-            seed=int(data.get("seed", 0)),
+            horizon=data.get("horizon", 10_000),
+            seed=data.get("seed", 0),
         )
     except TypeError as exc:
         raise ValueError(f"queue config numbers: {exc}") from None
+    for key in ("horizon", "seed"):
+        if type(numbers[key]) is not int:
+            raise ValueError(f"queue config {key!r} must be an integer, got {numbers[key]!r}")
     return QueueConfig(admission=admission, **numbers)
 
 

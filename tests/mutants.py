@@ -78,6 +78,17 @@ MUTANTS = (
     Mutant("heaps-rate-unscaled", "heaps.py",
            "return max_cycle_mean(matrix) / (len(w) * d)", "return max_cycle_mean(matrix) / len(w)",
            ("tests/test_heaps.py::test_integer_product_matches_fraction_oracles",)),
+    Mutant("heaps-bound-ge", "heaps.py",
+           "if max(map(operator.add, heights, tails[left])) > best:",
+           "if max(map(operator.add, heights, tails[left])) >= best:",
+           ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
+    Mutant("heaps-tails-from-ground", "heaps.py",
+           "units = [tuple(0 if i == j else None for i in columns) for j in columns]",
+           "units = [ground for j in columns]",
+           ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
+    Mutant("heaps-pareto-any-coordinate", "heaps.py",
+           "if not any(all(", "if not any(any(",
+           ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
     Mutant("measures-gap-ge", "measures.py",
            "if gap > 0:", "if gap >= 0:",
            ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),

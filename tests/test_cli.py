@@ -238,6 +238,9 @@ _PIECE = {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1", "1"]}
         ("heaps schedule", "--model", {"num_columns": 3, "piece0": dict(_PIECE, columns=5), "piece1": _PIECE}),
         ("heaps schedule", "--model", {"num_columns": 3, "piece0": [_PIECE], "piece1": _PIECE}),
         ("heaps schedule", "--model", [3]),
+        ("queue run", "--config", {"horizon": 2.7, "admission": "01"}),
+        ("queue compete", "--config", {"seed": 0.5, "admission": "01"}),
+        ("heaps scan", "--model", {"num_columns": 3, "piece0": dict(_PIECE, columns=[0.5, 1]), "piece1": _PIECE}),
     ],
 )
 def test_malformed_json_is_usage_error(tmp_path, capsys, verb, flag, data):

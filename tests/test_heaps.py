@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmlab.heaps import (
+    _apply,
     HeapModel,
     Piece,
     best_balanced_schedule,
@@ -138,6 +139,34 @@ def _min_rate_oracle(model, n):
     return best / n, tuple(sorted(argmin))
 
 
+def _min_rate_dfs_oracle(model, n):
+    """Every schedule of length n, walked depth-first on the integer drop matrices."""
+    d, (zero, one) = model._integer_form
+    best, argmin = None, []
+    stack = [((0,) * model.num_columns, "")]
+    while stack:
+        heights, prefix = stack.pop()
+        if len(prefix) == n:
+            height = max(heights)
+            if best is None or height < best:
+                best, argmin = height, [prefix]
+            elif height == best:
+                argmin.append(prefix)
+            continue
+        stack.append((_apply(zero, heights), prefix + "0"))
+        stack.append((_apply(one, heights), prefix + "1"))
+    return RateScan(n, Fraction(best, n * d), tuple(sorted(argmin)))
+
+
+def uniform_model():
+    """Both pieces flat with thickness 2 on overlapping columns: every schedule ties."""
+    return HeapModel(
+        num_columns=2,
+        piece0=Piece((0, 1), (0, 0), (1, 2)),
+        piece1=Piece((0, 1), (0, 0), (2, 1)),
+    )
+
+
 @st.composite
 def heap_models(draw):
     """1-4 columns, every column covered, contours with mixed denominators."""
@@ -174,6 +203,24 @@ def test_integer_product_matches_fraction_oracles(model, n, schedules):
             assert maxplus_matmul(_piece_matrix_oracle(model, w[-1]), head) == expected
 
 
+@settings(deadline=None, max_examples=100)
+@given(heap_models(), st.integers(min_value=1, max_value=12))
+def test_min_rate_matches_exhaustive_dfs_oracle(model, n):
+    assert repr(min_rate_exhaustive(model, n)) == repr(_min_rate_dfs_oracle(model, n))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_min_rate_matches_dfs_oracle_on_default_model(n):
+    model = default_model()
+    assert repr(min_rate_exhaustive(model, n)) == repr(_min_rate_dfs_oracle(model, n))
+
+
+def test_min_rate_keeps_every_tied_schedule():
+    scan = min_rate_exhaustive(uniform_model(), 12)
+    assert len(scan.argmin) == 4096
+    assert repr(scan) == repr(_min_rate_dfs_oracle(uniform_model(), 12))
+
+
 @given(words_st, words_st)
 def test_maxplus_matmul_matches_triple_loop(u, v):
     model = default_model()
@@ -189,6 +236,17 @@ def test_piece_validation():
         Piece((0, 1), (1, 2), (3, 3))  # lower contour not grounded at 0
     with pytest.raises(ValueError):
         Piece((0, 1), (0, 0), (1, -1))  # upper below lower
+
+
+def test_piece_columns_must_be_integers():
+    with pytest.raises(ValueError, match="columns must be integers"):
+        Piece((0.5, 1), (0, 0), (1, 1))
+    with pytest.raises(ValueError, match="columns must be integers"):
+        Piece((True, 2), (0, 0), (1, 1))
+    data = json.loads(README_MODEL_JSON)
+    data["piece0"]["columns"] = [0.5, 1]
+    with pytest.raises(ValueError, match="columns must be integers"):
+        model_from_dict(data)
 
 
 def test_model_requires_column_cover():
@@ -275,13 +333,8 @@ def test_symmetric_model_prefers_alternation(symmetric_model):
 
 
 def test_uniform_contours_are_degenerate():
-    # Both pieces flat with thickness 2 on overlapping columns: every
-    # schedule stacks to the same height, so the word cannot matter.
-    model = HeapModel(
-        num_columns=2,
-        piece0=Piece((0, 1), (0, 0), (1, 2)),
-        piece1=Piece((0, 1), (0, 0), (2, 1)),
-    )
+    # Every schedule stacks to the same height, so the word cannot matter.
+    model = uniform_model()
     rates = {cycle_rate(w, model) for w in ("0", "1", "01", "0011", "010011")}
     assert rates == {Fraction(2)}
     scan = min_rate_exhaustive(model, 6)

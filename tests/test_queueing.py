@@ -253,6 +253,14 @@ def test_invalid_config_rejected():
                 queue_config_from_dict({key: value})
 
 
+def test_config_integers_are_not_truncated():
+    config = queue_config_from_dict({"horizon": 7, "seed": 3, "admission": "01"})
+    assert (config.horizon, config.seed) == (7, 3)
+    for key, value in (("horizon", 2.7), ("horizon", 3.0), ("horizon", "5"), ("seed", 1.5), ("seed", True)):
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            queue_config_from_dict({key: value, "admission": "01"})
+
+
 def test_missing_gamma_is_named():
     with pytest.raises(ValueError, match="'gamma'"):
         queue_config_from_dict({"admission": {"delta": "0"}})
