@@ -90,9 +90,8 @@ def _check_jsr_golden_ratio() -> tuple[bool, str]:
 
 def _check_alpha_star_digits() -> tuple[bool, str]:
     """Two independent expansions of the threshold constant agree."""
-    ctx = jsr.PrecisionContext(bits=256)
-    via_tau = jsr.alpha_star_tau(12, ctx)
-    via_rho = jsr.alpha_inverse(words.ContinuedFraction((1,) * 14), 12, ctx)
+    via_tau = jsr.alpha_star_tau(12)
+    via_rho = jsr.alpha_inverse(words.ContinuedFraction((1,) * 14), 12)
     digits = jsr.matching_digits(via_tau.value)
     cross = abs(via_tau.value - via_rho.value)
     ok = digits >= 30 and cross < 1e-25

@@ -142,15 +142,17 @@ def _measures_verify(args):
     return parameters, rows, 0 if all(s.passed for s in scans) else 1
 
 
+_OBJECTIVES = {"tent": measures.tent_objective, "cosine": measures.cosine_objective}
+
+
 def _measures_peaks(args):
     if args.grid < 1:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
-    thetas = [k / args.grid for k in range(args.grid)]
-    scan = measures.peak_objective_scan(thetas, args.max_period, args.kind)
-    rows = [
-        (r["theta"], r["kind"], r["word"], r["ratio"], r["value"], r["balanced"])
-        for r in scan
-    ]
+    objective = _OBJECTIVES[args.kind]
+    rows = []
+    for theta in (k / args.grid for k in range(args.grid)):
+        mu, value = measures.maximize_over_orbits(objective(theta), args.max_period)
+        rows.append((theta, args.kind, mu.word, mu.barycenter, value, words.is_balanced(mu.word)))
     return {"grid": args.grid, "max_period": args.max_period, "kind": args.kind}, rows, 0
 
 
@@ -246,7 +248,7 @@ def _jsr_scan_ratio(args):
 
 
 def _jsr_alpha_star(args) -> str:
-    estimate = jsr.alpha_star_tau(args.terms, jsr.PrecisionContext(bits=args.bits))
+    estimate = jsr.alpha_star_tau(args.terms, bits=args.bits)
     lines = [
         f"alpha_star = {mp.nstr(estimate.value, 45)}",
         f"bracket_width <= {mp.nstr(estimate.error, 5)}",
@@ -392,7 +394,7 @@ VERBS: dict[str, Verb] = {
         (
             _arg("--grid", type=int, default=32, help="number of peak positions"),
             _arg("--max-period", type=int, default=8),
-            _arg("--kind", choices=("tent", "cosine"), default="tent"),
+            _arg("--kind", choices=tuple(_OBJECTIVES), default="tent"),
         ),
         ("theta", "kind", "best_word", "ratio", "value", "is_balanced"),
     ),

@@ -82,6 +82,8 @@ class HeapModel:
     piece1: Piece
 
     def __post_init__(self):
+        if type(self.num_columns) is not int:
+            raise ValueError(f"num_columns must be an integer, got {self.num_columns!r}")
         if self.num_columns < 1:
             raise ValueError("need at least one column")
         for piece in (self.piece0, self.piece1):
@@ -279,7 +281,7 @@ def best_balanced_schedule(model: HeapModel, q_max: int) -> ScheduleReport:
 def model_from_dict(data: dict) -> HeapModel:
     """Build a HeapModel from parsed JSON; contours accept 'p/q' strings."""
     try:
-        num_columns = int(data["num_columns"])
+        num_columns = data["num_columns"]
         pieces = [
             Piece(
                 tuple(data[key]["columns"]),

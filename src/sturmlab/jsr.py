@@ -45,7 +45,6 @@ __all__ = [
     "StandardMatrixSequence",
     "standard_matrices",
     "tau_sequence",
-    "PrecisionContext",
     "PrecisionError",
     "AlphaEstimate",
     "alpha_inverse",
@@ -313,17 +312,6 @@ def tau_sequence(n_max: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class PrecisionContext:
-    """Working precision for the log-domain alpha evaluations."""
-
-    bits: int = 256
-
-    def __post_init__(self):
-        if self.bits < 128:
-            raise PrecisionError(f"need at least 128 bits, got {self.bits}")
-
-
-@dataclass(frozen=True)
 class StandardMatrixSequence:
     """B_{-1} = A1, B_0 = A0, B_{n+1} = B_n^{a_{n+1}} B_{n-1}.
 
@@ -397,7 +385,9 @@ class AlphaEstimate:
     bits: int
 
 
-def _check_terms(terms: int):
+def _check_terms(terms: int, bits: int):
+    if bits < 128:
+        raise PrecisionError(f"need at least 128 bits, got {bits}")
     if terms < 3:
         raise ValueError("need at least 3 terms for a bracketed estimate")
     if terms > MAX_ALPHA_TERMS:
@@ -407,25 +397,24 @@ def _check_terms(terms: int):
         )
 
 
-def alpha_inverse(
-    gamma_cf: ContinuedFraction, terms: int, ctx: PrecisionContext = PrecisionContext()
-) -> AlphaEstimate:
+def alpha_inverse(gamma_cf: ContinuedFraction, terms: int, bits: int = 256) -> AlphaEstimate:
     """Deformation threshold of the slope described by gamma_cf.
 
     Evaluates the alternating product over n of
     (rho_n^{a_{n+1}} rho_{n-1} / rho_{n+1})^{(-1)^n q_n} together with the
     closed two-term form (rho_n^{q_{n+1}} / rho_{n+1}^{q_n})^{(-1)^n} at the
-    truncation depth, using exact traces and log-domain arithmetic.
+    truncation depth, using exact traces and log-domain arithmetic at
+    ``bits`` of working precision (at least 128).
     """
-    _check_terms(terms)
+    _check_terms(terms, bits)
     quotients = gamma_cf.partial_quotients
     if len(quotients) < terms + 1:
         raise ValueError(
             f"need at least terms + 1 = {terms + 1} partial quotients, "
             f"got {len(quotients)}"
         )
-    with mp.workprec(ctx.bits):
-        sequence = standard_matrices(gamma_cf, bits=ctx.bits)
+    with mp.workprec(bits):
+        sequence = standard_matrices(gamma_cf, bits)
         q = [pair[1] for pair in gamma_cf.convergents]
         log_rho = [mp.log(r) if r > 1 else mp.mpf(0) for r in sequence.rho]
         partials = []
@@ -439,23 +428,23 @@ def alpha_inverse(
         limit_exponent = (-1) ** terms * (q[i + 1] * log_rho[i] - q[i] * log_rho[i + 1])
         limit_form = mp.e**limit_exponent
         error = abs(partials[-1] - partials[-2])
-        return AlphaEstimate(partials[-1], error, limit_form, tuple(partials), terms, ctx.bits)
+        return AlphaEstimate(partials[-1], error, limit_form, tuple(partials), terms, bits)
 
 
-def alpha_star_tau(terms: int, ctx: PrecisionContext = PrecisionContext()) -> AlphaEstimate:
+def alpha_star_tau(terms: int, bits: int = 256) -> AlphaEstimate:
     """Golden-mean deformation threshold from the trace recurrence alone.
 
     Evaluates the alternating product over n >= 1 of
     (1 - tau_{n-1} / (tau_n tau_{n+1}))^{(-1)^n F_{n+1}} with exact integer
     taus, plus the closed form (tau_n^{F_{n+1}} / tau_{n+1}^{F_n})^{(-1)^n}
-    at the truncation depth.
+    at the truncation depth, at ``bits`` of working precision (at least 128).
     """
-    _check_terms(terms)
+    _check_terms(terms, bits)
     taus = tau_sequence(terms + 1)
     fibs = [0, 1]
     while len(fibs) <= terms + 2:
         fibs.append(fibs[-1] + fibs[-2])
-    with mp.workprec(ctx.bits):
+    with mp.workprec(bits):
         partials = []
         acc = mp.mpf(0)
         for n in range(1, terms + 1):
@@ -468,19 +457,18 @@ def alpha_star_tau(terms: int, ctx: PrecisionContext = PrecisionContext()) -> Al
         )
         limit_form = mp.e**limit_exponent
         error = abs(partials[-1] - partials[-2])
-        return AlphaEstimate(partials[-1], error, limit_form, tuple(partials), terms, ctx.bits)
+        return AlphaEstimate(partials[-1], error, limit_form, tuple(partials), terms, bits)
 
 
-def matching_digits(value, reference: str = ALPHA_STAR_DECIMAL) -> int:
-    """Count of agreeing decimal digits after '0.' against a reference string."""
-    digits = len(reference) - 2
+def matching_digits(value) -> int:
+    """Count of agreeing decimal digits after '0.' against ALPHA_STAR_DECIMAL."""
     if not isinstance(value, mp.mpf):
         value = mp.mpf(value)
-    rendered = mp.nstr(value, digits + 2, strip_zeros=False)
-    if rendered[:2] != reference[:2]:
+    rendered = mp.nstr(value, len(ALPHA_STAR_DECIMAL), strip_zeros=False)
+    if rendered[:2] != ALPHA_STAR_DECIMAL[:2]:
         return 0
     count = 0
-    for ours, theirs in zip(rendered[2:], reference[2:]):
+    for ours, theirs in zip(rendered[2:], ALPHA_STAR_DECIMAL[2:]):
         if ours != theirs:
             break
         count += 1

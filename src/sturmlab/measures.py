@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cyclic import binary_value
 from .words import (
@@ -23,7 +23,6 @@ from .words import (
     check_word,
     enumerate_orbits,
     format_fraction,
-    is_balanced,
     minimal_period,
     rotations,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "maximize_over_orbits",
     "cosine_objective",
     "tent_objective",
-    "peak_objective_scan",
 ]
 
 
@@ -295,20 +293,3 @@ def tent_objective(theta: float) -> Callable[[float], float]:
         return 1 - 4 * min(d, 1 - d)
 
     return f
-
-
-def peak_objective_scan(
-    thetas: Iterable[float], max_period: int, kind: str = "tent"
-) -> list[dict]:
-    """Maximizing orbit per peak location; rows for CSV/JSON emission."""
-    factory = {"tent": tent_objective, "cosine": cosine_objective}.get(kind)
-    if factory is None:
-        raise ValueError(f"unknown objective kind {kind!r}; use 'tent' or 'cosine'")
-    rows = []
-    for theta in thetas:
-        mu, value = maximize_over_orbits(factory(theta), max_period)
-        rows.append(dict(
-            theta=theta, kind=kind, word=mu.word, ratio=format_fraction(mu.barycenter),
-            value=value, balanced=is_balanced(mu.word or ""),
-        ))
-    return rows

@@ -122,26 +122,26 @@ def window_average(J: LatticeFunction, source, n: int):
     return total / n
 
 
-def affine_function(coefficients: Sequence, constant=0, name: str = "affine") -> LatticeFunction:
+def affine_function(coefficients: Sequence, constant=0) -> LatticeFunction:
     """J(u) = c . u + b; multimodular with equality everywhere."""
     coefficients = tuple(coefficients)
 
     def fn(u):
         return sum(c * x for c, x in zip(coefficients, u)) + constant
 
-    return LatticeFunction(len(coefficients), fn, name)
+    return LatticeFunction(len(coefficients), fn, "affine")
 
 
-def convex_window_load(m: int, target: int = 1, name: str = "") -> LatticeFunction:
+def convex_window_load(m: int, target: int = 1) -> LatticeFunction:
     """J(u) = (u_1 + ... + u_m - target)^2; convex in the window sum."""
 
     def fn(u):
         return (sum(u) - target) ** 2
 
-    return LatticeFunction(m, fn, name or f"window-load(m={m},target={target})")
+    return LatticeFunction(m, fn, f"window-load(m={m},target={target})")
 
 
-def slotted_queue_backlog(m: int, name: str = "") -> LatticeFunction:
+def slotted_queue_backlog(m: int) -> LatticeFunction:
     """Backlog after m slots of a unit-service queue fed by the window.
 
     q_0 = 0 and q_i = max(q_{i-1} + u_i - 1, 0); J(u) = q_m.  Negative
@@ -155,14 +155,14 @@ def slotted_queue_backlog(m: int, name: str = "") -> LatticeFunction:
             backlog = max(backlog + x - 1, 0)
         return backlog
 
-    return LatticeFunction(m, fn, name or f"slotted-backlog(m={m})")
+    return LatticeFunction(m, fn, f"slotted-backlog(m={m})")
 
 
-def negative_product(name: str = "neg-product") -> LatticeFunction:
+def negative_product() -> LatticeFunction:
     """J(u) = -(u_1 * u_2); a classic non-multimodular fixture."""
-    return LatticeFunction(2, lambda u: -(u[0] * u[1]), name)
+    return LatticeFunction(2, lambda u: -(u[0] * u[1]), "neg-product")
 
 
-def coordinate_max(m: int = 2, name: str = "") -> LatticeFunction:
+def coordinate_max(m: int = 2) -> LatticeFunction:
     """J(u) = max(u); not multimodular either."""
-    return LatticeFunction(m, lambda u: max(u), name or f"coordinate-max(m={m})")
+    return LatticeFunction(m, lambda u: max(u), f"coordinate-max(m={m})")

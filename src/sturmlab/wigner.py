@@ -44,6 +44,8 @@ Energy = Union[Fraction, float]
 
 EXHAUSTIVE_Q = 20
 
+CONVEX_GRID = 16
+
 TIE_MARGIN = 1e-12  # float energies within this fraction of the minimum count as tied
 
 
@@ -144,16 +146,14 @@ def default_potentials() -> tuple[Potential, ...]:
     return (coulomb(), inverse_power(3), exponential_decay(1.0))
 
 
-def is_convex_decreasing(potential: Potential, r_max: int = 16) -> bool:
-    """Grid check of the ground-state hypotheses on r = 1..r_max.
+def is_convex_decreasing(potential: Potential) -> bool:
+    """Grid check of the ground-state hypotheses on r = 1..CONVEX_GRID.
 
     Requires V nonincreasing, discretely convex
     (V(r-1) + V(r+1) >= 2 V(r)), and decayed to at most a quarter of V(1)
-    by r_max.
+    by r = CONVEX_GRID.
     """
-    if r_max < 4:
-        raise ValueError("need r_max >= 4 for a meaningful grid")
-    values = [potential.value(r) for r in range(1, r_max + 1)]
+    values = [potential.value(r) for r in range(1, CONVEX_GRID + 1)]
     decreasing = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
     convex = all(
         values[i - 1] + values[i + 1] >= 2 * values[i]

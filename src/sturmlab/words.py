@@ -20,7 +20,6 @@ import mpmath
 __all__ = [
     "check_word",
     "one_length",
-    "one_ratio",
     "rotations",
     "canonical_rotation",
     "minimal_period",
@@ -55,14 +54,6 @@ def check_word(w: str) -> str:
 def one_length(w: str) -> int:
     """Number of '1' letters in ``w``."""
     return check_word(w).count("1")
-
-
-def one_ratio(w: str) -> Fraction:
-    """Fraction of '1' letters, in lowest terms.  Empty words are rejected."""
-    check_word(w)
-    if not w:
-        raise ValueError("one_ratio is undefined for the empty word")
-    return Fraction(w.count("1"), len(w))
 
 
 def rotations(w: str) -> list[str]:
@@ -285,18 +276,6 @@ class ContinuedFraction:
             q = a * pairs[-1][1] + pairs[-2][1]
             pairs.append((p, q))
         return pairs
-
-    def convergent(self, n: int) -> tuple[int, int]:
-        """(p_n, q_n) for -1 <= n <= N."""
-        if not -1 <= n <= len(self.partial_quotients):
-            raise IndexError(f"convergent index {n} outside -1..{len(self.partial_quotients)}")
-        return self.convergents[n + 1]
-
-    @property
-    def value(self) -> Fraction:
-        """p_N / q_N, the slope of the deepest standard word."""
-        p, q = self.convergents[-1]
-        return Fraction(p, q)
 
 
 def standard_words(cf: ContinuedFraction) -> list[str]:

@@ -89,6 +89,24 @@ MUTANTS = (
     Mutant("heaps-pareto-any-coordinate", "heaps.py",
            "if not any(all(", "if not any(any(",
            ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
+    Mutant("jsr-norm-scale-short", "jsr.py",
+           "norm_fn(product, powers[n])", "norm_fn(product, powers[n - 1])",
+           ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
+    Mutant("jsr-radius-scale-long", "jsr.py",
+           "a * d - b * c, scale**n)", "a * d - b * c, scale**(n + 1))",
+           ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
+    Mutant("jsr-norm-walk-short", "jsr.py",
+           "if n < n_max:", "if n < n_max - 1:",
+           ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
+    Mutant("jsr-mul-wrong-entry", "jsr.py",
+           "x[2] * y[1] + x[3] * y[3]", "x[2] * y[1] + x[3] * y[2]",
+           ("tests/test_jsr.py::test_mat2_arithmetic",)),
+    Mutant("jsr-standard-product-reversed", "jsr.py",
+           "m = _mul(matrices[-1], m)", "m = _mul(m, matrices[-1])",
+           ("tests/test_jsr.py::test_standard_matrices_match_mat2_powers",)),
+    Mutant("jsr-cached-trace-plus-one", "jsr.py",
+           "_spectral_radius(m[0] + m[3], 1)", "_spectral_radius(m[0] + m[3] + 1, 1)",
+           ("tests/test_jsr.py::test_staircase_matches_per_necklace_oracle",)),
     Mutant("measures-gap-ge", "measures.py",
            "if gap > 0:", "if gap >= 0:",
            ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),

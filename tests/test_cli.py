@@ -222,6 +222,7 @@ def test_bad_parameter_is_usage_error(capsys, argv):
 
 
 _PIECE = {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1", "1"]}
+_PIECES = {"piece0": dict(_PIECE, columns=[0, 1]), "piece1": _PIECE}
 
 
 @pytest.mark.parametrize(
@@ -241,6 +242,9 @@ _PIECE = {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1", "1"]}
         ("queue run", "--config", {"horizon": 2.7, "admission": "01"}),
         ("queue compete", "--config", {"seed": 0.5, "admission": "01"}),
         ("heaps scan", "--model", {"num_columns": 3, "piece0": dict(_PIECE, columns=[0.5, 1]), "piece1": _PIECE}),
+        ("heaps schedule", "--model", dict(_PIECES, num_columns=3.7)),
+        ("heaps schedule", "--model", dict(_PIECES, num_columns="3")),
+        ("heaps schedule", "--model", dict(_PIECES, num_columns=True)),
     ],
 )
 def test_malformed_json_is_usage_error(tmp_path, capsys, verb, flag, data):

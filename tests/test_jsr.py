@@ -15,7 +15,6 @@ from sturmlab.jsr import (
     A1,
     ALPHA_STAR_DECIMAL,
     Mat2,
-    PrecisionContext,
     PrecisionError,
     alpha_inverse,
     alpha_star_tau,
@@ -300,15 +299,14 @@ def test_standard_matrix_determinants():
 
 
 def test_alpha_star_two_expansions_agree():
-    ctx = PrecisionContext(bits=256)
-    via_tau = alpha_star_tau(12, ctx)
-    via_cf = alpha_inverse(ContinuedFraction((1,) * 14), 12, ctx)
+    via_tau = alpha_star_tau(12, bits=256)
+    via_cf = alpha_inverse(ContinuedFraction((1,) * 14), 12, bits=256)
     assert abs(via_tau.value - via_cf.value) < mp.mpf(10) ** -40
     assert matching_digits(via_tau.value) == len(ALPHA_STAR_DECIMAL) - 2
 
 
 def test_alpha_star_partials_bracket_limit():
-    estimate = alpha_star_tau(10, PrecisionContext(bits=256))
+    estimate = alpha_star_tau(10, bits=256)
     assert estimate.partials[2] > estimate.value > estimate.partials[3]
     assert estimate.error > 0
     assert abs(estimate.limit_form - estimate.value) <= 2 * estimate.error
@@ -322,18 +320,18 @@ def test_matching_digits_counts_prefix():
 
 def test_precision_guards():
     with pytest.raises(PrecisionError):
-        PrecisionContext(bits=64)
-    ctx = PrecisionContext(bits=256)
-    with pytest.raises(ValueError):
-        alpha_star_tau(2, ctx)
+        alpha_star_tau(12, bits=64)
     with pytest.raises(PrecisionError):
-        alpha_star_tau(31, ctx)
+        alpha_inverse(ContinuedFraction((1,) * 14), 12, bits=64)
+    with pytest.raises(ValueError):
+        alpha_star_tau(2, bits=256)
+    with pytest.raises(PrecisionError):
+        alpha_star_tau(31, bits=256)
 
 
 def test_alpha_inverse_needs_enough_quotients():
-    ctx = PrecisionContext(bits=256)
     with pytest.raises(ValueError):
-        alpha_inverse(ContinuedFraction((1, 1, 1)), 10, ctx)
+        alpha_inverse(ContinuedFraction((1, 1, 1)), 10, bits=256)
 
 
 def _alpha_star_direct(terms: int, bits: int) -> mp.mpf:
@@ -354,5 +352,5 @@ def _alpha_star_direct(terms: int, bits: int) -> mp.mpf:
 
 def test_log_domain_agrees_with_direct():
     direct = _alpha_star_direct(8, bits=256)
-    logged = alpha_star_tau(8, PrecisionContext(bits=256))
+    logged = alpha_star_tau(8, bits=256)
     assert abs(direct - logged.value) < mp.mpf(10) ** -30

@@ -19,7 +19,6 @@ from sturmlab.measures import (
     maximize_over_orbits,
     mixture,
     orbit_measure,
-    peak_objective_scan,
     sturmian_measure,
     tent_objective,
     verify_sturmian_least,
@@ -281,8 +280,8 @@ def test_maximize_over_orbits_returns_balanced_winner():
 @settings(deadline=None)
 @given(st.floats(min_value=0.0, max_value=0.999))
 def test_peak_scan_winners_always_balanced(theta):
-    rows = peak_objective_scan([theta], max_period=7, kind="tent")
-    assert rows[0]["balanced"]
+    mu, _ = maximize_over_orbits(tent_objective(theta), 7)
+    assert is_balanced(mu.word)
 
 
 def test_measure_json_round_trip():

@@ -25,7 +25,6 @@ from sturmlab.words import (
     mechanical_word,
     minimal_period,
     one_length,
-    one_ratio,
     parse_slope,
     rotations,
     standard_words,
@@ -170,7 +169,7 @@ def test_mechanical_word_accepts_exact_phase_just_below_one():
 def test_mechanical_word_density_converges():
     gamma = Fraction(3, 7)
     w = mechanical_word(gamma, 7 * 20)
-    assert one_ratio(w) == gamma
+    assert Fraction(w.count("1"), len(w)) == gamma
 
 
 def test_mechanical_word_irrational_slope_balanced():
@@ -293,7 +292,7 @@ def test_standard_word_lengths_match_convergents():
     cf = ContinuedFraction((2, 3, 1, 2))
     produced = standard_words(cf)
     for n in range(-1, len(cf.partial_quotients) + 1):
-        p, q = cf.convergent(n)
+        p, q = cf.convergents[n + 1]
         w = produced[n + 1]
         assert len(w) == q
         assert one_length(w) == p
@@ -310,7 +309,7 @@ def test_slope_convention_round_trip():
     cf = ContinuedFraction.from_slope_quotients((3, 2, 4))
     # [0; 3, 2, 4] = 9/31, reachable because the exponents become (2, 2, 4).
     assert cf.partial_quotients == (2, 2, 4)
-    assert cf.value == Fraction(9, 31)
+    assert Fraction(*cf.convergents[-1]) == Fraction(9, 31)
     with pytest.raises(ValueError):
         ContinuedFraction.from_slope_quotients((1, 2, 3))
 
