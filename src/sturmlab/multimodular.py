@@ -107,15 +107,19 @@ def window_average(J: LatticeFunction, source, n: int):
 
     The source may be a word (extended periodically) or a MechanicalSpec.
     Returns an exact Fraction when J returns ints/Fractions, else a float.
+    J is called once per distinct window (at most 2^m), so it must be pure.
     """
     if n < 1:
         raise ValueError("need at least one window")
     m = J.arity
     stream = symbol_stream(source, n + m - 1)
-    bits = tuple(int(c) for c in stream)
+    values = {}
     total = None
     for k in range(n):
-        value = _evaluate(J, bits[k : k + m])
+        window = stream[k : k + m]
+        if window not in values:
+            values[window] = _evaluate(J, tuple(map(int, window)))
+        value = values[window]
         total = value if total is None else total + value
     if isinstance(total, (int, Fraction)):
         return Fraction(total, n)
@@ -146,7 +150,8 @@ def slotted_queue_backlog(m: int) -> LatticeFunction:
 
     q_0 = 0 and q_i = max(q_{i-1} + u_i - 1, 0); J(u) = q_m.  Negative
     admissions are allowed (they drain the queue faster), so J is defined on
-    all of Z^m.
+    all of Z^m.  J is 0 on every 0-1 window (a slot admits at most one and
+    serves one); it is nonzero only where some input is >= 2.
     """
 
     def fn(u):

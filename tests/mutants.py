@@ -110,6 +110,23 @@ MUTANTS = (
     Mutant("measures-gap-ge", "measures.py",
            "if gap > 0:", "if gap >= 0:",
            ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),
+    Mutant("window-memo-by-weight", "multimodular.py",
+           """        if window not in values:
+            values[window] = _evaluate(J, tuple(map(int, window)))
+        value = values[window]""",
+           """        if window.count("1") not in values:
+            values[window.count("1")] = _evaluate(J, tuple(map(int, window)))
+        value = values[window.count("1")]""",
+           ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
+    Mutant("window-slice-short", "multimodular.py",
+           "window = stream[k : k + m]", "window = stream[k : k + m - 1]",
+           ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
+    Mutant("window-loop-from-one", "multimodular.py",
+           "for k in range(n):", "for k in range(1, n):",
+           ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
+    Mutant("window-memo-misses-falsy", "multimodular.py",
+           "if window not in values:", "if not values.get(window):",
+           ("tests/test_multimodular.py::test_window_average_calls_J_once_per_distinct_window",)),
     Mutant("wigner-table-line-distance", "wigner.py",
            "potential.value(min(m, q - m))", "potential.value(m)",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),

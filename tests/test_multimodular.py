@@ -2,10 +2,10 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmlab.multimodular import (
@@ -20,7 +20,7 @@ from sturmlab.multimodular import (
     slotted_queue_backlog,
     window_average,
 )
-from sturmlab.words import balanced_orbit, mechanical_word
+from sturmlab.words import MechanicalSpec, balanced_orbit, mechanical_word, symbol_stream
 
 
 def test_basis_shape_and_zero_sum():
@@ -43,6 +43,15 @@ def test_slotted_backlog_is_multimodular():
     J = slotted_queue_backlog(3)
     ok, violations = check_multimodular(J, [(-1, 2)] * 3)
     assert ok, violations
+
+
+def test_slotted_backlog_is_zero_on_binary_windows():
+    # A slot admits at most one customer and serves one, so the backlog never
+    # leaves 0 on a 0-1 window; only inputs >= 2 (as in the boxes) build one.
+    for m in range(1, 8):
+        J = slotted_queue_backlog(m)
+        assert all(J(u) == 0 for u in product((0, 1), repeat=m))
+        assert J((2,) * m) == m
 
 
 def test_negative_product_is_not_multimodular():
@@ -103,10 +112,17 @@ def test_window_average_matches_cyclic_oracle():
         assert window_average(J, w, 4 * len(w)) == cyclic_average(J, w)
 
 
+# Objectives that tie every word of a density, so the minimiser test below
+# cannot tell a balanced word from any other: the slotted backlog is 0 on
+# every 0-1 window (test_slotted_backlog_is_zero_on_binary_windows).
+VACUOUS_ON_BINARY_WORDS = {slotted_queue_backlog}
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("objective", [convex_window_load, slotted_queue_backlog])
 def test_balanced_word_minimizes_window_average(m, objective):
     J = objective(m)
+    separated = 0
     for q in range(2, 9):
         for p in range(1, q):
             if math.gcd(p, q) != 1:
@@ -115,6 +131,9 @@ def test_balanced_word_minimizes_window_average(m, objective):
             best = min(averages.values())
             balanced = balanced_orbit(p, q).representative
             assert averages[balanced] == best, (p, q, balanced, best)
+            separated += max(averages.values()) > best
+    # Some density must have a strictly worse competitor, or the test is vacuous.
+    assert (separated == 0) == (objective in VACUOUS_ON_BINARY_WORDS), separated
 
 
 def test_window_average_accepts_mechanical_source():
@@ -133,3 +152,94 @@ def test_window_average_needs_enough_symbols():
         window_average(J, "", 10)
     with pytest.raises(TypeError, match="unsupported symbol source"):
         window_average(J, iter("0101" * 5), 10)
+
+
+def _window_average_oracle(J: LatticeFunction, source, n: int):
+    """The per-window loop window_average replaced: J called on every window."""
+    if n < 1:
+        raise ValueError("need at least one window")
+    m = J.arity
+    bits = tuple(int(c) for c in symbol_stream(source, n + m - 1))
+    total = None
+    for k in range(n):
+        point = bits[k : k + m]
+        try:
+            value = J(point)
+        except Exception as exc:
+            raise LatticeDomainError(point, exc) from exc
+        total = value if total is None else total + value
+    if isinstance(total, (int, Fraction)):
+        return Fraction(total, n)
+    return total / n
+
+
+def _binary_value(u):
+    """An order-sensitive J: the window read as a binary number."""
+    return sum(x << j for j, x in enumerate(reversed(u)))
+
+
+_unit = st.fractions(0, 1, max_denominator=60)
+_sources = st.one_of(
+    st.text(alphabet="01", min_size=1, max_size=40),
+    st.builds(MechanicalSpec, _unit, _unit.filter(lambda delta: delta < 1)),
+    st.builds(MechanicalSpec, st.floats(0, 1), st.floats(0, 1, exclude_max=True)),
+)
+
+
+@st.composite
+def _objectives(draw):
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["load", "int", "fraction", "float", "binary"]))
+    if kind == "load":
+        return convex_window_load(m, draw(st.integers(-2, 6)))
+    if kind == "binary":
+        return LatticeFunction(m, _binary_value, "binary")
+    values = {
+        "int": st.integers(-50, 50),
+        "fraction": st.fractions(-5, 5, max_denominator=30),
+        "float": st.floats(-1e3, 1e3, allow_nan=False),
+    }[kind]
+    coefficients = draw(st.lists(values, min_size=m, max_size=m, unique=True))
+    return affine_function(coefficients, draw(values))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_objectives(), _sources, st.integers(1, 400))
+def test_window_average_matches_per_window_oracle(J, source, n):
+    assert repr(window_average(J, source, n)) == repr(_window_average_oracle(J, source, n))
+
+
+@given(st.integers(1, 5), st.integers(-1, 6), _sources, st.integers(1, 400))
+def test_window_average_calls_J_once_per_distinct_window(m, target, source, n):
+    calls = []
+    load = convex_window_load(m, target)
+
+    def counted(u):
+        calls.append(u)
+        return load(u)
+
+    window_average(LatticeFunction(m, counted, "counted"), source, n)
+    stream = symbol_stream(source, n + m - 1)
+    # Falsy values (a load of 0) are memoised too.
+    assert sorted(calls) == sorted({tuple(map(int, stream[k : k + m])) for k in range(n)})
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5), st.data(), _sources, st.integers(1, 400))
+def test_window_average_fails_at_the_oracles_first_bad_window(m, data, source, n):
+    bad = data.draw(st.sets(st.tuples(*[st.integers(0, 1)] * m), min_size=1, max_size=3))
+
+    def partial(u):
+        if u in bad:
+            raise KeyError("untabulated")
+        return _binary_value(u)
+
+    J = LatticeFunction(m, partial, "partial")
+    try:
+        want = _window_average_oracle(J, source, n)
+    except LatticeDomainError as error:
+        with pytest.raises(LatticeDomainError) as info:
+            window_average(J, source, n)
+        assert info.value.point == error.point
+    else:
+        assert window_average(J, source, n) == want
