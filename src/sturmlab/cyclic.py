@@ -15,15 +15,12 @@ from .words import (
     Orbit,
     balanced_orbit,
     canonical_rotation,
-    check_word,
     enumerate_orbits,
     is_balanced,
     minimal_period,
-    rotations,
 )
 
 __all__ = [
-    "binary_value",
     "OrbitProduct",
     "orbit_product",
     "ProductScanRow",
@@ -33,10 +30,13 @@ __all__ = [
 ]
 
 
-def binary_value(w: str) -> int:
-    """b(w): the word read as a base-2 integer; 0 for the empty word."""
-    check_word(w)
-    return int(w, 2) if w else 0
+def _rotation_values(w: str) -> tuple[int, ...]:
+    """b over the ``len(w)`` left-rotations of the nonempty 0-1 word ``w``,
+    starting with ``w``: rotating by k shifts b(w) left k places and wraps
+    its top k bits round."""
+    q, b = len(w), int(w, 2)
+    mask = (1 << q) - 1
+    return tuple(((b << k) | (b >> (q - k))) & mask for k in range(q))
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,15 @@ def orbit_product(w: str) -> OrbitProduct:
     Duplicated rotations of a periodic word are multiplied as often as they
     occur, so the product always has ``len(w)`` factors.
     """
-    check_word(w)
-    if not w:
+    rep = canonical_rotation(w)  # validates w
+    if not rep:
         raise ValueError("orbit product is undefined for the empty word")
-    rep = canonical_rotation(w)
-    factors = tuple(binary_value(r) for r in rotations(rep))
-    return OrbitProduct(Orbit(rep, minimal_period(rep)), factors, math.prod(factors))
+    return _orbit_product(Orbit(rep, minimal_period(rep)))
+
+
+def _orbit_product(orbit: Orbit) -> OrbitProduct:
+    factors = _rotation_values(orbit.representative)
+    return OrbitProduct(orbit, factors, math.prod(factors))
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
     if not 0 < p < q:
         raise ValueError(f"need 0 < p < q, got ({p}, {q})")
     balanced_rep = balanced_orbit(p, q).representative
-    reports = [orbit_product(o.representative) for o in enumerate_orbits(p, q)]
+    reports = [_orbit_product(o) for o in enumerate_orbits(p, q)]
     best = max(r.product for r in reports)
     argmax = tuple(r.orbit.representative for r in reports if r.product == best)
     rows = tuple(

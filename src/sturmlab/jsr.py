@@ -215,11 +215,10 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
         argmax = ""
         densities = range(n + 1) if len(matrices) == 2 else (0,)
         necklaces = sorted(o.representative for ones in densities for o in enumerate_orbits(ones, n))
+        left, right, k = _half_tables(ints, n)
         for word in necklaces:
-            product = ints[int(word[0])]
-            for letter in word[1:]:
-                product = _mul(product, ints[int(letter)])
-            a, b, c, d = product
+            index = int(word, 2)
+            a, b, c, d = _mul(left[index >> k], right[index & ((1 << k) - 1)])
             value = _spectral_radius(a + d, a * d - b * c, scale**n) ** (1.0 / n)
             if value > lower_n:
                 lower_n = value
@@ -244,17 +243,35 @@ def _max_norms(ints: list[tuple[int, ...]], scale: int, n_max: int, norm_fn) -> 
     return best
 
 
+def _half_tables(matrices, n: int):
+    """(left, right, k): products over ``matrices`` of every word of length
+    n // 2 and of length k = n - n // 2, indexed by the word read in base 2
+    (one matrix: index 0).  Word i of length n is left[i >> k] right[i % 2**k]."""
+    k = n - n // 2
+    tables = [[(1, 0, 0, 1)]]
+    for _ in range(k):
+        tables.append([_mul(x, m) for x in tables[-1] for m in matrices])
+    return tables[n // 2], tables[k], k
+
+
 @lru_cache(maxsize=32)
 def _necklace_log_radii(n: int) -> tuple[tuple[int, str, float], ...]:
-    """(ones, representative, log spectral radius of the 0-1 product) per
-    binary necklace; alpha**ones factors out, so one pass serves every alpha."""
+    """(ones, representative, log spectral radius of the 0-1 product) for each
+    necklace whose log radius strictly beats every earlier one of its density.
+    ``ones * log(alpha) + log_rho`` rounds monotonically in log_rho, so at any
+    alpha the first best-scoring necklace is one of these records."""
+    left, right, k = _half_tables((_A0, _A1), n)
     rows = []
     for ones in range(n + 1):
+        record = -math.inf
         for orbit in enumerate_orbits(ones, n):
-            m = (1, 0, 0, 1)
-            for bit in orbit.representative:
-                m = _mul(m, _A0 if bit == "0" else _A1)
-            rows.append((ones, orbit.representative, math.log(_spectral_radius(m[0] + m[3], 1))))
+            index = int(orbit.representative, 2)
+            x, y = left[index >> k], right[index & ((1 << k) - 1)]
+            trace = x[0] * y[0] + x[1] * y[2] + x[2] * y[1] + x[3] * y[3]
+            log_rho = math.log(_spectral_radius(trace, 1))
+            if log_rho > record:
+                record = log_rho
+                rows.append((ones, orbit.representative, log_rho))
     return tuple(rows)
 
 

@@ -17,14 +17,13 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cyclic import binary_value
+from .cyclic import _rotation_values
 from .words import (
     balanced_orbit,
     check_word,
     enumerate_orbits,
     format_fraction,
     minimal_period,
-    rotations,
 )
 
 __all__ = [
@@ -98,7 +97,7 @@ def _orbit_support(w: str) -> tuple[int, list[int], int, list[int]]:
     if set(w) == {"1"}:
         raise ValueError("the all-ones word encodes the excluded endpoint x = 1")
     t = minimal_period(w)
-    return 2**t - 1, sorted(binary_value(r) for r in rotations(w[:t])), t, [1] * t
+    return 2**t - 1, sorted(_rotation_values(w[:t])), t, [1] * t
 
 
 def orbit_measure(w: str) -> DiscreteMeasure:

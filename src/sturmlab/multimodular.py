@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .words import symbol_stream
@@ -85,20 +86,27 @@ def check_multimodular(
     (verdict, violations) with every violating triple (u, v, w) reported.
 
     Exact when J returns ints/Fractions; float-valued J is compared as-is.
+    J is called once per lattice point, at first use, so it must be pure.
     """
     if len(box) != J.arity:
         raise ValueError(f"box has {len(box)} coordinates, function arity is {J.arity}")
     basis = multimodular_basis(J.arity)
+    pairs = [(i, j, tuple(map(add, v, w))) for (i, v), (j, w) in combinations(enumerate(basis), 2)]
+    values = {}
+
+    def value(point):
+        if point not in values:
+            values[point] = _evaluate(J, point)
+        return values[point]
+
     violations = []
     ranges = [range(lo, hi + 1) for lo, hi in box]
     for u in product(*ranges):
-        base = _evaluate(J, u)
-        for v, w in combinations(basis, 2):
-            uv = tuple(a + b for a, b in zip(u, v))
-            uw = tuple(a + b for a, b in zip(u, w))
-            uvw = tuple(a + b + c for a, b, c in zip(u, v, w))
-            if _evaluate(J, uv) + _evaluate(J, uw) < base + _evaluate(J, uvw):
-                violations.append((u, v, w))
+        base = value(u)
+        steps = [tuple(map(add, u, f)) for f in basis]
+        for i, j, vw in pairs:
+            if value(steps[i]) + value(steps[j]) < base + value(tuple(map(add, u, vw))):
+                violations.append((u, basis[i], basis[j]))
     return not violations, violations
 
 

@@ -20,7 +20,6 @@ import mpmath
 __all__ = [
     "check_word",
     "one_length",
-    "rotations",
     "canonical_rotation",
     "minimal_period",
     "factor_set",
@@ -54,13 +53,6 @@ def check_word(w: str) -> str:
 def one_length(w: str) -> int:
     """Number of '1' letters in ``w``."""
     return check_word(w).count("1")
-
-
-def rotations(w: str) -> list[str]:
-    """All ``len(w)`` left-rotations of ``w``, starting with ``w`` itself."""
-    check_word(w)
-    doubled = w + w
-    return [doubled[i : i + len(w)] for i in range(len(w))] if w else [""]
 
 
 def canonical_rotation(w: str) -> str:

@@ -99,14 +99,34 @@ MUTANTS = (
            "if n < n_max:", "if n < n_max - 1:",
            ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
     Mutant("jsr-mul-wrong-entry", "jsr.py",
-           "x[2] * y[1] + x[3] * y[3]", "x[2] * y[1] + x[3] * y[2]",
+           "x[2] * y[1] + x[3] * y[3],", "x[2] * y[1] + x[3] * y[2],",
            ("tests/test_jsr.py::test_mat2_arithmetic",)),
     Mutant("jsr-standard-product-reversed", "jsr.py",
            "m = _mul(matrices[-1], m)", "m = _mul(m, matrices[-1])",
            ("tests/test_jsr.py::test_standard_matrices_match_mat2_powers",)),
     Mutant("jsr-cached-trace-plus-one", "jsr.py",
-           "_spectral_radius(m[0] + m[3], 1)", "_spectral_radius(m[0] + m[3] + 1, 1)",
+           "_spectral_radius(trace, 1)", "_spectral_radius(trace + 1, 1)",
            ("tests/test_jsr.py::test_staircase_matches_per_necklace_oracle",)),
+    Mutant("jsr-half-trace-wrong-entry", "jsr.py",
+           "x[0] * y[0] + x[1] * y[2] + x[2] * y[1]", "x[0] * y[0] + x[1] * y[1] + x[2] * y[1]",
+           ("tests/test_jsr.py::test_staircase_matches_per_necklace_oracle",)),
+    Mutant("jsr-record-reset-outside-density", "jsr.py",
+           "    for ones in range(n + 1):\n        record = -math.inf\n",
+           "    record = -math.inf\n    for ones in range(n + 1):\n",
+           ("tests/test_jsr.py::test_necklace_table_holds_the_per_density_records",)),
+    Mutant("jsr-bounds-split-one-short", "jsr.py",
+           "_mul(left[index >> k], right[index & ((1 << k) - 1)])",
+           "_mul(left[index >> k], right[index & ((1 << k) - 2)])",
+           ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
+    Mutant("cyclic-rotation-direction-flipped", "cyclic.py",
+           "((b << k) | (b >> (q - k))) & mask", "((b >> k) | (b << (q - k))) & mask",
+           ("tests/test_cyclic.py::test_product_scans_match_string_rotation_oracle",)),
+    Mutant("cyclic-rotation-mask-short", "cyclic.py",
+           "mask = (1 << q) - 1", "mask = (1 << (q - 1)) - 1",
+           ("tests/test_cyclic.py::test_rotation_values_match_string_rotations",)),
+    Mutant("measures-support-whole-word", "measures.py",
+           "sorted(_rotation_values(w[:t]))", "sorted(_rotation_values(w))",
+           ("tests/test_measures.py::test_orbit_support_matches_string_rotation_oracle",)),
     Mutant("measures-gap-ge", "measures.py",
            "if gap > 0:", "if gap >= 0:",
            ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),
@@ -127,6 +147,20 @@ MUTANTS = (
     Mutant("window-memo-misses-falsy", "multimodular.py",
            "if window not in values:", "if not values.get(window):",
            ("tests/test_multimodular.py::test_window_average_calls_J_once_per_distinct_window",)),
+    Mutant("lattice-memo-by-sum", "multimodular.py",
+           """        if point not in values:
+            values[point] = _evaluate(J, point)
+        return values[point]""",
+           """        if sum(point) not in values:
+            values[sum(point)] = _evaluate(J, point)
+        return values[sum(point)]""",
+           ("tests/test_multimodular.py::test_check_multimodular_matches_per_triple_oracle",)),
+    Mutant("lattice-pair-same-step", "multimodular.py",
+           "value(steps[i]) + value(steps[j])", "value(steps[i]) + value(steps[i])",
+           ("tests/test_multimodular.py::test_check_multimodular_matches_per_triple_oracle",)),
+    Mutant("lattice-memo-misses-falsy", "multimodular.py",
+           "if point not in values:", "if not values.get(point):",
+           ("tests/test_multimodular.py::test_check_multimodular_calls_J_once_per_lattice_point",)),
     Mutant("wigner-table-line-distance", "wigner.py",
            "potential.value(min(m, q - m))", "potential.value(m)",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),

@@ -3,24 +3,80 @@
 import math
 from functools import reduce
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmlab.cyclic import (
-    binary_value,
+    OrbitProduct,
+    ProductScan,
+    ProductScanRow,
+    _rotation_values,
     orbit_product,
     scan_coprime_pairs,
     verify_balanced_product_maximum,
 )
-from sturmlab.words import balanced_orbit, is_balanced, rotations
+from sturmlab.words import (
+    Orbit,
+    balanced_orbit,
+    canonical_rotation,
+    enumerate_orbits,
+    is_balanced,
+    minimal_period,
+)
 
 words_st = st.text(alphabet="01", min_size=1, max_size=16)
 
 
+def binary_value(w: str) -> int:
+    """Oracle b(w): the word read as a base-2 integer; 0 for the empty word."""
+    return int(w, 2) if w else 0
+
+
+def rotations(w: str) -> list[str]:
+    """Oracle: all ``len(w)`` left-rotations of ``w`` as strings, starting with ``w``."""
+    doubled = w + w
+    return [doubled[i : i + len(w)] for i in range(len(w))] if w else [""]
+
+
 def test_binary_value():
-    assert binary_value("101") == 5
-    assert binary_value("0001") == 1
-    assert binary_value("0" * 6) == 0
+    # The first rotation value is b(w) itself.
+    assert _rotation_values("101") == (5, 3, 6)
+    assert _rotation_values("0001") == (1, 2, 4, 8)
+    assert _rotation_values("0" * 6) == (0,) * 6
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="01", min_size=1, max_size=64))
+@example("1")
+@example("1" * 64)
+@example("0" * 63 + "1")
+def test_rotation_values_match_string_rotations(w):
+    assert _rotation_values(w) == tuple(binary_value(r) for r in rotations(w))
+
+
+def _product_scan_oracle(p: int, q: int) -> ProductScan:
+    """The scan before integer rotations: every orbit re-canonicalised, its
+    period re-derived, and each rotation sliced out and read as a string."""
+    balanced_rep = balanced_orbit(p, q).representative
+    reports = []
+    for orbit in enumerate_orbits(p, q):
+        rep = canonical_rotation(orbit.representative)
+        factors = tuple(binary_value(r) for r in rotations(rep))
+        reports.append(OrbitProduct(Orbit(rep, minimal_period(rep)), factors, math.prod(factors)))
+    best = max(r.product for r in reports)
+    argmax = tuple(r.orbit.representative for r in reports if r.product == best)
+    rows = tuple(
+        ProductScanRow(r.orbit.representative, r.factors, r.product,
+                       is_balanced(r.orbit.representative), r.product == best)
+        for r in reports
+    )
+    return ProductScan(p, q, rows, best, argmax, balanced_rep, argmax == (balanced_rep,))
+
+
+def test_product_scans_match_string_rotation_oracle():
+    pairs = [(p, q) for q in range(2, 13) for p in range(1, q) if math.gcd(p, q) == 1]
+    for p, q in pairs:
+        assert verify_balanced_product_maximum(p, q) == _product_scan_oracle(p, q)
 
 
 def test_product_fixtures():

@@ -4,10 +4,11 @@ constant computed two independent ways."""
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmlab.jsr import (
@@ -26,7 +27,7 @@ from sturmlab.jsr import (
     standard_matrices,
     tau_sequence,
 )
-from sturmlab.jsr import _NORMS, BoundsRow, JsrBounds, RatioScanResult
+from sturmlab.jsr import _NORMS, BoundsRow, JsrBounds, RatioScanResult, _necklace_log_radii
 from sturmlab.words import ContinuedFraction, enumerate_orbits
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -213,9 +214,10 @@ def test_staircase_is_monotone():
     assert all(Fraction(0) <= r <= Fraction(1, 2) for r in ratios)
 
 
-def _staircase_oracle(alphas, n: int) -> list[RatioScanResult]:
-    """Mat2 product traces per necklace, then the log of the Perron root
-    (t + sqrt(t^2 - 4)) / 2 evaluated afresh for every (alpha, necklace)."""
+@lru_cache(maxsize=None)
+def _necklace_traces(n: int) -> tuple[tuple[int, str, int], ...]:
+    """(ones, representative, trace) per necklace, the trace of a Mat2
+    product multiplied out letter by letter."""
     necklaces = []
     for ones in range(n + 1):
         for orbit in enumerate_orbits(ones, n):
@@ -223,6 +225,17 @@ def _staircase_oracle(alphas, n: int) -> list[RatioScanResult]:
             for bit in orbit.representative:
                 product = product * (A0 if bit == "0" else A1)
             necklaces.append((ones, orbit.representative, int(product.trace)))
+    return tuple(necklaces)
+
+
+def _log_perron_root(trace: int) -> float:
+    """log of (t + sqrt(t^2 - 4)) / 2, the Perron root of a determinant-1 product."""
+    return math.log((trace + math.sqrt(trace * trace - 4)) / 2) if trace > 2 else 0.0
+
+
+def _staircase_oracle(alphas, n: int) -> list[RatioScanResult]:
+    """Every necklace scored afresh for every alpha, the log of its Perron
+    root evaluated each time."""
     results = []
     for alpha in alphas:
         if alpha == 0:
@@ -230,9 +243,8 @@ def _staircase_oracle(alphas, n: int) -> list[RatioScanResult]:
             continue
         best_score = -math.inf
         best = (0, "0" * n)
-        for ones, representative, trace in necklaces:
-            log_rho = math.log((trace + math.sqrt(trace * trace - 4)) / 2) if trace > 2 else 0.0
-            score = ones * math.log(alpha) + log_rho
+        for ones, representative, trace in _necklace_traces(n):
+            score = ones * math.log(alpha) + _log_perron_root(trace)
             if score > best_score:
                 best_score = score
                 best = (ones, representative)
@@ -240,10 +252,38 @@ def _staircase_oracle(alphas, n: int) -> list[RatioScanResult]:
     return results
 
 
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", range(1, 15))
 def test_staircase_matches_per_necklace_oracle(n):
     alphas = [Fraction(k, 30) for k in range(31)] + [Fraction(749, 1000), Fraction(3, 4), Fraction(0.7)]
     assert ratio_staircase(alphas, n) == _staircase_oracle(alphas, n)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 14),
+    st.lists(
+        st.one_of(
+            st.fractions(0, 1, max_denominator=10**6),
+            st.floats(0, 1).map(Fraction),
+        ).filter(lambda alpha: alpha > 0),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_staircase_matches_oracle_on_random_alphas(n, alphas):
+    assert ratio_staircase(alphas, n) == _staircase_oracle(alphas, n)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_necklace_table_holds_the_per_density_records(n):
+    records = []
+    best = {}
+    for ones, representative, trace in _necklace_traces(n):
+        log_rho = _log_perron_root(trace)
+        if log_rho > best.get(ones, -math.inf):
+            best[ones] = log_rho
+            records.append((ones, representative, log_rho))
+    assert _necklace_log_radii(n) == tuple(records)
 
 
 def test_ratio_scan_rejects_long_necklaces():

@@ -1,5 +1,6 @@
 """Orbit measures of the doubling map and the convex order."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ from sturmlab.measures import (
     tent_objective,
     verify_sturmian_least,
 )
-from sturmlab.words import Orbit, enumerate_orbits, is_balanced
+from sturmlab.words import Orbit, enumerate_orbits, is_balanced, minimal_period
 
 
 def test_two_fifths_measure_fixture():
@@ -70,6 +71,22 @@ def test_convex_order_balanced_below_clumped():
 def test_convex_order_requires_equal_barycenters():
     with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 1/4$"):
         convex_order_witness(orbit_measure("01"), orbit_measure("0001"))
+
+
+def _orbit_support_oracle(w: str):
+    """Support points before integer rotations: each rotation of one period
+    sliced out as a string and read in base 2."""
+    t = minimal_period(w)
+    period = w[:t]
+    return 2**t - 1, sorted(int(period[k:] + period[:k], 2) for k in range(t)), t, [1] * t
+
+
+def test_orbit_support_matches_string_rotation_oracle():
+    for q in range(1, 11):
+        for letters in itertools.product("01", repeat=q):
+            w = "".join(letters)
+            if "0" in w:
+                assert _orbit_support(w) == _orbit_support_oracle(w)
 
 
 def test_signed_sweep_requires_cancelling_mass_and_barycenter():

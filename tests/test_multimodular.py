@@ -243,3 +243,104 @@ def test_window_average_fails_at_the_oracles_first_bad_window(m, data, source, n
         assert info.value.point == error.point
     else:
         assert window_average(J, source, n) == want
+
+
+def _check_multimodular_oracle(J: LatticeFunction, box):
+    """The per-triple loop check_multimodular replaced: J called afresh at
+    u, u + v, u + w and u + v + w for every basis pair at every box point."""
+    basis = multimodular_basis(J.arity)
+
+    def call(point):
+        try:
+            return J(point)
+        except Exception as exc:
+            raise LatticeDomainError(point, exc) from exc
+
+    violations = []
+    for u in product(*[range(lo, hi + 1) for lo, hi in box]):
+        base = call(u)
+        for v, w in combinations(basis, 2):
+            uv = tuple(a + b for a, b in zip(u, v))
+            uw = tuple(a + b for a, b in zip(u, w))
+            uvw = tuple(a + b + c for a, b, c in zip(u, v, w))
+            if call(uv) + call(uw) < base + call(uvw):
+                violations.append((u, v, w))
+    return not violations, violations
+
+
+_boxes = st.integers(1, 3).flatmap(
+    lambda m: st.lists(
+        st.tuples(st.integers(-2, 1), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
+        min_size=m,
+        max_size=m,
+    )
+)
+
+
+@st.composite
+def _box_objectives(draw):
+    """A box and a J on it: multimodular, violated, order-sensitive or partial."""
+    box = draw(_boxes)
+    m = len(box)
+    kind = draw(st.sampled_from(["load", "backlog", "max", "quadratic", "float", "partial"]))
+    if kind == "load":
+        return convex_window_load(m, draw(st.integers(-2, 4))), box
+    if kind == "backlog":
+        return slotted_queue_backlog(m), box
+    if kind == "max":
+        return coordinate_max(m), box
+    if kind == "float":
+        coefficients = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
+        return affine_function(coefficients, draw(st.floats(-1e3, 1e3))), box
+    weights = draw(st.lists(st.integers(-3, 3), min_size=2 * m, max_size=2 * m))
+
+    def quadratic(u):
+        return sum(a * x * x + b * x * u[i - 1] for i, (x, a, b) in enumerate(zip(u, weights, weights[m:])))
+
+    if kind == "quadratic":
+        return LatticeFunction(m, quadratic, "quadratic"), box
+    inflated = [range(lo - 1, hi + 2) for lo, hi in box]
+    bad = draw(st.sets(st.tuples(*[st.sampled_from(r) for r in inflated]), min_size=1, max_size=3))
+
+    def partial(u):
+        if u in bad:
+            raise KeyError("untabulated")
+        return quadratic(u)
+
+    return LatticeFunction(m, partial, "partial"), box
+
+
+@settings(deadline=None, max_examples=300)
+@given(_box_objectives())
+def test_check_multimodular_matches_per_triple_oracle(case):
+    J, box = case
+    try:
+        want = _check_multimodular_oracle(J, box)
+    except LatticeDomainError as error:
+        with pytest.raises(LatticeDomainError) as info:
+            check_multimodular(J, box)
+        assert info.value.point == error.point
+    else:
+        assert check_multimodular(J, box) == want
+
+
+@given(_boxes, st.integers(-2, 4))
+def test_check_multimodular_calls_J_once_per_lattice_point(box, target):
+    m = len(box)
+    calls = []
+    load = convex_window_load(m, target)
+
+    def counted(u):
+        calls.append(u)
+        return load(u)
+
+    check_multimodular(LatticeFunction(m, counted, "counted"), box)
+    basis = multimodular_basis(m)
+    reached = set()
+    for u in product(*[range(lo, hi + 1) for lo, hi in box]):
+        for v, w in combinations(basis, 2):
+            reached.update({u, tuple(map(sum, zip(u, v))), tuple(map(sum, zip(u, w))),
+                            tuple(map(sum, zip(u, v, w)))})
+    # Falsy values (a load of 0) are memoised too.
+    assert len(calls) == len(set(calls))
+    assert set(calls) == reached
