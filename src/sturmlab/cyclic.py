@@ -16,7 +16,6 @@ from .words import (
     balanced_orbit,
     canonical_rotation,
     enumerate_orbits,
-    is_balanced,
     minimal_period,
 )
 
@@ -108,7 +107,7 @@ def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
             representative=r.orbit.representative,
             factors=r.factors,
             product=r.product,
-            balanced=is_balanced(r.orbit.representative),
+            balanced=r.orbit.representative == balanced_rep,
             argmax=r.product == best,
         )
         for r in reports

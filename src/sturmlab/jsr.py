@@ -7,10 +7,11 @@ the undeformed pair both collapse onto the golden ratio already at length 2.
 Scanning necklaces of a fixed length while alpha sweeps [0, 1] produces a
 non-decreasing staircase of optimal 1-densities with values in [0, 1/2].
 
-Every 2x2 product is ``_mul`` on integer 4-tuples; ``jsr_bounds`` scales
-its entries by their common denominator d, and its closed forms read a
-length-n product over d**n with one rounding each, so ``Mat2`` over
-``Fraction`` stays at the API boundary.
+A 2x2 matrix is the row-major 4-tuple (a, b, c, d), and every product is
+``_mul`` on integer tuples.  ``jsr_bounds`` reads its entries as ``Fraction``
+and scales them by their common denominator d; both of its bounds read one
+list of half-word product tables, and its closed forms read a length-n
+product over d**n with one rounding each.
 
 At the golden-mean slope the deformation threshold has two independent
 product expansions, one through the trace sequence tau_{n+1} =
@@ -32,7 +33,6 @@ import mpmath as mp
 from .words import ContinuedFraction, enumerate_orbits
 
 __all__ = [
-    "Mat2",
     "A0",
     "A1",
     "scaled_pair",
@@ -102,54 +102,8 @@ def _row_sum_norm(m, scale=1) -> float:
     return float(max(abs(a) + abs(b), abs(c) + abs(d)) / scale)
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix with exact rational entries (a b; c d)."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return Mat2(*_mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
-
-    def __rmul__(self, scalar: Scalar) -> "Mat2":
-        if isinstance(scalar, Mat2):
-            return NotImplemented
-        s = Fraction(scalar)
-        return Mat2(s * self.a, s * self.b, s * self.c, s * self.d)
-
-    @property
-    def trace(self) -> Fraction:
-        return self.a + self.d
-
-    @property
-    def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
-
-    def spectral_radius(self) -> float:
-        """Largest eigenvalue modulus from the trace/determinant closed form."""
-        return _spectral_radius(self.trace, self.det)
-
-    def spectral_norm(self) -> float:
-        """Largest singular value; closed form via the squared-entry sum."""
-        return _spectral_norm((self.a, self.b, self.c, self.d))
-
-    def row_sum_norm(self) -> float:
-        return _row_sum_norm((self.a, self.b, self.c, self.d))
-
-
-_A0 = (1, 1, 0, 1)
-_A1 = (1, 0, 1, 1)
-A0 = Mat2(*_A0)
-A1 = Mat2(*_A1)
+A0 = (1, 1, 0, 1)
+A1 = (1, 0, 1, 1)
 
 _NORMS = {
     "spectral": _spectral_norm,
@@ -157,12 +111,12 @@ _NORMS = {
 }
 
 
-def scaled_pair(alpha: Scalar) -> list[Mat2]:
+def scaled_pair(alpha: Scalar) -> list[tuple]:
     """The deformed pair {A0, alpha*A1} for alpha in [0, 1]."""
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return [A0, alpha * A1]
+    return [A0, tuple(alpha * x for x in A1)]
 
 
 @dataclass(frozen=True)
@@ -181,7 +135,7 @@ class JsrBounds:
     upper: float
 
 
-def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> JsrBounds:
+def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "spectral") -> JsrBounds:
     """Brute-force bracket of the joint spectral radius.
 
     The lower bound is the best normalized spectral radius over necklaces of
@@ -189,23 +143,27 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
     maximum over all products of a fixed length.  Both sandwich the true
     value for any sub-multiplicative norm.  Necklaces are the binary ones
     from :func:`enumerate_orbits` in lexicographic order, letter i standing
-    for ``matrices[i]``, so the set holds one or two matrices.  Products run
-    on integers over the entries' common denominator, and each float is taken
-    from a length-n product and that denominator to the n-th power.
+    for ``matrices[i]``, so the set holds one or two row-major 4-tuples.
+    Products run on integers over the entries' common denominator, and each
+    float is taken from a length-n product and that denominator to the n-th
+    power.
     """
     matrices = list(matrices)
     if not 1 <= len(matrices) <= 2:
         raise ValueError(f"need one or two matrices, got {len(matrices)}")
+    if any(len(m) != 4 for m in matrices):
+        raise ValueError("each matrix needs exactly four row-major entries")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if norm not in _NORMS:
         raise ValueError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
     if len(matrices) ** n_max > 1 << 20:
         raise ValueError("alphabet**n_max beyond the exhaustive budget (2^20)")
-    entries = [(m.a, m.b, m.c, m.d) for m in matrices]
+    entries = [[Fraction(x) for x in m] for m in matrices]
     scale = math.lcm(*[x.denominator for row in entries for x in row])
     ints = [tuple(x.numerator * (scale // x.denominator) for x in row) for row in entries]
-    max_norms = _max_norms(ints, scale, n_max, _NORMS[norm])
+    tables = _product_tables(ints, n_max - n_max // 2)
+    norm_fn = _NORMS[norm]
 
     rows = []
     lower = 0.0
@@ -215,7 +173,8 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
         argmax = ""
         densities = range(n + 1) if len(matrices) == 2 else (0,)
         necklaces = sorted(o.representative for ones in densities for o in enumerate_orbits(ones, n))
-        left, right, k = _half_tables(ints, n)
+        k = n - n // 2
+        left, right = tables[n // 2], tables[k]
         for word in necklaces:
             index = int(word, 2)
             a, b, c, d = _mul(left[index >> k], right[index & ((1 << k) - 1)])
@@ -223,35 +182,23 @@ def jsr_bounds(matrices: Sequence[Mat2], n_max: int, norm: str = "spectral") -> 
             if value > lower_n:
                 lower_n = value
                 argmax = word
-        upper_n = max_norms[n - 1] ** (1.0 / n)
+        # Every length-n word is a left half followed by a right half.
+        upper_n = max(norm_fn(_mul(x, y), scale**n) for x in left for y in right) ** (1.0 / n)
         lower = max(lower, lower_n)
         upper = min(upper, upper_n)
         rows.append(BoundsRow(n, lower_n, upper_n, argmax))
     return JsrBounds(norm, tuple(rows), lower, upper)
 
 
-def _max_norms(ints: list[tuple[int, ...]], scale: int, n_max: int, norm_fn) -> list[float]:
-    """Largest norm of a length-n product of ``ints`` / scale, for n = 1..n_max."""
-    powers = [scale**n for n in range(n_max + 1)]
-    best = [-math.inf] * n_max
-    stack = [(m, 1) for m in ints]
-    while stack:
-        product, n = stack.pop()
-        best[n - 1] = max(best[n - 1], norm_fn(product, powers[n]))
-        if n < n_max:
-            stack.extend((_mul(product, m), n + 1) for m in ints)
-    return best
-
-
-def _half_tables(matrices, n: int):
-    """(left, right, k): products over ``matrices`` of every word of length
-    n // 2 and of length k = n - n // 2, indexed by the word read in base 2
-    (one matrix: index 0).  Word i of length n is left[i >> k] right[i % 2**k]."""
-    k = n - n // 2
+def _product_tables(matrices, depth: int) -> list[list[tuple]]:
+    """Products over ``matrices`` of every word of length 0..depth; table j is
+    indexed by the word read in base 2 (one matrix: index 0).  Word i of
+    length n <= 2 * depth is tables[n // 2][i >> k] tables[k][i % 2**k] with
+    k = n - n // 2."""
     tables = [[(1, 0, 0, 1)]]
-    for _ in range(k):
+    for _ in range(depth):
         tables.append([_mul(x, m) for x in tables[-1] for m in matrices])
-    return tables[n // 2], tables[k], k
+    return tables
 
 
 @lru_cache(maxsize=32)
@@ -260,7 +207,9 @@ def _necklace_log_radii(n: int) -> tuple[tuple[int, str, float], ...]:
     necklace whose log radius strictly beats every earlier one of its density.
     ``ones * log(alpha) + log_rho`` rounds monotonically in log_rho, so at any
     alpha the first best-scoring necklace is one of these records."""
-    left, right, k = _half_tables((_A0, _A1), n)
+    k = n - n // 2
+    tables = _product_tables((A0, A1), k)
+    left, right = tables[n // 2], tables[k]
     rows = []
     for ones in range(n + 1):
         record = -math.inf
@@ -332,11 +281,12 @@ def tau_sequence(n_max: int) -> tuple[int, ...]:
 class StandardMatrixSequence:
     """B_{-1} = A1, B_0 = A0, B_{n+1} = B_n^{a_{n+1}} B_{n-1}.
 
-    Storage index i holds B_{i-1}; use the accessors to address by n.
+    Storage index i holds B_{i-1} as an integer row-major 4-tuple; use
+    ``tau_at`` to address a trace by n.
     """
 
     cf: ContinuedFraction
-    matrices: tuple[Mat2, ...]
+    matrices: tuple[tuple[int, int, int, int], ...]
     tau: tuple[int, ...]
     rho: tuple[mp.mpf, ...] = field(repr=False)
     bits: int = 256
@@ -345,16 +295,10 @@ class StandardMatrixSequence:
     def depth(self) -> int:
         return len(self.cf.partial_quotients)
 
-    def _storage(self, n: int) -> int:
+    def tau_at(self, n: int) -> int:
         if not -1 <= n <= self.depth:
             raise IndexError(f"index {n} outside -1..{self.depth}")
-        return n + 1
-
-    def B(self, n: int) -> Mat2:
-        return self.matrices[self._storage(n)]
-
-    def tau_at(self, n: int) -> int:
-        return self.tau[self._storage(n)]
+        return self.tau[n + 1]
 
 
 def standard_matrices(cf: ContinuedFraction, bits: int = 256) -> StandardMatrixSequence:
@@ -363,7 +307,7 @@ def standard_matrices(cf: ContinuedFraction, bits: int = 256) -> StandardMatrixS
     Spectral radii come from the trace/determinant closed form evaluated at
     the requested precision.
     """
-    matrices = [_A1, _A0]
+    matrices = [A1, A0]
     for a in cf.partial_quotients:
         m = matrices[-2]
         for _ in range(a):
@@ -372,7 +316,7 @@ def standard_matrices(cf: ContinuedFraction, bits: int = 256) -> StandardMatrixS
     taus = tuple(m[0] + m[3] for m in matrices)
     with mp.workprec(bits):
         rhos = tuple(_perron_root(m[0] + m[3], m[0] * m[3] - m[1] * m[2]) for m in matrices)
-    return StandardMatrixSequence(cf, tuple(Mat2(*m) for m in matrices), taus, rhos, bits)
+    return StandardMatrixSequence(cf, tuple(matrices), taus, rhos, bits)
 
 
 def _perron_root(trace: int, det: int) -> mp.mpf:

@@ -23,7 +23,7 @@ from functools import reduce
 from operator import add
 from typing import Sequence, Union
 
-from .words import Orbit, enumerate_orbits, is_balanced
+from .words import Orbit, balanced_orbit, enumerate_orbits, is_balanced
 
 __all__ = [
     "Potential",
@@ -256,10 +256,13 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
         # smallest upper envelope could be the true minimizer.
         ceiling = min(float(e) + table.tail(pairs) for e, pairs in zip(energies, offsets))
         tied = [float(e) <= ceiling + TIE_MARGIN * abs(ceiling) for e in energies]
+    # The one balanced orbit is g copies of the balanced (p/g, q/g) word.
+    g = math.gcd(p, q)
+    balanced_rep = balanced_orbit(p // g, q // g).representative * g
     rows = tuple(
-        OrbitEnergy(o, e, is_balanced(o.representative), t)
+        OrbitEnergy(o, e, o.representative == balanced_rep, t)
         for o, e, t in zip(orbits, energies, tied)
     )
     argmin = tuple(row.orbit for row in rows if row.argmin)
-    balanced = all(row.balanced for row in rows if row.argmin)
+    balanced = all(is_balanced(o.representative) for o in argmin)
     return GroundStateReport(p, q, potential, rows, minimum, argmin, balanced, exact)

@@ -45,7 +45,7 @@ def check_word(w: str) -> str:
     """Validate that ``w`` is a str containing only '0' and '1'; return it."""
     if not isinstance(w, str):
         raise TypeError(f"word must be a str of 0/1 characters, got {type(w).__name__}")
-    if w.strip("01"):
+    if w.encode("utf-8", "surrogatepass").translate(None, b"01"):
         raise ValueError(f"word contains characters outside {{0,1}}: {w!r}")
     return w
 

@@ -53,6 +53,9 @@ MUTANTS = (
     Mutant("necklace-period-test", "words.py",
            "if q % period == 0:", "if period == q:",
            ("tests/test_words.py::test_enumerate_orbits_matches_oracle",)),
+    Mutant("check-word-drops-one", "words.py",
+           'translate(None, b"01")', 'translate(None, b"0")',
+           ("tests/test_words.py::test_check_word_rejects_any_other_code_point",)),
     Mutant("mechanical-short-period", "words.py",
            "min(n, b) + 2", "min(n, b) + 1",
            ("tests/test_words.py::test_mechanical_word_matches_fraction_oracle",)),
@@ -90,17 +93,17 @@ MUTANTS = (
            "if not any(all(", "if not any(any(",
            ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
     Mutant("jsr-norm-scale-short", "jsr.py",
-           "norm_fn(product, powers[n])", "norm_fn(product, powers[n - 1])",
+           "_mul(x, y), scale**n)", "_mul(x, y), scale**(n - 1))",
            ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
     Mutant("jsr-radius-scale-long", "jsr.py",
            "a * d - b * c, scale**n)", "a * d - b * c, scale**(n + 1))",
            ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
     Mutant("jsr-norm-walk-short", "jsr.py",
-           "if n < n_max:", "if n < n_max - 1:",
+           "_product_tables(ints, n_max - n_max // 2)", "_product_tables(ints, n_max // 2)",
            ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
     Mutant("jsr-mul-wrong-entry", "jsr.py",
            "x[2] * y[1] + x[3] * y[3],", "x[2] * y[1] + x[3] * y[2],",
-           ("tests/test_jsr.py::test_mat2_arithmetic",)),
+           ("tests/test_jsr.py::test_mul_arithmetic",)),
     Mutant("jsr-standard-product-reversed", "jsr.py",
            "m = _mul(matrices[-1], m)", "m = _mul(m, matrices[-1])",
            ("tests/test_jsr.py::test_standard_matrices_match_mat2_powers",)),
@@ -121,6 +124,10 @@ MUTANTS = (
     Mutant("cyclic-rotation-direction-flipped", "cyclic.py",
            "((b << k) | (b >> (q - k))) & mask", "((b >> k) | (b << (q - k))) & mask",
            ("tests/test_cyclic.py::test_product_scans_match_string_rotation_oracle",)),
+    Mutant("cyclic-flag-by-order", "cyclic.py",
+           "balanced=r.orbit.representative == balanced_rep,",
+           "balanced=r.orbit.representative <= balanced_rep,",
+           ("tests/test_cyclic.py::test_balanced_flags_match_is_balanced",)),
     Mutant("cyclic-rotation-mask-short", "cyclic.py",
            "mask = (1 << q) - 1", "mask = (1 << (q - 1)) - 1",
            ("tests/test_cyclic.py::test_rotation_values_match_string_rotations",)),
@@ -164,6 +171,10 @@ MUTANTS = (
     Mutant("wigner-table-line-distance", "wigner.py",
            "potential.value(min(m, q - m))", "potential.value(m)",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-flag-one-copy", "wigner.py",
+           "balanced_orbit(p // g, q // g).representative * g",
+           "balanced_orbit(p // g, q // g).representative",
+           ("tests/test_wigner.py::test_balanced_flags_match_is_balanced",)),
     Mutant("wigner-image-sign", "wigner.py",
            "potential.value(k * q - m)", "potential.value(k * q + m)",
            ("tests/test_wigner.py::test_ring_energy_matches_pair_oracle",)),

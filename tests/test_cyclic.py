@@ -127,6 +127,15 @@ def test_scan_coprime_pairs_small():
     assert all(len(s.argmax) == 1 for s in scans)
 
 
+def test_balanced_flags_match_is_balanced():
+    """Rows are flagged by name against balanced_orbit; the hull test agrees."""
+    for q in range(2, 18):
+        for p in range(1, q):
+            if math.gcd(p, q) == 1:
+                for row in verify_balanced_product_maximum(p, q).rows:
+                    assert row.balanced == is_balanced(row.representative), (p, q, row)
+
+
 @given(st.integers(min_value=2, max_value=9))
 def test_balanced_product_beats_reversal_classes(q):
     for p in range(1, q):

@@ -15,7 +15,6 @@ from sturmlab.jsr import (
     A0,
     A1,
     ALPHA_STAR_DECIMAL,
-    Mat2,
     PrecisionError,
     alpha_inverse,
     alpha_star_tau,
@@ -27,39 +26,63 @@ from sturmlab.jsr import (
     standard_matrices,
     tau_sequence,
 )
-from sturmlab.jsr import _NORMS, BoundsRow, JsrBounds, RatioScanResult, _necklace_log_radii
+from sturmlab.jsr import (
+    _NORMS,
+    BoundsRow,
+    JsrBounds,
+    RatioScanResult,
+    _mul,
+    _necklace_log_radii,
+    _row_sum_norm,
+    _spectral_norm,
+    _spectral_radius,
+)
 from sturmlab.words import ContinuedFraction, enumerate_orbits
 
 PHI = (1 + math.sqrt(5)) / 2
 
+IDENTITY = (1, 0, 0, 1)
+
 entries_st = st.integers(min_value=-5, max_value=5)
-mat_st = st.builds(Mat2, entries_st, entries_st, entries_st, entries_st)
+mat_st = st.tuples(entries_st, entries_st, entries_st, entries_st)
 
 
-def test_mat2_arithmetic():
-    assert A0 * A1 == Mat2(2, 1, 1, 1)
-    assert A1 * A0 == Mat2(1, 1, 1, 2)
-    assert (A0 * A1).det == 1
-    assert (A0 * A1).trace == 3
+def _trace(m):
+    return m[0] + m[3]
+
+
+def _det(m):
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def _radius(m) -> float:
+    return _spectral_radius(_trace(m), _det(m))
+
+
+def test_mul_arithmetic():
+    assert _mul(A0, A1) == (2, 1, 1, 1)
+    assert _mul(A1, A0) == (1, 1, 1, 2)
+    assert _det(_mul(A0, A1)) == 1
+    assert _trace(_mul(A0, A1)) == 3
 
 
 def test_spectral_radius_fixtures():
-    assert Mat2(2, 0, 0, 1).spectral_radius() == pytest.approx(2.0)
-    assert (A0 * A1).spectral_radius() == pytest.approx(PHI**2)
+    assert _radius((2, 0, 0, 1)) == pytest.approx(2.0)
+    assert _radius(_mul(A0, A1)) == pytest.approx(PHI**2)
     # Rotation-like matrix: complex eigenvalues, radius sqrt(det).
-    assert Mat2(0, -1, 1, 0).spectral_radius() == pytest.approx(1.0)
+    assert _radius((0, -1, 1, 0)) == pytest.approx(1.0)
 
 
 @given(mat_st)
 def test_radius_below_both_norms(m):
-    rho = m.spectral_radius()
-    assert rho <= m.spectral_norm() + 1e-9
-    assert rho <= m.row_sum_norm() + 1e-9
+    rho = _radius(m)
+    assert rho <= _spectral_norm(m) + 1e-9
+    assert rho <= _row_sum_norm(m) + 1e-9
 
 
 @given(mat_st, mat_st)
 def test_spectral_norm_submultiplicative(a, b):
-    assert (a * b).spectral_norm() <= a.spectral_norm() * b.spectral_norm() + 1e-9
+    assert _spectral_norm(_mul(a, b)) <= _spectral_norm(a) * _spectral_norm(b) + 1e-9
 
 
 def necklace_count(n: int) -> int:
@@ -91,12 +114,13 @@ def _necklaces(n: int, k: int):
             yield word
 
 
-# The oracle's norms are the Mat2 methods, taken on products over Fraction.
-_MAT2_NORMS = {"spectral": Mat2.spectral_norm, "row-sum": Mat2.row_sum_norm}
+def _fractions(matrices):
+    """The matrices as row-major tuples of ``Fraction`` entries."""
+    return [tuple(Fraction(x) for x in m) for m in matrices]
 
 
 def _max_norm(matrices, n: int, norm_fn) -> float:
-    """Largest norm over all length-n products, multiplied as Mat2 over Fraction."""
+    """Largest norm over all length-n products, multiplied over Fraction."""
     best = -math.inf
 
     def extend(product, depth: int):
@@ -105,7 +129,7 @@ def _max_norm(matrices, n: int, norm_fn) -> float:
             best = max(best, norm_fn(product))
             return
         for matrix in matrices:
-            extend(matrix if product is None else product * matrix, depth + 1)
+            extend(matrix if product is None else _mul(product, matrix), depth + 1)
 
     extend(None, 0)
     return best
@@ -113,8 +137,8 @@ def _max_norm(matrices, n: int, norm_fn) -> float:
 
 def _jsr_bounds_oracle(matrices, n_max: int, norm: str) -> JsrBounds:
     """The lower-bound loop over every k-ary necklace from itertools.product
-    and the recursive norm maximum, all on Mat2 over Fraction."""
-    matrices = list(matrices)
+    and the recursive norm maximum, all on products over Fraction."""
+    matrices = _fractions(matrices)
     rows = []
     lower = 0.0
     upper = math.inf
@@ -124,12 +148,12 @@ def _jsr_bounds_oracle(matrices, n_max: int, norm: str) -> JsrBounds:
         for word in _necklaces(n, len(matrices)):
             product = matrices[word[0]]
             for letter in word[1:]:
-                product = product * matrices[letter]
-            value = product.spectral_radius() ** (1.0 / n)
+                product = _mul(product, matrices[letter])
+            value = _radius(product) ** (1.0 / n)
             if value > lower_n:
                 lower_n = value
                 argmax = "".join(str(letter) for letter in word)
-        upper_n = _max_norm(matrices, n, _MAT2_NORMS[norm]) ** (1.0 / n)
+        upper_n = _max_norm(matrices, n, _NORMS[norm]) ** (1.0 / n)
         lower = max(lower, lower_n)
         upper = min(upper, upper_n)
         rows.append(BoundsRow(n, lower_n, upper_n, argmax))
@@ -144,13 +168,16 @@ def _jsr_bounds_oracle(matrices, n_max: int, norm: str) -> JsrBounds:
         ([A0], 10),
         (scaled_pair(Fraction(0.1)), 8),
         (scaled_pair(Fraction(2, 7)), 8),
-        ([Mat2(Fraction(1, 2), 1, 0, 1), Mat2(1, 0, Fraction(2, 3), 1)], 8),
-        ([Mat2(0, -1, 1, 0), Mat2(Fraction(-3, 4), 2, 1, Fraction(1, 5))], 8),
+        ([(Fraction(1, 2), 1, 0, 1), (1, 0, Fraction(2, 3), 1)], 8),
+        ([(0, -1, 1, 0), (Fraction(-3, 4), 2, 1, Fraction(1, 5))], 8),
         ([A1], 8),
+        (scaled_pair(Fraction(3, 5)), 9),
+        ([(0.5, 1, 0, 1), (1, 0, -0.25, 1)], 7),
     ],
     ids=[
         "alpha=0", "alpha=1/3", "alpha=1/2", "alpha=3/4", "alpha=749/1000", "alpha=1", "A0",
         "alpha=float0.1", "alpha=2/7", "halves-thirds", "rotation-mixed-sign", "A1",
+        "alpha=3/5-odd-length", "float-entries-odd-length",
     ],
 )
 def test_bounds_match_product_necklace_oracle(matrices, n_max, norm):
@@ -180,7 +207,9 @@ def test_bounds_input_validation():
     with pytest.raises(ValueError):
         jsr_bounds((), 4)
     with pytest.raises(ValueError):
-        jsr_bounds((A0, A1, A0 * A1), 4)
+        jsr_bounds((A0, A1, _mul(A0, A1)), 4)
+    with pytest.raises(ValueError, match="four"):
+        jsr_bounds((A0, (1, 0, 1)), 4)
     with pytest.raises(ValueError):
         jsr_bounds((A0, A1), 0)
     with pytest.raises(ValueError):
@@ -192,7 +221,7 @@ def test_bounds_input_validation():
 def test_scaled_pair_range():
     low, high = scaled_pair(Fraction(1, 2))
     assert low == A0
-    assert high == Fraction(1, 2) * A1
+    assert high == (Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
         scaled_pair(Fraction(3, 2))
 
@@ -216,15 +245,15 @@ def test_staircase_is_monotone():
 
 @lru_cache(maxsize=None)
 def _necklace_traces(n: int) -> tuple[tuple[int, str, int], ...]:
-    """(ones, representative, trace) per necklace, the trace of a Mat2
-    product multiplied out letter by letter."""
+    """(ones, representative, trace) per necklace, the trace of a product
+    multiplied out letter by letter."""
     necklaces = []
     for ones in range(n + 1):
         for orbit in enumerate_orbits(ones, n):
-            product = Mat2(1, 0, 0, 1)
+            product = IDENTITY
             for bit in orbit.representative:
-                product = product * (A0 if bit == "0" else A1)
-            necklaces.append((ones, orbit.representative, int(product.trace)))
+                product = _mul(product, A0 if bit == "0" else A1)
+            necklaces.append((ones, orbit.representative, _trace(product)))
     return tuple(necklaces)
 
 
@@ -317,25 +346,27 @@ def _perron_root_oracle(trace: Fraction, det: Fraction) -> mp.mpf:
 
 @pytest.mark.parametrize("quotients", [(1,) * 16, (2,) + (1,) * 15, (2, 1, 3, 1, 2)])
 def test_standard_matrices_match_mat2_powers(quotients):
-    """B_{n+1} = B_n^a B_{n-1} built by repeated Mat2 products over Fraction."""
+    """B_{n+1} = B_n^a B_{n-1} built by repeated 2x2 products over Fraction."""
     seq = standard_matrices(ContinuedFraction(quotients), bits=256)
-    matrices = [A1, A0]
+    matrices = _fractions([A1, A0])
     for a in quotients:
-        power = Mat2(1, 0, 0, 1)
+        power = IDENTITY
         for _ in range(a):
-            power = power * matrices[-1]
-        matrices.append(power * matrices[-2])
+            power = _mul(power, matrices[-1])
+        matrices.append(_mul(power, matrices[-2]))
     assert seq.matrices == tuple(matrices)
-    assert seq.tau == tuple(m.trace for m in matrices)
+    assert all(isinstance(x, int) for m in seq.matrices for x in m)
+    assert seq.tau == tuple(_trace(m) for m in matrices)
     assert all(isinstance(t, int) for t in seq.tau)
     with mp.workprec(256):
-        assert seq.rho == tuple(_perron_root_oracle(m.trace, m.det) for m in matrices)
+        assert seq.rho == tuple(_perron_root_oracle(_trace(m), _det(m)) for m in matrices)
 
 
 def test_standard_matrix_determinants():
     seq = standard_matrices(ContinuedFraction((2, 1, 3, 1, 2)))
-    for n in range(-1, seq.depth + 1):
-        assert abs(seq.B(n).det) == 1
+    assert len(seq.matrices) == seq.depth + 2
+    for m in seq.matrices:
+        assert abs(_det(m)) == 1
 
 
 def test_alpha_star_two_expansions_agree():

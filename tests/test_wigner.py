@@ -242,6 +242,15 @@ def test_non_coprime_pairs_still_scan():
     assert report.min_energy == Fraction(1, 2)
 
 
+def test_balanced_flags_match_is_balanced():
+    """Rows are flagged by name against g copies of the balanced (p/g, q/g)
+    orbit, zero and full rings and non-coprime classes included."""
+    for q in range(1, 18):
+        for p in range(q + 1):
+            for row in ground_state(p, q, coulomb()).rows:
+                assert row.balanced == is_balanced(row.orbit.representative), (p, q, row.orbit)
+
+
 def test_potential_descriptions():
     assert coulomb().describe() == "coulomb"
     assert inverse_power(3).describe() == "power(3)"

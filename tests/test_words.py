@@ -17,6 +17,7 @@ from sturmlab.words import (
     balance_witness,
     balanced_orbit,
     canonical_rotation,
+    check_word,
     complexity,
     enumerate_orbits,
     factor_set,
@@ -443,6 +444,26 @@ def test_parse_slope_and_format_fraction():
         parse_slope("1/0")
     assert format_fraction(Fraction(2, 5)) == "2/5"
     assert format_fraction(Fraction(4)) == "4"
+
+
+def test_check_word_rejects_any_other_code_point():
+    assert check_word("0110") == "0110"
+    assert check_word("") == ""
+    for bad in ("01a", "0\u00e91", "\u0661", "01\U0001f600", "0\x001", "\ud800", "1\udfff0"):
+        with pytest.raises(ValueError, match=r"outside \{0,1\}"):
+            check_word(bad)
+    with pytest.raises(TypeError, match="must be a str"):
+        check_word(b"01")
+
+
+@given(st.text(st.sampled_from("01a\x00\u00e9\u0661\ud800\udfff\U0001f600"), max_size=12))
+def test_check_word_matches_strip_oracle(w):
+    """The one-pass byte filter accepts exactly the strings str.strip empties."""
+    if w.strip("01"):
+        with pytest.raises(ValueError):
+            check_word(w)
+    else:
+        assert check_word(w) is w
 
 
 def test_mechanical_spec_prefix_matches_function():
