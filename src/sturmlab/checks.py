@@ -171,15 +171,12 @@ def _check_wigner_ground_states() -> tuple[bool, str]:
     anti_convex = wigner.is_convex_decreasing(wigner.anti_coulomb())
     unbalanced = []
     count = 0
-    for q in range(2, 15):
-        for p in range(1, q):
-            if math.gcd(p, q) != 1:
-                continue
-            for potential in potentials:
-                report = wigner.ground_state(p, q, potential)
-                count += 1
-                if not report.balanced:
-                    unbalanced.append(f"{p}/{q}:{potential.describe()}")
+    for p, q in words.coprime_pairs(14):
+        for potential in potentials:
+            report = wigner.ground_state(p, q, potential)
+            count += 1
+            if not report.balanced:
+                unbalanced.append(f"{p}/{q}:{potential.describe()}")
     anti = wigner.ground_state(3, 8, wigner.anti_coulomb())
     anti_clusters = not anti.balanced
     ok = shipped_convex and not anti_convex and not unbalanced and anti_clusters
@@ -208,12 +205,7 @@ def _naive_balance(w: str) -> bool:
 
 def _check_words_core() -> tuple[bool, str]:
     """Mechanical words are balanced; the balance test matches an oracle."""
-    slopes: list = [
-        Fraction(p, q)
-        for q in range(1, 9)
-        for p in range(0, q + 1)
-        if math.gcd(p, q) == 1
-    ]
+    slopes: list = [Fraction(p, q) for p, q in [(0, 1), (1, 1)] + words.coprime_pairs(8)]
     slopes += [(3 - math.sqrt(5)) / 2, math.sqrt(2) - 1, 1 / math.pi]
     deltas = [0, Fraction(1, 3), Fraction(9, 10), 0.25, 0.71]
     unbalanced = []

@@ -161,6 +161,10 @@ def _queue_config(args) -> queueing.QueueConfig:
         config = queueing.load_queue_config(args.config)
     else:
         config = queueing.QueueConfig()
+    if args.gamma is not None and args.word is not None:
+        raise ValueError("--gamma and --word both set the admission; give one of them")
+    if args.delta is not None and args.gamma is None:
+        raise ValueError("--delta is the phase of --gamma; it needs --gamma")
     overrides: dict = {}
     if args.gamma is not None:
         delta = words.parse_slope(args.delta) if args.delta is not None else 0
@@ -259,18 +263,25 @@ def _jsr_alpha_star(args) -> str:
 
 
 _POTENTIALS = {
-    "coulomb": lambda param: wigner.coulomb(),
-    "power": lambda param: wigner.inverse_power(int(param) if param is not None else 3),
-    "exponential": lambda param: wigner.exponential_decay(
-        float(param) if param is not None else 1.0
-    ),
-    "screened": lambda param: wigner.screened(float(param) if param is not None else 1.0),
-    "anti": lambda param: wigner.anti_coulomb(),
+    "coulomb": wigner.coulomb,
+    "power": wigner.inverse_power,
+    "exponential": wigner.exponential_decay,
+    "screened": wigner.screened,
+    "anti": wigner.anti_coulomb,
 }
 
 
 def _wigner_ground_state(args):
-    potential = _POTENTIALS[args.potential](args.param)
+    params = ()
+    if args.param is not None:
+        try:
+            params = (int(args.param),)  # an integer power stays exact
+        except ValueError:
+            params = (float(args.param),)
+    try:
+        potential = _POTENTIALS[args.potential](*params)
+    except TypeError:
+        raise ValueError(f"--potential {args.potential} takes no --param") from None
     report = wigner.ground_state(args.p, args.q, potential, images=args.images)
     rows = [(r.orbit.representative, r.energy, r.balanced, r.argmin) for r in report.rows]
     parameters = {"p": args.p, "q": args.q, "potential": potential.describe(),

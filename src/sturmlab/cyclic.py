@@ -15,8 +15,10 @@ from .words import (
     Orbit,
     balanced_orbit,
     canonical_rotation,
+    coprime_pairs,
     enumerate_orbits,
     minimal_period,
+    rotation_values,
 )
 
 __all__ = [
@@ -27,15 +29,6 @@ __all__ = [
     "verify_balanced_product_maximum",
     "scan_coprime_pairs",
 ]
-
-
-def _rotation_values(w: str) -> tuple[int, ...]:
-    """b over the ``len(w)`` left-rotations of the nonempty 0-1 word ``w``,
-    starting with ``w``: rotating by k shifts b(w) left k places and wraps
-    its top k bits round."""
-    q, b = len(w), int(w, 2)
-    mask = (1 << q) - 1
-    return tuple(((b << k) | (b >> (q - k))) & mask for k in range(q))
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ def orbit_product(w: str) -> OrbitProduct:
 
 
 def _orbit_product(orbit: Orbit) -> OrbitProduct:
-    factors = _rotation_values(orbit.representative)
+    factors = rotation_values(orbit.representative)
     return OrbitProduct(orbit, factors, math.prod(factors))
 
 
@@ -120,9 +113,4 @@ def scan_coprime_pairs(q_max: int) -> list[ProductScan]:
     """Run the product check for every coprime pair 0 < p < q <= q_max."""
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
-    out = []
-    for q in range(2, q_max + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) == 1:
-                out.append(verify_balanced_product_maximum(p, q))
-    return out
+    return [verify_balanced_product_maximum(p, q) for p, q in coprime_pairs(q_max)]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .words import check_word, mechanical_word
+from .words import check_word, coprime_pairs, mechanical_word
 
 __all__ = [
     "Piece",
@@ -268,12 +268,9 @@ def best_balanced_schedule(model: HeapModel, q_max: int) -> ScheduleReport:
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     rows = []
-    for q in range(1, q_max + 1):
-        for p in range(0, q + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            word = mechanical_word(Fraction(p, q), q)
-            rows.append(ScheduleRow(Fraction(p, q), word, cycle_rate(word, model)))
+    for p, q in [(0, 1), (1, 1)] + coprime_pairs(q_max):
+        word = mechanical_word(Fraction(p, q), q)
+        rows.append(ScheduleRow(Fraction(p, q), word, cycle_rate(word, model)))
     best = min(rows, key=lambda r: (r.rate, r.ratio.denominator, r.ratio.numerator))
     return ScheduleReport(tuple(rows), best)
 

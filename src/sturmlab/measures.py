@@ -17,13 +17,14 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .cyclic import _rotation_values
 from .words import (
     balanced_orbit,
     check_word,
+    coprime_pairs,
     enumerate_orbits,
     format_fraction,
     minimal_period,
+    rotation_values,
 )
 
 __all__ = [
@@ -97,7 +98,7 @@ def _orbit_support(w: str) -> tuple[int, list[int], int, list[int]]:
     if set(w) == {"1"}:
         raise ValueError("the all-ones word encodes the excluded endpoint x = 1")
     t = minimal_period(w)
-    return 2**t - 1, sorted(_rotation_values(w[:t])), t, [1] * t
+    return 2**t - 1, sorted(rotation_values(w[:t])), t, [1] * t
 
 
 def orbit_measure(w: str) -> DiscreteMeasure:
@@ -221,29 +222,26 @@ def verify_sturmian_least(
         raise ValueError(f"mixtures_per_pair must be >= 0, got {mixtures_per_pair}")
     rng = random.Random(seed)
     scans = []
-    for q in range(2, q_max + 1):
-        for p in range(1, q):
-            if math.gcd(p, q) != 1:
-                continue
-            sturmian = _orbit_support(balanced_orbit(p, q).representative)
-            pool = [
-                (orbit.representative, _orbit_support(orbit.representative))
-                for k in range(1, q_max // q + 1)
-                for orbit in enumerate_orbits(k * p, k * q)
-            ]
-            bad = [
-                word for word, form in pool
-                if _first_violation([(1, sturmian), (-1, form)]) is not None
-            ]
-            for _ in range(mixtures_per_pair):
-                size = rng.randint(2, min(4, len(pool))) if len(pool) >= 2 else 1
-                chosen = rng.sample(pool, size)
-                raw = [rng.randint(1, 100) for _ in chosen]
-                # sturmian <=_cx sum_k raw_k mu_k / sum(raw), scaled by sum(raw).
-                terms = [(sum(raw), sturmian)] + [(-r, form) for r, (_, form) in zip(raw, chosen)]
-                if _first_violation(terms) is not None:
-                    bad.append("mixture:" + "+".join(word for word, _ in chosen))
-            scans.append(LeastElementScan(p, q, len(pool), mixtures_per_pair, tuple(bad)))
+    for p, q in coprime_pairs(q_max):
+        sturmian = _orbit_support(balanced_orbit(p, q).representative)
+        pool = [
+            (orbit.representative, _orbit_support(orbit.representative))
+            for k in range(1, q_max // q + 1)
+            for orbit in enumerate_orbits(k * p, k * q)
+        ]
+        bad = [
+            word for word, form in pool
+            if _first_violation([(1, sturmian), (-1, form)]) is not None
+        ]
+        for _ in range(mixtures_per_pair):
+            size = rng.randint(2, min(4, len(pool))) if len(pool) >= 2 else 1
+            chosen = rng.sample(pool, size)
+            raw = [rng.randint(1, 100) for _ in chosen]
+            # sturmian <=_cx sum_k raw_k mu_k / sum(raw), scaled by sum(raw).
+            terms = [(sum(raw), sturmian)] + [(-r, form) for r, (_, form) in zip(raw, chosen)]
+            if _first_violation(terms) is not None:
+                bad.append("mixture:" + "+".join(word for word, _ in chosen))
+        scans.append(LeastElementScan(p, q, len(pool), mixtures_per_pair, tuple(bad)))
     return scans
 
 

@@ -65,7 +65,7 @@ class QueueConfig:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if isinstance(self.admission, str):
-            check_word(self.admission)  # the only check a word admission gets
+            check_word(self.admission)
             if not self.admission:
                 raise ValueError("admission word must be nonempty")
         elif not isinstance(self.admission, MechanicalSpec):
@@ -125,12 +125,7 @@ def simulate_queue(config: QueueConfig) -> QueueSummary:
     admission.
     """
     arrivals = _arrival_times(config.seed, config.mean_interarrival, config.horizon)
-    if isinstance(config.admission, str):  # validated once, by QueueConfig
-        pattern = np.frombuffer(config.admission.encode(), np.uint8) == ord("1")
-        # np.tile, not np.resize: resize concatenates one copy per repetition.
-        admit = np.tile(pattern, -(-config.horizon // len(pattern)))[: config.horizon]
-    else:
-        admit = np.frombuffer(symbol_stream(config.admission, config.horizon).encode(), np.uint8) == ord("1")
+    admit = np.frombuffer(symbol_stream(config.admission, config.horizon).encode(), np.uint8) == ord("1")
     admitted = arrivals[admit]
     completions = _completions(admitted, config.service_time)
     earlier = np.arange(len(admitted))

@@ -124,14 +124,14 @@ def exponential_decay(rate: float = 1.0) -> Potential:
     """V(r) = exp(-rate * r)."""
     if not rate > 0:
         raise ValueError("decay rate must be positive")
-    return Potential("exponential", (rate,))
+    return Potential("exponential", (float(rate),))
 
 
 def screened(rate: float = 1.0) -> Potential:
     """V(r) = exp(-rate * r) / r."""
     if not rate > 0:
         raise ValueError("decay rate must be positive")
-    return Potential("screened", (rate,))
+    return Potential("screened", (float(rate),))
 
 
 def anti_coulomb() -> Potential:

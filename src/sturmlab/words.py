@@ -22,6 +22,7 @@ __all__ = [
     "one_length",
     "canonical_rotation",
     "minimal_period",
+    "rotation_values",
     "factor_set",
     "complexity",
     "is_balanced",
@@ -32,6 +33,7 @@ __all__ = [
     "standard_words",
     "Orbit",
     "enumerate_orbits",
+    "coprime_pairs",
     "balanced_orbit",
     "symbol_stream",
     "format_fraction",
@@ -80,13 +82,18 @@ def canonical_rotation(w: str) -> str:
 
 
 def minimal_period(w: str) -> int:
-    """Smallest t with w = (w[:t]) * (len(w)//t); equals the orbit size."""
+    """Smallest t with w = (w[:t]) * (len(w)//t), the orbit size: where w recurs first in ww."""
     check_word(w)
-    m = len(w)
-    for t in range(1, m + 1):
-        if m % t == 0 and w[:t] * (m // t) == w:
-            return t
-    return m
+    return (w + w).find(w, 1) if w else 0
+
+
+def rotation_values(w: str) -> tuple[int, ...]:
+    """b (the base-2 reading) over the ``len(w)`` left-rotations of the
+    nonempty 0-1 word ``w``, starting with ``w``: rotating by k shifts b(w)
+    left k places and wraps its top k bits round."""
+    q, b = len(w), int(w, 2)
+    mask = (1 << q) - 1
+    return tuple(((b << k) | (b >> (q - k))) & mask for k in range(q))
 
 
 def factor_set(w: str, n: int) -> set[str]:
@@ -338,11 +345,18 @@ def enumerate_orbits(p: int, q: int) -> list[Orbit]:
     return orbits
 
 
+def coprime_pairs(q_max: int) -> list[tuple[int, int]]:
+    """Every slope class p/q in lowest terms with 0 < p < q <= q_max, by q then p."""
+    return [(p, q) for q in range(1, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1]
+
+
 def balanced_orbit(p: int, q: int) -> Orbit:
     """The unique balanced orbit with ``p`` ones in length ``q``.
 
     Requires gcd(p, q) = 1 with 0 <= p <= q (p in {0, q} only for q = 1);
-    equals the orbit of the mechanical word of slope p/q and phase 0.
+    equals the orbit of the mechanical word of slope p/q and phase 0.  Its
+    least rotation is the Christoffel word, that word (letters k = 1..q)
+    rotated right by one letter to start at k = 0; its period is q.
     """
     if q < 1:
         raise ValueError("word length q must be >= 1")
@@ -351,7 +365,7 @@ def balanced_orbit(p: int, q: int) -> Orbit:
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q = {p}/{q} is not in lowest terms")
     w = mechanical_word(Fraction(p, q), q)
-    orbit = Orbit(canonical_rotation(w), minimal_period(w))
+    orbit = Orbit(w[-1] + w[:-1], q)
     assert is_balanced(orbit.representative)
     return orbit
 

@@ -56,6 +56,21 @@ MUTANTS = (
     Mutant("check-word-drops-one", "words.py",
            'translate(None, b"01")', 'translate(None, b"0")',
            ("tests/test_words.py::test_check_word_rejects_any_other_code_point",)),
+    Mutant("coprime-pairs-from-zero", "words.py",
+           "for p in range(1, q)", "for p in range(0, q)",
+           ("tests/test_words.py::test_coprime_pairs_match_nested_loop_oracle",)),
+    Mutant("balanced-orbit-unrotated", "words.py",
+           "Orbit(w[-1] + w[:-1], q)", "Orbit(w, q)",
+           ("tests/test_words.py::test_balanced_orbit_is_the_least_rotation_of_its_mechanical_word",)),
+    Mutant("minimal-period-find-from-zero", "words.py",
+           "find(w, 1)", "find(w, 0)",
+           ("tests/test_words.py::test_minimal_period_matches_divisor_oracle_exhaustively",)),
+    Mutant("cyclic-rotation-direction-flipped", "words.py",
+           "((b << k) | (b >> (q - k))) & mask", "((b >> k) | (b << (q - k))) & mask",
+           ("tests/test_cyclic.py::test_product_scans_match_string_rotation_oracle",)),
+    Mutant("cyclic-rotation-mask-short", "words.py",
+           "mask = (1 << q) - 1", "mask = (1 << (q - 1)) - 1",
+           ("tests/test_words.py::test_rotation_values_match_string_rotations",)),
     Mutant("mechanical-short-period", "words.py",
            "min(n, b) + 2", "min(n, b) + 1",
            ("tests/test_words.py::test_mechanical_word_matches_fraction_oracle",)),
@@ -121,18 +136,12 @@ MUTANTS = (
            "_mul(left[index >> k], right[index & ((1 << k) - 1)])",
            "_mul(left[index >> k], right[index & ((1 << k) - 2)])",
            ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
-    Mutant("cyclic-rotation-direction-flipped", "cyclic.py",
-           "((b << k) | (b >> (q - k))) & mask", "((b >> k) | (b << (q - k))) & mask",
-           ("tests/test_cyclic.py::test_product_scans_match_string_rotation_oracle",)),
     Mutant("cyclic-flag-by-order", "cyclic.py",
            "balanced=r.orbit.representative == balanced_rep,",
            "balanced=r.orbit.representative <= balanced_rep,",
            ("tests/test_cyclic.py::test_balanced_flags_match_is_balanced",)),
-    Mutant("cyclic-rotation-mask-short", "cyclic.py",
-           "mask = (1 << q) - 1", "mask = (1 << (q - 1)) - 1",
-           ("tests/test_cyclic.py::test_rotation_values_match_string_rotations",)),
     Mutant("measures-support-whole-word", "measures.py",
-           "sorted(_rotation_values(w[:t]))", "sorted(_rotation_values(w))",
+           "sorted(rotation_values(w[:t]))", "sorted(rotation_values(w))",
            ("tests/test_measures.py::test_orbit_support_matches_string_rotation_oracle",)),
     Mutant("measures-gap-ge", "measures.py",
            "if gap > 0:", "if gap >= 0:",
@@ -178,6 +187,31 @@ MUTANTS = (
     Mutant("wigner-image-sign", "wigner.py",
            "potential.value(k * q - m)", "potential.value(k * q + m)",
            ("tests/test_wigner.py::test_ring_energy_matches_pair_oracle",)),
+    Mutant("cli-param-int-only", "cli.py",
+           "params = (float(args.param),)", "params = (int(args.param),)",
+           ("tests/test_cli.py::test_wigner_param_reaches_the_factory",)),
+    Mutant("cli-param-ignored-without-factory-argument", "cli.py",
+           'raise ValueError(f"--potential {args.potential} takes no --param") from None',
+           "potential = _POTENTIALS[args.potential]()",
+           ("tests/test_cli.py::test_bad_parameter_is_usage_error",)),
+    Mutant("cli-queue-gamma-drops-word", "cli.py",
+           "if args.gamma is not None and args.word is not None:", "if False:",
+           ("tests/test_cli.py::test_bad_parameter_is_usage_error",)),
+    Mutant("cli-queue-delta-without-gamma", "cli.py",
+           "if args.delta is not None and args.gamma is None:", "if False:",
+           ("tests/test_cli.py::test_bad_parameter_is_usage_error",)),
+    Mutant("check-cyclic-failures-dropped", "checks.py",
+           'failed = [f"{s.p}/{s.q}" for s in scans if not s.passed]', "failed = []",
+           ("tests/test_checks.py::test_cyclic_check_fails_on_a_failed_scan",)),
+    Mutant("check-heaps-missing-ignored", "checks.py",
+           "if not any(words.is_balanced(w) for w in scan.argmin):", "if False:",
+           ("tests/test_checks.py::test_heaps_check_fails_without_a_balanced_argmin",)),
+    Mutant("check-wigner-unbalanced-ignored", "checks.py",
+           "if not report.balanced:", "if False:",
+           ("tests/test_checks.py::test_wigner_check_fails_on_an_unbalanced_ground_state",)),
+    Mutant("check-queue-verdict-always", "checks.py",
+           "ok = losses == 0", "ok = True",
+           ("tests/test_checks.py::test_queue_check_fails_when_a_shuffle_beats_the_mechanical_word",)),
 )
 
 

@@ -160,6 +160,27 @@ def test_wigner_anti_potential(capsys):
     assert winner[0][0] == "00000111" and winner[0][2] == "false"
 
 
+@pytest.mark.parametrize(
+    "potential, param, described, energy",
+    [
+        ("power", "2", "power(2)", "1/4"),  # an integer power stays exact
+        ("power", "2.5", "power(2.5)", "0.1767766952966369"),
+        ("exponential", "2", "exponential(2.0)", "0.01831563888873418"),
+        ("screened", "0.5", "screened(0.5)", "0.18393972058572117"),
+    ],
+)
+def test_wigner_param_reaches_the_factory(capsys, potential, param, described, energy):
+    code, out, _ = run_cli(
+        capsys, "wigner", "ground-state", "--p", "2", "--q", "4",
+        "--potential", potential, "--param", param, "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["meta"]["parameters"]["potential"] == described
+    energies = {row["representative"]: row["energy"] for row in payload["rows"]}
+    assert energies["0101"] == energy
+
+
 def test_verify_all_subset(capsys):
     code, out, _ = run_cli(
         capsys, "verify-all", "--only", "cyclic-products,jsr-golden-ratio"
@@ -212,6 +233,11 @@ def test_usage_errors(capsys):
         "heaps scan --n-max 0",
         "measures peaks --grid 0",
         "measures peaks --grid -3",
+        "queue run --delta 1/2",
+        "queue compete --gamma 1/3 --word 1",
+        "wigner ground-state --p 2 --q 5 --potential coulomb --param 2",
+        "wigner ground-state --p 2 --q 5 --potential anti --param 1",
+        "wigner ground-state --p 2 --q 5 --potential power --param x",
     ],
 )
 def test_bad_parameter_is_usage_error(capsys, argv):

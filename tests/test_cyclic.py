@@ -3,14 +3,13 @@
 import math
 from functools import reduce
 
-from hypothesis import example, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sturmlab.cyclic import (
     OrbitProduct,
     ProductScan,
     ProductScanRow,
-    _rotation_values,
     orbit_product,
     scan_coprime_pairs,
     verify_balanced_product_maximum,
@@ -36,22 +35,6 @@ def rotations(w: str) -> list[str]:
     """Oracle: all ``len(w)`` left-rotations of ``w`` as strings, starting with ``w``."""
     doubled = w + w
     return [doubled[i : i + len(w)] for i in range(len(w))] if w else [""]
-
-
-def test_binary_value():
-    # The first rotation value is b(w) itself.
-    assert _rotation_values("101") == (5, 3, 6)
-    assert _rotation_values("0001") == (1, 2, 4, 8)
-    assert _rotation_values("0" * 6) == (0,) * 6
-
-
-@settings(max_examples=300)
-@given(st.text(alphabet="01", min_size=1, max_size=64))
-@example("1")
-@example("1" * 64)
-@example("0" * 63 + "1")
-def test_rotation_values_match_string_rotations(w):
-    assert _rotation_values(w) == tuple(binary_value(r) for r in rotations(w))
 
 
 def _product_scan_oracle(p: int, q: int) -> ProductScan:

@@ -14,11 +14,13 @@ from sturmlab.checks import _naive_balance
 from sturmlab.words import (
     ContinuedFraction,
     MechanicalSpec,
+    Orbit,
     balance_witness,
     balanced_orbit,
     canonical_rotation,
     check_word,
     complexity,
+    coprime_pairs,
     enumerate_orbits,
     factor_set,
     format_fraction,
@@ -27,6 +29,7 @@ from sturmlab.words import (
     minimal_period,
     one_length,
     parse_slope,
+    rotation_values,
     standard_words,
     symbol_stream,
 )
@@ -379,6 +382,39 @@ def test_minimal_period():
     assert minimal_period("0000") == 1
 
 
+def minimal_period_oracle(w: str) -> int:
+    """The divisor scan: the least t dividing len(w) with w a power of w[:t]."""
+    m = len(w)
+    for t in range(1, m + 1):
+        if m % t == 0 and w[:t] * (m // t) == w:
+            return t
+    return m
+
+
+def test_minimal_period_matches_divisor_oracle_exhaustively():
+    assert minimal_period("") == 0
+    for m in range(1, 13):
+        for letters in product("01", repeat=m):
+            w = "".join(letters)
+            assert minimal_period(w) == minimal_period_oracle(w)
+
+
+def test_rotation_values_fixture():
+    # The first rotation value is b(w) itself.
+    assert rotation_values("101") == (5, 3, 6)
+    assert rotation_values("0001") == (1, 2, 4, 8)
+    assert rotation_values("0" * 6) == (0,) * 6
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="01", min_size=1, max_size=64))
+@example("1")
+@example("1" * 64)
+@example("0" * 63 + "1")
+def test_rotation_values_match_string_rotations(w):
+    assert rotation_values(w) == tuple(int(r, 2) for r in rotations(w))
+
+
 def test_enumerate_orbits_partitions_all_words():
     p, q = 3, 7
     total = sum(orbit.period for orbit in enumerate_orbits(p, q))
@@ -422,6 +458,22 @@ def _fixed_density_necklace_count(p: int, q: int) -> int:
 def test_orbit_count_matches_necklace_formula(data, q):
     p = data.draw(st.integers(min_value=0, max_value=q))
     assert len(enumerate_orbits(p, q)) == _fixed_density_necklace_count(p, q)
+
+
+def test_coprime_pairs_match_nested_loop_oracle():
+    for q_max in range(41):
+        oracle = [
+            (p, q) for q in range(2, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1
+        ]
+        assert coprime_pairs(q_max) == oracle, q_max
+    assert coprime_pairs(-3) == []
+
+
+def test_balanced_orbit_is_the_least_rotation_of_its_mechanical_word():
+    """The Christoffel form equals the generic least-rotation and period scans."""
+    for p, q in [(0, 1), (1, 1)] + coprime_pairs(200):
+        w = mechanical_word(Fraction(p, q), q)
+        assert balanced_orbit(p, q) == Orbit(canonical_rotation(w), minimal_period(w)), (p, q)
 
 
 def test_balanced_orbit_unique_and_balanced():
