@@ -105,16 +105,16 @@ def _check_alpha_star_digits() -> tuple[bool, str]:
 def _check_trace_recurrence() -> tuple[bool, str]:
     """tr(B_{n+1}) = tr(B_n) tr(B_{n-1}) - tr(B_{n-2}), exact integers."""
     problems = []
+    traces = {}
     for label, quotients in (("golden", (1,) * 16), ("shifted", (2,) + (1,) * 15)):
-        seq = jsr.standard_matrices(words.ContinuedFraction(quotients))
-        taus = [seq.tau_at(n) for n in range(-1, seq.depth + 1)]
+        matrices = jsr.standard_matrices(words.ContinuedFraction(quotients))
+        taus = traces[label] = [m[0] + m[3] for m in matrices]
         for i in range(4, len(taus)):
             if taus[i] != taus[i - 1] * taus[i - 2] - taus[i - 3]:
                 problems.append(f"{label}@B_{i - 1}")
-    golden = jsr.standard_matrices(words.ContinuedFraction((1,) * 16))
     reference = jsr.tau_sequence(17)
     for k in range(2, 18):
-        if reference[k] != golden.tau_at(k - 2):
+        if reference[k] != traces["golden"][k - 1]:
             problems.append(f"seeded-offset@{k}")
     detail = (
         "recurrence exact for n <= 15 on two quotient patterns and the "

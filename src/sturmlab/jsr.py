@@ -15,9 +15,11 @@ product over d**n with one rounding each.
 
 At the golden-mean slope the deformation threshold has two independent
 product expansions, one through the trace sequence tau_{n+1} =
-tau_n tau_{n-1} - tau_{n-2} and one through spectral radii of the standard
-matrices B_{n+1} = B_n^{a_{n+1}} B_{n-1}.  Both are evaluated in the log
-domain with mpmath and agree with the reference decimal ALPHA_STAR_DECIMAL.
+tau_n tau_{n-1} - tau_{n-2} and one through the Perron roots of the standard
+matrices B_{n+1} = B_n^{a_{n+1}} B_{n-1}, which ``standard_matrices`` returns
+as plain integer 4-tuples.  One estimator sums either expansion's log factors
+left to right with mpmath into its partial products; both agree with the
+reference decimal ALPHA_STAR_DECIMAL.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence, Union
 
 import mpmath as mp
@@ -42,7 +45,6 @@ __all__ = [
     "RatioScanResult",
     "optimal_ratio_scan",
     "ratio_staircase",
-    "StandardMatrixSequence",
     "standard_matrices",
     "tau_sequence",
     "PrecisionError",
@@ -277,55 +279,23 @@ def tau_sequence(n_max: int) -> tuple[int, ...]:
     return tuple(taus[: n_max + 1])
 
 
-@dataclass(frozen=True)
-class StandardMatrixSequence:
-    """B_{-1} = A1, B_0 = A0, B_{n+1} = B_n^{a_{n+1}} B_{n-1}.
-
-    Storage index i holds B_{i-1} as an integer row-major 4-tuple; use
-    ``tau_at`` to address a trace by n.
-    """
-
-    cf: ContinuedFraction
-    matrices: tuple[tuple[int, int, int, int], ...]
-    tau: tuple[int, ...]
-    rho: tuple[mp.mpf, ...] = field(repr=False)
-    bits: int = 256
-
-    @property
-    def depth(self) -> int:
-        return len(self.cf.partial_quotients)
-
-    def tau_at(self, n: int) -> int:
-        if not -1 <= n <= self.depth:
-            raise IndexError(f"index {n} outside -1..{self.depth}")
-        return self.tau[n + 1]
-
-
-def standard_matrices(cf: ContinuedFraction, bits: int = 256) -> StandardMatrixSequence:
-    """Integer standard-matrix sequence with traces and spectral radii.
-
-    Spectral radii come from the trace/determinant closed form evaluated at
-    the requested precision.
-    """
+def standard_matrices(cf: ContinuedFraction) -> tuple[tuple[int, int, int, int], ...]:
+    """B_{-1} = A1, B_0 = A0, B_{n+1} = B_n^{a_{n+1}} B_{n-1} as integer
+    row-major 4-tuples; entry i is B_{i-1}, and its trace is m[0] + m[3]."""
     matrices = [A1, A0]
     for a in cf.partial_quotients:
         m = matrices[-2]
         for _ in range(a):
             m = _mul(matrices[-1], m)
         matrices.append(m)
-    taus = tuple(m[0] + m[3] for m in matrices)
-    with mp.workprec(bits):
-        rhos = tuple(_perron_root(m[0] + m[3], m[0] * m[3] - m[1] * m[2]) for m in matrices)
-    return StandardMatrixSequence(cf, tuple(matrices), taus, rhos, bits)
+    return tuple(matrices)
 
 
-def _perron_root(trace: int, det: int) -> mp.mpf:
-    """(t + sqrt(t^2 - 4 det)) / 2; real for entrywise-nonnegative matrices."""
-    t = mp.mpf(trace)
-    disc = t * t - 4 * det
-    if disc < 0:
-        raise ValueError("complex spectrum; expected a nonnegative matrix")
-    return (t + mp.sqrt(disc)) / 2
+def _perron_root(m) -> mp.mpf:
+    """(t + sqrt(t^2 - 4 det)) / 2 of a standard matrix m at the working
+    precision; real, as m is nonnegative with det 1, so t >= 2."""
+    t = mp.mpf(m[0] + m[3])
+    return (t + mp.sqrt(t * t - 4 * (m[0] * m[3] - m[1] * m[2]))) / 2
 
 
 @dataclass(frozen=True)
@@ -342,8 +312,6 @@ class AlphaEstimate:
     error: mp.mpf
     limit_form: mp.mpf
     partials: tuple[mp.mpf, ...] = field(repr=False)
-    terms: int
-    bits: int
 
 
 def _check_terms(terms: int, bits: int):
@@ -356,6 +324,14 @@ def _check_terms(terms: int, bits: int):
             f"terms={terms}: traces grow doubly exponentially and exceed the "
             f"practical integer budget beyond {MAX_ALPHA_TERMS} terms"
         )
+
+
+def _alpha_estimate(log_factors, limit_exponent) -> AlphaEstimate:
+    """Partial products exp(f_1 + ... + f_k), summed left to right at the
+    working precision, and the closed form exp(limit_exponent)."""
+    partials = [mp.e**acc for acc in accumulate(log_factors)]
+    error = abs(partials[-1] - partials[-2])
+    return AlphaEstimate(partials[-1], error, mp.e**limit_exponent, tuple(partials))
 
 
 def alpha_inverse(gamma_cf: ContinuedFraction, terms: int, bits: int = 256) -> AlphaEstimate:
@@ -374,22 +350,18 @@ def alpha_inverse(gamma_cf: ContinuedFraction, terms: int, bits: int = 256) -> A
             f"need at least terms + 1 = {terms + 1} partial quotients, "
             f"got {len(quotients)}"
         )
+    q = [pair[1] for pair in gamma_cf.convergents]
     with mp.workprec(bits):
-        sequence = standard_matrices(gamma_cf, bits)
-        q = [pair[1] for pair in gamma_cf.convergents]
-        log_rho = [mp.log(r) if r > 1 else mp.mpf(0) for r in sequence.rho]
-        partials = []
-        acc = mp.mpf(0)
-        for n in range(terms + 1):
-            i = n + 1
-            term = quotients[n] * log_rho[i] + log_rho[i - 1] - log_rho[i + 1]
-            acc += (-1) ** n * q[i] * term
-            partials.append(mp.e**acc)
+        log_rho = [mp.log(_perron_root(m)) for m in standard_matrices(gamma_cf)]
+        # log_rho[n + 1] belongs to B_n.
+        log_factors = [
+            (-1) ** n * q[n + 1] * (a * log_rho[n + 1] + log_rho[n] - log_rho[n + 2])
+            for n, a in enumerate(quotients[: terms + 1])
+        ]
         i = terms + 1
-        limit_exponent = (-1) ** terms * (q[i + 1] * log_rho[i] - q[i] * log_rho[i + 1])
-        limit_form = mp.e**limit_exponent
-        error = abs(partials[-1] - partials[-2])
-        return AlphaEstimate(partials[-1], error, limit_form, tuple(partials), terms, bits)
+        return _alpha_estimate(
+            log_factors, (-1) ** terms * (q[i + 1] * log_rho[i] - q[i] * log_rho[i + 1])
+        )
 
 
 def alpha_star_tau(terms: int, bits: int = 256) -> AlphaEstimate:
@@ -406,19 +378,15 @@ def alpha_star_tau(terms: int, bits: int = 256) -> AlphaEstimate:
     while len(fibs) <= terms + 2:
         fibs.append(fibs[-1] + fibs[-2])
     with mp.workprec(bits):
-        partials = []
-        acc = mp.mpf(0)
-        for n in range(1, terms + 1):
-            ratio = mp.mpf(taus[n - 1]) / (mp.mpf(taus[n]) * mp.mpf(taus[n + 1]))
-            acc += (-1) ** n * fibs[n + 1] * mp.log1p(-ratio)
-            partials.append(mp.e**acc)
+        ratios = [
+            mp.mpf(taus[n - 1]) / (mp.mpf(taus[n]) * mp.mpf(taus[n + 1]))
+            for n in range(1, terms + 1)
+        ]
+        log_factors = [(-1) ** n * fibs[n + 1] * mp.log1p(-r) for n, r in enumerate(ratios, 1)]
         n = terms
-        limit_exponent = (-1) ** n * (
-            fibs[n + 1] * mp.log(taus[n]) - fibs[n] * mp.log(taus[n + 1])
+        return _alpha_estimate(
+            log_factors, (-1) ** n * (fibs[n + 1] * mp.log(taus[n]) - fibs[n] * mp.log(taus[n + 1]))
         )
-        limit_form = mp.e**limit_exponent
-        error = abs(partials[-1] - partials[-2])
-        return AlphaEstimate(partials[-1], error, limit_form, tuple(partials), terms, bits)
 
 
 def matching_digits(value) -> int:

@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .words import (
+    Orbit,
     balanced_orbit,
-    check_word,
+    canonical_rotation,
     coprime_pairs,
     enumerate_orbits,
     format_fraction,
@@ -90,15 +91,10 @@ class DiscreteMeasure:
         return record
 
 
-def _orbit_support(w: str) -> tuple[int, list[int], int, list[int]]:
-    """:func:`orbit_measure` as (d, xs, m, vs): points b(r) / (2^t - 1), weights 1 / t."""
-    check_word(w)
-    if not w:
-        raise ValueError("orbit measure is undefined for the empty word")
-    if set(w) == {"1"}:
-        raise ValueError("the all-ones word encodes the excluded endpoint x = 1")
-    t = minimal_period(w)
-    return 2**t - 1, sorted(rotation_values(w[:t])), t, [1] * t
+def _orbit_support(orbit: Orbit) -> tuple[int, list[int], int, list[int]]:
+    """orbit_measure as (d, xs, m, vs): t = period points b(r) / (2^t - 1), weights 1 / t."""
+    t = orbit.period
+    return 2**t - 1, sorted(rotation_values(orbit.representative[:t])), t, [1] * t
 
 
 def orbit_measure(w: str) -> DiscreteMeasure:
@@ -109,7 +105,12 @@ def orbit_measure(w: str) -> DiscreteMeasure:
     distinct points).  The all-ones word is rejected: its encoded point is 1,
     the excluded endpoint.
     """
-    d, xs, t, _ = _orbit_support(w)
+    rep = canonical_rotation(w)  # validates w
+    if not w:
+        raise ValueError("orbit measure is undefined for the empty word")
+    if set(w) == {"1"}:
+        raise ValueError("the all-ones word encodes the excluded endpoint x = 1")
+    d, xs, t, _ = _orbit_support(Orbit(rep, minimal_period(rep)))
     return DiscreteMeasure(tuple(Fraction(x, d) for x in xs), (Fraction(1, t),) * t, word=w)
 
 
@@ -223,9 +224,9 @@ def verify_sturmian_least(
     rng = random.Random(seed)
     scans = []
     for p, q in coprime_pairs(q_max):
-        sturmian = _orbit_support(balanced_orbit(p, q).representative)
+        sturmian = _orbit_support(balanced_orbit(p, q))
         pool = [
-            (orbit.representative, _orbit_support(orbit.representative))
+            (orbit.representative, _orbit_support(orbit))
             for k in range(1, q_max // q + 1)
             for orbit in enumerate_orbits(k * p, k * q)
         ]
@@ -264,7 +265,7 @@ def maximize_over_orbits(
             for orbit in enumerate_orbits(p, length):
                 if orbit.period != length:
                     continue
-                d, xs, t, _ = _orbit_support(orbit.representative)
+                d, xs, t, _ = _orbit_support(orbit)
                 # 1 / t and x / d round correctly, so they are float(Fraction(...)).
                 value = sum(1 / t * f(x / d) for x in xs)
                 if best is None or value > best[1]:

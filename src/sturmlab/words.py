@@ -296,8 +296,8 @@ class Orbit:
     ``representative`` is the lexicographically least rotation and ``period``
     is the minimal period of any member, which is also the orbit size.  Both
     are derived by the constructors (:func:`enumerate_orbits`,
-    :func:`balanced_orbit`, ``cyclic.orbit_product``), so they are not checked
-    again here.
+    :func:`balanced_orbit`, ``cyclic.orbit_product``, ``measures.orbit_measure``),
+    so they are not checked again here.
     """
 
     representative: str
@@ -365,9 +365,7 @@ def balanced_orbit(p: int, q: int) -> Orbit:
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q = {p}/{q} is not in lowest terms")
     w = mechanical_word(Fraction(p, q), q)
-    orbit = Orbit(w[-1] + w[:-1], q)
-    assert is_balanced(orbit.representative)
-    return orbit
+    return Orbit(w[-1] + w[:-1], q)
 
 
 def format_fraction(x: Fraction) -> str:
@@ -377,7 +375,7 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_slope(text: str) -> Union[Fraction, float]:
-    """Parse 'p/q' as an exact Fraction, else fall back to float."""
+    """Parse 'p/q' as an exact Fraction, else fall back to a finite float."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
@@ -387,4 +385,7 @@ def parse_slope(text: str) -> Union[Fraction, float]:
     try:
         return Fraction(int(text))
     except ValueError:
-        return float(text)
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"slope {text!r} is not finite")
+    return value

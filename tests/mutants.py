@@ -65,6 +65,9 @@ MUTANTS = (
     Mutant("minimal-period-find-from-zero", "words.py",
            "find(w, 1)", "find(w, 0)",
            ("tests/test_words.py::test_minimal_period_matches_divisor_oracle_exhaustively",)),
+    Mutant("parse-slope-finite-nan-only", "words.py",
+           "if not math.isfinite(value):", "if math.isnan(value):",
+           ("tests/test_words.py::test_parse_slope_and_format_fraction",)),
     Mutant("cyclic-rotation-direction-flipped", "words.py",
            "((b << k) | (b >> (q - k))) & mask", "((b >> k) | (b << (q - k))) & mask",
            ("tests/test_cyclic.py::test_product_scans_match_string_rotation_oracle",)),
@@ -122,6 +125,15 @@ MUTANTS = (
     Mutant("jsr-standard-product-reversed", "jsr.py",
            "m = _mul(matrices[-1], m)", "m = _mul(m, matrices[-1])",
            ("tests/test_jsr.py::test_standard_matrices_match_mat2_powers",)),
+    Mutant("jsr-estimate-error-from-third-last", "jsr.py",
+           "error = abs(partials[-1] - partials[-2])", "error = abs(partials[-1] - partials[-3])",
+           ("tests/test_jsr.py::test_both_expansions_report_their_truncated_products",)),
+    Mutant("jsr-estimate-first-partial-dropped", "jsr.py",
+           "tuple(partials))", "tuple(partials[1:]))",
+           ("tests/test_jsr.py::test_both_expansions_report_their_truncated_products",)),
+    Mutant("jsr-estimate-first-factor-skipped", "jsr.py",
+           "accumulate(log_factors)]", "accumulate(log_factors[1:])]",
+           ("tests/test_jsr.py::test_both_expansions_report_their_truncated_products",)),
     Mutant("jsr-cached-trace-plus-one", "jsr.py",
            "_spectral_radius(trace, 1)", "_spectral_radius(trace + 1, 1)",
            ("tests/test_jsr.py::test_staircase_matches_per_necklace_oracle",)),
@@ -141,7 +153,7 @@ MUTANTS = (
            "balanced=r.orbit.representative <= balanced_rep,",
            ("tests/test_cyclic.py::test_balanced_flags_match_is_balanced",)),
     Mutant("measures-support-whole-word", "measures.py",
-           "sorted(rotation_values(w[:t]))", "sorted(rotation_values(w))",
+           "rotation_values(orbit.representative[:t])", "rotation_values(orbit.representative)",
            ("tests/test_measures.py::test_orbit_support_matches_string_rotation_oracle",)),
     Mutant("measures-gap-ge", "measures.py",
            "if gap > 0:", "if gap >= 0:",

@@ -7,7 +7,7 @@ verdict, and enforces the runtime budget where one is pinned.
 
 import pytest
 
-from sturmlab.checks import run_check
+from sturmlab.checks import run_all, run_check
 
 
 def run_and_report(name: str, budget: float = None):
@@ -87,3 +87,12 @@ def test_registry_covers_exactly_the_battery():
 def test_unknown_check_rejected():
     with pytest.raises(ValueError):
         run_check("no-such-criterion")
+
+
+def test_process_pool_returns_the_serial_verdicts_in_order():
+    names = ["trace-recurrence", "jsr-golden-ratio", "alpha-star-digits"]
+    serial, pooled = (run_all(names, jobs=jobs) for jobs in (1, 2))
+    assert [(r.name, r.passed, r.detail) for r in pooled] == [
+        (r.name, r.passed, r.detail) for r in serial
+    ]
+    assert [r.name for r in pooled] == names

@@ -224,6 +224,9 @@ def test_usage_errors(capsys):
     [
         "words mechanical --gamma 1/0 --n 5",
         "jsr bounds --alpha 1/0",
+        "jsr bounds --alpha inf",
+        "jsr bounds --alpha 1e400",
+        "verify-all --jobs 0",
         "queue run --gamma 1/0",
         "queue run --interarrival nan",
         "queue run --service inf",

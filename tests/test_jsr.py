@@ -33,6 +33,7 @@ from sturmlab.jsr import (
     RatioScanResult,
     _mul,
     _necklace_log_radii,
+    _perron_root,
     _row_sum_norm,
     _spectral_norm,
     _spectral_radius,
@@ -336,7 +337,7 @@ def test_standard_matrices_traces():
     golden = standard_matrices(ContinuedFraction((1,) * 10))
     taus = tau_sequence(11)
     for k in range(2, 12):
-        assert golden.tau_at(k - 2) == taus[k]
+        assert _trace(golden[k - 1]) == taus[k]
 
 
 def _perron_root_oracle(trace: Fraction, det: Fraction) -> mp.mpf:
@@ -344,28 +345,37 @@ def _perron_root_oracle(trace: Fraction, det: Fraction) -> mp.mpf:
     return (t + mp.sqrt(t * t - 4 * (mp.mpf(det.numerator) / det.denominator))) / 2
 
 
-@pytest.mark.parametrize("quotients", [(1,) * 16, (2,) + (1,) * 15, (2, 1, 3, 1, 2)])
-def test_standard_matrices_match_mat2_powers(quotients):
+def _standard_oracle(quotients) -> list[tuple]:
     """B_{n+1} = B_n^a B_{n-1} built by repeated 2x2 products over Fraction."""
-    seq = standard_matrices(ContinuedFraction(quotients), bits=256)
     matrices = _fractions([A1, A0])
     for a in quotients:
         power = IDENTITY
         for _ in range(a):
             power = _mul(power, matrices[-1])
         matrices.append(_mul(power, matrices[-2]))
-    assert seq.matrices == tuple(matrices)
-    assert all(isinstance(x, int) for m in seq.matrices for x in m)
-    assert seq.tau == tuple(_trace(m) for m in matrices)
-    assert all(isinstance(t, int) for t in seq.tau)
+    return matrices
+
+
+@pytest.mark.parametrize("quotients", [(1,) * 16, (2,) + (1,) * 15, (2, 1, 3, 1, 2)])
+def test_standard_matrices_match_mat2_powers(quotients):
+    seq = standard_matrices(ContinuedFraction(quotients))
+    matrices = _standard_oracle(quotients)
+    assert seq == tuple(matrices)
+    assert all(isinstance(x, int) for m in seq for x in m)
+    assert tuple(_trace(m) for m in seq) == tuple(_trace(m) for m in matrices)
+    assert all(isinstance(_trace(m), int) for m in seq)
     with mp.workprec(256):
-        assert seq.rho == tuple(_perron_root_oracle(_trace(m), _det(m)) for m in matrices)
+        # The Perron roots alpha_inverse takes the logs of.
+        assert tuple(_perron_root(m) for m in seq) == tuple(
+            _perron_root_oracle(_trace(m), _det(m)) for m in matrices
+        )
 
 
 def test_standard_matrix_determinants():
-    seq = standard_matrices(ContinuedFraction((2, 1, 3, 1, 2)))
-    assert len(seq.matrices) == seq.depth + 2
-    for m in seq.matrices:
+    quotients = (2, 1, 3, 1, 2)
+    seq = standard_matrices(ContinuedFraction(quotients))
+    assert len(seq) == len(quotients) + 2
+    for m in seq:
         assert abs(_det(m)) == 1
 
 
@@ -425,3 +435,38 @@ def test_log_domain_agrees_with_direct():
     direct = _alpha_star_direct(8, bits=256)
     logged = alpha_star_tau(8, bits=256)
     assert abs(direct - logged.value) < mp.mpf(10) ** -30
+
+
+def _alpha_inverse_direct(quotients, terms: int, bits: int) -> mp.mpf:
+    """Oracle: the alternating product of
+    (rho_n^{a_{n+1}} rho_{n-1} / rho_{n+1})^{(-1)^n q_n} multiplied out
+    directly, each rho the Perron root of a Fraction matrix power product."""
+    matrices = _standard_oracle(quotients)
+    q = [pair[1] for pair in ContinuedFraction(quotients).convergents]
+    with mp.workprec(bits):
+        rho = [_perron_root_oracle(_trace(m), _det(m)) for m in matrices]
+        acc = mp.mpf(1)
+        for n in range(terms + 1):
+            acc *= (rho[n + 1] ** quotients[n] * rho[n] / rho[n + 2]) ** ((-1) ** n * q[n + 1])
+        return acc
+
+
+@pytest.mark.parametrize("terms", [3, 8])
+def test_both_expansions_report_their_truncated_products(terms):
+    """Every partial of both expansions against its product multiplied out
+    directly; the value is the last partial and the error the last gap."""
+    quotients = (2, 1, 3, 1, 2, 1, 1, 2, 1, 1)
+    forms = [
+        (alpha_star_tau(terms, bits=256), [_alpha_star_direct(k, 256) for k in range(1, terms + 1)]),
+        (
+            alpha_inverse(ContinuedFraction(quotients), terms, bits=256),
+            [_alpha_inverse_direct(quotients, k, 256) for k in range(terms + 1)],
+        ),
+    ]
+    for estimate, direct in forms:
+        assert len(estimate.partials) == len(direct)
+        for partial, oracle in zip(estimate.partials, direct):
+            assert abs(partial - oracle) < mp.mpf(10) ** -60 * oracle
+        assert estimate.value == estimate.partials[-1]
+        with mp.workprec(256):
+            assert estimate.error == abs(estimate.partials[-1] - estimate.partials[-2])

@@ -494,6 +494,9 @@ def test_parse_slope_and_format_fraction():
     assert parse_slope("0.25") == 0.25
     with pytest.raises(ValueError):
         parse_slope("1/0")
+    for text in ("inf", "-inf", "1e400", "nan"):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_slope(text)
     assert format_fraction(Fraction(2, 5)) == "2/5"
     assert format_fraction(Fraction(4)) == "4"
 
