@@ -2,12 +2,16 @@
 
 ``VERBS`` is the single source of verbs.  Each entry declares a verb's help,
 flags, handler and artifact columns; the argument parser, the artifact
-renderer and ``RunManifest`` all read it.  Table verbs emit rows as
+renderer and manifest replay all read it.  Table verbs emit rows as
 RFC-4180-style CSV (header mandatory) or as a JSON object
 {"meta": {...}, "rows": [...]}; text verbs write their text as is.  Exit
 codes: 0 success, 1 a verification verb found a failure, 2 usage or
-parameter error, 3 internal error.  A ``RunManifest`` JSON file replays any
-verb through the same code path, so reruns are byte-identical.
+parameter error, 3 internal error.  This module reads every input file:
+the JSON of ``run --manifest``, ``queue run/compete --config`` and ``heaps
+scan/schedule --model``.  A manifest holds ``verb``, ``parameters`` (one
+flag each; ``true`` is a bare flag, ``false`` is left out), ``output_path``,
+``format`` (csv or json) and ``seed``; ``manifest_argv`` turns it into the
+argv ``main`` parses, so a replay is byte-identical to the direct run.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import dataclasses
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -26,7 +30,7 @@ import mpmath as mp
 
 from . import __version__, checks, cyclic, heaps, jsr, measures, queueing, wigner, words
 
-__all__ = ["VERBS", "Verb", "RunManifest", "load_manifest", "manifest_argv", "dispatch", "main"]
+__all__ = ["VERBS", "Verb", "manifest_argv", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +44,6 @@ def _cell(value) -> str:
         return words.format_fraction(value)
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, mp.mpf):
-        return mp.nstr(value, 45)
     return str(value)
 
 
@@ -73,6 +75,12 @@ def _write(args, text: str):
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _read_json(path: str):
+    """The parsed contents of one JSON input file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def _arg(*names, **options):
@@ -158,7 +166,7 @@ def _measures_peaks(args):
 
 def _queue_config(args) -> queueing.QueueConfig:
     if args.config:
-        config = queueing.load_queue_config(args.config)
+        config = queueing.queue_config_from_dict(_read_json(args.config))
     else:
         config = queueing.QueueConfig()
     if args.gamma is not None and args.word is not None:
@@ -211,7 +219,7 @@ def _queue_compete(args):
 
 def _heap_model(args) -> heaps.HeapModel:
     if args.model:
-        return heaps.load_model(args.model)
+        return heaps.model_from_dict(_read_json(args.model))
     return heaps.default_model()
 
 
@@ -306,7 +314,7 @@ def _verify_all(args):
 
 
 def _run(args) -> int:
-    return dispatch(load_manifest(args.manifest))
+    return main(manifest_argv(_read_json(args.manifest)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,62 +487,35 @@ VERBS: dict[str, Verb] = {
 # manifest replay
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """A reproducible invocation: verb, flat parameters, artifact target."""
-
-    verb: str
-    parameters: dict = field(default_factory=dict)
-    output_path: Optional[str] = None
-    format: str = "csv"
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        verb = VERBS.get(self.verb) if isinstance(self.verb, str) else None
-        if verb is None or verb.columns is None:
-            raise ValueError(f"unknown manifest verb {self.verb!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"manifest format must be csv or json, got {self.format!r}")
-        if not isinstance(self.output_path, (str, type(None))):
-            raise ValueError(f"manifest output_path must be a string, got {self.output_path!r}")
-
-
-def load_manifest(path: str) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+def manifest_argv(data) -> list[str]:
+    """The argv a parsed manifest replays: its verb, one flag per parameter,
+    then ``--seed``, ``--out`` and (table verbs only) ``--format``."""
     if not isinstance(data, dict) or not isinstance(data.get("parameters", {}), dict):
         raise ValueError("a manifest is a JSON object whose 'parameters' is an object")
-    return RunManifest(
-        verb=data["verb"],
-        parameters=data.get("parameters", {}),
-        output_path=data.get("output_path"),
-        format=data.get("format", "csv"),
-        seed=data.get("seed"),
-    )
-
-
-def manifest_argv(manifest: RunManifest) -> list[str]:
-    """Flatten a manifest into the argv the parser would have seen."""
-    argv = manifest.verb.split()
-    for key, value in sorted(manifest.parameters.items()):
+    name = data["verb"]
+    verb = VERBS.get(name) if isinstance(name, str) else None
+    if verb is None or verb.columns is None:
+        raise ValueError(f"unknown manifest verb {name!r}")
+    fmt = data.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"manifest format must be csv or json, got {fmt!r}")
+    output_path = data.get("output_path")
+    if not isinstance(output_path, (str, type(None))):
+        raise ValueError(f"manifest output_path must be a string, got {output_path!r}")
+    argv = name.split()
+    for key, value in sorted(data.get("parameters", {}).items()):
         flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-            continue
-        argv.extend([flag, str(value)])
-    if manifest.seed is not None:
-        argv.extend(["--seed", str(manifest.seed)])
-    if manifest.output_path:
-        argv.extend(["--out", manifest.output_path])
-    if VERBS[manifest.verb].columns:
-        argv.extend(["--format", manifest.format])
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv.extend([flag, str(value)])
+    if data.get("seed") is not None:
+        argv.extend(["--seed", str(data["seed"])])
+    if output_path:
+        argv.extend(["--out", output_path])
+    if verb.columns:
+        argv.extend(["--format", fmt])
     return argv
-
-
-def dispatch(manifest: RunManifest) -> int:
-    """Replay a manifest through the regular parsing path."""
-    return main(manifest_argv(manifest))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ and only returned values become Fractions.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ __all__ = [
     "ScheduleReport",
     "best_balanced_schedule",
     "model_from_dict",
-    "load_model",
 ]
 
 Number = Union[Fraction, int]
@@ -291,7 +289,3 @@ def model_from_dict(data: dict) -> HeapModel:
         raise ValueError(f"malformed heap model: {exc}") from None
     return HeapModel(num_columns, *pieces)
 
-
-def load_model(path: str) -> HeapModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))

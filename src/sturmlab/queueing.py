@@ -16,7 +16,6 @@ runs, so a competition draws it a single time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -34,7 +33,6 @@ __all__ = [
     "random_admission_word",
     "admission_competition",
     "queue_config_from_dict",
-    "load_queue_config",
 ]
 
 AdmissionSource = Union[str, MechanicalSpec]
@@ -196,7 +194,3 @@ def queue_config_from_dict(data: dict) -> QueueConfig:
             raise ValueError(f"queue config {key!r} must be an integer, got {numbers[key]!r}")
     return QueueConfig(admission=admission, **numbers)
 
-
-def load_queue_config(path: str) -> QueueConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return queue_config_from_dict(json.load(handle))

@@ -115,22 +115,22 @@ def coulomb() -> Potential:
 
 def inverse_power(s: int = 3) -> Potential:
     """V(r) = r**-s; exact rationals for integer s."""
-    if not s > 0:
-        raise ValueError("exponent must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError(f"exponent must be positive and finite, got {s}")
     return Potential("power", (s,))
 
 
 def exponential_decay(rate: float = 1.0) -> Potential:
     """V(r) = exp(-rate * r)."""
-    if not rate > 0:
-        raise ValueError("decay rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"decay rate must be positive and finite, got {rate}")
     return Potential("exponential", (float(rate),))
 
 
 def screened(rate: float = 1.0) -> Potential:
     """V(r) = exp(-rate * r) / r."""
-    if not rate > 0:
-        raise ValueError("decay rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"decay rate must be positive and finite, got {rate}")
     return Potential("screened", (float(rate),))
 
 

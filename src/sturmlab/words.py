@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import accumulate, pairwise
 from typing import Iterable, Optional, Union
 
-import mpmath
-
 __all__ = [
     "check_word",
     "one_length",
@@ -40,7 +38,7 @@ __all__ = [
     "parse_slope",
 ]
 
-SlopeLike = Union[Fraction, int, float, str, "mpmath.mpf"]
+SlopeLike = Union[Fraction, int, float, "mpmath.mpf"]
 
 
 def check_word(w: str) -> str:
@@ -168,7 +166,7 @@ def balance_witness(w: str) -> Optional[tuple[str, str]]:
 
 def _exact(x) -> Fraction:
     """The rational a Fraction, int, float or mpmath.mpf holds; an mpf is man * 2**exp."""
-    if isinstance(x, mpmath.mpf):
+    if hasattr(x, "man_exp"):  # an mpf, read without importing mpmath
         man, exp = x.man_exp  # unsigned mantissa: callers pass values >= 0
         return Fraction(man) * Fraction(2) ** exp
     return Fraction(x)
@@ -189,10 +187,6 @@ def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0) -> str:
     """
     if n < 0:
         raise ValueError("length n must be >= 0")
-    if isinstance(gamma, str):
-        gamma = parse_slope(gamma)
-    if isinstance(delta, str):
-        delta = parse_slope(delta)
     if not 0 <= gamma <= 1:
         raise ValueError(f"slope gamma={gamma} outside [0, 1]")
     if not 0 <= delta < 1:

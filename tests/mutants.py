@@ -212,6 +212,25 @@ MUTANTS = (
     Mutant("cli-queue-delta-without-gamma", "cli.py",
            "if args.delta is not None and args.gamma is None:", "if False:",
            ("tests/test_cli.py::test_bad_parameter_is_usage_error",)),
+    Mutant("cli-manifest-false-flag-appended", "cli.py",
+           "if value is True:", "if isinstance(value, bool):",
+           ("tests/test_cli.py::test_manifest_boolean_flag_replays_the_direct_run",)),
+    Mutant("cli-manifest-format-for-text-verb", "cli.py",
+           "    if verb.columns:\n        argv.extend", "    if True:\n        argv.extend",
+           ("tests/test_cli_golden.py::test_artifact_matches_golden_direct_and_replayed",)),
+    Mutant("cli-manifest-output-path-unchecked", "cli.py",
+           "if not isinstance(output_path, (str, type(None))):", "if False:",
+           ("tests/test_cli.py::test_malformed_json_is_usage_error",)),
+    Mutant("wigner-exponent-finiteness-dropped", "wigner.py",
+           "if not 0 < s < math.inf:", "if not 0 < s:",
+           ("tests/test_cli.py::test_bad_parameter_is_usage_error",
+            "tests/test_wigner.py::test_potential_parameter_must_be_positive_and_finite")),
+    Mutant("wigner-decay-finiteness-dropped", "wigner.py",
+           "    if not 0 < rate < math.inf:\n        raise ValueError(f\"decay rate must be positive"
+           " and finite, got {rate}\")\n    return Potential(\"exponential\"",
+           "    return Potential(\"exponential\"",
+           ("tests/test_cli.py::test_bad_parameter_is_usage_error",
+            "tests/test_wigner.py::test_potential_parameter_must_be_positive_and_finite")),
     Mutant("check-cyclic-failures-dropped", "checks.py",
            'failed = [f"{s.p}/{s.q}" for s in scans if not s.passed]', "failed = []",
            ("tests/test_checks.py::test_cyclic_check_fails_on_a_failed_scan",)),

@@ -9,7 +9,7 @@ from math import floor
 import pytest
 
 from sturmlab import checks
-from sturmlab.cli import RunManifest, dispatch, load_manifest, main, manifest_argv
+from sturmlab.cli import main, manifest_argv
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +241,8 @@ def test_usage_errors(capsys):
         "wigner ground-state --p 2 --q 5 --potential coulomb --param 2",
         "wigner ground-state --p 2 --q 5 --potential anti --param 1",
         "wigner ground-state --p 2 --q 5 --potential power --param x",
+        "wigner ground-state --p 2 --q 5 --potential power --param 1e400",
+        "wigner ground-state --p 2 --q 5 --potential exponential --param inf",
     ],
 )
 def test_bad_parameter_is_usage_error(capsys, argv):
@@ -252,6 +254,11 @@ def test_bad_parameter_is_usage_error(capsys, argv):
 
 _PIECE = {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1", "1"]}
 _PIECES = {"piece0": dict(_PIECE, columns=[0, 1]), "piece1": _PIECE}
+# The default model, as README's model file writes it.
+_MODEL = {
+    "piece0": {"columns": [0, 1], "lower": ["0", "0"], "upper": ["1", "1/2"]},
+    "piece1": {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1/2", "3/2"]},
+}
 
 
 @pytest.mark.parametrize(
@@ -274,6 +281,8 @@ _PIECES = {"piece0": dict(_PIECE, columns=[0, 1]), "piece1": _PIECE}
         ("heaps schedule", "--model", dict(_PIECES, num_columns=3.7)),
         ("heaps schedule", "--model", dict(_PIECES, num_columns="3")),
         ("heaps schedule", "--model", dict(_PIECES, num_columns=True)),
+        ("run", "--manifest", {"verb": "cyclic scan", "parameters": {}, "format": "xml"}),
+        ("run", "--manifest", {"parameters": {}}),
     ],
 )
 def test_malformed_json_is_usage_error(tmp_path, capsys, verb, flag, data):
@@ -283,6 +292,18 @@ def test_malformed_json_is_usage_error(tmp_path, capsys, verb, flag, data):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_model_and_config_files_stand_for_their_flags(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(dict(_MODEL, num_columns=3)))
+    scan = ["heaps", "scan", "--n-max", "4"]
+    assert run_cli(capsys, *scan, "--model", str(model)) == run_cli(capsys, *scan)
+    config = tmp_path / "queue.json"
+    config.write_text(json.dumps({"horizon": 300, "seed": 7, "admission": {"gamma": "1/3"}}))
+    direct = run_cli(capsys, "queue", "run", "--horizon", "300", "--seed", "7", "--gamma", "1/3")
+    assert direct[0] == 0
+    assert run_cli(capsys, "queue", "run", "--config", str(config)) == direct
 
 
 def test_queue_config_without_gamma_is_usage_error(tmp_path, capsys):
@@ -329,26 +350,35 @@ def test_manifest_replay_is_byte_identical(tmp_path, capsys):
             }
         )
     )
-    manifest = load_manifest(str(manifest_path))
-    assert dispatch(manifest) == 0
-    assert replayed.read_bytes() == direct.read_bytes()
-    # And once more through the run verb.
-    replayed.unlink()
     assert main(["run", "--manifest", str(manifest_path)]) == 0
     assert replayed.read_bytes() == direct.read_bytes()
 
 
 def test_manifest_argv_round_trip():
-    manifest = RunManifest(
-        verb="queue compete",
-        parameters={"gamma": "1/3", "horizon": 1000, "competitors": 4},
-        seed=5,
-        format="json",
-    )
+    manifest = {
+        "verb": "queue compete",
+        "parameters": {"gamma": "1/3", "horizon": 1000, "competitors": 4},
+        "seed": 5,
+        "format": "json",
+    }
     argv = manifest_argv(manifest)
     assert argv[:2] == ["queue", "compete"]
     assert argv.count("--seed") == 1
     assert "--gamma" in argv and "1/3" in argv
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_manifest_boolean_flag_replays_the_direct_run(tmp_path, capsys, flag):
+    argv = ["words", "standard", "--quotients", "2,1,1"] + ["--slope-convention"] * flag
+    code, direct, _ = run_cli(capsys, *argv)
+    assert code == 0
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(
+        {"verb": "words standard", "parameters": {"quotients": "2,1,1", "slope_convention": flag}}
+    ))
+    code, replayed, err = run_cli(capsys, "run", "--manifest", str(manifest_path))
+    assert (code, err) == (0, "")
+    assert replayed == direct
 
 
 def test_manifest_rejects_unknown_verb(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every verb's artifact, run directly and replayed from a RunManifest, matches
-the golden file captured from the CLI before the verb table existed."""
+"""Every verb's artifact, run directly and replayed from a manifest file through
+``run --manifest``, matches the golden file captured from the CLI before the
+verb table existed."""
 
 import csv
 import io
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sturmlab.cli import VERBS, RunManifest, dispatch, main
+from sturmlab.cli import VERBS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,12 +71,11 @@ def test_artifact_matches_golden_direct_and_replayed(name, tmp_path, capsys):
         assert _comparable(direct, fmt, columns) == golden
 
         replayed = tmp_path / f"replayed.{fmt}"
-        manifest = RunManifest(
-            verb=name,
-            parameters=parameters,
-            output_path=str(replayed),
-            format=fmt if columns else "csv",
-        )
-        assert dispatch(manifest) == 0
+        manifest = {"verb": name, "parameters": parameters, "output_path": str(replayed)}
+        if columns:
+            manifest["format"] = fmt
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["run", "--manifest", str(manifest_path)]) == 0
         assert _comparable(replayed, fmt, columns) == golden
     assert capsys.readouterr().err == ""

@@ -17,7 +17,6 @@ from sturmlab.heaps import (
     cycle_rate,
     RateScan,
     default_model,
-    load_model,
     max_cycle_mean,
     maxplus_matmul,
     min_rate_exhaustive,
@@ -356,13 +355,10 @@ def test_min_rate_exhaustive_guard():
         min_rate_exhaustive(default_model(), 0)
 
 
-def test_model_serialization_round_trip(tmp_path):
+def test_model_serialization_round_trip():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert README_MODEL_JSON in readme
     assert model_from_dict(json.loads(README_MODEL_JSON)) == default_model()
-    path = tmp_path / "model.json"
-    path.write_text(README_MODEL_JSON)
-    assert load_model(str(path)) == default_model()
 
 
 def test_piece_matrix_shape():

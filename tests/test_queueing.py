@@ -1,6 +1,5 @@
 """Seeded admission-control simulation and the shuffle competition."""
 
-import json
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -18,7 +17,6 @@ from sturmlab.queueing import (
     _arrival_times,
     _completions,
     admission_competition,
-    load_queue_config,
     queue_config_from_dict,
     random_admission_word,
     simulate_queue,
@@ -223,7 +221,7 @@ def test_random_admission_word_rejects_overfull():
         random_admission_word(5, 6, 0)
 
 
-def test_config_round_trip(tmp_path):
+def test_config_round_trip():
     data = {
         "mean_interarrival": 1.0,
         "service_time": 2.0,
@@ -231,9 +229,7 @@ def test_config_round_trip(tmp_path):
         "seed": 7,
         "admission": {"gamma": "1/3", "delta": "0"},
     }
-    path = tmp_path / "queue.json"
-    path.write_text(json.dumps(data))
-    config = load_queue_config(str(path))
+    config = queue_config_from_dict(data)
     assert config.horizon == 1234
     assert isinstance(config.admission, MechanicalSpec)
     assert config.admission.gamma == Fraction(1, 3)

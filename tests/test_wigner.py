@@ -255,3 +255,10 @@ def test_potential_descriptions():
     assert coulomb().describe() == "coulomb"
     assert inverse_power(3).describe() == "power(3)"
     assert "exponential" in exponential_decay(2.0).describe()
+
+
+@pytest.mark.parametrize("factory", [inverse_power, exponential_decay, screened])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0, -2])
+def test_potential_parameter_must_be_positive_and_finite(factory, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        factory(value)
