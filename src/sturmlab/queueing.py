@@ -8,10 +8,12 @@ arrival, counting itself when admitted; rejected customers cost zero.  With
 admission density fixed, mechanically spread admissions minimize the mean
 cost, which ``admission_competition`` probes with common random numbers.
 
-A run counts only the admitted customers, computes their completions one
-float step at a time as the recursion defines them (``_completions``), and
-shares the arrival stream of one (seed, mean, horizon) between consecutive
-runs, so a competition draws it a single time.
+A run counts only the admitted customers.  ``_completions`` guesses their
+busy-period starts, fills each period with numpy by the recursion's own float
+steps, verifies every start flag, and finishes past a wrong guess with the
+sequential recursion, so its result equals the recursion's bit for bit.
+Consecutive runs share the arrival stream of one (seed, mean, horizon), so a
+competition draws it a single time.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ class QueueConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.admission, str):
             check_word(self.admission)
             if not self.admission:
@@ -96,17 +100,49 @@ class QueueSummary:
 @lru_cache(maxsize=1)
 def _arrival_times(seed: int, mean_interarrival: float, horizon: int) -> np.ndarray:
     """The seeded arrival instants, read-only so runs can share one draw."""
-    rng = np.random.default_rng(seed)
-    arrivals = np.cumsum(rng.exponential(mean_interarrival, horizon))
+    with np.errstate(over="ignore"):
+        arrivals = np.cumsum(np.random.default_rng(seed).exponential(mean_interarrival, horizon))
+    if not math.isfinite(arrivals[-1]):
+        raise ValueError(f"mean_interarrival {mean_interarrival} over horizon {horizon} overflows the arrival times")
     arrivals.flags.writeable = False
     return arrivals
 
 
+_LONG_PERIOD = 32  # a longer busy period is one add.accumulate; shorter ones advance together
+
+
 def _completions(arrivals: np.ndarray, service_time: float) -> np.ndarray:
-    """c_j = max(c_{j-1}, a_j) + service_time, one float step per customer."""
-    last = 0.0
-    steps = (last := (last if last > a else a) + service_time for a in arrivals.tolist())
-    return np.fromiter(steps, np.float64, len(arrivals))
+    """c_j = max(c_{j-1}, a_j) + service_time, bit for bit, by busy periods.
+
+    Guess the starts (a_j - j*s at a new running maximum), fill each period
+    by the recursion's own float steps, and check the start flags
+    a_j >= c_{j-1} of the result against the guess.  Past the first miss,
+    if any, the sequential recursion finishes.
+    """
+    n = len(arrivals)
+    with np.errstate(over="ignore"):
+        offset_arrivals = arrivals - np.arange(n) * service_time
+        guess = offset_arrivals >= np.maximum.accumulate(offset_arrivals)
+        completions = arrivals + service_time
+        starts = np.flatnonzero(guess)
+        lengths = np.diff(starts, append=n)
+        long = lengths > _LONG_PERIOD
+        for start, length in zip(starts[long].tolist(), lengths[long].tolist()):
+            period = completions[start:start + length]
+            period[1:] = service_time
+            np.add.accumulate(period, out=period)
+        heads, lengths = starts[~long], lengths[~long]
+        for offset in range(1, lengths.max(initial=1)):
+            heads, lengths = heads[lengths > offset], lengths[lengths > offset]
+            at = heads + offset
+            completions[at] = completions[at - 1] + service_time
+    missed = np.flatnonzero(guess[1:] != (arrivals[1:] >= completions[:-1]))
+    if missed.size:
+        j = int(missed[0]) + 1
+        last = float(completions[j - 1])
+        steps = (last := (last if last > a else a) + service_time for a in arrivals[j:].tolist())
+        completions[j:] = np.fromiter(steps, np.float64, n - j)
+    return completions
 
 
 def simulate_queue(config: QueueConfig) -> QueueSummary:
@@ -114,8 +150,9 @@ def simulate_queue(config: QueueConfig) -> QueueSummary:
 
     The arrival stream comes from ``_arrival_times``, drawn once per (seed,
     mean, horizon) and shared by consecutive runs.  Completions of the
-    admitted customers come from ``_completions``, in sequence.  They
-    never decrease and no customer leaves before arriving (c_j >= a_j), so
+    admitted customers come from ``_completions`` (guess the busy-period
+    starts, fill, verify, sequential tail past a miss).  They never
+    decrease and no customer leaves before arriving (c_j >= a_j), so
     admitted customer j finds j + 1 - min(#{c <= a_j}, j) customers in the
     system, itself included, counted by one searchsorted over the admitted
     customers only.  A rejected customer finds no more than the last
@@ -161,6 +198,8 @@ def admission_competition(
     """
     if competitors < 1:
         raise ValueError("need at least one competitor")
+    if competitor_seed < 0:
+        raise ValueError(f"competitor_seed must be >= 0, got {competitor_seed}")
     reference = simulate_queue(config)
     rows = [reference]
     for i in range(competitors):

@@ -82,11 +82,32 @@ MUTANTS = (
            ("tests/test_words.py::test_mpf_mechanical_word_matches_exact_oracles",)),
     Mutant("queue-min-for-max", "queueing.py",
            "(last if last > a else a)", "(last if last < a else a)",
-           ("tests/test_queueing.py::test_completions_small_cases",)),
+           ("tests/test_queueing.py::test_completions_match_recursion_past_a_wrong_guess",)),
     Mutant("queue-start-value", "queueing.py",
-           "last = 0.0", "last = 1.0",
+           "completions = arrivals + service_time", "completions = arrivals + 2 * service_time",
            ("tests/test_queueing.py::test_completions_match_recursion_bitwise",
             "tests/test_queueing.py::test_completions_small_cases")),
+    Mutant("queue-long-period-slice-past-end", "queueing.py",
+           "completions[start:start + length]", "completions[start:start + length + 1]",
+           ("tests/test_queueing.py::test_completions_match_recursion_at_every_load",)),
+    Mutant("queue-wavefront-offset-shifted", "queueing.py",
+           "at = heads + offset", "at = heads + offset + 1",
+           ("tests/test_queueing.py::test_completions_match_recursion_at_every_load",)),
+    Mutant("queue-guess-unverified", "queueing.py",
+           "if missed.size:", "if False:",
+           ("tests/test_queueing.py::test_completions_match_recursion_past_a_wrong_guess",)),
+    Mutant("queue-tail-starts-late", "queueing.py",
+           "j = int(missed[0]) + 1", "j = int(missed[0]) + 2",
+           ("tests/test_queueing.py::test_completions_match_recursion_past_a_wrong_guess",)),
+    Mutant("queue-arrival-overflow-unchecked", "queueing.py",
+           "if not math.isfinite(arrivals[-1]):", "if False:",
+           ("tests/test_queueing.py::test_overflowing_arrival_stream_is_rejected",)),
+    Mutant("queue-negative-seed-accepted", "queueing.py",
+           "if self.seed < 0:", "if False:",
+           ("tests/test_queueing.py::test_negative_seeds_are_named",)),
+    Mutant("queue-negative-competitor-seed-accepted", "queueing.py",
+           "if competitor_seed < 0:", "if False:",
+           ("tests/test_cli.py::test_queue_usage_error_names_its_parameter",)),
     Mutant("queue-searchsorted-left", "queueing.py",
            'side="right"', 'side="left"',
            ("tests/test_queueing.py::test_departure_at_an_arrival_instant_is_counted",)),

@@ -243,6 +243,9 @@ def test_usage_errors(capsys):
         "wigner ground-state --p 2 --q 5 --potential power --param x",
         "wigner ground-state --p 2 --q 5 --potential power --param 1e400",
         "wigner ground-state --p 2 --q 5 --potential exponential --param inf",
+        "queue run --gamma 1 --horizon 10 --service 1e308 --interarrival 1e308",
+        "queue run --seed -1",
+        "queue compete --competitor-seed -5",
     ],
 )
 def test_bad_parameter_is_usage_error(capsys, argv):
@@ -250,6 +253,20 @@ def test_bad_parameter_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("queue run --seed -1", "seed must be >= 0, got -1"),
+        ("queue compete --competitor-seed -5", "competitor_seed must be >= 0, got -5"),
+        ("queue run --gamma 1 --horizon 10 --service 1e308 --interarrival 1e308",
+         "mean_interarrival 1e+308 over horizon 10 overflows the arrival times"),
+    ],
+)
+def test_queue_usage_error_names_its_parameter(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 _PIECE = {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1", "1"]}

@@ -129,6 +129,57 @@ def test_completions_small_cases(arrivals):
         assert _same_bits(_completions(arrivals, service_time), _completions_oracle(arrivals, service_time))
 
 
+def _start_flags(arrivals, completions):
+    """Who starts a busy period, read from exact completions: a_j >= c_{j-1}."""
+    return np.concatenate(([True], arrivals[1:] >= completions[:-1]))
+
+
+def _guess_is_wrong(arrivals, service_time, completions):
+    """The closed-form guess of the starts (a_j - j*s at a new running maximum) misses."""
+    offset_arrivals = arrivals - np.arange(len(arrivals)) * service_time
+    guess = offset_arrivals >= np.maximum.accumulate(offset_arrivals)
+    return not np.array_equal(guess, _start_flags(arrivals, completions))
+
+
+# The busy periods of each load at horizon 100k, seed 11, against the
+# 32-customer threshold between the in-place accumulate and the wavefront:
+# light load has short periods only, overload one long period, and loads
+# 0.7 and 1.0 both kinds.
+@pytest.mark.parametrize("load, has_short, has_long",
+                         [(0.3, True, False), (0.7, True, True), (1.0, True, True), (1.2, False, True)])
+def test_completions_match_recursion_at_every_load(load, has_short, has_long):
+    arrivals = np.cumsum(np.random.default_rng(11).exponential(1.0, 100_000))
+    expected = _completions_oracle(arrivals, load)
+    assert _same_bits(_completions(arrivals, load), expected)
+    lengths = np.diff(np.flatnonzero(_start_flags(arrivals, expected)), append=len(arrivals))
+    assert (bool((lengths <= 32).any()), bool((lengths > 32).any())) == (has_short, has_long)
+
+
+# Arrivals on a 0.1 grid with s a multiple of 0.1: each customer arrives about
+# when the one before leaves, so rounding decides the starts and the guess
+# misses; past the miss the sequential recursion finishes.
+@pytest.mark.parametrize("arrivals, service_time",
+                         [(np.arange(20_000) * 0.1, 0.1)]
+                         + [(np.cumsum(np.full(5000, k * 0.1)), k * 0.1) for k in (1, 3, 7, 9)],
+                         ids=["arange-0.1", "cumsum-0.1", "cumsum-0.3", "cumsum-0.7", "cumsum-0.9"])
+def test_completions_match_recursion_past_a_wrong_guess(arrivals, service_time):
+    expected = _completions_oracle(arrivals, service_time)
+    assert _guess_is_wrong(arrivals, service_time, expected)
+    assert _same_bits(_completions(arrivals, service_time), expected)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("arrivals", [[0.0, 1.0], [5.0, 5.0, 1e300],
+                                      np.cumsum(np.random.default_rng(3).exponential(1.0, 1000))],
+                         ids=["two", "three", "stream"])
+def test_completions_overflow_to_infinity_like_the_recursion(arrivals):
+    # j*s overflows inside the guess and c_j = c_{j-1} + s overflows to inf.
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    expected = _completions_oracle(arrivals, 1e308)
+    assert np.isinf(expected[-1])
+    assert _same_bits(_completions(arrivals, 1e308), expected)
+
+
 def test_departure_at_an_arrival_instant_is_counted(monkeypatch):
     # Arrivals 1, 2, 3, ... with s = 1: every customer leaves exactly when the
     # next arrives, and the event loop pops a departure at the arrival instant
@@ -255,6 +306,20 @@ def test_config_integers_are_not_truncated():
     for key, value in (("horizon", 2.7), ("horizon", 3.0), ("horizon", "5"), ("seed", 1.5), ("seed", True)):
         with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
             queue_config_from_dict({key: value, "admission": "01"})
+
+
+def test_negative_seeds_are_named():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        queue_config_from_dict({"seed": -1, "admission": "01"})
+    with pytest.raises(ValueError, match="competitor_seed must be >= 0, got -5"):
+        admission_competition(QueueConfig(horizon=10, admission="01"), 2, competitor_seed=-5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_arrival_stream_is_rejected():
+    config = QueueConfig(mean_interarrival=1e308, service_time=1e308, horizon=10)
+    with pytest.raises(ValueError, match="mean_interarrival 1e[+]308 over horizon 10"):
+        simulate_queue(config)
 
 
 def test_missing_gamma_is_named():
