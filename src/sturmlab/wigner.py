@@ -46,6 +46,8 @@ EXHAUSTIVE_Q = 20
 
 CONVEX_GRID = 16
 
+MAX_POWER = 32  # exact r**-s energies at q = 20 have about 3.6 s digits
+
 TIE_MARGIN = 1e-12  # float energies within this fraction of the minimum count as tied
 
 
@@ -114,9 +116,9 @@ def coulomb() -> Potential:
 
 
 def inverse_power(s: int = 3) -> Potential:
-    """V(r) = r**-s; exact rationals for integer s."""
-    if not 0 < s < math.inf:
-        raise ValueError(f"exponent must be positive and finite, got {s}")
+    """V(r) = r**-s; exact rationals for integer s, with 0 < s <= MAX_POWER."""
+    if not 0 < s <= MAX_POWER:
+        raise ValueError(f"exponent must be positive and finite, at most {MAX_POWER}, got {s}")
     return Potential("power", (s,))
 
 

@@ -243,9 +243,13 @@ MUTANTS = (
            "if not isinstance(output_path, (str, type(None))):", "if False:",
            ("tests/test_cli.py::test_malformed_json_is_usage_error",)),
     Mutant("wigner-exponent-finiteness-dropped", "wigner.py",
-           "if not 0 < s < math.inf:", "if not 0 < s:",
+           "if not 0 < s <= MAX_POWER:", "if not 0 < s:",
            ("tests/test_cli.py::test_bad_parameter_is_usage_error",
             "tests/test_wigner.py::test_potential_parameter_must_be_positive_and_finite")),
+    Mutant("wigner-power-cap-dropped", "wigner.py",
+           "if not 0 < s <= MAX_POWER:", "if not 0 < s < math.inf:",
+           ("tests/test_wigner.py::test_power_exponent_is_capped_before_energies_grow_huge",
+            "tests/test_cli.py::test_bad_parameter_is_usage_error")),
     Mutant("wigner-decay-finiteness-dropped", "wigner.py",
            "    if not 0 < rate < math.inf:\n        raise ValueError(f\"decay rate must be positive"
            " and finite, got {rate}\")\n    return Potential(\"exponential\"",
@@ -256,14 +260,36 @@ MUTANTS = (
            'failed = [f"{s.p}/{s.q}" for s in scans if not s.passed]', "failed = []",
            ("tests/test_checks.py::test_cyclic_check_fails_on_a_failed_scan",)),
     Mutant("check-heaps-missing-ignored", "checks.py",
-           "if not any(words.is_balanced(w) for w in scan.argmin):", "if False:",
+           "missing = [s.n for s in scans if not any(map(words.is_balanced, s.argmin))]", "missing = []",
            ("tests/test_checks.py::test_heaps_check_fails_without_a_balanced_argmin",)),
     Mutant("check-wigner-unbalanced-ignored", "checks.py",
-           "if not report.balanced:", "if False:",
+           "unbalanced = [f\"{p}/{q}:{v.describe()}\" for (p, q, v), flag in balanced.items() if not flag]",
+           "unbalanced = []",
            ("tests/test_checks.py::test_wigner_check_fails_on_an_unbalanced_ground_state",)),
     Mutant("check-queue-verdict-always", "checks.py",
            "ok = losses == 0", "ok = True",
            ("tests/test_checks.py::test_queue_check_fails_when_a_shuffle_beats_the_mechanical_word",)),
+    Mutant("check-sturmian-verdict-always", "checks.py",
+           "return ok, detail", "return True, detail",
+           ("tests/test_checks.py::test_sturmian_measure_check_fails_on_a_moved_support_point",)),
+    Mutant("check-convex-verdict-always", "checks.py",
+           "return not bad, (", "return True, (",
+           ("tests/test_checks.py::test_convex_order_check_fails_on_a_counterexample",)),
+    Mutant("check-jsr-monotone-ignored", "checks.py",
+           "bounds.lower - 1e-12 and monotone", "bounds.lower - 1e-12",
+           ("tests/test_checks.py::test_jsr_check_fails_when_a_longer_product_raises_the_upper_bound",)),
+    Mutant("check-alpha-verdict-always", "checks.py",
+           "ok = digits >= 30 and cross < 1e-25", "ok = True",
+           ("tests/test_checks.py::test_alpha_star_check_fails_when_the_expansions_disagree",)),
+    Mutant("check-trace-verdict-always", "checks.py",
+           "return not problems, (", "return True, (",
+           ("tests/test_checks.py::test_trace_check_fails_on_a_broken_recurrence",)),
+    Mutant("check-staircase-verdict-always", "checks.py",
+           "ok = monotone and in_range and at_one", "ok = True",
+           ("tests/test_checks.py::test_ratio_staircase_check_fails_on_a_wrong_argmax_at_alpha_one",)),
+    Mutant("check-words-verdict-always", "checks.py",
+           "ok = not unbalanced and mismatches == 0 and not complexity_bad", "ok = True",
+           ("tests/test_checks.py::test_words_check_fails_on_an_unbalanced_word_and_oracle_mismatches",)),
 )
 
 

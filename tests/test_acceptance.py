@@ -67,9 +67,9 @@ def test_queue_admission_competition():
 
 
 def test_registry_covers_exactly_the_battery():
-    from sturmlab.checks import check_names
+    from sturmlab.checks import CHECKS
 
-    assert check_names() == [
+    assert list(CHECKS) == [
         "cyclic-products",
         "sturmian-measure",
         "convex-order",

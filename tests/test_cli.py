@@ -192,7 +192,7 @@ def test_verify_all_subset(capsys):
 
 
 def test_verify_all_reports_failure(capsys, monkeypatch):
-    monkeypatch.setitem(checks.CHECKS, "cyclic-products", lambda: (False, "forced"))
+    monkeypatch.setitem(checks.CHECKS, "cyclic-products", (lambda: (), lambda: (False, "forced")))
     code, out, _ = run_cli(capsys, "verify-all", "--only", "cyclic-products")
     assert code == 1
     assert out.startswith("FAIL")
@@ -242,6 +242,7 @@ def test_usage_errors(capsys):
         "wigner ground-state --p 2 --q 5 --potential anti --param 1",
         "wigner ground-state --p 2 --q 5 --potential power --param x",
         "wigner ground-state --p 2 --q 5 --potential power --param 1e400",
+        "wigner ground-state --p 2 --q 5 --potential power --param 1000000",
         "wigner ground-state --p 2 --q 5 --potential exponential --param inf",
         "queue run --gamma 1 --horizon 10 --service 1e308 --interarrival 1e308",
         "queue run --seed -1",

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sturmlab.wigner import (
+    MAX_POWER,
     TIE_MARGIN,
     _pair_offsets,
     _PairTable,
@@ -262,3 +263,9 @@ def test_potential_descriptions():
 def test_potential_parameter_must_be_positive_and_finite(factory, value):
     with pytest.raises(ValueError, match="positive and finite"):
         factory(value)
+
+
+def test_power_exponent_is_capped_before_energies_grow_huge():
+    assert ground_state(2, 5, inverse_power(MAX_POWER)).exact
+    with pytest.raises(ValueError, match=f"at most {MAX_POWER}, got {MAX_POWER + 1}$"):
+        inverse_power(MAX_POWER + 1)
