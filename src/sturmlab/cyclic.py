@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .words import (
+    EXHAUSTIVE_Q,
     Orbit,
     balanced_orbit,
     canonical_rotation,
@@ -91,6 +92,8 @@ def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
         raise ValueError(f"(p, q) = ({p}, {q}) must be coprime")
     if not 0 < p < q:
         raise ValueError(f"need 0 < p < q, got ({p}, {q})")
+    if q > EXHAUSTIVE_Q:
+        raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     balanced_rep = balanced_orbit(p, q).representative
     reports = [_orbit_product(o) for o in enumerate_orbits(p, q)]
     best = max(r.product for r in reports)
@@ -113,4 +116,6 @@ def scan_coprime_pairs(q_max: int) -> list[ProductScan]:
     """Run the product check for every coprime pair 0 < p < q <= q_max."""
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
+    if q_max > EXHAUSTIVE_Q:
+        raise ValueError(f"q_max={q_max} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     return [verify_balanced_product_maximum(p, q) for p, q in coprime_pairs(q_max)]

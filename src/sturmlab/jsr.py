@@ -33,7 +33,8 @@ from typing import Sequence, Union
 
 import mpmath as mp
 
-from .words import ContinuedFraction, enumerate_orbits
+from .words import ContinuedFraction, necklace_readings
+from .words import enumerate_orbits  # noqa: F401  read by perfbench's tracer self-test
 
 __all__ = [
     "A0",
@@ -144,8 +145,9 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
     each length up to n_max; the upper bound is the smallest normalized norm
     maximum over all products of a fixed length.  Both sandwich the true
     value for any sub-multiplicative norm.  Necklaces are the binary ones
-    from :func:`enumerate_orbits` in lexicographic order, letter i standing
-    for ``matrices[i]``, so the set holds one or two row-major 4-tuples.
+    from :func:`necklace_readings` in lexicographic (for one length, numeric)
+    order, letter i standing for ``matrices[i]``, so the set holds one or two
+    row-major 4-tuples.
     Products run on integers over the entries' common denominator, and each
     float is taken from a length-n product and that denominator to the n-th
     power.
@@ -172,23 +174,22 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
     upper = math.inf
     for n in range(1, n_max + 1):
         lower_n = -math.inf
-        argmax = ""
+        argmax = 0
         densities = range(n + 1) if len(matrices) == 2 else (0,)
-        necklaces = sorted(o.representative for ones in densities for o in enumerate_orbits(ones, n))
+        necklaces = sorted(b for ones in densities for b, _ in necklace_readings(ones, n))
         k = n - n // 2
         left, right = tables[n // 2], tables[k]
-        for word in necklaces:
-            index = int(word, 2)
+        for index in necklaces:
             a, b, c, d = _mul(left[index >> k], right[index & ((1 << k) - 1)])
             value = _spectral_radius(a + d, a * d - b * c, scale**n) ** (1.0 / n)
             if value > lower_n:
                 lower_n = value
-                argmax = word
+                argmax = index
         # Every length-n word is a left half followed by a right half.
         upper_n = max(norm_fn(_mul(x, y), scale**n) for x in left for y in right) ** (1.0 / n)
         lower = max(lower, lower_n)
         upper = min(upper, upper_n)
-        rows.append(BoundsRow(n, lower_n, upper_n, argmax))
+        rows.append(BoundsRow(n, lower_n, upper_n, format(argmax, f"0{n}b")))
     return JsrBounds(norm, tuple(rows), lower, upper)
 
 
@@ -208,21 +209,22 @@ def _necklace_log_radii(n: int) -> tuple[tuple[int, str, float], ...]:
     """(ones, representative, log spectral radius of the 0-1 product) for each
     necklace whose log radius strictly beats every earlier one of its density.
     ``ones * log(alpha) + log_rho`` rounds monotonically in log_rho, so at any
-    alpha the first best-scoring necklace is one of these records."""
+    alpha the first best-scoring necklace is one of these records.  Every
+    product has determinant 1 and trace >= 2, so its radius grows with its
+    integer trace: the records are the trace records, and only they take a
+    logarithm (for n <= MAX_SCAN_N no two record traces round to one log)."""
     k = n - n // 2
     tables = _product_tables((A0, A1), k)
     left, right = tables[n // 2], tables[k]
     rows = []
     for ones in range(n + 1):
-        record = -math.inf
-        for orbit in enumerate_orbits(ones, n):
-            index = int(orbit.representative, 2)
+        record = 0
+        for index, _ in necklace_readings(ones, n):
             x, y = left[index >> k], right[index & ((1 << k) - 1)]
             trace = x[0] * y[0] + x[1] * y[2] + x[2] * y[1] + x[3] * y[3]
-            log_rho = math.log(_spectral_radius(trace, 1))
-            if log_rho > record:
-                record = log_rho
-                rows.append((ones, orbit.representative, log_rho))
+            if trace > record:
+                record = trace
+                rows.append((ones, format(index, f"0{n}b"), math.log(_spectral_radius(trace, 1))))
     return tuple(rows)
 
 

@@ -18,14 +18,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .words import (
-    Orbit,
+    EXHAUSTIVE_Q,
     balanced_orbit,
-    canonical_rotation,
     coprime_pairs,
-    enumerate_orbits,
+    enumerate_orbits,  # noqa: F401  read by perfbench's tracer self-test
     format_fraction,
     minimal_period,
-    rotation_values,
+    necklace_readings,
+    rotations,
 )
 
 __all__ = [
@@ -91,10 +91,10 @@ class DiscreteMeasure:
         return record
 
 
-def _orbit_support(orbit: Orbit) -> tuple[int, list[int], int, list[int]]:
-    """orbit_measure as (d, xs, m, vs): t = period points b(r) / (2^t - 1), weights 1 / t."""
-    t = orbit.period
-    return 2**t - 1, sorted(rotation_values(orbit.representative[:t])), t, [1] * t
+def _orbit_support(b: int, q: int, t: int) -> tuple[int, list[int], int, list[int]]:
+    """orbit_measure as (d, xs, m, vs) of the length-q reading b with period t:
+    points b(r) / (2^t - 1) over the t rotations r of its first t letters, weights 1 / t."""
+    return 2**t - 1, sorted(rotations(b >> (q - t), t)), t, [1] * t
 
 
 def orbit_measure(w: str) -> DiscreteMeasure:
@@ -105,12 +105,12 @@ def orbit_measure(w: str) -> DiscreteMeasure:
     distinct points).  The all-ones word is rejected: its encoded point is 1,
     the excluded endpoint.
     """
-    rep = canonical_rotation(w)  # validates w
+    t = minimal_period(w)  # validates w
     if not w:
         raise ValueError("orbit measure is undefined for the empty word")
     if set(w) == {"1"}:
         raise ValueError("the all-ones word encodes the excluded endpoint x = 1")
-    d, xs, t, _ = _orbit_support(Orbit(rep, minimal_period(rep)))
+    d, xs, t, _ = _orbit_support(int(w, 2), len(w), t)
     return DiscreteMeasure(tuple(Fraction(x, d) for x in xs), (Fraction(1, t),) * t, word=w)
 
 
@@ -219,16 +219,18 @@ def verify_sturmian_least(
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
+    if q_max > EXHAUSTIVE_Q:
+        raise ValueError(f"q_max={q_max} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     if mixtures_per_pair < 0:
         raise ValueError(f"mixtures_per_pair must be >= 0, got {mixtures_per_pair}")
     rng = random.Random(seed)
     scans = []
     for p, q in coprime_pairs(q_max):
-        sturmian = _orbit_support(balanced_orbit(p, q))
+        sturmian = _orbit_support(int(balanced_orbit(p, q).representative, 2), q, q)
         pool = [
-            (orbit.representative, _orbit_support(orbit))
+            (format(b, f"0{k * q}b"), _orbit_support(b, k * q, t))
             for k in range(1, q_max // q + 1)
-            for orbit in enumerate_orbits(k * p, k * q)
+            for b, t in necklace_readings(k * p, k * q)
         ]
         bad = [
             word for word, form in pool
@@ -259,17 +261,19 @@ def maximize_over_orbits(
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
+    if max_period > EXHAUSTIVE_Q:
+        raise ValueError(f"max_period={max_period} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     best: Optional[tuple[str, float]] = None
     for length in range(1, max_period + 1):
         for p in range(0, length):
-            for orbit in enumerate_orbits(p, length):
-                if orbit.period != length:
+            for b, period in necklace_readings(p, length):
+                if period != length:
                     continue
-                d, xs, t, _ = _orbit_support(orbit)
+                d, xs, t, _ = _orbit_support(b, length, length)
                 # 1 / t and x / d round correctly, so they are float(Fraction(...)).
                 value = sum(1 / t * f(x / d) for x in xs)
                 if best is None or value > best[1]:
-                    best = (orbit.representative, value)
+                    best = (format(b, f"0{length}b"), value)
     assert best is not None
     return orbit_measure(best[0]), best[1]
 

@@ -9,9 +9,13 @@ rewards clustering and guards the check against being vacuous.
 
 A pair's energy and image-tail bound depend only on its offset, so each
 energy reads one per-offset table.  Exact potentials (Coulomb, integer
-powers, the fixture) tabulate integers over a common denominator and give
-one ``Fraction`` per energy, ordering configurations without floating-point
-ambiguity; float families tie within a relative ``TIE_MARGIN`` of the minimum.
+powers, the fixture) tabulate integers over a common denominator.  Without
+images, the pairs at offset m of a configuration read as the integer b are
+the set bits of ``b & (b >> m)``, so its energy numerator is a sum of table
+entries times popcounts; the scan orders configurations on those integers,
+without floating-point ambiguity, and builds one ``Fraction`` per row for
+the report.  Float families add their pairs in (a, b) order and tie within a
+relative ``TIE_MARGIN`` of the minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import reduce
 from operator import add
 from typing import Sequence, Union
 
-from .words import Orbit, balanced_orbit, enumerate_orbits, is_balanced
+from .words import EXHAUSTIVE_Q, Orbit, balanced_orbit, enumerate_orbits, is_balanced
 
 __all__ = [
     "Potential",
@@ -41,8 +45,6 @@ __all__ = [
 ]
 
 Energy = Union[Fraction, float]
-
-EXHAUSTIVE_Q = 20
 
 CONVEX_GRID = 16
 
@@ -246,18 +248,30 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
         raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     orbits = enumerate_orbits(p, q)
     table = _PairTable(potential, q, images)
-    offsets = [_pair_offsets(o.representative) for o in orbits]
-    energies = [table.energy(pairs) for pairs in offsets]
-    exact = images == 0 and all(isinstance(e, Fraction) for e in energies)
-    minimum = min(energies)
+    exact = images == 0 and table.scale is not None
     if exact:
-        tied = [e == minimum for e in energies]
+        # Offset-m pairs of the reading b are the set bits of b & (b >> m).
+        numerators = [
+            sum(v * (b & (b >> m)).bit_count() for m, v in table.values.items())
+            for b in (int(o.representative, 2) for o in orbits)
+        ]
+        least = min(numerators)
+        energies = [Fraction(n, table.scale) for n in numerators]
+        minimum = Fraction(least, table.scale)
+        tied = [n == least for n in numerators]
     else:
-        # Truncated image sums underestimate the true energy by at most the
-        # tail bound, so any orbit whose computed energy undercuts the
-        # smallest upper envelope could be the true minimizer.
-        ceiling = min(float(e) + table.tail(pairs) for e, pairs in zip(energies, offsets))
-        tied = [float(e) <= ceiling + TIE_MARGIN * abs(ceiling) for e in energies]
+        offsets = [_pair_offsets(o.representative) for o in orbits]
+        energies = [table.energy(pairs) for pairs in offsets]
+        exact = images == 0 and all(isinstance(e, Fraction) for e in energies)
+        minimum = min(energies)
+        if exact:  # a float potential with no pairs: every energy is an exact 0
+            tied = [e == minimum for e in energies]
+        else:
+            # Truncated image sums underestimate the true energy by at most the
+            # tail bound, so any orbit whose computed energy undercuts the
+            # smallest upper envelope could be the true minimizer.
+            ceiling = min(float(e) + table.tail(pairs) for e, pairs in zip(energies, offsets))
+            tied = [float(e) <= ceiling + TIE_MARGIN * abs(ceiling) for e in energies]
     # The one balanced orbit is g copies of the balanced (p/g, q/g) word.
     g = math.gcd(p, q)
     balanced_rep = balanced_orbit(p // g, q // g).representative * g

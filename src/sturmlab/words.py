@@ -21,6 +21,7 @@ __all__ = [
     "canonical_rotation",
     "minimal_period",
     "rotation_values",
+    "rotations",
     "factor_set",
     "complexity",
     "is_balanced",
@@ -30,6 +31,7 @@ __all__ = [
     "ContinuedFraction",
     "standard_words",
     "Orbit",
+    "necklace_readings",
     "enumerate_orbits",
     "coprime_pairs",
     "balanced_orbit",
@@ -39,6 +41,8 @@ __all__ = [
 ]
 
 SlopeLike = Union[Fraction, int, float, "mpmath.mpf"]
+
+EXHAUSTIVE_Q = 20  # longest word an exhaustive orbit scan accepts
 
 
 def check_word(w: str) -> str:
@@ -87,9 +91,13 @@ def minimal_period(w: str) -> int:
 
 def rotation_values(w: str) -> tuple[int, ...]:
     """b (the base-2 reading) over the ``len(w)`` left-rotations of the
-    nonempty 0-1 word ``w``, starting with ``w``: rotating by k shifts b(w)
-    left k places and wraps its top k bits round."""
-    q, b = len(w), int(w, 2)
+    nonempty 0-1 word ``w``, starting with ``w``."""
+    return rotations(int(w, 2), len(w))
+
+
+def rotations(b: int, q: int) -> tuple[int, ...]:
+    """The q left-rotations of the length-q reading b, starting with b:
+    rotating by k shifts b left k places and wraps its top k bits round."""
     mask = (1 << q) - 1
     return tuple(((b << k) | (b >> (q - k))) & mask for k in range(q))
 
@@ -290,53 +298,60 @@ class Orbit:
     ``representative`` is the lexicographically least rotation and ``period``
     is the minimal period of any member, which is also the orbit size.  Both
     are derived by the constructors (:func:`enumerate_orbits`,
-    :func:`balanced_orbit`, ``cyclic.orbit_product``, ``measures.orbit_measure``),
-    so they are not checked again here.
+    :func:`balanced_orbit`, ``cyclic.orbit_product``), so they are not checked
+    again here.
     """
 
     representative: str
     period: int
 
 
-def enumerate_orbits(p: int, q: int) -> list[Orbit]:
-    """All rotation orbits of length-``q`` words with exactly ``p`` ones.
+def necklace_readings(p: int, q: int) -> list[tuple[int, int]]:
+    """(b, period) for every rotation orbit of length-``q`` words with ``p``
+    ones: b reads the least rotation in base 2, and period is the orbit size.
 
-    Sorted by representative.  The orbit sizes sum to C(q, p).  This is the
-    binary Fredricksen-Kessler-Maiorana prenecklace recursion, pruned to
-    fixed density as in Ruskey-Sawada (SIAM J. Comput. 1999): a prenecklace
-    a_1..a_t with period ``period`` extends by copying a_{t+1-period}, or,
-    when that letter is '0', by a '1' that makes the whole prefix Lyndon
-    (period t+1).  Branches whose one-count passes ``p`` or can no longer
-    reach it are cut; a full-length prenecklace is a necklace exactly when
-    its period divides ``q``.  The walk is depth first with '0' before '1',
-    so orbits come out in lexicographic order.
+    Sorted by b, which for words of one length is lexicographic order.  This
+    is the binary Fredricksen-Kessler-Maiorana prenecklace recursion, pruned
+    to fixed density as in Ruskey-Sawada (SIAM J. Comput. 1999), on the
+    integer reading of the prefix.  A prenecklace a_1..a_t with period
+    ``period`` extends by copying a_{t+1-period}, bit ``period - 1`` of its
+    reading, or, when that letter is 0, by a 1 that makes the whole prefix
+    Lyndon (period t+1).  Branches whose one-count passes ``p`` or can no
+    longer reach it are cut; a full-length prenecklace is a necklace exactly
+    when its period divides ``q``.  The walk is depth first with 0 before 1.
     """
     if q < 1:
         raise ValueError("word length q must be >= 1")
     if not 0 <= p <= q:
         raise ValueError(f"one-count p={p} outside 0..{q}")
-    word = ["0"] * (q + 1)  # word[1..q]; word[0] seeds the first copy
-    orbits = []
-    # Stack entries (t, letter, period, ones): set word[t] = letter, giving a
-    # prenecklace of length t with that period and one-count.
-    stack = [(0, "0", 1, 0)]
+    readings = []
+    # Stack entries (t, b, period, ones): the prenecklace of length t read as
+    # b, with that period and one-count.  The empty prefix copies a 0.
+    stack = [(0, 0, 1, 0)]
     while stack:
-        t, letter, period, ones = stack.pop()
-        word[t] = letter
+        t, b, period, ones = stack.pop()
         if t == q:
             if q % period == 0:
-                orbits.append(Orbit("".join(word[1:]), period))
+                readings.append((b, period))
             continue
-        copied = word[t + 1 - period]
-        if copied == "1":
+        if b >> (period - 1) & 1:
             if ones < p:
-                stack.append((t + 1, "1", period, ones + 1))
+                stack.append((t + 1, 2 * b + 1, period, ones + 1))
             continue
         if ones < p:
-            stack.append((t + 1, "1", t + 1, ones + 1))
+            stack.append((t + 1, 2 * b + 1, t + 1, ones + 1))
         if ones + q - t - 1 >= p:
-            stack.append((t + 1, "0", period, ones))
-    return orbits
+            stack.append((t + 1, 2 * b, period, ones))
+    return readings
+
+
+def enumerate_orbits(p: int, q: int) -> list[Orbit]:
+    """All rotation orbits of length-``q`` words with exactly ``p`` ones.
+
+    Sorted by representative; the orbit sizes sum to C(q, p).  Each orbit is
+    one reading of :func:`necklace_readings` written out as a word.
+    """
+    return [Orbit(format(b, f"0{q}b"), period) for b, period in necklace_readings(p, q)]
 
 
 def coprime_pairs(q_max: int) -> list[tuple[int, int]]:

@@ -53,6 +53,17 @@ MUTANTS = (
     Mutant("necklace-period-test", "words.py",
            "if q % period == 0:", "if period == q:",
            ("tests/test_words.py::test_enumerate_orbits_matches_oracle",)),
+    Mutant("necklace-copied-bit-shifted", "words.py",
+           "if b >> (period - 1) & 1:", "if b >> period & 1:",
+           ("tests/test_words.py::test_enumerate_orbits_matches_oracle",
+            "tests/test_words.py::test_necklace_readings_are_every_necklace_read_in_base_2")),
+    Mutant("necklace-lyndon-keeps-period", "words.py",
+           "stack.append((t + 1, 2 * b + 1, t + 1, ones + 1))",
+           "stack.append((t + 1, 2 * b + 1, period, ones + 1))",
+           ("tests/test_words.py::test_necklace_readings_are_every_necklace_read_in_base_2",)),
+    Mutant("necklace-word-unpadded", "words.py",
+           'format(b, f"0{q}b")', 'format(b, "b")',
+           ("tests/test_words.py::test_enumerate_orbits_matches_oracle",)),
     Mutant("check-word-drops-one", "words.py",
            'translate(None, b"01")', 'translate(None, b"0")',
            ("tests/test_words.py::test_check_word_rejects_any_other_code_point",)),
@@ -155,6 +166,9 @@ MUTANTS = (
     Mutant("jsr-estimate-first-factor-skipped", "jsr.py",
            "accumulate(log_factors)]", "accumulate(log_factors[1:])]",
            ("tests/test_jsr.py::test_both_expansions_report_their_truncated_products",)),
+    Mutant("jsr-trace-record-ge", "jsr.py",
+           "if trace > record:", "if trace >= record:",
+           ("tests/test_jsr.py::test_necklace_table_holds_the_per_density_records",)),
     Mutant("jsr-cached-trace-plus-one", "jsr.py",
            "_spectral_radius(trace, 1)", "_spectral_radius(trace + 1, 1)",
            ("tests/test_jsr.py::test_staircase_matches_per_necklace_oracle",)),
@@ -162,8 +176,8 @@ MUTANTS = (
            "x[0] * y[0] + x[1] * y[2] + x[2] * y[1]", "x[0] * y[0] + x[1] * y[1] + x[2] * y[1]",
            ("tests/test_jsr.py::test_staircase_matches_per_necklace_oracle",)),
     Mutant("jsr-record-reset-outside-density", "jsr.py",
-           "    for ones in range(n + 1):\n        record = -math.inf\n",
-           "    record = -math.inf\n    for ones in range(n + 1):\n",
+           "    for ones in range(n + 1):\n        record = 0\n",
+           "    record = 0\n    for ones in range(n + 1):\n",
            ("tests/test_jsr.py::test_necklace_table_holds_the_per_density_records",)),
     Mutant("jsr-bounds-split-one-short", "jsr.py",
            "_mul(left[index >> k], right[index & ((1 << k) - 1)])",
@@ -174,7 +188,7 @@ MUTANTS = (
            "balanced=r.orbit.representative <= balanced_rep,",
            ("tests/test_cyclic.py::test_balanced_flags_match_is_balanced",)),
     Mutant("measures-support-whole-word", "measures.py",
-           "rotation_values(orbit.representative[:t])", "rotation_values(orbit.representative)",
+           "sorted(rotations(b >> (q - t), t))", "sorted(rotations(b, q))",
            ("tests/test_measures.py::test_orbit_support_matches_string_rotation_oracle",)),
     Mutant("measures-gap-ge", "measures.py",
            "if gap > 0:", "if gap >= 0:",
@@ -213,6 +227,20 @@ MUTANTS = (
     Mutant("wigner-table-line-distance", "wigner.py",
            "potential.value(min(m, q - m))", "potential.value(m)",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-popcount-shift-long", "wigner.py",
+           "(b & (b >> m)).bit_count()", "(b & (b >> (m + 1))).bit_count()",
+           ("tests/test_wigner.py::test_popcount_energies_match_pair_oracle",)),
+    Mutant("wigner-popcount-with-images", "wigner.py",
+           "exact = images == 0 and table.scale is not None",
+           "exact = table.scale is not None",
+           ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-popcount-ties-to-first", "wigner.py",
+           "tied = [n == least for n in numerators]", "tied = [n == numerators[0] for n in numerators]",
+           ("tests/test_wigner.py::test_popcount_energies_match_pair_oracle",
+            "tests/test_wigner.py::test_popcount_minima_match_pair_oracle_on_long_rings")),
+    Mutant("cyclic-scan-bound-dropped", "cyclic.py",
+           "if q_max > EXHAUSTIVE_Q:", "if False:",
+           ("tests/test_cli.py::test_orbit_scan_bound_names_its_parameter",)),
     Mutant("wigner-flag-one-copy", "wigner.py",
            "balanced_orbit(p // g, q // g).representative * g",
            "balanced_orbit(p // g, q // g).representative",

@@ -8,7 +8,7 @@ from math import floor
 
 import pytest
 
-from sturmlab import checks
+from sturmlab import checks, words
 from sturmlab.cli import main, manifest_argv
 
 
@@ -247,6 +247,10 @@ def test_usage_errors(capsys):
         "queue run --gamma 1 --horizon 10 --service 1e308 --interarrival 1e308",
         "queue run --seed -1",
         "queue compete --competitor-seed -5",
+        "cyclic verify --q-max 80",
+        "cyclic scan --p 30 --q 61",
+        "measures verify --q-max 70",
+        "measures peaks --max-period 60 --grid 1",
     ],
 )
 def test_bad_parameter_is_usage_error(capsys, argv):
@@ -268,6 +272,22 @@ def test_bad_parameter_is_usage_error(capsys, argv):
 )
 def test_queue_usage_error_names_its_parameter(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("cyclic verify --q-max 80", "q_max=80"),
+        ("cyclic scan --p 30 --q 61", "q=61"),
+        ("measures verify --q-max 70", "q_max=70"),
+        ("measures peaks --max-period 60 --grid 1", "max_period=60"),
+        ("wigner ground-state --p 2 --q 21", "q=21"),
+    ],
+)
+def test_orbit_scan_bound_names_its_parameter(capsys, argv, message):
+    # One shared bound, checked before any orbit is enumerated.
+    expected = f"error: {message} beyond the exhaustive bound {words.EXHAUSTIVE_Q}\n"
+    assert run_cli(capsys, *argv.split()) == (2, "", expected)
 
 
 _PIECE = {"columns": [1, 2], "lower": ["0", "0"], "upper": ["1", "1"]}

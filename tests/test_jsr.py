@@ -27,6 +27,7 @@ from sturmlab.jsr import (
     tau_sequence,
 )
 from sturmlab.jsr import (
+    MAX_SCAN_N,
     _NORMS,
     BoundsRow,
     JsrBounds,
@@ -304,8 +305,10 @@ def test_staircase_matches_oracle_on_random_alphas(n, alphas):
     assert ratio_staircase(alphas, n) == _staircase_oracle(alphas, n)
 
 
-@pytest.mark.parametrize("n", range(1, 15))
+@pytest.mark.parametrize("n", range(1, MAX_SCAN_N + 1))
 def test_necklace_table_holds_the_per_density_records(n):
+    # The table keeps integer trace records; the oracle keeps float
+    # log-radius records, over the whole range optimal_ratio_scan accepts.
     records = []
     best = {}
     for ones, representative, trace in _necklace_traces(n):

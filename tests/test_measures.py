@@ -84,11 +84,12 @@ def test_orbit_support_matches_string_rotation_oracle():
     for q in range(1, 11):
         for p in range(q):
             for orbit in enumerate_orbits(p, q):
-                assert _orbit_support(orbit) == _orbit_support_oracle(orbit.representative)
+                w = orbit.representative
+                assert _orbit_support(int(w, 2), q, orbit.period) == _orbit_support_oracle(w)
 
 
 def test_signed_sweep_requires_cancelling_mass_and_barycenter():
-    half, third, quarter = (_orbit_support(Orbit(w, len(w))) for w in ("01", "001", "0001"))
+    half, third, quarter = (_orbit_support(int(w, 2), len(w), len(w)) for w in ("01", "001", "0001"))
     # 2 * (01) against (001) + (0001): equal mass, barycenters 1/2 and 7/24.
     with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 7/24$"):
         _first_violation([(2, half), (-1, third), (-1, quarter)])

@@ -1,5 +1,6 @@
 """Ring configurations of repelling electrons and their ground states."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -136,6 +137,45 @@ def test_ring_energy_matches_pair_oracle(w, potential, images):
     got = _ring_energy(w, potential, images)
     assert type(got) is type(want)
     assert got == want
+
+
+# The exact families, whose energies without images come from popcounts.
+EXACT_POTENTIALS = (coulomb(), *(inverse_power(s) for s in range(1, 7)), anti_coulomb())
+
+
+def _distance_count_energies(q, words, potential):
+    """Energies of length-q words summed pair by pair from electron positions,
+    in integers over the lcm of the potential's values at distances 1..q/2."""
+    values = {r: potential.value(r) for r in range(1, q // 2 + 1)}
+    scale = math.lcm(*(v.denominator for v in values.values()))
+    ints = {r: v.numerator * (scale // v.denominator) for r, v in values.items()}
+    return [Fraction(sum(ints[min(m, q - m)] for m in _electron_pairs(w)), scale) for w in words]
+
+
+@pytest.mark.parametrize("potential", EXACT_POTENTIALS, ids=lambda p: p.describe())
+def test_popcount_energies_match_pair_oracle(potential):
+    for q in range(1, 15):
+        for p in range(q + 1):
+            report = ground_state(p, q, potential)
+            words = [r.orbit.representative for r in report.rows]
+            energies = _distance_count_energies(q, words, potential)
+            least = min(energies)
+            assert [r.energy for r in report.rows] == energies, (p, q)
+            assert [r.argmin for r in report.rows] == [e == least for e in energies]
+            assert report.exact and report.min_energy == least
+
+
+@pytest.mark.parametrize("p, q", [(5, 18), (4, 19), (3, 20), (16, 18), (18, 20)])
+def test_popcount_minima_match_pair_oracle_on_long_rings(p, q):
+    for potential in (coulomb(), inverse_power(3), anti_coulomb()):
+        report = ground_state(p, q, potential)
+        energies = {o.representative: _ring_energy_oracle(o.representative, potential)
+                    for o in enumerate_orbits(p, q)}
+        least = min(energies.values())
+        assert report.exact and report.min_energy == least
+        assert [o.representative for o in report.argmin] == [
+            w for w, e in energies.items() if e == least
+        ]
 
 
 @pytest.mark.parametrize("images", (0, 1, 3))

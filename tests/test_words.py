@@ -27,12 +27,14 @@ from sturmlab.words import (
     is_balanced,
     mechanical_word,
     minimal_period,
+    necklace_readings,
     one_length,
     parse_slope,
     rotation_values,
     standard_words,
     symbol_stream,
 )
+from sturmlab.words import rotations as reading_rotations
 
 words_st = st.text(alphabet="01", min_size=0, max_size=40)
 
@@ -451,6 +453,23 @@ def _fixed_density_necklace_count(p: int, q: int) -> int:
     total = sum(_totient(d) * math.comb(q // d, p // d) for d in range(1, g + 1) if g % d == 0)
     assert total % q == 0
     return total // q
+
+
+@pytest.mark.parametrize("q", range(1, 17))
+def test_necklace_readings_are_every_necklace_read_in_base_2(q):
+    for p in range(q + 1):
+        readings = necklace_readings(p, q)
+        orbits = enumerate_orbits(p, q)
+        assert readings == [(int(o.representative, 2), o.period) for o in orbits], (p, q)
+        # Integer oracle, apart from the walk: strictly ascending least
+        # rotations with p ones, as many as the necklace formula counts, each
+        # with the first rotation that returns to it as its period.
+        assert len(readings) == _fixed_density_necklace_count(p, q)
+        assert all(x < y for (x, _), (y, _) in pairwise(readings))
+        for b, period in readings:
+            turns = reading_rotations(b, q)
+            assert b == min(turns) and b.bit_count() == p
+            assert period == next((k for k in range(1, q) if turns[k] == b), q), (b, q)
 
 
 @settings(deadline=None, max_examples=40)
