@@ -224,8 +224,8 @@ def _heap_model(args) -> heaps.HeapModel:
 
 
 def _heaps_scan(args):
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
+    if not 1 <= args.n_max <= heaps.MAX_EXHAUSTIVE_N:
+        raise ValueError(f"--n-max must be in 1..{heaps.MAX_EXHAUSTIVE_N}, got {args.n_max}")
     model = _heap_model(args)
     rows = []
     for n in range(1, args.n_max + 1):

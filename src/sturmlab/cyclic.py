@@ -15,11 +15,11 @@ from .words import (
     EXHAUSTIVE_Q,
     Orbit,
     balanced_orbit,
-    canonical_rotation,
+    check_word,
     coprime_pairs,
     enumerate_orbits,
     minimal_period,
-    rotation_values,
+    rotations,
 )
 
 __all__ = [
@@ -42,21 +42,20 @@ class OrbitProduct:
 
 
 def orbit_product(w: str) -> OrbitProduct:
-    """Product of b over all ``len(w)`` left-rotations, starting canonical.
+    """Product of b over all ``len(w)`` left-rotations, starting at the least.
 
-    Rotation-invariant: any member of the orbit gives the same report.
-    Duplicated rotations of a periodic word are multiplied as often as they
-    occur, so the product always has ``len(w)`` factors.
+    Rotation-invariant: any member of the orbit gives the same report, since
+    the least rotation is the one with the least reading.  Duplicated
+    rotations of a periodic word are multiplied as often as they occur, so
+    the product always has ``len(w)`` factors.
     """
-    rep = canonical_rotation(w)  # validates w
-    if not rep:
+    if not check_word(w):
         raise ValueError("orbit product is undefined for the empty word")
-    return _orbit_product(Orbit(rep, minimal_period(rep)))
-
-
-def _orbit_product(orbit: Orbit) -> OrbitProduct:
-    factors = rotation_values(orbit.representative)
-    return OrbitProduct(orbit, factors, math.prod(factors))
+    values = rotations(int(w, 2), len(w))
+    start = values.index(min(values))
+    factors = values[start:] + values[:start]
+    rep = format(factors[0], f"0{len(w)}b")
+    return OrbitProduct(Orbit(rep, minimal_period(rep)), factors, math.prod(factors))
 
 
 @dataclass(frozen=True)
@@ -95,19 +94,15 @@ def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
     if q > EXHAUSTIVE_Q:
         raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     balanced_rep = balanced_orbit(p, q).representative
-    reports = [_orbit_product(o) for o in enumerate_orbits(p, q)]
-    best = max(r.product for r in reports)
-    argmax = tuple(r.orbit.representative for r in reports if r.product == best)
+    balanced = int(balanced_rep, 2)
+    factors = [rotations(b, q) for b, _ in enumerate_orbits(p, q)]
+    products = [math.prod(f) for f in factors]
+    best = max(products)
     rows = tuple(
-        ProductScanRow(
-            representative=r.orbit.representative,
-            factors=r.factors,
-            product=r.product,
-            balanced=r.orbit.representative == balanced_rep,
-            argmax=r.product == best,
-        )
-        for r in reports
+        ProductScanRow(format(f[0], f"0{q}b"), f, product, f[0] == balanced, product == best)
+        for f, product in zip(factors, products)
     )
+    argmax = tuple(r.representative for r in rows if r.argmax)
     passed = argmax == (balanced_rep,)
     return ProductScan(p, q, rows, best, argmax, balanced_rep, passed)
 

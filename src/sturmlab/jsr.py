@@ -33,8 +33,7 @@ from typing import Sequence, Union
 
 import mpmath as mp
 
-from .words import ContinuedFraction, necklace_readings
-from .words import enumerate_orbits  # noqa: F401  read by perfbench's tracer self-test
+from .words import ContinuedFraction, enumerate_orbits
 
 __all__ = [
     "A0",
@@ -145,7 +144,7 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
     each length up to n_max; the upper bound is the smallest normalized norm
     maximum over all products of a fixed length.  Both sandwich the true
     value for any sub-multiplicative norm.  Necklaces are the binary ones
-    from :func:`necklace_readings` in lexicographic (for one length, numeric)
+    from :func:`enumerate_orbits` in lexicographic (for one length, numeric)
     order, letter i standing for ``matrices[i]``, so the set holds one or two
     row-major 4-tuples.
     Products run on integers over the entries' common denominator, and each
@@ -176,7 +175,7 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
         lower_n = -math.inf
         argmax = 0
         densities = range(n + 1) if len(matrices) == 2 else (0,)
-        necklaces = sorted(b for ones in densities for b, _ in necklace_readings(ones, n))
+        necklaces = sorted(b for ones in densities for b, _ in enumerate_orbits(ones, n))
         k = n - n // 2
         left, right = tables[n // 2], tables[k]
         for index in necklaces:
@@ -219,7 +218,7 @@ def _necklace_log_radii(n: int) -> tuple[tuple[int, str, float], ...]:
     rows = []
     for ones in range(n + 1):
         record = 0
-        for index, _ in necklace_readings(ones, n):
+        for index, _ in enumerate_orbits(ones, n):
             x, y = left[index >> k], right[index & ((1 << k) - 1)]
             trace = x[0] * y[0] + x[1] * y[2] + x[2] * y[1] + x[3] * y[3]
             if trace > record:

@@ -21,10 +21,9 @@ from .words import (
     EXHAUSTIVE_Q,
     balanced_orbit,
     coprime_pairs,
-    enumerate_orbits,  # noqa: F401  read by perfbench's tracer self-test
+    enumerate_orbits,
     format_fraction,
     minimal_period,
-    necklace_readings,
     rotations,
 )
 
@@ -230,7 +229,7 @@ def verify_sturmian_least(
         pool = [
             (format(b, f"0{k * q}b"), _orbit_support(b, k * q, t))
             for k in range(1, q_max // q + 1)
-            for b, t in necklace_readings(k * p, k * q)
+            for b, t in enumerate_orbits(k * p, k * q)
         ]
         bad = [
             word for word, form in pool
@@ -266,7 +265,7 @@ def maximize_over_orbits(
     best: Optional[tuple[str, float]] = None
     for length in range(1, max_period + 1):
         for p in range(0, length):
-            for b, period in necklace_readings(p, length):
+            for b, period in enumerate_orbits(p, length):
                 if period != length:
                     continue
                 d, xs, t, _ = _orbit_support(b, length, length)

@@ -104,9 +104,11 @@ class Potential:
             lam = float(self.params[0])
             r_plus = m + (cutoff + 1) * q
             r_minus = (cutoff + 1) * q - m
-            return (math.exp(-lam * r_plus) + math.exp(-lam * r_minus)) / (
-                1 - math.exp(-lam * q)
-            )
+            # expm1 keeps 1 - exp(-lam * q) from rounding to 0 (or too large).
+            bound = (math.exp(-lam * r_plus) + math.exp(-lam * r_minus)) / -math.expm1(-lam * q)
+            if not math.isfinite(bound):
+                raise ValueError(f"image tail bound overflows at decay rate {lam}")
+            return bound
         if self.kind == "coulomb":
             raise ValueError("periodic image sum diverges for 1/r")
         raise ValueError(f"periodic image sum unsupported for {self.kind!r}")
@@ -246,14 +248,15 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
         raise ValueError(f"electron count {p} outside 0..{q}")
     if q > EXHAUSTIVE_Q:
         raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
-    orbits = enumerate_orbits(p, q)
+    readings = enumerate_orbits(p, q)
+    orbits = [Orbit(format(b, f"0{q}b"), period) for b, period in readings]
     table = _PairTable(potential, q, images)
     exact = images == 0 and table.scale is not None
     if exact:
         # Offset-m pairs of the reading b are the set bits of b & (b >> m).
         numerators = [
             sum(v * (b & (b >> m)).bit_count() for m, v in table.values.items())
-            for b in (int(o.representative, 2) for o in orbits)
+            for b, _ in readings
         ]
         least = min(numerators)
         energies = [Fraction(n, table.scale) for n in numerators]

@@ -18,9 +18,7 @@ from typing import Iterable, Optional, Union
 __all__ = [
     "check_word",
     "one_length",
-    "canonical_rotation",
     "minimal_period",
-    "rotation_values",
     "rotations",
     "factor_set",
     "complexity",
@@ -31,7 +29,6 @@ __all__ = [
     "ContinuedFraction",
     "standard_words",
     "Orbit",
-    "necklace_readings",
     "enumerate_orbits",
     "coprime_pairs",
     "balanced_orbit",
@@ -59,40 +56,10 @@ def one_length(w: str) -> int:
     return check_word(w).count("1")
 
 
-def canonical_rotation(w: str) -> str:
-    """Lexicographically least rotation; the canonical orbit representative.
-
-    Two-candidate least-rotation scan in O(len(w)) time and memory.  Every
-    start below j other than i is already beaten.  When rotations i < j agree
-    on k letters and then differ, the larger one and the k starts after it
-    are beaten too, each by the matching start after the smaller one.
-    """
-    check_word(w)
-    m = len(w)
-    doubled = (w + w).encode()
-    i, j, k = 0, 1, 0
-    while j < m and k < m:
-        a, b = doubled[i + k], doubled[j + k]
-        if a == b:
-            k += 1
-        elif a < b:
-            j += k + 1
-            k = 0
-        else:
-            i, j, k = j, max(i + k + 1, j + 1), 0
-    return w[i:] + w[:i]
-
-
 def minimal_period(w: str) -> int:
     """Smallest t with w = (w[:t]) * (len(w)//t), the orbit size: where w recurs first in ww."""
     check_word(w)
     return (w + w).find(w, 1) if w else 0
-
-
-def rotation_values(w: str) -> tuple[int, ...]:
-    """b (the base-2 reading) over the ``len(w)`` left-rotations of the
-    nonempty 0-1 word ``w``, starting with ``w``."""
-    return rotations(int(w, 2), len(w))
 
 
 def rotations(b: int, q: int) -> tuple[int, ...]:
@@ -297,20 +264,21 @@ class Orbit:
 
     ``representative`` is the lexicographically least rotation and ``period``
     is the minimal period of any member, which is also the orbit size.  Both
-    are derived by the constructors (:func:`enumerate_orbits`,
-    :func:`balanced_orbit`, ``cyclic.orbit_product``), so they are not checked
-    again here.
+    are derived by the constructors (:func:`balanced_orbit`,
+    ``cyclic.orbit_product``, and ``wigner.ground_state`` from a reading of
+    :func:`enumerate_orbits`), so they are not checked again here.
     """
 
     representative: str
     period: int
 
 
-def necklace_readings(p: int, q: int) -> list[tuple[int, int]]:
+def enumerate_orbits(p: int, q: int) -> list[tuple[int, int]]:
     """(b, period) for every rotation orbit of length-``q`` words with ``p``
     ones: b reads the least rotation in base 2, and period is the orbit size.
 
-    Sorted by b, which for words of one length is lexicographic order.  This
+    Sorted by b, which for words of one length is lexicographic order; the
+    periods sum to C(q, p), and ``format(b, f"0{q}b")`` writes the word.  This
     is the binary Fredricksen-Kessler-Maiorana prenecklace recursion, pruned
     to fixed density as in Ruskey-Sawada (SIAM J. Comput. 1999), on the
     integer reading of the prefix.  A prenecklace a_1..a_t with period
@@ -343,15 +311,6 @@ def necklace_readings(p: int, q: int) -> list[tuple[int, int]]:
         if ones + q - t - 1 >= p:
             stack.append((t + 1, 2 * b, period, ones))
     return readings
-
-
-def enumerate_orbits(p: int, q: int) -> list[Orbit]:
-    """All rotation orbits of length-``q`` words with exactly ``p`` ones.
-
-    Sorted by representative; the orbit sizes sum to C(q, p).  Each orbit is
-    one reading of :func:`necklace_readings` written out as a word.
-    """
-    return [Orbit(format(b, f"0{q}b"), period) for b, period in necklace_readings(p, q)]
 
 
 def coprime_pairs(q_max: int) -> list[tuple[int, int]]:

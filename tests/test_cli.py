@@ -8,7 +8,7 @@ from math import floor
 
 import pytest
 
-from sturmlab import checks, words
+from sturmlab import checks, heaps, words
 from sturmlab.cli import main, manifest_argv
 
 
@@ -244,6 +244,9 @@ def test_usage_errors(capsys):
         "wigner ground-state --p 2 --q 5 --potential power --param 1e400",
         "wigner ground-state --p 2 --q 5 --potential power --param 1000000",
         "wigner ground-state --p 2 --q 5 --potential exponential --param inf",
+        "wigner ground-state --p 2 --q 6 --potential exponential --param 1e-320 --images 1",
+        "wigner ground-state --p 2 --q 6 --potential screened --param 1e-320 --images 1",
+        "heaps scan --n-max 25",
         "queue run --gamma 1 --horizon 10 --service 1e308 --interarrival 1e308",
         "queue run --seed -1",
         "queue compete --competitor-seed -5",
@@ -272,6 +275,13 @@ def test_bad_parameter_is_usage_error(capsys, argv):
 )
 def test_queue_usage_error_names_its_parameter(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n_max", (0, heaps.MAX_EXHAUSTIVE_N + 1, 25))
+def test_heaps_scan_names_its_flag_before_any_search(capsys, n_max):
+    # The old message came from the search at n = 21, after 20 searches ran.
+    expected = f"error: --n-max must be in 1..{heaps.MAX_EXHAUSTIVE_N}, got {n_max}\n"
+    assert run_cli(capsys, "heaps", "scan", "--n-max", str(n_max)) == (2, "", expected)
 
 
 @pytest.mark.parametrize(

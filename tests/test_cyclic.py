@@ -2,7 +2,9 @@
 
 import math
 from functools import reduce
+from itertools import combinations, product
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,14 +16,7 @@ from sturmlab.cyclic import (
     scan_coprime_pairs,
     verify_balanced_product_maximum,
 )
-from sturmlab.words import (
-    Orbit,
-    balanced_orbit,
-    canonical_rotation,
-    enumerate_orbits,
-    is_balanced,
-    minimal_period,
-)
+from sturmlab.words import Orbit, balanced_orbit, is_balanced
 
 words_st = st.text(alphabet="01", min_size=1, max_size=16)
 
@@ -37,15 +32,24 @@ def rotations(w: str) -> list[str]:
     return [doubled[i : i + len(w)] for i in range(len(w))] if w else [""]
 
 
+def least_rotation_orbit(w: str) -> Orbit:
+    """Oracle: the least string rotation, and the first rotation returning to w."""
+    turns = rotations(w)
+    return Orbit(min(turns), next((k for k in range(1, len(w)) if turns[k] == w), len(w)))
+
+
 def _product_scan_oracle(p: int, q: int) -> ProductScan:
-    """The scan before integer rotations: every orbit re-canonicalised, its
-    period re-derived, and each rotation sliced out and read as a string."""
+    """The scan on strings: every word with p ones kept when it is its own least
+    rotation, and each rotation sliced out and read as a string."""
     balanced_rep = balanced_orbit(p, q).representative
     reports = []
-    for orbit in enumerate_orbits(p, q):
-        rep = canonical_rotation(orbit.representative)
-        factors = tuple(binary_value(r) for r in rotations(rep))
-        reports.append(OrbitProduct(Orbit(rep, minimal_period(rep)), factors, math.prod(factors)))
+    for ones in combinations(range(q), p):
+        w = "".join("1" if i in ones else "0" for i in range(q))
+        orbit = least_rotation_orbit(w)
+        if orbit.representative == w:
+            factors = tuple(binary_value(r) for r in rotations(w))
+            reports.append(OrbitProduct(orbit, factors, math.prod(factors)))
+    reports.sort(key=lambda r: r.orbit.representative)
     best = max(r.product for r in reports)
     argmax = tuple(r.orbit.representative for r in reports if r.product == best)
     rows = tuple(
@@ -60,6 +64,13 @@ def test_product_scans_match_string_rotation_oracle():
     pairs = [(p, q) for q in range(2, 13) for p in range(1, q) if math.gcd(p, q) == 1]
     for p, q in pairs:
         assert verify_balanced_product_maximum(p, q) == _product_scan_oracle(p, q)
+
+
+def test_orbit_is_the_least_rotation_exhaustively():
+    for m in range(1, 13):
+        for letters in product("01", repeat=m):
+            w = "".join(letters)
+            assert orbit_product(w).orbit == least_rotation_orbit(w), w
 
 
 def test_product_fixtures():
@@ -128,3 +139,10 @@ def test_balanced_product_beats_reversal_classes(q):
         balanced_rows = [r for r in scan.rows if is_balanced(r.representative)]
         assert len(balanced_rows) == 1
         assert balanced_rows[0].argmax
+
+
+def test_orbit_product_rejects_what_is_not_a_word():
+    # int(w, 2) alone would read " 1" and "1_0"; the empty word has no product.
+    for w in ("", " 1", "1_0", "012"):
+        with pytest.raises(ValueError):
+            orbit_product(w)

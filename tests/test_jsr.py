@@ -99,7 +99,9 @@ def _phi(n: int) -> int:
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_necklace_enumeration_count(n):
-    produced = [o.representative for ones in range(n + 1) for o in enumerate_orbits(ones, n)]
+    produced = [
+        format(b, f"0{n}b") for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n)
+    ]
     assert len(produced) == necklace_count(n)
     assert len(set(produced)) == len(produced)
     # Every listed necklace is the least among its rotations.
@@ -186,6 +188,15 @@ def test_bounds_match_product_necklace_oracle(matrices, n_max, norm):
     assert jsr_bounds(matrices, n_max, norm) == _jsr_bounds_oracle(matrices, n_max, norm)
 
 
+def test_cross_density_ties_name_the_numerically_least_necklace():
+    # At n = 6, 001001 = (001)^2 and 000111 tie for the best radius, which is
+    # n = 3's. Necklaces are taken in numeric order across densities, so the
+    # first tied one is 000111, not the per-density order's 001001.
+    rows = jsr_bounds([(-1, 2, 0, -1), (-1, 0, -2, -1)], 7).rows
+    assert rows[5].n == 6 and rows[5].argmax_necklace == "000111"
+    assert rows[5].lower == rows[2].lower
+
+
 def test_golden_pair_bracket_closes():
     bounds = jsr_bounds((A0, A1), n_max=6)
     assert bounds.lower == pytest.approx(PHI, abs=1e-12)
@@ -251,11 +262,12 @@ def _necklace_traces(n: int) -> tuple[tuple[int, str, int], ...]:
     multiplied out letter by letter."""
     necklaces = []
     for ones in range(n + 1):
-        for orbit in enumerate_orbits(ones, n):
+        for b, _ in enumerate_orbits(ones, n):
+            necklace = format(b, f"0{n}b")
             product = IDENTITY
-            for bit in orbit.representative:
+            for bit in necklace:
                 product = _mul(product, A0 if bit == "0" else A1)
-            necklaces.append((ones, orbit.representative, _trace(product)))
+            necklaces.append((ones, necklace, _trace(product)))
     return tuple(necklaces)
 
 

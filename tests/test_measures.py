@@ -26,6 +26,11 @@ from sturmlab.measures import (
 from sturmlab.words import Orbit, enumerate_orbits, is_balanced, minimal_period
 
 
+def _orbits(p, q):
+    """enumerate_orbits' readings written out as words."""
+    return [Orbit(format(b, f"0{q}b"), period) for b, period in enumerate_orbits(p, q)]
+
+
 def test_two_fifths_measure_fixture():
     mu = sturmian_measure(2, 5)
     assert mu.points == tuple(
@@ -83,7 +88,7 @@ def _orbit_support_oracle(w: str):
 def test_orbit_support_matches_string_rotation_oracle():
     for q in range(1, 11):
         for p in range(q):
-            for orbit in enumerate_orbits(p, q):
+            for orbit in _orbits(p, q):
                 w = orbit.representative
                 assert _orbit_support(int(w, 2), q, orbit.period) == _orbit_support_oracle(w)
 
@@ -118,9 +123,7 @@ def test_mixtures_preserve_barycenter_and_dominate(q_index, numerator):
 
 
 def _orbit_reps(p, q):
-    from sturmlab.words import enumerate_orbits
-
-    return [o.representative for o in enumerate_orbits(p, q)]
+    return [o.representative for o in _orbits(p, q)]
 
 
 def _hockey_stick(mu, t):
@@ -152,7 +155,7 @@ def _same_mean_measure(draw, p, q):
     pool = [
         orbit_measure(o.representative)
         for k in range(1, 10 // q + 1)
-        for o in enumerate_orbits(k * p, k * q)
+        for o in _orbits(k * p, k * q)
     ]
     chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique_by=id))
     if len(chosen) == 1:
@@ -190,7 +193,7 @@ def _verify_sturmian_least_oracle(q_max, mixtures_per_pair, seed):
             pool = [
                 orbit_measure(o.representative)
                 for k in range(1, q_max // q + 1)
-                for o in enumerate_orbits(k * p, k * q)
+                for o in _orbits(k * p, k * q)
             ]
             bad = [mu.word for mu in pool if convex_order_witness(sturmian, mu) is not None]
             for _ in range(mixtures_per_pair):
@@ -209,7 +212,7 @@ def _maximize_over_orbits_oracle(f, max_period):
     best = None
     for length in range(1, max_period + 1):
         for p in range(length):
-            for orbit in enumerate_orbits(p, length):
+            for orbit in _orbits(p, length):
                 if orbit.period != length:
                     continue
                 mu = orbit_measure(orbit.representative)
@@ -244,7 +247,7 @@ def _clumped(p, q):
 
 def _last_unbalanced(p, q):
     """The lexicographically greatest unbalanced orbit, else the clumped one."""
-    unbalanced = [o for o in enumerate_orbits(p, q) if not is_balanced(o.representative)]
+    unbalanced = [o for o in _orbits(p, q) if not is_balanced(o.representative)]
     return unbalanced[-1] if unbalanced else _clumped(p, q)
 
 

@@ -24,7 +24,12 @@ from sturmlab.wigner import (
     is_convex_decreasing,
     screened,
 )
-from sturmlab.words import balanced_orbit, enumerate_orbits, is_balanced
+from sturmlab.words import Orbit, balanced_orbit, enumerate_orbits, is_balanced
+
+
+def _orbits(p, q):
+    """enumerate_orbits' readings written out as words."""
+    return [Orbit(format(b, f"0{q}b"), period) for b, period in enumerate_orbits(p, q)]
 
 words_st = st.text(alphabet="01", min_size=2, max_size=12).filter(
     lambda w: "1" in w
@@ -80,7 +85,7 @@ def _ring_energy_oracle(w, potential, images=0):
 
 def _ground_state_oracle(p, q, potential, images):
     """Orbit scan over the per-pair oracle with per-pair image tail bounds."""
-    orbits = enumerate_orbits(p, q)
+    orbits = _orbits(p, q)
     energies = [_ring_energy_oracle(o.representative, potential, images) for o in orbits]
     exact = images == 0 and all(isinstance(e, Fraction) for e in energies)
     minimum = min(energies)
@@ -170,7 +175,7 @@ def test_popcount_minima_match_pair_oracle_on_long_rings(p, q):
     for potential in (coulomb(), inverse_power(3), anti_coulomb()):
         report = ground_state(p, q, potential)
         energies = {o.representative: _ring_energy_oracle(o.representative, potential)
-                    for o in enumerate_orbits(p, q)}
+                    for o in _orbits(p, q)}
         least = min(energies.values())
         assert report.exact and report.min_energy == least
         assert [o.representative for o in report.argmin] == [
@@ -264,6 +269,23 @@ def test_images_tighten_toward_infinite_ring():
         shallow, deep, deeper = (_energies(2, 4, potential, k)["0101"] for k in (1, 6, 12))
         assert float(shallow) <= float(deep) <= float(deeper)
         assert abs(float(deeper) - float(deep)) < abs(float(deep) - float(shallow)) + 1e-15
+
+
+def test_exponential_tail_bound_holds_at_small_rates():
+    # 1 - exp(-rate * q) rounds on either side of the true denominator at
+    # these rates: at 1.1e-5 and 7e-6 it reads about 1e-12 too large, which
+    # would put the bound under the tail itself.
+    q, m, cutoff = 6, 1, 1
+    for rate in (1.1e-5, 7e-6):
+        terms = range(cutoff + 1, cutoff + 1 + int(40 / (rate * q)))  # to exp(-40)
+        summed = math.fsum(
+            math.exp(-rate * (k * q + m)) + math.exp(-rate * (k * q - m)) for k in terms
+        )
+        assert exponential_decay(rate).image_tail(m, q, cutoff) >= summed * (1 - 1e-15)
+    # At a subnormal rate the bound overflows, and the rate is named.
+    for potential in (exponential_decay(1e-320), screened(1e-320)):
+        with pytest.raises(ValueError, match="decay rate 1e-320"):
+            ground_state(2, 6, potential, images=1)
 
 
 def test_coulomb_images_diverge():

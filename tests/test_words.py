@@ -17,7 +17,6 @@ from sturmlab.words import (
     Orbit,
     balance_witness,
     balanced_orbit,
-    canonical_rotation,
     check_word,
     complexity,
     coprime_pairs,
@@ -27,10 +26,8 @@ from sturmlab.words import (
     is_balanced,
     mechanical_word,
     minimal_period,
-    necklace_readings,
     one_length,
     parse_slope,
-    rotation_values,
     standard_words,
     symbol_stream,
 )
@@ -341,43 +338,6 @@ def least_rotation_oracle(w: str) -> str:
     return min(rotations(w))
 
 
-@settings(max_examples=300)
-@given(st.text(alphabet="01", max_size=300))
-@example("")
-@example("0101")
-@example("10" * 150)
-def test_canonical_rotation_matches_oracle(w):
-    assert canonical_rotation(w) == least_rotation_oracle(w)
-
-
-def test_canonical_rotation_matches_oracle_exhaustively():
-    for m in range(1, 13):
-        for letters in product("01", repeat=m):
-            w = "".join(letters)
-            assert canonical_rotation(w) == least_rotation_oracle(w)
-
-
-def test_canonical_rotation_memory_is_linear():
-    # All 8000 rotations at once would be 8000^2 bytes (about 61 MiB).
-    w = mechanical_word(Fraction(1, 8000), 8000)
-    tracemalloc.start()
-    try:
-        rep = canonical_rotation(w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep == "0" * 7999 + "1"
-    assert peak < 2**16
-    assert balanced_orbit(1, 8000).representative == rep
-
-
-@given(words_st.filter(bool), st.integers(min_value=0, max_value=39))
-def test_canonical_rotation_is_rotation_invariant(w, k):
-    k %= len(w)
-    rotated = w[k:] + w[:k]
-    assert canonical_rotation(rotated) == canonical_rotation(w)
-
-
 def test_minimal_period():
     assert minimal_period("010010") == 3
     assert minimal_period("0101010") == 7  # not a full repetition of "01"
@@ -403,9 +363,9 @@ def test_minimal_period_matches_divisor_oracle_exhaustively():
 
 def test_rotation_values_fixture():
     # The first rotation value is b(w) itself.
-    assert rotation_values("101") == (5, 3, 6)
-    assert rotation_values("0001") == (1, 2, 4, 8)
-    assert rotation_values("0" * 6) == (0,) * 6
+    assert reading_rotations(0b101, 3) == (5, 3, 6)
+    assert reading_rotations(0b0001, 4) == (1, 2, 4, 8)
+    assert reading_rotations(0, 6) == (0,) * 6
 
 
 @settings(max_examples=300)
@@ -414,12 +374,12 @@ def test_rotation_values_fixture():
 @example("1" * 64)
 @example("0" * 63 + "1")
 def test_rotation_values_match_string_rotations(w):
-    assert rotation_values(w) == tuple(int(r, 2) for r in rotations(w))
+    assert reading_rotations(int(w, 2), len(w)) == tuple(int(r, 2) for r in rotations(w))
 
 
 def test_enumerate_orbits_partitions_all_words():
     p, q = 3, 7
-    total = sum(orbit.period for orbit in enumerate_orbits(p, q))
+    total = sum(period for _, period in enumerate_orbits(p, q))
     assert total == math.comb(q, p)
 
 
@@ -439,7 +399,7 @@ def _orbits_oracle(p: int, q: int) -> list[tuple[str, int]]:
 @pytest.mark.parametrize("q", range(1, 15))
 def test_enumerate_orbits_matches_oracle(q):
     for p in range(q + 1):
-        produced = [(o.representative, o.period) for o in enumerate_orbits(p, q)]
+        produced = [(format(b, f"0{q}b"), period) for b, period in enumerate_orbits(p, q)]
         assert produced == _orbits_oracle(p, q), (p, q)
 
 
@@ -458,9 +418,7 @@ def _fixed_density_necklace_count(p: int, q: int) -> int:
 @pytest.mark.parametrize("q", range(1, 17))
 def test_necklace_readings_are_every_necklace_read_in_base_2(q):
     for p in range(q + 1):
-        readings = necklace_readings(p, q)
-        orbits = enumerate_orbits(p, q)
-        assert readings == [(int(o.representative, 2), o.period) for o in orbits], (p, q)
+        readings = enumerate_orbits(p, q)
         # Integer oracle, apart from the walk: strictly ascending least
         # rotations with p ones, as many as the necklace formula counts, each
         # with the first rotation that returns to it as its period.
@@ -492,7 +450,8 @@ def test_balanced_orbit_is_the_least_rotation_of_its_mechanical_word():
     """The Christoffel form equals the generic least-rotation and period scans."""
     for p, q in [(0, 1), (1, 1)] + coprime_pairs(200):
         w = mechanical_word(Fraction(p, q), q)
-        assert balanced_orbit(p, q) == Orbit(canonical_rotation(w), minimal_period(w)), (p, q)
+        least = format(min(reading_rotations(int(w, 2), q)), f"0{q}b")
+        assert balanced_orbit(p, q) == Orbit(least, minimal_period(w)), (p, q)
 
 
 def test_balanced_orbit_unique_and_balanced():
@@ -503,9 +462,10 @@ def test_balanced_orbit_unique_and_balanced():
             orbit = balanced_orbit(p, q)
             assert is_balanced(orbit.representative)
             balanced_orbits = [
-                o for o in enumerate_orbits(p, q) if is_balanced(o.representative)
+                (b, period) for b, period in enumerate_orbits(p, q)
+                if is_balanced(format(b, f"0{q}b"))
             ]
-            assert balanced_orbits == [orbit]
+            assert balanced_orbits == [(int(orbit.representative, 2), orbit.period)]
 
 
 def test_parse_slope_and_format_fraction():
