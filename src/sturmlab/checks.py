@@ -275,9 +275,11 @@ def run_check(name: str) -> CheckResult:
 def run_all(names: Optional[Sequence[str]] = None, jobs: int = 1) -> list[CheckResult]:
     """Run the battery (or a subset), optionally across processes."""
     selected = list(names) if names is not None else list(CHECKS)
-    for name in selected:
+    for i, name in enumerate(selected):
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+        if name in selected[:i]:
+            raise ValueError(f"check {name!r} is named twice")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs == 1 or len(selected) == 1:

@@ -99,7 +99,12 @@ def _words_mechanical(args) -> str:
 
 
 def _words_standard(args):
-    quotients = tuple(int(x) for x in args.quotients.split(","))
+    try:
+        quotients = tuple(int(x) for x in args.quotients.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--quotients must be comma-separated integers, got {args.quotients!r}"
+        ) from None
     cf = (
         words.ContinuedFraction.from_slope_quotients(quotients)
         if args.slope_convention

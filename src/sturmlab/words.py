@@ -10,8 +10,10 @@ division over a common denominator, so mechanical words carry no rounding.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, pairwise
 from typing import Iterable, Optional, Union
 
@@ -273,44 +275,60 @@ class Orbit:
     period: int
 
 
+@lru_cache(maxsize=None)
+def _necklace_table(q: int) -> tuple[list[array], list[bytearray]]:
+    """Every necklace of length q, bucketed by one-count: per count an array
+    of readings and a bytearray of their periods, both ascending by reading.
+
+    The binary Fredricksen-Kessler-Maiorana successor (Discrete Math. 61,
+    1986) on the integer reading: set the lowest 0 bit of the prenecklace b,
+    at z, drop the bits below it, and repeat the q - z letters left
+    periodically to fill q letters.  That is the next prenecklace, with
+    period q - z, and a necklace exactly when its period divides q.  Starting
+    from the all-0 word it visits the prenecklaces in ascending order, about
+    two per necklace (Ruskey-Savage-Wang, J. Algorithms 13, 1992).
+    """
+    full = (1 << q) - 1
+    # extend[t]: a repunit of ceil(q/t) copies of period t, and the shift
+    # that keeps the top q bits of a t-bit prefix times it.
+    extend = [None]
+    for t in range(1, q + 1):
+        copies = -(-q // t)
+        extend.append((sum(1 << (k * t) for k in range(copies)), copies * t - q))
+    readings = [array("Q") for _ in range(q + 1)]
+    periods = [bytearray() for _ in range(q + 1)]
+    b, period = 0, 1
+    while True:
+        if q % period == 0:
+            ones = b.bit_count()
+            readings[ones].append(b)
+            periods[ones].append(period)
+        if b == full:
+            return readings, periods
+        z = (~b & (b + 1)).bit_length() - 1
+        period = q - z
+        repunit, shift = extend[period]
+        b = ((b >> z) | 1) * repunit >> shift
+
+
 def enumerate_orbits(p: int, q: int) -> list[tuple[int, int]]:
     """(b, period) for every rotation orbit of length-``q`` words with ``p``
     ones: b reads the least rotation in base 2, and period is the orbit size.
 
     Sorted by b, which for words of one length is lexicographic order; the
-    periods sum to C(q, p), and ``format(b, f"0{q}b")`` writes the word.  This
-    is the binary Fredricksen-Kessler-Maiorana prenecklace recursion, pruned
-    to fixed density as in Ruskey-Sawada (SIAM J. Comput. 1999), on the
-    integer reading of the prefix.  A prenecklace a_1..a_t with period
-    ``period`` extends by copying a_{t+1-period}, bit ``period - 1`` of its
-    reading, or, when that letter is 0, by a 1 that makes the whole prefix
-    Lyndon (period t+1).  Branches whose one-count passes ``p`` or can no
-    longer reach it are cut; a full-length prenecklace is a necklace exactly
-    when its period divides ``q``.  The walk is depth first with 0 before 1.
+    periods sum to C(q, p), and ``format(b, f"0{q}b")`` writes the word.  The
+    orbits are read from one table per length, built on first use by the
+    Fredricksen-Kessler-Maiorana successor over every density at once and
+    kept for the life of the process, since the scans ask for each density
+    of a length in turn.  So the first call at a length costs the whole
+    table, about 2**q / q readings; each call returns a new list.
     """
     if q < 1:
         raise ValueError("word length q must be >= 1")
     if not 0 <= p <= q:
         raise ValueError(f"one-count p={p} outside 0..{q}")
-    readings = []
-    # Stack entries (t, b, period, ones): the prenecklace of length t read as
-    # b, with that period and one-count.  The empty prefix copies a 0.
-    stack = [(0, 0, 1, 0)]
-    while stack:
-        t, b, period, ones = stack.pop()
-        if t == q:
-            if q % period == 0:
-                readings.append((b, period))
-            continue
-        if b >> (period - 1) & 1:
-            if ones < p:
-                stack.append((t + 1, 2 * b + 1, period, ones + 1))
-            continue
-        if ones < p:
-            stack.append((t + 1, 2 * b + 1, t + 1, ones + 1))
-        if ones + q - t - 1 >= p:
-            stack.append((t + 1, 2 * b, period, ones))
-    return readings
+    readings, periods = _necklace_table(q)
+    return list(zip(readings[p], periods[p]))
 
 
 def coprime_pairs(q_max: int) -> list[tuple[int, int]]:

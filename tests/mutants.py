@@ -50,14 +50,33 @@ MUTANTS = (
     Mutant("necklace-period-test", "words.py",
            "if q % period == 0:", "if period == q:",
            ("tests/test_words.py::test_enumerate_orbits_matches_oracle",)),
-    Mutant("necklace-copied-bit-shifted", "words.py",
-           "if b >> (period - 1) & 1:", "if b >> period & 1:",
+    Mutant("necklace-lowest-zero-off-by-one", "words.py",
+           "z = (~b & (b + 1)).bit_length() - 1", "z = (~b & (b + 1)).bit_length() - 2",
+           ("tests/test_words.py::test_enumerate_orbits_matches_fixed_density_walk",)),
+    Mutant("necklace-zero-word-period", "words.py",
+           "b, period = 0, 1", "b, period = 0, q",
            ("tests/test_words.py::test_enumerate_orbits_matches_oracle",
             "tests/test_words.py::test_necklace_readings_are_every_necklace_read_in_base_2")),
-    Mutant("necklace-lyndon-keeps-period", "words.py",
-           "stack.append((t + 1, 2 * b + 1, t + 1, ones + 1))",
-           "stack.append((t + 1, 2 * b + 1, period, ones + 1))",
-           ("tests/test_words.py::test_necklace_readings_are_every_necklace_read_in_base_2",)),
+    Mutant("necklace-table-drops-all-ones", "words.py",
+           """        if q % period == 0:
+            ones = b.bit_count()
+            readings[ones].append(b)
+            periods[ones].append(period)
+        if b == full:
+            return readings, periods
+""",
+           """        if b == full:
+            return readings, periods
+        if q % period == 0:
+            ones = b.bit_count()
+            readings[ones].append(b)
+            periods[ones].append(period)
+""",
+           ("tests/test_words.py::test_enumerate_orbits_matches_fixed_density_walk",)),
+    Mutant("necklace-bucket-misses-last-letter", "words.py",
+           "ones = b.bit_count()", "ones = (b >> 1).bit_count()",
+           ("tests/test_words.py::test_enumerate_orbits_matches_fixed_density_walk",
+            "tests/test_words.py::test_necklace_readings_are_every_necklace_read_in_base_2")),
     Mutant("check-word-drops-one", "words.py",
            'translate(None, b"01")', 'translate(None, b"0")',
            ("tests/test_words.py::test_check_word_rejects_any_other_code_point",)),
@@ -303,6 +322,9 @@ MUTANTS = (
            "    return Potential(\"exponential\"",
            ("tests/test_cli.py::test_bad_parameter_is_usage_error",
             "tests/test_wigner.py::test_potential_parameter_must_be_positive_and_finite")),
+    Mutant("check-repeated-name-allowed", "checks.py",
+           "if name in selected[:i]:", "if False:",
+           ("tests/test_cli.py::test_repeated_check_is_usage_error",)),
     Mutant("check-cyclic-failures-dropped", "checks.py",
            'failed = [f"{s.p}/{s.q}" for s in scans if not s.passed]', "failed = []",
            ("tests/test_checks.py::test_cyclic_check_fails_on_a_failed_scan",)),

@@ -213,6 +213,18 @@ def test_unknown_check_is_usage_error(capsys):
     assert "unknown check" in err
 
 
+def test_malformed_quotients_name_their_flag(capsys):
+    assert run_cli(capsys, "words", "standard", "--quotients", "1,,2") == (
+        2, "", "error: --quotients must be comma-separated integers, got '1,,2'\n"
+    )
+
+
+def test_repeated_check_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify-all", "--only", "words-core,words-core")
+    assert (code, out) == (2, "")
+    assert err == "error: check 'words-core' is named twice\n"
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "no-such-verb")[0] == 2
     assert run_cli(capsys, "words", "mechanical", "--gamma", "2/5")[0] == 2  # missing --n
@@ -223,6 +235,7 @@ def test_usage_errors(capsys):
     "argv",
     [
         "words mechanical --gamma 1/0 --n 5",
+        "words standard --quotients 1,,2",
         "jsr bounds --alpha 1/0",
         "jsr bounds --alpha inf",
         "jsr bounds --alpha 1e400",

@@ -419,7 +419,7 @@ def _fixed_density_necklace_count(p: int, q: int) -> int:
 def test_necklace_readings_are_every_necklace_read_in_base_2(q):
     for p in range(q + 1):
         readings = enumerate_orbits(p, q)
-        # Integer oracle, apart from the walk: strictly ascending least
+        # Integer oracle, apart from the table: strictly ascending least
         # rotations with p ones, as many as the necklace formula counts, each
         # with the first rotation that returns to it as its period.
         assert len(readings) == _fixed_density_necklace_count(p, q)
@@ -435,6 +435,56 @@ def test_necklace_readings_are_every_necklace_read_in_base_2(q):
 def test_orbit_count_matches_necklace_formula(data, q):
     p = data.draw(st.integers(min_value=0, max_value=q))
     assert len(enumerate_orbits(p, q)) == _fixed_density_necklace_count(p, q)
+
+
+def _fixed_density_walk(p: int, q: int) -> list[tuple[int, int]]:
+    """Ruskey-Sawada (SIAM J. Comput. 1999): the binary prenecklace recursion
+    pruned to p ones, depth first with 0 before 1, on the integer reading.
+
+    A prenecklace a_1..a_t with period ``period`` extends by copying
+    a_{t+1-period}, bit ``period - 1`` of its reading, or, when that letter is
+    0, by a 1 that makes the whole prefix Lyndon (period t+1).  Branches whose
+    one-count passes p or can no longer reach it are cut; a full-length
+    prenecklace is a necklace exactly when its period divides q.
+    """
+    readings = []
+    # Stack entries (t, b, period, ones): the prenecklace of length t read as
+    # b, with that period and one-count.  The empty prefix copies a 0.
+    stack = [(0, 0, 1, 0)]
+    while stack:
+        t, b, period, ones = stack.pop()
+        if t == q:
+            if q % period == 0:
+                readings.append((b, period))
+            continue
+        if b >> (period - 1) & 1:
+            if ones < p:
+                stack.append((t + 1, 2 * b + 1, period, ones + 1))
+            continue
+        if ones < p:
+            stack.append((t + 1, 2 * b + 1, t + 1, ones + 1))
+        if ones + q - t - 1 >= p:
+            stack.append((t + 1, 2 * b, period, ones))
+    return readings
+
+
+@pytest.mark.parametrize("q", range(1, 19))
+def test_enumerate_orbits_matches_fixed_density_walk(q):
+    for p in range(q + 1):
+        assert enumerate_orbits(p, q) == _fixed_density_walk(p, q), (p, q)
+
+
+def test_enumerate_orbits_returns_a_new_list_each_call():
+    first = enumerate_orbits(3, 9)
+    expected = list(first)
+    first.append((0, 1))
+    enumerate_orbits(3, 9).clear()
+    # Tables at other lengths, built or read in between, leave this one alone.
+    for q in (4, 18, 9, 10):
+        for p in range(q + 1):
+            enumerate_orbits(p, q)
+    assert enumerate_orbits(3, 9) == expected == _fixed_density_walk(3, 9)
+    assert expected[0] == (0b000000111, 9)
 
 
 def test_coprime_pairs_match_nested_loop_oracle():
