@@ -174,8 +174,10 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
     for n in range(1, n_max + 1):
         lower_n = -math.inf
         argmax = 0
-        densities = range(n + 1) if len(matrices) == 2 else (0,)
-        necklaces = sorted(b for ones in densities for b, _ in enumerate_orbits(ones, n))
+        if len(matrices) == 1:
+            necklaces = [0]  # over one letter the only necklace is 0^n
+        else:
+            necklaces = sorted(b for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n))
         k = n - n // 2
         left, right = tables[n // 2], tables[k]
         for index in necklaces:

@@ -321,7 +321,8 @@ def enumerate_orbits(p: int, q: int) -> list[tuple[int, int]]:
     Fredricksen-Kessler-Maiorana successor over every density at once and
     kept for the life of the process, since the scans ask for each density
     of a length in turn.  So the first call at a length costs the whole
-    table, about 2**q / q readings; each call returns a new list.
+    table, about 2**q / q readings, whatever p is; each call returns a new
+    list.  Callers keep q small: the scans stop at ``EXHAUSTIVE_Q``.
     """
     if q < 1:
         raise ValueError("word length q must be >= 1")

@@ -193,8 +193,8 @@ MUTANTS = (
            "    record = 0\n    for ones in range(n + 1):\n",
            ("tests/test_jsr.py::test_necklace_table_holds_the_per_density_records",)),
     Mutant("jsr-bounds-order-per-density", "jsr.py",
-           "necklaces = sorted(b for ones in densities for b, _ in enumerate_orbits(ones, n))",
-           "necklaces = [b for ones in densities for b, _ in enumerate_orbits(ones, n)]",
+           "necklaces = sorted(b for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n))",
+           "necklaces = [b for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n)]",
            ("tests/test_jsr.py::test_cross_density_ties_name_the_numerically_least_necklace",)),
     Mutant("jsr-bounds-split-one-short", "jsr.py",
            "_mul(left[index >> k], right[index & ((1 << k) - 1)])",

@@ -211,6 +211,14 @@ def test_single_matrix_bounds():
     assert bounds.upper > 1.0  # polynomial growth keeps finite-n norms above 1
 
 
+def test_single_matrix_bounds_skip_the_necklace_tables():
+    # One letter has the single necklace 0^n, so no length-n table is built
+    # and a length far beyond the two-letter budget returns at once.
+    bounds = jsr_bounds((A0,), n_max=40)
+    assert [row.argmax_necklace for row in bounds.rows] == ["0" * n for n in range(1, 41)]
+    assert bounds.lower == pytest.approx(1.0)
+
+
 def test_row_sum_norm_also_brackets():
     bounds = jsr_bounds((A0, A1), n_max=6, norm="row-sum")
     assert bounds.lower <= PHI + 1e-12 <= bounds.upper + 1e-12
