@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -170,29 +169,17 @@ def _measures_peaks(args):
 
 
 def _queue_config(args) -> queueing.QueueConfig:
-    if args.config:
-        config = queueing.queue_config_from_dict(_read_json(args.config))
-    else:
-        config = queueing.QueueConfig()
+    data = _read_json(args.config) if args.config else {}
+    queueing.queue_config_from_dict(data)  # the file is checked as written first
     if args.gamma is not None and args.word is not None:
         raise ValueError("--gamma and --word both set the admission; give one of them")
     if args.delta is not None and args.gamma is None:
         raise ValueError("--delta is the phase of --gamma; it needs --gamma")
-    overrides: dict = {}
-    if args.gamma is not None:
-        delta = words.parse_slope(args.delta) if args.delta is not None else 0
-        overrides["admission"] = words.MechanicalSpec(words.parse_slope(args.gamma), delta)
-    elif args.word is not None:
-        overrides["admission"] = args.word
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.interarrival is not None:
-        overrides["mean_interarrival"] = args.interarrival
-    if args.service is not None:
-        overrides["service_time"] = args.service
-    return dataclasses.replace(config, **overrides)
+    mechanical = {"gamma": args.gamma, "delta": "0" if args.delta is None else args.delta}
+    flags = {"admission": args.word if args.gamma is None else mechanical,
+             "horizon": args.horizon, "seed": args.seed,
+             "mean_interarrival": args.interarrival, "service_time": args.service}
+    return queueing.queue_config_from_dict(data | {k: v for k, v in flags.items() if v is not None})
 
 
 def _summary_row(label: str, summary: queueing.QueueSummary) -> tuple:

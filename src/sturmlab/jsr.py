@@ -145,22 +145,22 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
     maximum over all products of a fixed length.  Both sandwich the true
     value for any sub-multiplicative norm.  Necklaces are the binary ones
     from :func:`enumerate_orbits` in lexicographic (for one length, numeric)
-    order, letter i standing for ``matrices[i]``, so the set holds one or two
+    order, letter i standing for ``matrices[i]``, so the set is a pair of
     row-major 4-tuples.
     Products run on integers over the entries' common denominator, and each
     float is taken from a length-n product and that denominator to the n-th
     power.
     """
     matrices = list(matrices)
-    if not 1 <= len(matrices) <= 2:
-        raise ValueError(f"need one or two matrices, got {len(matrices)}")
+    if len(matrices) != 2:
+        raise ValueError(f"need a pair of matrices, got {len(matrices)}")
     if any(len(m) != 4 for m in matrices):
         raise ValueError("each matrix needs exactly four row-major entries")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if norm not in _NORMS:
         raise ValueError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
-    if len(matrices) ** n_max > 1 << 20:
+    if n_max > 20:
         raise ValueError("alphabet**n_max beyond the exhaustive budget (2^20)")
     entries = [[Fraction(x) for x in m] for m in matrices]
     scale = math.lcm(*[x.denominator for row in entries for x in row])
@@ -174,10 +174,7 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
     for n in range(1, n_max + 1):
         lower_n = -math.inf
         argmax = 0
-        if len(matrices) == 1:
-            necklaces = [0]  # over one letter the only necklace is 0^n
-        else:
-            necklaces = sorted(b for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n))
+        necklaces = sorted(b for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n))
         k = n - n // 2
         left, right = tables[n // 2], tables[k]
         for index in necklaces:
@@ -196,9 +193,8 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
 
 def _product_tables(matrices, depth: int) -> list[list[tuple]]:
     """Products over ``matrices`` of every word of length 0..depth; table j is
-    indexed by the word read in base 2 (one matrix: index 0).  Word i of
-    length n <= 2 * depth is tables[n // 2][i >> k] tables[k][i % 2**k] with
-    k = n - n // 2."""
+    indexed by the word read in base 2.  Word i of length n <= 2 * depth is
+    tables[n // 2][i >> k] tables[k][i % 2**k] with k = n - n // 2."""
     tables = [[(1, 0, 0, 1)]]
     for _ in range(depth):
         tables.append([_mul(x, m) for x in tables[-1] for m in matrices])

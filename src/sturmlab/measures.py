@@ -255,8 +255,8 @@ def maximize_over_orbits(
     Scans every primitive orbit of period 1..max_period (all one-counts,
     excluding the all-ones word), evaluating f at float(support point).
     Ties break deterministically toward the first candidate in (period,
-    representative) order, i.e. toward the shortest, lexicographically least
-    canonical representative.
+    one-count, representative) order: the shortest period, then the fewest
+    ones, then the lexicographically least canonical representative.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")

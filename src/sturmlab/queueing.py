@@ -19,7 +19,7 @@ competition draws it a single time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -209,27 +209,21 @@ def admission_competition(
 
 
 def queue_config_from_dict(data: dict) -> QueueConfig:
-    """Build a QueueConfig from parsed JSON."""
+    """Build a QueueConfig from parsed JSON; a key left out keeps the dataclass default."""
     if not isinstance(data, dict):
         raise ValueError(f"a queue config is a JSON object, got {type(data).__name__}")
-    admission = data.get("admission", "1")
+    values = {f.name: data[f.name] for f in fields(QueueConfig) if f.name in data}
+    admission = values.get("admission")
     if isinstance(admission, dict):
         if "gamma" not in admission:
             raise ValueError("queue config 'admission' object needs a 'gamma' key (the slope)")
         gamma = parse_slope(str(admission["gamma"]))
-        delta = parse_slope(str(admission.get("delta", "0")))
-        admission = MechanicalSpec(gamma, delta)
+        values["admission"] = MechanicalSpec(gamma, parse_slope(str(admission.get("delta", "0"))))
     try:
-        numbers = dict(
-            mean_interarrival=float(data.get("mean_interarrival", 1.0)),
-            service_time=float(data.get("service_time", 2.0)),
-            horizon=data.get("horizon", 10_000),
-            seed=data.get("seed", 0),
-        )
+        values |= {k: float(values[k]) for k in ("mean_interarrival", "service_time") if k in values}
     except TypeError as exc:
         raise ValueError(f"queue config numbers: {exc}") from None
     for key in ("horizon", "seed"):
-        if type(numbers[key]) is not int:
-            raise ValueError(f"queue config {key!r} must be an integer, got {numbers[key]!r}")
-    return QueueConfig(admission=admission, **numbers)
-
+        if key in values and type(values[key]) is not int:
+            raise ValueError(f"queue config {key!r} must be an integer, got {values[key]!r}")
+    return QueueConfig(**values)

@@ -42,6 +42,7 @@ __all__ = [
 SlopeLike = Union[Fraction, int, float, "mpmath.mpf"]
 
 EXHAUSTIVE_Q = 20  # longest word an exhaustive orbit scan accepts
+NECKLACE_TABLE_Q = 22  # longest length enumerate_orbits builds a table for
 
 
 def check_word(w: str) -> str:
@@ -322,10 +323,13 @@ def enumerate_orbits(p: int, q: int) -> list[tuple[int, int]]:
     kept for the life of the process, since the scans ask for each density
     of a length in turn.  So the first call at a length costs the whole
     table, about 2**q / q readings, whatever p is; each call returns a new
-    list.  Callers keep q small: the scans stop at ``EXHAUSTIVE_Q``.
+    list.  A length above ``NECKLACE_TABLE_Q`` (22) raises ValueError before
+    any table is built.
     """
     if q < 1:
         raise ValueError("word length q must be >= 1")
+    if q > NECKLACE_TABLE_Q:
+        raise ValueError(f"q={q} beyond the necklace table bound {NECKLACE_TABLE_Q}")
     if not 0 <= p <= q:
         raise ValueError(f"one-count p={p} outside 0..{q}")
     readings, periods = _necklace_table(q)
@@ -362,17 +366,20 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_slope(text: str) -> Union[Fraction, float]:
-    """Parse 'p/q' as an exact Fraction, else fall back to a finite float."""
+    """Parse 'p/q' or an integer as an exact Fraction, else a finite float."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in slope {text!r}")
-        return Fraction(int(num), int(den))
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(int(text))
+        if slash:
+            return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(text))
+        except ValueError:
+            value = float(text)
     except ValueError:
-        value = float(text)
+        raise ValueError(f"slope {text!r} is neither 'p/q' nor a number") from None
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in slope {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"slope {text!r} is not finite")
     return value

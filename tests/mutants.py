@@ -77,6 +77,12 @@ MUTANTS = (
            "ones = b.bit_count()", "ones = (b >> 1).bit_count()",
            ("tests/test_words.py::test_enumerate_orbits_matches_fixed_density_walk",
             "tests/test_words.py::test_necklace_readings_are_every_necklace_read_in_base_2")),
+    Mutant("necklace-table-bound-ge", "words.py",
+           "if q > NECKLACE_TABLE_Q:", "if q >= NECKLACE_TABLE_Q:",
+           ("tests/test_words.py::test_necklace_table_bound_is_checked_before_any_table_is_built",)),
+    Mutant("slope-unreadable-unnamed", "words.py",
+           """raise ValueError(f"slope {text!r} is neither 'p/q' nor a number") from None""", "raise",
+           ("tests/test_cli.py::test_unreadable_slope_is_named",)),
     Mutant("check-word-drops-one", "words.py",
            'translate(None, b"01")', 'translate(None, b"0")',
            ("tests/test_words.py::test_check_word_rejects_any_other_code_point",)),
@@ -138,6 +144,10 @@ MUTANTS = (
     Mutant("queue-admission-unchecked", "queueing.py",
            "elif not isinstance(self.admission, MechanicalSpec):", "elif False:",
            ("tests/test_cli.py::test_malformed_json_is_usage_error",)),
+    Mutant("queue-config-drops-present-key", "queueing.py",
+           "for f in fields(QueueConfig) if f.name in data}",
+           'for f in fields(QueueConfig) if f.name in data and f.name != "service_time"}',
+           ("tests/test_queueing.py::test_every_present_key_reaches_the_config",)),
     Mutant("heaps-dot-compare-flipped", "heaps.py",
            "if best is None or value > best:", "if best is None or value < best:",
            ("tests/test_heaps.py::test_integer_product_matches_fraction_oracles",)),
@@ -196,6 +206,9 @@ MUTANTS = (
            "necklaces = sorted(b for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n))",
            "necklaces = [b for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n)]",
            ("tests/test_jsr.py::test_cross_density_ties_name_the_numerically_least_necklace",)),
+    Mutant("jsr-bounds-takes-one-matrix", "jsr.py",
+           "if len(matrices) != 2:", "if not 1 <= len(matrices) <= 2:",
+           ("tests/test_jsr.py::test_bounds_take_exactly_a_pair",)),
     Mutant("jsr-bounds-split-one-short", "jsr.py",
            "_mul(left[index >> k], right[index & ((1 << k) - 1)])",
            "_mul(left[index >> k], right[index & ((1 << k) - 2)])",
@@ -299,6 +312,13 @@ MUTANTS = (
     Mutant("cli-queue-delta-without-gamma", "cli.py",
            "if args.delta is not None and args.gamma is None:", "if False:",
            ("tests/test_cli.py::test_bad_parameter_is_usage_error",)),
+    Mutant("cli-queue-file-over-flags", "cli.py",
+           "data | {k: v for k, v in flags.items() if v is not None}",
+           "{k: v for k, v in flags.items() if v is not None} | data",
+           ("tests/test_cli.py::test_flag_wins_over_its_config_key",)),
+    Mutant("cli-queue-file-unchecked-first", "cli.py",
+           "    queueing.queue_config_from_dict(data)  # the file is checked as written first\n", "",
+           ("tests/test_cli.py::test_config_file_error_wins_over_flag_errors",)),
     Mutant("cli-manifest-false-flag-appended", "cli.py",
            "if value is True:", "if isinstance(value, bool):",
            ("tests/test_cli.py::test_manifest_boolean_flag_replays_the_direct_run",)),

@@ -267,6 +267,11 @@ def test_usage_errors(capsys):
         "cyclic scan --p 30 --q 61",
         "measures verify --q-max 70",
         "measures peaks --max-period 60 --grid 1",
+        "words mechanical --gamma 1/x --n 5",
+        "words mechanical --gamma 1/2/3 --n 5",
+        "words mechanical --gamma abc --n 5",
+        "queue run --gamma 1/3 --delta 1/y",
+        "jsr bounds --alpha 3/z",
     ],
 )
 def test_bad_parameter_is_usage_error(capsys, argv):
@@ -287,6 +292,22 @@ def test_bad_parameter_is_usage_error(capsys, argv):
     ],
 )
 def test_queue_usage_error_names_its_parameter(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("words mechanical --gamma 1/x --n 5", "slope '1/x' is neither 'p/q' nor a number"),
+        ("words mechanical --gamma 1/2/3 --n 5", "slope '1/2/3' is neither 'p/q' nor a number"),
+        ("words mechanical --gamma abc --n 5", "slope 'abc' is neither 'p/q' nor a number"),
+        ("queue run --gamma 1/3 --delta 1/y", "slope '1/y' is neither 'p/q' nor a number"),
+        ("queue compete --gamma 1/z", "slope '1/z' is neither 'p/q' nor a number"),
+        ("jsr bounds --alpha 3/z", "slope '3/z' is neither 'p/q' nor a number"),
+        ("words mechanical --gamma 1/0 --n 5", "zero denominator in slope '1/0'"),
+    ],
+)
+def test_unreadable_slope_is_named(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
@@ -365,6 +386,35 @@ def test_model_and_config_files_stand_for_their_flags(tmp_path, capsys):
     direct = run_cli(capsys, "queue", "run", "--horizon", "300", "--seed", "7", "--gamma", "1/3")
     assert direct[0] == 0
     assert run_cli(capsys, "queue", "run", "--config", str(config)) == direct
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_word_flag_equals_its_config_file(tmp_path, capsys, fmt):
+    config = tmp_path / "queue.json"
+    config.write_text(json.dumps({"admission": "001", "horizon": 300}))
+    direct = run_cli(capsys, "queue", "run", "--word", "001", "--horizon", "300", "--format", fmt)
+    assert direct[0] == 0 and "1/3" in direct[1]
+    assert run_cli(capsys, "queue", "run", "--config", str(config), "--format", fmt) == direct
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_flag_wins_over_its_config_key(tmp_path, capsys, fmt):
+    config = tmp_path / "queue.json"
+    config.write_text(json.dumps({"horizon": 300}))
+    direct = run_cli(capsys, "queue", "run", "--horizon", "150", "--format", fmt)
+    assert direct[0] == 0 and "150" in direct[1]
+    assert run_cli(capsys, "queue", "run", "--config", str(config), "--horizon", "150",
+                   "--format", fmt) == direct
+
+
+def test_config_file_error_wins_over_flag_errors(tmp_path, capsys):
+    # The file is checked as written before the flags are.
+    config = tmp_path / "queue.json"
+    config.write_text(json.dumps({"horizon": 0}))
+    argv = ["queue", "run", "--config", str(config), "--gamma", "1/3", "--word", "1"]
+    assert run_cli(capsys, *argv) == (2, "", "error: horizon must be >= 1\n")
+    # A flag does not mend the file it is laid over.
+    assert run_cli(capsys, *argv[:4], "--horizon", "5") == (2, "", "error: horizon must be >= 1\n")
 
 
 def test_queue_config_without_gamma_is_usage_error(tmp_path, capsys):

@@ -146,3 +146,18 @@ def test_orbit_product_rejects_what_is_not_a_word():
     for w in ("", " 1", "1_0", "012"):
         with pytest.raises(ValueError):
             orbit_product(w)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_balanced_product_maximum(2, 4), "(p, q) = (2, 4) must be coprime"),
+        (lambda: verify_balanced_product_maximum(0, 1), "need 0 < p < q, got (0, 1)"),
+        (lambda: verify_balanced_product_maximum(1, 1), "need 0 < p < q, got (1, 1)"),
+        (lambda: scan_coprime_pairs(1), "q_max must be >= 2"),
+    ],
+)
+def test_orbit_guards_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -169,18 +169,16 @@ def _jsr_bounds_oracle(matrices, n_max: int, norm: str) -> JsrBounds:
     "matrices, n_max",
     [(scaled_pair(Fraction(alpha)), 10) for alpha in ("0", "1/3", "1/2", "3/4", "749/1000", "1")]
     + [
-        ([A0], 10),
         (scaled_pair(Fraction(0.1)), 8),
         (scaled_pair(Fraction(2, 7)), 8),
         ([(Fraction(1, 2), 1, 0, 1), (1, 0, Fraction(2, 3), 1)], 8),
         ([(0, -1, 1, 0), (Fraction(-3, 4), 2, 1, Fraction(1, 5))], 8),
-        ([A1], 8),
         (scaled_pair(Fraction(3, 5)), 9),
         ([(0.5, 1, 0, 1), (1, 0, -0.25, 1)], 7),
     ],
     ids=[
-        "alpha=0", "alpha=1/3", "alpha=1/2", "alpha=3/4", "alpha=749/1000", "alpha=1", "A0",
-        "alpha=float0.1", "alpha=2/7", "halves-thirds", "rotation-mixed-sign", "A1",
+        "alpha=0", "alpha=1/3", "alpha=1/2", "alpha=3/4", "alpha=749/1000", "alpha=1",
+        "alpha=float0.1", "alpha=2/7", "halves-thirds", "rotation-mixed-sign",
         "alpha=3/5-odd-length", "float-entries-odd-length",
     ],
 )
@@ -205,18 +203,11 @@ def test_golden_pair_bracket_closes():
     assert by_n[2].argmax_necklace == "01"
 
 
-def test_single_matrix_bounds():
-    bounds = jsr_bounds((A0,), n_max=8)
-    assert bounds.lower == pytest.approx(1.0)
-    assert bounds.upper > 1.0  # polynomial growth keeps finite-n norms above 1
-
-
-def test_single_matrix_bounds_skip_the_necklace_tables():
-    # One letter has the single necklace 0^n, so no length-n table is built
-    # and a length far beyond the two-letter budget returns at once.
-    bounds = jsr_bounds((A0,), n_max=40)
-    assert [row.argmax_necklace for row in bounds.rows] == ["0" * n for n in range(1, 41)]
-    assert bounds.lower == pytest.approx(1.0)
+@pytest.mark.parametrize("matrices", [(A0,), (A1,), (A0, A1, _mul(A0, A1))], ids=["A0", "A1", "three"])
+def test_bounds_take_exactly_a_pair(matrices):
+    with pytest.raises(ValueError) as info:
+        jsr_bounds(matrices, 4)
+    assert str(info.value) == f"need a pair of matrices, got {len(matrices)}"
 
 
 def test_row_sum_norm_also_brackets():
@@ -237,6 +228,8 @@ def test_bounds_input_validation():
         jsr_bounds((A0, A1), 4, norm="frobenius")
     with pytest.raises(ValueError):
         jsr_bounds((A0, A1), 64)
+    with pytest.raises(ValueError, match=r"^alphabet\*\*n_max beyond the exhaustive budget \(2\^20\)$"):
+        jsr_bounds((A0, A1), 21)
 
 
 def test_scaled_pair_range():

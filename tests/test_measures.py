@@ -24,6 +24,7 @@ from sturmlab.measures import (
     verify_sturmian_least,
 )
 from sturmlab.words import Orbit, enumerate_orbits, is_balanced, minimal_period
+from sturmlab.words import rotations as reading_rotations
 
 
 def _orbits(p, q):
@@ -315,3 +316,32 @@ def test_mixture_rejects_bad_coefficients():
     mu, nu = orbit_measure("00101"), orbit_measure("00011")
     with pytest.raises(ValueError):
         mixture([mu, nu], [Fraction(1, 2), Fraction(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sturmian_measure(3, 3), "need 0 <= p < q, got (3, 3)"),
+        (lambda: sturmian_measure(-1, 3), "need 0 <= p < q, got (-1, 3)"),
+        (lambda: verify_sturmian_least(1), "q_max must be >= 2"),
+        (lambda: maximize_over_orbits(tent_objective(0.0), 0), "max_period must be >= 1"),
+    ],
+)
+def test_orbit_guards_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_orbit_maximum_ties_go_to_fewer_ones_before_the_least_word():
+    # f is 1 on the 14 points of 0000111 and 0001001, so both period-7
+    # integrals are seven sevenths.  The scan visits (period, one-count,
+    # reading), so 0001001 (two ones) wins over the smaller word 0000111.
+    def points(w):
+        return {r / 127 for r in reading_rotations(int(w, 2), 7)}
+
+    tied = points("0000111") | points("0001001")
+    mu, value = maximize_over_orbits(lambda x: 1.0 if x in tied else 0.0, 7)
+    assert (mu.word, value) == ("0001001", 0.9999999999999998)
+    alone = points("0000111")
+    assert maximize_over_orbits(lambda x: 1.0 if x in alone else 0.0, 7)[1] == value

@@ -289,6 +289,15 @@ def test_config_round_trip():
     assert word_config.admission == "0101"
 
 
+def test_every_present_key_reaches_the_config():
+    data = {"mean_interarrival": 1.5, "service_time": 2.5, "horizon": 77, "seed": 9,
+            "admission": {"gamma": "2/5", "delta": "1/3"}}
+    expected = QueueConfig(1.5, 2.5, 77, 9, MechanicalSpec(Fraction(2, 5), Fraction(1, 3)))
+    assert queue_config_from_dict(data) == expected
+    # A key left out keeps the dataclass default; an unknown key is ignored.
+    assert queue_config_from_dict({"horizon": 77, "note": "x"}) == QueueConfig(horizon=77)
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         queue_config_from_dict({"horizon": 0})

@@ -331,3 +331,17 @@ def test_power_exponent_is_capped_before_energies_grow_huge():
     assert ground_state(2, 5, inverse_power(MAX_POWER)).exact
     with pytest.raises(ValueError, match=f"at most {MAX_POWER}, got {MAX_POWER + 1}$"):
         inverse_power(MAX_POWER + 1)
+
+
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (0, 0, "ring needs at least one site"),
+        (5, 4, "electron count 5 outside 0..4"),
+        (-1, 4, "electron count -1 outside 0..4"),
+    ],
+)
+def test_orbit_guards_name_what_they_refuse(p, q, message):
+    with pytest.raises(ValueError) as info:
+        ground_state(p, q, coulomb())
+    assert str(info.value) == message

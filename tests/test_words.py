@@ -31,6 +31,7 @@ from sturmlab.words import (
     standard_words,
     symbol_stream,
 )
+from sturmlab.words import NECKLACE_TABLE_Q, _necklace_table
 from sturmlab.words import rotations as reading_rotations
 
 words_st = st.text(alphabet="01", min_size=0, max_size=40)
@@ -487,6 +488,34 @@ def test_enumerate_orbits_returns_a_new_list_each_call():
     assert expected[0] == (0b000000111, 9)
 
 
+def test_necklace_table_bound_is_checked_before_any_table_is_built():
+    assert NECKLACE_TABLE_Q == 22
+    assert enumerate_orbits(1, NECKLACE_TABLE_Q) == [(1, NECKLACE_TABLE_Q)]
+    built = _necklace_table.cache_info().currsize
+    for p, q in ((1, 23), (0, 70)):
+        with pytest.raises(ValueError) as info:
+            enumerate_orbits(p, q)
+        assert str(info.value) == f"q={q} beyond the necklace table bound 22"
+    assert _necklace_table.cache_info().currsize == built
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: enumerate_orbits(0, 0), "word length q must be >= 1"),
+        (lambda: enumerate_orbits(5, 4), "one-count p=5 outside 0..4"),
+        (lambda: enumerate_orbits(-1, 4), "one-count p=-1 outside 0..4"),
+        (lambda: balanced_orbit(0, 0), "word length q must be >= 1"),
+        (lambda: balanced_orbit(5, 4), "one-count p=5 outside 0..4"),
+        (lambda: balanced_orbit(2, 4), "p/q = 2/4 is not in lowest terms"),
+    ],
+)
+def test_orbit_guards_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_coprime_pairs_match_nested_loop_oracle():
     for q_max in range(41):
         oracle = [
@@ -526,6 +555,10 @@ def test_parse_slope_and_format_fraction():
     for text in ("inf", "-inf", "1e400", "nan"):
         with pytest.raises(ValueError, match="not finite"):
             parse_slope(text)
+    for text in ("1/x", "1/2/3", "x/2", "abc", "", "1/"):
+        with pytest.raises(ValueError) as info:
+            parse_slope(text)
+        assert str(info.value) == f"slope {text!r} is neither 'p/q' nor a number"
     assert format_fraction(Fraction(2, 5)) == "2/5"
     assert format_fraction(Fraction(4)) == "4"
 
