@@ -219,10 +219,15 @@ def queue_config_from_dict(data: dict) -> QueueConfig:
             raise ValueError("queue config 'admission' object needs a 'gamma' key (the slope)")
         gamma = parse_slope(str(admission["gamma"]))
         values["admission"] = MechanicalSpec(gamma, parse_slope(str(admission.get("delta", "0"))))
-    try:
-        values |= {k: float(values[k]) for k in ("mean_interarrival", "service_time") if k in values}
-    except TypeError as exc:
-        raise ValueError(f"queue config numbers: {exc}") from None
+    for key in ("mean_interarrival", "service_time"):
+        if key in values:
+            value = values[key]
+            try:
+                if type(value) not in (int, float):
+                    raise TypeError
+                values[key] = float(value)
+            except (TypeError, OverflowError):
+                raise ValueError(f"queue config {key!r} must be a number in float range, got {value!r}") from None
     for key in ("horizon", "seed"):
         if key in values and type(values[key]) is not int:
             raise ValueError(f"queue config {key!r} must be an integer, got {values[key]!r}")

@@ -3,8 +3,9 @@
 Words are plain Python strings over the alphabet {'0', '1'}; this module is
 the shared currency for every other testbed in the package.  Rational slopes
 (:class:`fractions.Fraction`, int, float and ``mpmath.mpf``, the last two
-exact dyadic rationals) are read exactly and handled with integer floor
-division over a common denominator, so mechanical words carry no rounding.
+exact dyadic rationals) are read exactly over a common denominator, and a
+mechanical word is built from them by Euclid block expansion with integers
+and string replaces only, so it carries no rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, pairwise
+from itertools import accumulate
 from typing import Iterable, Optional, Union
 
 __all__ = [
@@ -150,13 +151,48 @@ def _exact(x) -> Fraction:
     return Fraction(x)
 
 
+_COMPLEMENT = str.maketrans("01", "10")
+
+
+def _rotation_word(a: int, b: int, r: int, n: int) -> str:
+    """n letters [x >= b - a] of the rotation x -> x + a mod b from x = r, 0 <= a <= b.
+
+    For a <= b/2 the word is 0^z0 1 followed by blocks 0^(q-1)1 (short) and
+    0^q1 (long), q = b // a; after each 1 the point y in [0, a) moves by -s
+    mod a, s = b % a, and the next block is long (code 1) iff y < s.  With x = a-1-y
+    that is letter [x >= a - s] of the rotation by s on the circle a, Euclid's
+    step, so the block code is again a rotation word, about q times shorter.
+    For a > b/2, x -> b-1-x turns the word into the complement of slope b - a.
+    Each pair of steps at least halves n, so the depth is about 2*log2(n) + 2.
+    """
+    if 2 * a > b:
+        return _rotation_word(b - a, b, b - 1 - r, n).translate(_COMPLEMENT)
+    if a == 0:
+        return "0" * n
+    z0 = (b - 1 - r) // a  # zeros before the first 1
+    if z0 >= n:
+        return "0" * n
+    q, s = divmod(b, a)
+    y = r + (z0 + 1) * a - b  # the point after the first 1
+    code = _rotation_word(s, a, a - 1 - y, -((z0 + 1 - n) // q))  # ceil((n-z0-1)/q) blocks
+    q = min(q, n)  # a block longer than the word adds only zeros past its end
+    short = "0" * (q - 1) + "1"
+    blocks = code.replace("1", "L").replace("0", short).replace("L", "0" + short)
+    return ("0" * z0 + "1" + blocks)[:n]
+
+
 def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0) -> str:
     """First ``n`` letters of the mechanical word with slope gamma, phase delta.
 
     Letter k (1-indexed) is ``floor((k+1)*gamma + delta) - floor(k*gamma + delta)``.
     Every input is read as the exact rational it holds (float and
     ``mpmath.mpf`` are dyadic): for gamma = a/b and delta = c/b letter k is
-    ``((k+1)*a + c) // b - (k*a + c) // b``, period b.
+    ``[x_k >= b - a]`` for x_k = (k*a + c) mod b, period b.  The first
+    ``min(n, b)`` letters are built by Euclid block expansion
+    (:func:`_rotation_word`): the word is a string of blocks 0^(q-1)1 and
+    0^q1 whose block code is again a mechanical word, so a recursion about
+    2*log2(n) + 2 deep expands it with string replaces, no per-letter
+    Python step.
 
     Args:
         gamma: slope in [0, 1].
@@ -172,8 +208,7 @@ def mechanical_word(gamma: SlopeLike, n: int, delta: SlopeLike = 0) -> str:
     gamma, delta = _exact(gamma), _exact(delta)
     b = math.lcm(gamma.denominator, delta.denominator)
     a, c = gamma.numerator * b // gamma.denominator, delta.numerator * b // delta.denominator
-    floors = ((k * a + c) // b for k in range(1, min(n, b) + 2))
-    period = "".join("01"[y - x] for x, y in pairwise(floors))
+    period = _rotation_word(a, b, (a + c) % b, min(n, b))
     return period * (n // b) + period[: n % b]
 
 

@@ -105,8 +105,24 @@ MUTANTS = (
            "mask = (1 << q) - 1", "mask = (1 << (q - 1)) - 1",
            ("tests/test_words.py::test_rotation_values_match_string_rotations",)),
     Mutant("mechanical-short-period", "words.py",
-           "min(n, b) + 2", "min(n, b) + 1",
+           "(a + c) % b, min(n, b))", "(a + c) % b, min(n, b - 1))",
            ("tests/test_words.py::test_mechanical_word_matches_fraction_oracle",)),
+    Mutant("rotation-reflection-off-by-one", "words.py",
+           "_rotation_word(b - a, b, b - 1 - r, n)", "_rotation_word(b - a, b, b - r, n)",
+           ("tests/test_words.py::test_mechanical_word_matches_floor_pair_oracle",)),
+    Mutant("rotation-code-start-off-by-one", "words.py",
+           "_rotation_word(s, a, a - 1 - y,", "_rotation_word(s, a, a - y,",
+           ("tests/test_words.py::test_mechanical_word_matches_floor_pair_oracle",)),
+    Mutant("rotation-blocks-swapped", "words.py",
+           '.replace("0", short).replace("L", "0" + short)',
+           '.replace("0", "0" + short).replace("L", short)',
+           ("tests/test_words.py::test_mechanical_word_matches_floor_pair_oracle",)),
+    Mutant("rotation-first-zeros-floor", "words.py",
+           "z0 = (b - 1 - r) // a", "z0 = (b - a - r) // a",
+           ("tests/test_words.py::test_mechanical_word_matches_floor_pair_oracle",)),
+    Mutant("rotation-block-count-floor", "words.py",
+           "-((z0 + 1 - n) // q)", "(n - z0 - 1) // q",
+           ("tests/test_words.py::test_mechanical_word_matches_floor_pair_oracle",)),
     Mutant("mpf-exponent-sign", "words.py",
            "Fraction(2) ** exp", "Fraction(2) ** -exp",
            ("tests/test_words.py::test_mpf_mechanical_word_matches_exact_oracles",)),
@@ -148,6 +164,9 @@ MUTANTS = (
            "for f in fields(QueueConfig) if f.name in data}",
            'for f in fields(QueueConfig) if f.name in data and f.name != "service_time"}',
            ("tests/test_queueing.py::test_every_present_key_reaches_the_config",)),
+    Mutant("queue-config-float-casts-strings", "queueing.py",
+           "if type(value) not in (int, float):", "if type(value) not in (int, float, str):",
+           ("tests/test_queueing.py::test_config_floats_are_json_numbers",)),
     Mutant("heaps-dot-compare-flipped", "heaps.py",
            "if best is None or value > best:", "if best is None or value < best:",
            ("tests/test_heaps.py::test_integer_product_matches_fraction_oracles",)),

@@ -417,6 +417,21 @@ def test_config_file_error_wins_over_flag_errors(tmp_path, capsys):
     assert run_cli(capsys, *argv[:4], "--horizon", "5") == (2, "", "error: horizon must be >= 1\n")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"service_time": "1.5"}, "'service_time' must be a number in float range, got '1.5'"),
+        ({"service_time": True}, "'service_time' must be a number in float range, got True"),
+        ({"mean_interarrival": "abc"}, "'mean_interarrival' must be a number in float range, got 'abc'"),
+    ],
+)
+def test_queue_config_number_names_its_key(tmp_path, capsys, data, message):
+    path = tmp_path / "queue.json"
+    path.write_text(json.dumps(data))
+    for verb in ("run", "compete"):
+        assert run_cli(capsys, "queue", verb, "--config", str(path)) == (2, "", f"error: queue config {message}\n")
+
+
 def test_queue_config_without_gamma_is_usage_error(tmp_path, capsys):
     path = tmp_path / "queue.json"
     path.write_text(json.dumps({"admission": {"delta": "0"}}))

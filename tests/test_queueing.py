@@ -317,6 +317,16 @@ def test_config_integers_are_not_truncated():
             queue_config_from_dict({key: value, "admission": "01"})
 
 
+def test_config_floats_are_json_numbers():
+    config = queue_config_from_dict({"mean_interarrival": 2, "service_time": 1.5, "admission": "01"})
+    assert (config.mean_interarrival, config.service_time) == (2.0, 1.5)
+    assert type(config.mean_interarrival) is float
+    for key in ("mean_interarrival", "service_time"):
+        for value in ("1.5", "abc", True, None, [1.0], 10**400):
+            with pytest.raises(ValueError, match=f"'{key}' must be a number in float range, got"):
+                queue_config_from_dict({key: value, "admission": "01"})
+
+
 def test_negative_seeds_are_named():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         queue_config_from_dict({"seed": -1, "admission": "01"})

@@ -183,9 +183,9 @@ def test_mechanical_word_irrational_slope_balanced():
 
 
 def test_mechanical_word_float_slope_streams_its_floors():
-    # A float slope is an exact dyadic rational whose period exceeds n, so the
-    # integer path pairs consecutive floors as they are made instead of
-    # keeping all n + 1 of them: the traced peak stays near the output size.
+    # A float slope is an exact dyadic rational whose period exceeds n.  Block
+    # expansion holds only the word and block codes that shrink geometrically
+    # with depth, so the traced peak stays near the output size.
     tracemalloc.start()
     try:
         w = mechanical_word(0.3819660112501051, 50_000)
@@ -243,6 +243,64 @@ def test_mpf_mechanical_word_matches_exact_oracles(gamma_parts, n, delta_parts):
     # and 296 below it, so 320 bits of mpmath are exact.
     assert w == _mechanical_mpmath_oracle(gamma, n, delta, 320)
     assert w == _mechanical_oracle(_dyadic(*gamma_parts), n, _dyadic(*delta_parts))
+
+
+def _exact_value(x) -> Fraction:
+    """The rational a Fraction, float or mpf holds, the mpf read from its man * 2**exp."""
+    return _dyadic(*x.man_exp) if isinstance(x, mpmath.mpf) else Fraction(x)
+
+
+def _floor_pair_oracle(gamma: Fraction, n: int, delta: Fraction) -> str:
+    """The per-letter path: one period of floors (k*a + c) // b over the common
+    denominator b, consecutive floors paired into letters, then repeated."""
+    b = math.lcm(gamma.denominator, delta.denominator)
+    a, c = gamma.numerator * b // gamma.denominator, delta.numerator * b // delta.denominator
+    floors = ((k * a + c) // b for k in range(1, min(n, b) + 2))
+    period = "".join("01"[y - x] for x, y in pairwise(floors))
+    return period * (n // b) + period[: n % b]
+
+
+def _exact_numbers(below_one: bool):
+    """Fractions (denominators up to 10**30), floats and mpfs in [0, 1], or [0, 1)."""
+    def fraction(den):
+        return st.integers(min_value=0, max_value=den - below_one).map(lambda num: Fraction(num, den))
+
+    def mpf(parts):
+        with mpmath.workprec(300):
+            return mpmath.mpf(parts)
+
+    return st.one_of(
+        st.integers(min_value=1, max_value=10**30).flatmap(fraction),
+        st.floats(min_value=0, max_value=1, exclude_max=below_one),
+        mpf_parts(below_one).map(mpf),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(_exact_numbers(False), st.integers(min_value=0, max_value=3000), _exact_numbers(True))
+@example(2.0**-60, 3000, 1 - 2.0**-53)  # one block longer than the word
+@example(5e-324, 3000, 5e-324)
+@example(5e-324, 3000, 0.0)
+@example(Fraction(1, 2), 3000, Fraction(1, 3))  # 2a == b
+@example(0.5, 3000, 2.0**-1000)
+@example(Fraction(1), 3000, Fraction(2, 3))
+@example(1.0, 3000, 1 - 2.0**-53)
+@example(Fraction(2, 7), 7, Fraction(3, 7))  # n = b and n = b -+ 1
+@example(Fraction(2, 7), 6, Fraction(3, 7))
+@example(Fraction(2, 7), 8, Fraction(3, 7))
+@example(Fraction(1111, 3000), 3000, Fraction(7, 3000))
+@example(Fraction(1111, 3000), 2999, Fraction(7, 3000))
+@example(Fraction(1111, 3000), 3001, Fraction(7, 3000))
+@example(Fraction(10**30 - 7, 10**30), 3000, Fraction(123456789, 10**30))
+@example(Fraction(381966011250105151795413165634, 10**30), 3000, Fraction(1, 3))
+def test_mechanical_word_matches_floor_pair_oracle(gamma, n, delta):
+    expected = _floor_pair_oracle(_exact_value(gamma), n, _exact_value(delta))
+    assert mechanical_word(gamma, n, delta) == expected
+
+
+def test_long_golden_word_matches_floor_pair_oracle():
+    gamma = (3 - math.sqrt(5)) / 2
+    assert mechanical_word(gamma, 200_000) == _floor_pair_oracle(Fraction(gamma), 200_000, Fraction(0))
 
 
 def test_mpf_slope_just_below_a_rational_is_read_exactly():
