@@ -11,11 +11,14 @@ counterpart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
-from operator import add
-from typing import Callable, Optional, Sequence
+from operator import add, mul
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .words import symbol_stream
 
@@ -90,6 +93,9 @@ def check_multimodular(
     """
     if len(box) != J.arity:
         raise ValueError(f"box has {len(box)} coordinates, function arity is {J.arity}")
+    for i, (lo, hi) in enumerate(box):
+        if lo > hi:
+            raise ValueError(f"box coordinate {i} is empty: lo {lo} > hi {hi}")
     basis = multimodular_basis(J.arity)
     pairs = [(i, j, tuple(map(add, v, w))) for (i, v), (j, w) in combinations(enumerate(basis), 2)]
     values = {}
@@ -113,25 +119,37 @@ def check_multimodular(
 def window_average(J: LatticeFunction, source, n: int):
     """Average of J over the first ``n`` sliding windows of a symbol source.
 
-    The source may be a word (extended periodically) or a MechanicalSpec.
-    Returns an exact Fraction when J returns ints/Fractions, else a float.
-    J is called once per distinct window (at most 2^m), so it must be pure.
+    The source is a word (repeated) or a MechanicalSpec.  J is called once
+    per distinct m-bit window code (first letter highest, m <= 64), in code
+    order, so it must be pure; the failing window first in the stream raises.
+    Int/Fraction values give the exact Fraction sum(count * value) / n; other
+    values are added window by window in stream order, keeping float rounding.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"window count n must be an int, got {n!r}")
     if n < 1:
         raise ValueError("need at least one window")
     m = J.arity
-    stream = symbol_stream(source, n + m - 1)
-    values = {}
-    total = None
-    for k in range(n):
-        window = stream[k : k + m]
-        if window not in values:
-            values[window] = _evaluate(J, tuple(map(int, window)))
-        value = values[window]
-        total = value if total is None else total + value
-    if isinstance(total, (int, Fraction)):
-        return Fraction(total, n)
-    return total / n
+    if not 0 <= m <= 64:
+        raise ValueError(f"arity {m} is outside 0..64, the bits of a window code")
+    bits = np.frombuffer(symbol_stream(source, n + m - 1).encode(), np.uint8) == ord("1")
+    codes = np.zeros(n, np.min_scalar_type((1 << m) - 1))
+    for j in range(m):
+        codes <<= 1
+        codes |= bits[j : j + n]
+    distinct, counts = (a.tolist() for a in np.unique(codes, return_counts=True))
+    values, errors = [], {}
+    for code in distinct:
+        try:
+            values.append(_evaluate(J, tuple(code >> (m - 1 - j) & 1 for j in range(m))))
+        except LatticeDomainError as error:
+            errors[code] = error
+    if errors:
+        failed = np.isin(codes, np.fromiter(errors, codes.dtype))
+        raise errors[int(codes[failed.argmax()])]
+    if all(isinstance(value, (int, Fraction)) for value in values):
+        return Fraction(sum(map(mul, counts, values)), n)
+    return reduce(add, map(dict(zip(distinct, values)).__getitem__, codes.tolist())) / n
 
 
 def affine_function(coefficients: Sequence, constant=0) -> LatticeFunction:

@@ -78,7 +78,8 @@ class QueueConfig:
         if isinstance(self.admission, MechanicalSpec):
             gamma = self.admission.gamma
             return gamma if isinstance(gamma, (Fraction, int)) else float(gamma)
-        return Fraction(self.admission.count("1"), len(self.admission))
+        ones = np.count_nonzero(np.frombuffer(self.admission.encode(), np.uint8) == ord("1"))
+        return Fraction(int(ones), len(self.admission))
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def simulate_queue(config: QueueConfig) -> QueueSummary:
     """
     arrivals = _arrival_times(config.seed, config.mean_interarrival, config.horizon)
     admit = np.frombuffer(symbol_stream(config.admission, config.horizon).encode(), np.uint8) == ord("1")
-    admitted = arrivals[admit]
+    admitted = arrivals.compress(admit)
     completions = _completions(admitted, config.service_time)
     earlier = np.arange(len(admitted))
     departed = np.searchsorted(completions, admitted, side="right")

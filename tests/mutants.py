@@ -157,6 +157,18 @@ MUTANTS = (
     Mutant("queue-searchsorted-left", "queueing.py",
            'side="right"', 'side="left"',
            ("tests/test_queueing.py::test_departure_at_an_arrival_instant_is_counted",)),
+    Mutant("queue-density-counts-zeros", "queueing.py",
+           'self.admission.encode(), np.uint8) == ord("1")', 'self.admission.encode(), np.uint8) == ord("0")',
+           ("tests/test_queueing.py::test_admission_density_counts_the_ones",)),
+    Mutant("queue-density-over-horizon", "queueing.py",
+           "Fraction(int(ones), len(self.admission))", "Fraction(int(ones), self.horizon)",
+           ("tests/test_queueing.py::test_admission_density_counts_the_ones",)),
+    Mutant("queue-gather-drops-last-admission", "queueing.py",
+           "arrivals.compress(admit)", "arrivals.compress(admit[:-1])",
+           ("tests/test_queueing.py::test_simulation_matches_event_loop",)),
+    Mutant("queue-gather-rejected", "queueing.py",
+           "arrivals.compress(admit)", "arrivals.compress(~admit)",
+           ("tests/test_queueing.py::test_simulation_matches_event_loop",)),
     Mutant("queue-admission-unchecked", "queueing.py",
            "elif not isinstance(self.admission, MechanicalSpec):", "elif False:",
            ("tests/test_cli.py::test_malformed_json_is_usage_error",)),
@@ -251,22 +263,58 @@ MUTANTS = (
            "if gap > 0:", "if gap >= 0:",
            ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),
     Mutant("window-memo-by-weight", "multimodular.py",
-           """        if window not in values:
-            values[window] = _evaluate(J, tuple(map(int, window)))
-        value = values[window]""",
-           """        if window.count("1") not in values:
-            values[window.count("1")] = _evaluate(J, tuple(map(int, window)))
-        value = values[window.count("1")]""",
+           """        codes <<= 1
+        codes |= bits[j : j + n]""",
+           """        codes += bits[j : j + n]""",
            ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
     Mutant("window-slice-short", "multimodular.py",
-           "window = stream[k : k + m]", "window = stream[k : k + m - 1]",
+           "for j in range(m):", "for j in range(m - 1):",
            ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
     Mutant("window-loop-from-one", "multimodular.py",
-           "for k in range(n):", "for k in range(1, n):",
+           "symbol_stream(source, n + m - 1).encode()", "symbol_stream(source, n + m)[1:].encode()",
            ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
     Mutant("window-memo-misses-falsy", "multimodular.py",
-           "if window not in values:", "if not values.get(window):",
+           "for code in distinct:", "for code in distinct + distinct[:1]:",
            ("tests/test_multimodular.py::test_window_average_calls_J_once_per_distinct_window",)),
+    Mutant("window-code-bits-reversed", "multimodular.py",
+           "code >> (m - 1 - j) & 1", "code >> j & 1",
+           ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
+    Mutant("window-code-dtype-one-byte", "multimodular.py",
+           "np.min_scalar_type((1 << m) - 1)", "np.uint8",
+           ("tests/test_multimodular.py::test_window_code_width_bounds_the_arity",)),
+    Mutant("window-arity-unbounded", "multimodular.py",
+           "if not 0 <= m <= 64:", "if not 0 <= m:",
+           ("tests/test_multimodular.py::test_window_code_width_bounds_the_arity",)),
+    Mutant("window-arity-negative-accepted", "multimodular.py",
+           "if not 0 <= m <= 64:", "if not m <= 64:",
+           ("tests/test_multimodular.py::test_window_code_width_bounds_the_arity",)),
+    Mutant("window-count-accepts-bool", "multimodular.py",
+           "if not isinstance(n, int) or isinstance(n, bool):", "if not isinstance(n, int):",
+           ("tests/test_multimodular.py::test_window_count_must_be_an_int",)),
+    Mutant("window-exact-sum-ignores-counts", "multimodular.py",
+           "Fraction(sum(map(mul, counts, values)), n)", "Fraction(sum(values), len(values))",
+           ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
+    Mutant("window-exact-sum-takes-floats", "multimodular.py",
+           "isinstance(value, (int, Fraction))", "isinstance(value, (int, Fraction, float))",
+           ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
+    Mutant("window-float-sum-in-code-order", "multimodular.py",
+           ".__getitem__, codes.tolist())", ".__getitem__, sorted(codes.tolist()))",
+           ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
+    Mutant("window-float-sum-rounded-once", "multimodular.py",
+           "reduce(add, map(", "__import__(\"math\").fsum(map(",
+           ("tests/test_multimodular.py::test_window_average_matches_per_window_oracle",)),
+    Mutant("window-error-of-last-bad-window", "multimodular.py",
+           "codes[failed.argmax()]", "codes[len(failed) - 1 - failed[::-1].argmax()]",
+           ("tests/test_multimodular.py::test_window_average_fails_at_the_oracles_first_bad_window",)),
+    Mutant("window-error-of-least-bad-code", "multimodular.py",
+           "raise errors[int(codes[failed.argmax()])]", "raise next(iter(errors.values()))",
+           ("tests/test_multimodular.py::test_window_average_fails_at_the_oracles_first_bad_window",)),
+    Mutant("lattice-empty-box-accepted", "multimodular.py",
+           "if lo > hi:", "if False:",
+           ("tests/test_multimodular.py::test_empty_box_is_refused_by_coordinate",)),
+    Mutant("lattice-empty-box-misnamed", "multimodular.py",
+           "for i, (lo, hi) in enumerate(box):", "for i, (lo, hi) in enumerate(box, 1):",
+           ("tests/test_multimodular.py::test_empty_box_is_refused_by_coordinate",)),
     Mutant("lattice-memo-by-sum", "multimodular.py",
            """        if point not in values:
             values[point] = _evaluate(J, point)

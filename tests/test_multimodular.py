@@ -1,6 +1,8 @@
 """Multimodularity checks and balanced minimality of window averages."""
 
 import math
+import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -81,6 +83,14 @@ def test_affine_functions_are_multimodular(coefficients, constant):
     assert ok, violations
 
 
+def test_empty_box_is_refused_by_coordinate():
+    # An empty box has no point to test, so it would pass any J at all.
+    with pytest.raises(ValueError, match=r"^box coordinate 0 is empty: lo 1 > hi 0$"):
+        check_multimodular(coordinate_max(2), [(1, 0), (0, 3)])
+    with pytest.raises(ValueError, match=r"^box coordinate 1 is empty: lo 0 > hi -1$"):
+        check_multimodular(negative_product(), [(0, 0), (0, -1)])
+
+
 def test_domain_error_carries_point():
     def partial(u):
         if u[0] < 0:
@@ -152,6 +162,27 @@ def test_window_average_needs_enough_symbols():
         window_average(J, "", 10)
     with pytest.raises(TypeError, match="unsupported symbol source"):
         window_average(J, iter("0101" * 5), 10)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, Fraction(4), "10", None])
+def test_window_count_must_be_an_int(n):
+    with pytest.raises(ValueError, match=rf"^window count n must be an int, got {re.escape(repr(n))}$"):
+        window_average(convex_window_load(2), "0101", n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_window_count_must_be_positive(n):
+    with pytest.raises(ValueError, match="^need at least one window$"):
+        window_average(convex_window_load(2), "0101", n)
+
+
+def test_window_code_width_bounds_the_arity():
+    J = LatticeFunction(64, _binary_value, "binary")
+    assert window_average(J, "1", 2) == 2**64 - 1
+    assert window_average(J, "10", 3) == _window_average_oracle(J, "10", 3)
+    for m in (65, -1):
+        with pytest.raises(ValueError, match=rf"^arity {m} is outside 0\.\.64, the bits of a window code$"):
+            window_average(LatticeFunction(m, _binary_value, "binary"), "01", 3)
 
 
 def _window_average_oracle(J: LatticeFunction, source, n: int):
@@ -243,6 +274,25 @@ def test_window_average_fails_at_the_oracles_first_bad_window(m, data, source, n
         assert info.value.point == error.point
     else:
         assert window_average(J, source, n) == want
+
+
+@pytest.mark.parametrize("objective", ["load", "binary"])
+def test_window_average_matches_oracle_at_benchmark_scale(objective):
+    # 100k windows of the 3/8 source and of a seeded shuffle with as many ones.
+    J = convex_window_load(4) if objective == "load" else LatticeFunction(4, _binary_value, "binary")
+    n = 100_000
+    balanced = MechanicalSpec(Fraction(3, 8))
+    letters = list(symbol_stream(balanced, n + J.arity - 1))
+    random.Random(38).shuffle(letters)
+    shuffle = "".join(letters)
+    averages = [window_average(J, source, n) for source in (balanced, shuffle)]
+    assert averages == [_window_average_oracle(J, source, n) for source in (balanced, shuffle)]
+    if objective == "load":
+        assert averages[0] < averages[1]
+    else:
+        # Coordinate j of an affine J reads n of the n + 3 letters, whose ones
+        # differ between the sources by at most 3: weights 8 + 4 + 2 + 1 = 15.
+        assert abs(averages[0] - averages[1]) <= Fraction(3 * 15, n)
 
 
 def _check_multimodular_oracle(J: LatticeFunction, box):

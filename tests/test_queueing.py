@@ -267,6 +267,11 @@ def test_random_admission_word_counts(ones, seed):
     assert w.count("1") == ones
 
 
+@given(st.text(alphabet="01", min_size=1, max_size=300))
+def test_admission_density_counts_the_ones(w):
+    assert QueueConfig(admission=w).admission_density == Fraction(w.count("1"), len(w))
+
+
 def test_random_admission_word_rejects_overfull():
     with pytest.raises(ValueError):
         random_admission_word(5, 6, 0)
