@@ -8,12 +8,10 @@ arrival, counting itself when admitted; rejected customers cost zero.  With
 admission density fixed, mechanically spread admissions minimize the mean
 cost, which ``admission_competition`` probes with common random numbers.
 
-A run counts only the admitted customers.  ``_completions`` guesses their
-busy-period starts, fills each period with numpy by the recursion's own float
-steps, verifies every start flag, and finishes past a wrong guess with the
-sequential recursion, so its result equals the recursion's bit for bit.
-Consecutive runs share the arrival stream of one (seed, mean, horizon), so a
-competition draws it a single time.
+A run counts only the admitted customers.  ``_completions`` gives each its
+busy-period head h and writes c_j = (a_h + s) + (j - h)*s wherever the
+recursion's own steps hold, bit for bit; ``_in_system`` counts departures
+from the head, checking each estimate.  Runs share one arrival stream.
 """
 
 from __future__ import annotations
@@ -62,6 +60,9 @@ class QueueConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("horizon", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.seed < 0:
@@ -112,70 +113,84 @@ def _arrival_times(seed: int, mean_interarrival: float, horizon: int) -> np.ndar
 _LONG_PERIOD = 32  # a longer busy period is one add.accumulate; shorter ones advance together
 
 
-def _completions(arrivals: np.ndarray, service_time: float) -> np.ndarray:
-    """c_j = max(c_{j-1}, a_j) + service_time, bit for bit, by busy periods.
+def _completions(arrivals: np.ndarray, service_time: float) -> tuple[np.ndarray, np.ndarray]:
+    """c_j = max(c_{j-1}, a_j) + s, bit for bit, and each customer's busy-period head h.
 
-    Guess the starts (a_j - j*s at a new running maximum), fill each period
-    by the recursion's own float steps, and check the start flags
-    a_j >= c_{j-1} of the result against the guess.  Past the first miss,
-    if any, the sequential recursion finishes.
+    Guess the starts (a_j - j*s at a new running maximum), write c_j = (a_h + s)
+    + (j - h)*s, keep each period whose steps c_j == c_{j-1} + s all hold and
+    refill the rest.  Past the first start flag a_j >= c_{j-1} that misses the
+    guess, the sequential recursion finishes and the true flags give the heads.
     """
     n = len(arrivals)
+    index = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
     with np.errstate(over="ignore"):
-        offset_arrivals = arrivals - np.arange(n) * service_time
-        guess = offset_arrivals >= np.maximum.accumulate(offset_arrivals)
-        completions = arrivals + service_time
-        starts = np.flatnonzero(guess)
-        lengths = np.diff(starts, append=n)
-        long = lengths > _LONG_PERIOD
-        for start, length in zip(starts[long].tolist(), lengths[long].tolist()):
-            period = completions[start:start + length]
-            period[1:] = service_time
-            np.add.accumulate(period, out=period)
-        heads, lengths = starts[~long], lengths[~long]
-        for offset in range(1, lengths.max(initial=1)):
-            heads, lengths = heads[lengths > offset], lengths[lengths > offset]
-            at = heads + offset
-            completions[at] = completions[at - 1] + service_time
+        buffer = np.subtract(arrivals, np.multiply(index, service_time))
+        guess = buffer >= np.maximum.accumulate(buffer)
+        heads = np.maximum.accumulate(np.where(guess, index, 0))
+        completions = arrivals[heads]
+        completions += service_time
+        np.multiply(index - heads, service_time, out=buffer)
+        completions += buffer
+        np.add(completions[:-1], service_time, out=buffer[1:])
+        stepped = (buffer[1:] != completions[1:]) & ~guess[1:]  # a head starts afresh
+        if stepped.any():
+            chosen = np.zeros(n, dtype=bool)
+            chosen[heads[1:][stepped]] = True
+            lengths = np.diff(np.flatnonzero(guess), append=n)[chosen[guess]]
+            starts = np.flatnonzero(chosen)
+            long = lengths > _LONG_PERIOD
+            for start, length in zip(starts[long].tolist(), lengths[long].tolist()):
+                period = completions[start:start + length]
+                period[1:] = service_time
+                np.add.accumulate(period, out=period)
+            starts, lengths = starts[~long], lengths[~long]
+            for offset in range(1, lengths.max(initial=1)):
+                starts, lengths = starts[lengths > offset], lengths[lengths > offset]
+                at = starts + offset
+                completions[at] = completions[at - 1] + service_time
     missed = np.flatnonzero(guess[1:] != (arrivals[1:] >= completions[:-1]))
     if missed.size:
         j = int(missed[0]) + 1
         last = float(completions[j - 1])
         steps = (last := (last if last > a else a) + service_time for a in arrivals[j:].tolist())
         completions[j:] = np.fromiter(steps, np.float64, n - j)
-    return completions
+        heads = np.maximum.accumulate(np.where(np.concatenate(([True], arrivals[1:] >= completions[:-1])), index, 0))
+    return completions, heads
+
+
+def _in_system(arrivals: np.ndarray, service_time: float) -> np.ndarray:
+    """How many admitted customers each one finds in the system on arrival, itself included.
+
+    All before j's head h have left by a_j, so j finds j - l, l the last one gone:
+    l = h + floor((a_j - c_h)/s) in [h - 1, j - 1], checked by c_l <= a_j < c_{l+1}.
+    A miss goes to searchsorted, capped at j: c_j can equal a_j for a tiny s.
+    """
+    completions, heads = _completions(arrivals, service_time)
+    index = np.arange(len(arrivals), dtype=heads.dtype)
+    with np.errstate(over="ignore"):
+        estimate = completions[heads]
+        np.subtract(arrivals, estimate, out=estimate)
+        np.floor(np.divide(estimate, service_time, out=estimate), out=estimate)
+        estimate += heads
+        np.clip(estimate, heads - 1, index - 1, out=estimate)
+    last = heads  # reuses the heads' memory; at l = -1, c_l reads c_{n-1}: a false miss
+    last[:] = estimate
+    del estimate  # its buffer is free before the gathers
+    missed = np.flatnonzero((arrivals < completions[last]) | (completions[last + 1] <= arrivals))
+    if missed.size:
+        last[missed] = np.minimum(np.searchsorted(completions, arrivals[missed], side="right"), missed) - 1
+    return np.subtract(index, last, out=last)
 
 
 def simulate_queue(config: QueueConfig) -> QueueSummary:
-    """Run one seeded simulation and return its summary.
-
-    The arrival stream comes from ``_arrival_times``, drawn once per (seed,
-    mean, horizon) and shared by consecutive runs.  Completions of the
-    admitted customers come from ``_completions`` (guess the busy-period
-    starts, fill, verify, sequential tail past a miss).  They never
-    decrease and no customer leaves before arriving (c_j >= a_j), so
-    admitted customer j finds j + 1 - min(#{c <= a_j}, j) customers in the
-    system, itself included, counted by one searchsorted over the admitted
-    customers only.  A rejected customer finds no more than the last
-    admitted one before it did, so the worst backlog is reached at an
-    admission.
-    """
+    """Run one seeded simulation of the admitted customers alone: the worst backlog is met at an admission."""
     arrivals = _arrival_times(config.seed, config.mean_interarrival, config.horizon)
-    admit = np.frombuffer(symbol_stream(config.admission, config.horizon).encode(), np.uint8) == ord("1")
-    admitted = arrivals.compress(admit)
-    completions = _completions(admitted, config.service_time)
-    earlier = np.arange(len(admitted))
-    departed = np.searchsorted(completions, admitted, side="right")
-    np.minimum(departed, earlier, out=departed)
-    in_system = np.subtract(earlier + 1, departed, out=departed)
-    return QueueSummary(
-        seed=config.seed,
-        gamma=config.admission_density,
-        horizon=config.horizon,
-        mean_cost=int(in_system.sum()) / config.horizon,
-        max_queue=int(in_system.max(initial=0)),
-        admitted=len(admitted),
-    )
+    source = config.admission  # QueueConfig has checked a word
+    word = symbol_stream(source, config.horizon) if isinstance(source, MechanicalSpec) else source
+    admitted = arrivals.compress(np.resize(np.frombuffer(word.encode(), np.uint8) == ord("1"), config.horizon))
+    in_system = _in_system(admitted, config.service_time)
+    return QueueSummary(config.seed, config.admission_density, config.horizon,
+                        int(in_system.sum()) / config.horizon, int(in_system.max(initial=0)), len(admitted))
 
 
 def random_admission_word(horizon: int, ones: int, seed: int) -> str:

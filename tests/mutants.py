@@ -130,17 +130,17 @@ MUTANTS = (
            "(last if last > a else a)", "(last if last < a else a)",
            ("tests/test_queueing.py::test_completions_match_recursion_past_a_wrong_guess",)),
     Mutant("queue-start-value", "queueing.py",
-           "completions = arrivals + service_time", "completions = arrivals + 2 * service_time",
+           "completions += service_time", "completions += 2 * service_time",
            ("tests/test_queueing.py::test_completions_match_recursion_bitwise",
             "tests/test_queueing.py::test_completions_small_cases")),
     Mutant("queue-long-period-slice-past-end", "queueing.py",
            "completions[start:start + length]", "completions[start:start + length + 1]",
            ("tests/test_queueing.py::test_completions_match_recursion_at_every_load",)),
     Mutant("queue-wavefront-offset-shifted", "queueing.py",
-           "at = heads + offset", "at = heads + offset + 1",
+           "at = starts + offset", "at = starts + offset + 1",
            ("tests/test_queueing.py::test_completions_match_recursion_at_every_load",)),
     Mutant("queue-guess-unverified", "queueing.py",
-           "if missed.size:", "if False:",
+           "if missed.size:\n        j = int(missed[0]) + 1", "if False:\n        j = int(missed[0]) + 1",
            ("tests/test_queueing.py::test_completions_match_recursion_past_a_wrong_guess",)),
     Mutant("queue-tail-starts-late", "queueing.py",
            "j = int(missed[0]) + 1", "j = int(missed[0]) + 2",
@@ -157,6 +157,32 @@ MUTANTS = (
     Mutant("queue-searchsorted-left", "queueing.py",
            'side="right"', 'side="left"',
            ("tests/test_queueing.py::test_departure_at_an_arrival_instant_is_counted",)),
+    Mutant("queue-step-check-off", "queueing.py",
+           "if stepped.any():", "if False:",
+           ("tests/test_queueing.py::test_closed_form_needs_the_refill_only_off_binary_service_times",
+            "tests/test_queueing.py::test_completions_match_recursion_at_every_load")),
+    Mutant("queue-closed-form-step-count-off-by-one", "queueing.py",
+           "np.multiply(index - heads, service_time, out=buffer)",
+           "np.multiply(index - heads + 1, service_time, out=buffer)",
+           ("tests/test_queueing.py::test_completions_match_recursion_bitwise",)),
+    Mutant("queue-heads-from-guess-after-miss", "queueing.py",
+           "np.where(np.concatenate(([True], arrivals[1:] >= completions[:-1])), index, 0)",
+           "np.where(guess, index, 0)",
+           ("tests/test_queueing.py::test_completions_match_recursion_past_a_wrong_guess",)),
+    Mutant("queue-departure-check-lt", "queueing.py",
+           "(completions[last + 1] <= arrivals)", "(completions[last + 1] < arrivals)",
+           ("tests/test_queueing.py::test_departure_at_an_arrival_instant_is_counted",)),
+    Mutant("queue-searchsorted-fallback-off", "queueing.py",
+           'last[missed] = np.minimum(np.searchsorted(completions, arrivals[missed], side="right"), missed) - 1',
+           "pass",
+           ("tests/test_queueing.py::test_departure_at_an_arrival_instant_is_counted",)),
+    Mutant("queue-departure-estimate-unclipped", "queueing.py",
+           "np.clip(estimate, heads - 1, index - 1, out=estimate)", "np.maximum(estimate, heads - 1, out=estimate)",
+           ("tests/test_queueing.py::test_simulation_matches_event_loop_at_extreme_service_times",
+            "tests/test_queueing.py::test_in_system_matches_searchsorted_oracle")),
+    Mutant("queue-config-accepts-bool-integers", "queueing.py",
+           "if type(getattr(self, name)) is not int:", "if not isinstance(getattr(self, name), int):",
+           ("tests/test_queueing.py::test_config_integers_are_ints",)),
     Mutant("queue-density-counts-zeros", "queueing.py",
            'self.admission.encode(), np.uint8) == ord("1")', 'self.admission.encode(), np.uint8) == ord("0")',
            ("tests/test_queueing.py::test_admission_density_counts_the_ones",)),
@@ -164,10 +190,10 @@ MUTANTS = (
            "Fraction(int(ones), len(self.admission))", "Fraction(int(ones), self.horizon)",
            ("tests/test_queueing.py::test_admission_density_counts_the_ones",)),
     Mutant("queue-gather-drops-last-admission", "queueing.py",
-           "arrivals.compress(admit)", "arrivals.compress(admit[:-1])",
+           'ord("1"), config.horizon))', 'ord("1"), config.horizon)[:-1])',
            ("tests/test_queueing.py::test_simulation_matches_event_loop",)),
     Mutant("queue-gather-rejected", "queueing.py",
-           "arrivals.compress(admit)", "arrivals.compress(~admit)",
+           'word.encode(), np.uint8) == ord("1")', 'word.encode(), np.uint8) != ord("1")',
            ("tests/test_queueing.py::test_simulation_matches_event_loop",)),
     Mutant("queue-admission-unchecked", "queueing.py",
            "elif not isinstance(self.admission, MechanicalSpec):", "elif False:",

@@ -1,5 +1,7 @@
 """Seeded admission-control simulation and the shuffle competition."""
 
+import math
+import re
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -10,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmlab import queueing
+from sturmlab import queueing, words
 from sturmlab.queueing import (
     QueueConfig,
     QueueSummary,
     _arrival_times,
     _completions,
+    _in_system,
     admission_competition,
     queue_config_from_dict,
     random_admission_word,
@@ -40,10 +43,11 @@ def test_seed_changes_outcome():
     assert a.mean_cost != b.mean_cost
 
 
-def _simulate_queue_loop(config):
+def _simulate_queue_loop(config, arrivals=None):
     """Per-customer event loop: pop departures, then admit and charge."""
-    rng = np.random.default_rng(config.seed)
-    arrivals = np.cumsum(rng.exponential(config.mean_interarrival, config.horizon))
+    if arrivals is None:
+        rng = np.random.default_rng(config.seed)
+        arrivals = np.cumsum(rng.exponential(config.mean_interarrival, config.horizon))
     admission = symbol_stream(config.admission, config.horizon)
     pending = deque()
     last_completion = 0.0
@@ -95,6 +99,28 @@ def _same_bits(x, y):
     return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
+def _start_flags(arrivals, completions):
+    """Who starts a busy period, read from exact completions: a_j >= c_{j-1}."""
+    return np.concatenate(([True], arrivals[1:] >= completions[:-1]))[:len(arrivals)]
+
+
+def _heads_oracle(flags):
+    """Each customer's busy-period head: the last start at or before it."""
+    heads, head = [], 0
+    for j, starts in enumerate(flags.tolist()):
+        head = j if starts else head
+        heads.append(head)
+    return heads
+
+
+def _assert_exact(arrivals, service_time):
+    """``_completions`` equals the recursion bit for bit, and its heads are the true ones."""
+    expected = _completions_oracle(arrivals, service_time)
+    completions, heads = _completions(arrivals, service_time)
+    assert _same_bits(completions, expected)
+    assert heads.tolist() == _heads_oracle(_start_flags(arrivals, expected))
+
+
 # Service times: below the arrival resolution (c_j can equal a_j), an inexact
 # float product, exact ties with integer arrivals, and one larger than any
 # gap drawn below (one busy period).
@@ -107,7 +133,7 @@ integer_gaps = st.lists(st.integers(min_value=0, max_value=4), max_size=300)
 @given(st.one_of(float_gaps, integer_gaps), SERVICE_TIMES, st.floats(min_value=0.0, max_value=1e6))
 def test_completions_match_recursion_bitwise(gaps, service_time, start):
     arrivals = start + np.cumsum(np.asarray(gaps, dtype=np.float64))
-    assert _same_bits(_completions(arrivals, service_time), _completions_oracle(arrivals, service_time))
+    _assert_exact(arrivals, service_time)
 
 
 @pytest.mark.parametrize("service_time", [1e-300, 0.37 * 7, 2.0, 40.0])
@@ -118,7 +144,7 @@ def test_completions_match_recursion_on_seeded_streams(service_time):
         np.floor(np.cumsum(rng.exponential(1.0, 2000))),  # integer arrivals: exact ties
         np.arange(500, dtype=np.float64),  # a_j = j: with s = 2, c_{j-1} > a_j throughout
     ):
-        assert _same_bits(_completions(arrivals, service_time), _completions_oracle(arrivals, service_time))
+        _assert_exact(arrivals, service_time)
 
 
 @pytest.mark.parametrize("arrivals", [[], [3.5], [0.0, 2.0, 4.0, 6.0], [1.0, 1.0, 1.0]],
@@ -126,12 +152,7 @@ def test_completions_match_recursion_on_seeded_streams(service_time):
 def test_completions_small_cases(arrivals):
     arrivals = np.asarray(arrivals, dtype=np.float64)
     for service_time in (1e-300, 2.0):
-        assert _same_bits(_completions(arrivals, service_time), _completions_oracle(arrivals, service_time))
-
-
-def _start_flags(arrivals, completions):
-    """Who starts a busy period, read from exact completions: a_j >= c_{j-1}."""
-    return np.concatenate(([True], arrivals[1:] >= completions[:-1]))
+        _assert_exact(arrivals, service_time)
 
 
 def _guess_is_wrong(arrivals, service_time, completions):
@@ -150,7 +171,7 @@ def _guess_is_wrong(arrivals, service_time, completions):
 def test_completions_match_recursion_at_every_load(load, has_short, has_long):
     arrivals = np.cumsum(np.random.default_rng(11).exponential(1.0, 100_000))
     expected = _completions_oracle(arrivals, load)
-    assert _same_bits(_completions(arrivals, load), expected)
+    _assert_exact(arrivals, load)
     lengths = np.diff(np.flatnonzero(_start_flags(arrivals, expected)), append=len(arrivals))
     assert (bool((lengths <= 32).any()), bool((lengths > 32).any())) == (has_short, has_long)
 
@@ -165,7 +186,7 @@ def test_completions_match_recursion_at_every_load(load, has_short, has_long):
 def test_completions_match_recursion_past_a_wrong_guess(arrivals, service_time):
     expected = _completions_oracle(arrivals, service_time)
     assert _guess_is_wrong(arrivals, service_time, expected)
-    assert _same_bits(_completions(arrivals, service_time), expected)
+    _assert_exact(arrivals, service_time)  # the heads come from the true start flags
 
 
 @pytest.mark.filterwarnings("error")
@@ -177,7 +198,7 @@ def test_completions_overflow_to_infinity_like_the_recursion(arrivals):
     arrivals = np.asarray(arrivals, dtype=np.float64)
     expected = _completions_oracle(arrivals, 1e308)
     assert np.isinf(expected[-1])
-    assert _same_bits(_completions(arrivals, 1e308), expected)
+    _assert_exact(arrivals, 1e308)
 
 
 def test_departure_at_an_arrival_instant_is_counted(monkeypatch):
@@ -188,6 +209,76 @@ def test_departure_at_an_arrival_instant_is_counted(monkeypatch):
     monkeypatch.setattr(queueing, "_arrival_times", lambda seed, mean, horizon: arrivals[:horizon])
     config = QueueConfig(1.0, 1.0, 50, 0, "1")
     assert simulate_queue(config) == QueueSummary(0, Fraction(1), 50, 1.0, 1, 50)
+    # Three customers arrive together at 10 with s = 0.1, and a fourth exactly when
+    # the second leaves, at c_1 = (10 + 0.1) + 0.1.  Its estimate from the head,
+    # floor((c_1 - c_0)/s), rounds to 0, one short of that departure; the check
+    # c_1 <= a_3 must catch it and searchsorted count the tie.
+    c_0 = 10.0 + 0.1
+    arrivals = np.array([10.0, 10.0, 10.0, c_0 + 0.1])
+    assert math.floor((arrivals[3] - c_0) / 0.1) == 0
+    config = QueueConfig(1.0, 0.1, 4, 0, "1")
+    expected = QueueSummary(0, Fraction(1), 4, (1 + 2 + 3 + 2) / 4, 3, 4)
+    assert simulate_queue(config) == _simulate_queue_loop(config, arrivals) == expected
+
+
+def _in_system_oracle(arrivals, completions):
+    """Customers in the system at each arrival, by one searchsorted over all completions."""
+    earlier = np.arange(len(arrivals))
+    departed = np.minimum(np.searchsorted(completions, arrivals, side="right"), earlier)
+    return earlier + 1 - departed
+
+
+@settings(max_examples=300)
+@given(st.one_of(float_gaps, integer_gaps),
+       st.sampled_from([1e-300, 5e-324, 0.37 * 7, 1.7, 0.5, 2.0, 40.0, 1e308]),
+       st.floats(min_value=0.0, max_value=1e6))
+def test_in_system_matches_searchsorted_oracle(gaps, service_time, start):
+    arrivals = start + np.cumsum(np.asarray(gaps, dtype=np.float64))
+    expected = _in_system_oracle(arrivals, _completions_oracle(arrivals, service_time))
+    assert _in_system(arrivals, service_time).tolist() == expected.tolist()
+
+
+# Service times where the closed form c_j = (a_h + s) + (j - h)*s holds in every
+# busy period (2.0 and 0.5 are exact in binary) and where it breaks in some.
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.3, max_value=1.2),
+       st.sampled_from([2.0, 0.5, 1.7, 0.37 * 7]),
+       st.one_of(st.sampled_from(["1", "001", "01101"]),
+                 st.fractions(min_value=Fraction(1, 10), max_value=1, max_denominator=20).map(MechanicalSpec)),
+       st.integers(min_value=0, max_value=2**16))
+def test_simulation_matches_event_loop_over_loads(load, service_time, admission, seed):
+    density = QueueConfig(admission=admission).admission_density
+    config = QueueConfig(float(density) * service_time / load, service_time, 2000, seed, admission)
+    assert simulate_queue(config) == _simulate_queue_loop(config)
+
+
+@pytest.mark.parametrize("service_time, exact", [(2.0, True), (1.7, False)])
+def test_closed_form_needs_the_refill_only_off_binary_service_times(service_time, exact):
+    # The race's stream: 300k arrivals, 3/8 admitted.  At s = 2 the closed form
+    # is the recursion everywhere; at s = 1.7 it is not, so only the refill of the
+    # failing periods makes the completions exact.
+    arrivals = _arrival_times(0, 1.0, 300_000)
+    admitted = arrivals.compress(np.frombuffer(symbol_stream(MechanicalSpec(Fraction(3, 8)), 300_000).encode(),
+                                               np.uint8) == ord("1"))
+    expected = _completions_oracle(admitted, service_time)
+    heads = np.asarray(_heads_oracle(_start_flags(admitted, expected)))
+    closed_form = (admitted[heads] + service_time) + (np.arange(len(admitted)) - heads) * service_time
+    assert _same_bits(closed_form, expected) == exact
+    _assert_exact(admitted, service_time)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("service_time", [1e308, 5e-324])
+def test_simulation_matches_event_loop_at_extreme_service_times(service_time):
+    # 1e308: completions overflow to inf and nobody leaves; 5e-324 is subnormal,
+    # so c_j == a_j and every customer finds only itself.
+    for admission in ("1", "011", MechanicalSpec(Fraction(2, 5))):
+        config = QueueConfig(1.0, service_time, 1000, 3, admission)
+        summary = simulate_queue(config)
+        assert summary == _simulate_queue_loop(config)
+        if service_time < 1:
+            assert (summary.mean_cost, summary.max_queue) == (summary.admitted / 1000, 1)
+    assert simulate_queue(QueueConfig(1.0, 1e308, 10, 0, "1")) == QueueSummary(0, Fraction(1), 10, 5.5, 10, 10)
 
 
 def test_rejecting_everyone_matches_event_loop():
@@ -337,6 +428,23 @@ def test_negative_seeds_are_named():
         queue_config_from_dict({"seed": -1, "admission": "01"})
     with pytest.raises(ValueError, match="competitor_seed must be >= 0, got -5"):
         admission_competition(QueueConfig(horizon=10, admission="01"), 2, competitor_seed=-5)
+
+
+@pytest.mark.parametrize("key", ["horizon", "seed"])
+@pytest.mark.parametrize("value", [True, False, 100.5, 0.5, 3.0, "5", None, Fraction(4)])
+def test_config_integers_are_ints(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an int, got {re.escape(repr(value))}$"):
+        QueueConfig(**{key: value})
+
+
+def test_simulation_does_not_check_the_word_again(monkeypatch):
+    # QueueConfig checks the word once; a run reads it as checked.
+    config = QueueConfig(horizon=300, admission="0110")
+    expected = _simulate_queue_loop(config)
+    calls = []
+    monkeypatch.setattr(words, "check_word", lambda w: calls.append(w) or w)
+    assert simulate_queue(config) == expected
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("error")
