@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -284,5 +283,6 @@ def run_all(names: Optional[Sequence[str]] = None, jobs: int = 1) -> list[CheckR
         raise ValueError("jobs must be >= 1")
     if jobs == 1 or len(selected) == 1:
         return [run_check(name) for name in selected]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     with ProcessPoolExecutor(max_workers=min(jobs, len(selected))) as pool:
         return list(pool.map(run_check, selected))

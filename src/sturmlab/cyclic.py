@@ -58,7 +58,7 @@ def orbit_product(w: str) -> OrbitProduct:
     return OrbitProduct(Orbit(rep, minimal_period(rep)), factors, math.prod(factors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductScanRow:
     representative: str
     factors: tuple[int, ...]

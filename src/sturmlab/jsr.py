@@ -19,19 +19,20 @@ tau_n tau_{n-1} - tau_{n-2} and one through the Perron roots of the standard
 matrices B_{n+1} = B_n^{a_{n+1}} B_{n-1}, which ``standard_matrices`` returns
 as plain integer 4-tuples.  One estimator sums either expansion's log factors
 left to right with mpmath into its partial products; both agree with the
-reference decimal ALPHA_STAR_DECIMAL.
+reference decimal ALPHA_STAR_DECIMAL.  Only these estimators and
+``matching_digits`` use mpmath, and they import it on their first call; the
+bounds, the staircase and the scans load none of it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence, Union
-
-import mpmath as mp
 
 from .words import ContinuedFraction, enumerate_orbits
 
@@ -60,6 +61,7 @@ Scalar = Union[int, Fraction, float]
 ALPHA_STAR_DECIMAL = "0.749326546330367557943961948091344672091327"
 
 MAX_ALPHA_TERMS = 30
+MAX_ALPHA_BITS = 8192  # `jsr alpha-star --terms 30` at 8192 bits: about 1 s on a 2-vCPU VM
 
 MAX_SCAN_N = 18
 
@@ -293,6 +295,7 @@ def standard_matrices(cf: ContinuedFraction) -> tuple[tuple[int, int, int, int],
 def _perron_root(m) -> mp.mpf:
     """(t + sqrt(t^2 - 4 det)) / 2 of a standard matrix m at the working
     precision; real, as m is nonnegative with det 1, so t >= 2."""
+    import mpmath as mp
     t = mp.mpf(m[0] + m[3])
     return (t + mp.sqrt(t * t - 4 * (m[0] * m[3] - m[1] * m[2]))) / 2
 
@@ -314,8 +317,8 @@ class AlphaEstimate:
 
 
 def _check_terms(terms: int, bits: int):
-    if bits < 128:
-        raise PrecisionError(f"need at least 128 bits, got {bits}")
+    if not 128 <= bits <= MAX_ALPHA_BITS:
+        raise PrecisionError(f"bits={bits}: the working precision budget is 128..{MAX_ALPHA_BITS} bits")
     if terms < 3:
         raise ValueError("need at least 3 terms for a bracketed estimate")
     if terms > MAX_ALPHA_TERMS:
@@ -328,6 +331,7 @@ def _check_terms(terms: int, bits: int):
 def _alpha_estimate(log_factors, limit_exponent) -> AlphaEstimate:
     """Partial products exp(f_1 + ... + f_k), summed left to right at the
     working precision, and the closed form exp(limit_exponent)."""
+    import mpmath as mp
     partials = [mp.e**acc for acc in accumulate(log_factors)]
     error = abs(partials[-1] - partials[-2])
     return AlphaEstimate(partials[-1], error, mp.e**limit_exponent, tuple(partials))
@@ -340,8 +344,9 @@ def alpha_inverse(gamma_cf: ContinuedFraction, terms: int, bits: int = 256) -> A
     (rho_n^{a_{n+1}} rho_{n-1} / rho_{n+1})^{(-1)^n q_n} together with the
     closed two-term form (rho_n^{q_{n+1}} / rho_{n+1}^{q_n})^{(-1)^n} at the
     truncation depth, using exact traces and log-domain arithmetic at
-    ``bits`` of working precision (at least 128).
+    ``bits`` of working precision (128..MAX_ALPHA_BITS).
     """
+    import mpmath as mp
     _check_terms(terms, bits)
     quotients = gamma_cf.partial_quotients
     if len(quotients) < terms + 1:
@@ -369,8 +374,9 @@ def alpha_star_tau(terms: int, bits: int = 256) -> AlphaEstimate:
     Evaluates the alternating product over n >= 1 of
     (1 - tau_{n-1} / (tau_n tau_{n+1}))^{(-1)^n F_{n+1}} with exact integer
     taus, plus the closed form (tau_n^{F_{n+1}} / tau_{n+1}^{F_n})^{(-1)^n}
-    at the truncation depth, at ``bits`` of working precision (at least 128).
+    at the truncation depth, at ``bits`` of working precision (128..MAX_ALPHA_BITS).
     """
+    import mpmath as mp
     _check_terms(terms, bits)
     taus = tau_sequence(terms + 1)
     fibs = [0, 1]
@@ -390,14 +396,8 @@ def alpha_star_tau(terms: int, bits: int = 256) -> AlphaEstimate:
 
 def matching_digits(value) -> int:
     """Count of agreeing decimal digits after '0.' against ALPHA_STAR_DECIMAL."""
+    import mpmath as mp
     if not isinstance(value, mp.mpf):
         value = mp.mpf(value)
     rendered = mp.nstr(value, len(ALPHA_STAR_DECIMAL), strip_zeros=False)
-    if rendered[:2] != ALPHA_STAR_DECIMAL[:2]:
-        return 0
-    count = 0
-    for ours, theirs in zip(rendered[2:], ALPHA_STAR_DECIMAL[2:]):
-        if ours != theirs:
-            break
-        count += 1
-    return count
+    return max(len(os.path.commonprefix([rendered, ALPHA_STAR_DECIMAL])) - 2, 0)

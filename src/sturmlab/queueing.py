@@ -244,7 +244,4 @@ def queue_config_from_dict(data: dict) -> QueueConfig:
                 values[key] = float(value)
             except (TypeError, OverflowError):
                 raise ValueError(f"queue config {key!r} must be a number in float range, got {value!r}") from None
-    for key in ("horizon", "seed"):
-        if key in values and type(values[key]) is not int:
-            raise ValueError(f"queue config {key!r} must be an integer, got {values[key]!r}")
     return QueueConfig(**values)

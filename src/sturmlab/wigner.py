@@ -214,7 +214,7 @@ def _pair_offsets(w: str) -> list[int]:
     return [b - a for i, a in enumerate(electrons) for b in electrons[i + 1:]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitEnergy:
     orbit: Orbit
     energy: Energy

@@ -296,7 +296,7 @@ def standard_words(cf: ContinuedFraction) -> list[str]:
     return words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Orbit:
     """A cyclic-shift equivalence class of words.
 

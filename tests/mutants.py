@@ -270,6 +270,27 @@ MUTANTS = (
            "_mul(left[index >> k], right[index & ((1 << k) - 1)])",
            "_mul(left[index >> k], right[index & ((1 << k) - 2)])",
            ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
+    Mutant("jsr-mpmath-at-top", "jsr.py",
+           "from .words import ContinuedFraction, enumerate_orbits\n",
+           "import mpmath as mp\nfrom .words import ContinuedFraction, enumerate_orbits\n",
+           ("tests/test_exports.py::test_imports_load_only_what_they_use",
+            "tests/test_exports.py::test_jsr_loads_mpmath_on_its_first_alpha_call")),
+    Mutant("jsr-bits-bound-excludes-itself", "jsr.py",
+           "if not 128 <= bits <= MAX_ALPHA_BITS:", "if not 128 <= bits < MAX_ALPHA_BITS:",
+           ("tests/test_jsr.py::test_precision_is_bounded_above",)),
+    Mutant("jsr-bits-bound-one-over", "jsr.py",
+           "if not 128 <= bits <= MAX_ALPHA_BITS:", "if not 128 <= bits <= MAX_ALPHA_BITS + 1:",
+           ("tests/test_jsr.py::test_precision_is_bounded_above",)),
+    Mutant("jsr-matching-digits-counts-the-point", "jsr.py",
+           "ALPHA_STAR_DECIMAL])) - 2, 0)", "ALPHA_STAR_DECIMAL])) - 1, 0)",
+           ("tests/test_jsr.py::test_matching_digits_counts_prefix",)),
+    Mutant("checks-pool-at-top", "checks.py",
+           "from dataclasses import dataclass\n",
+           "from concurrent.futures import ProcessPoolExecutor\nfrom dataclasses import dataclass\n",
+           ("tests/test_exports.py::test_imports_load_only_what_they_use",)),
+    Mutant("orbit-unslotted", "words.py",
+           "@dataclass(frozen=True, slots=True)\nclass Orbit:", "@dataclass(frozen=True)\nclass Orbit:",
+           ("tests/test_exports.py::test_per_orbit_rows_are_slotted_frozen_records",)),
     Mutant("cyclic-flag-by-order", "cyclic.py",
            "f[0] == balanced", "f[0] <= balanced",
            ("tests/test_cyclic.py::test_balanced_flags_match_is_balanced",)),

@@ -298,6 +298,21 @@ def test_queue_usage_error_names_its_parameter(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        ("jsr alpha-star --bits 64", "bits=64: the working precision budget is 128..8192 bits"),
+        ("jsr alpha-star --bits 8193", "bits=8193: the working precision budget is 128..8192 bits"),
+        ("jsr alpha-star --terms 31 --bits 100000",
+         "bits=100000: the working precision budget is 128..8192 bits"),
+        ("jsr alpha-star --terms 31",
+         "terms=31: traces grow doubly exponentially and exceed the practical integer budget beyond 30 terms"),
+    ],
+)
+def test_alpha_star_budget_is_named(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         ("words mechanical --gamma 1/x --n 5", "slope '1/x' is neither 'p/q' nor a number"),
         ("words mechanical --gamma 1/2/3 --n 5", "slope '1/2/3' is neither 'p/q' nor a number"),
         ("words mechanical --gamma abc --n 5", "slope 'abc' is neither 'p/q' nor a number"),

@@ -1,11 +1,14 @@
 """Every exported name resolves, so a deleted name cannot linger in an
 export list, and every exported name has a caller, so a name whose last
 caller went cannot linger in the package; the package root imports no
-testbed."""
+testbed, each module loads only the libraries it uses, and the per-orbit
+rows the scans build carry no instance dict."""
 
 import ast
+import dataclasses
 import importlib
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import sturmlab
+from sturmlab import cyclic, wigner, words
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(sturmlab.__path__))
 
@@ -30,10 +34,11 @@ UNCALLED = {
     "multimodular.coordinate_max": "item 3: a multimodular-window control",
 }
 
-# The modules the deep scan reaches; none of them needs numpy.
+# The modules the deep scan reaches; none of them needs numpy or mpmath.
 NUMPY_FREE = ("cyclic", "heaps", "jsr", "measures", "wigner")
-# Every module but jsr, checks and cli; none of them needs mpmath.
-MPMATH_FREE = ("cyclic", "heaps", "measures", "multimodular", "queueing", "wigner", "words")
+# Every module but cli; only jsr's alpha* functions need mpmath, and they
+# import it on their first call.
+MPMATH_FREE = ("checks", "cyclic", "heaps", "jsr", "measures", "multimodular", "queueing", "wigner", "words")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,15 +47,17 @@ def test_module_all_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def _loaded_after(names) -> list[str]:
+def _loaded_after(names, loaded=("numpy", "mpmath"), then="") -> list[str]:
     """A fresh interpreter's sturmlab submodules after ``import sturmlab``, then
-    whether numpy and mpmath are loaded after importing ``names``."""
+    whether each of ``loaded`` is in sys.modules after importing ``names``,
+    then what the statements ``then`` print."""
     script = (
         "import sys, sturmlab\n"
         "print(sorted(m for m in sys.modules if m.startswith('sturmlab.')))\n"
         f"for name in {names!r}:\n"
         "    __import__('sturmlab.' + name)\n"
-        "print('numpy' in sys.modules, 'mpmath' in sys.modules)\n"
+        f"print(*(m in sys.modules for m in {loaded!r}))\n"
+        f"{then}"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sturmlab.__file__)))
     done = subprocess.run(
@@ -60,8 +67,40 @@ def _loaded_after(names) -> list[str]:
 
 
 def test_imports_load_only_what_they_use():
-    assert _loaded_after(NUMPY_FREE) == ["[]", "False True"]
+    assert _loaded_after(NUMPY_FREE) == ["[]", "False False"]
     assert _loaded_after(MPMATH_FREE) == ["[]", "True False"]
+    # verify-all --jobs 1 never starts a pool, so the CLI loads none of its machinery.
+    assert _loaded_after(("cli",), ("multiprocessing", "concurrent.futures.process")) == ["[]", "False False"]
+
+
+def test_jsr_loads_mpmath_on_its_first_alpha_call():
+    then = (
+        "from sturmlab.jsr import alpha_star_tau, matching_digits\n"
+        "print(matching_digits(alpha_star_tau(12).value) >= 30, 'mpmath' in sys.modules)\n"
+    )
+    assert _loaded_after(("jsr",), ("mpmath",), then) == ["[]", "False", "True True"]
+
+
+@pytest.mark.parametrize(
+    "row, names",
+    [
+        (words.balanced_orbit(2, 5), ("representative", "period")),
+        (cyclic.verify_balanced_product_maximum(2, 5).rows[0],
+         ("representative", "factors", "product", "balanced", "argmax")),
+        (wigner.ground_state(2, 5, wigner.coulomb()).rows[0], ("orbit", "energy", "balanced", "argmin")),
+    ],
+)
+def test_per_orbit_rows_are_slotted_frozen_records(row, names):
+    assert not hasattr(row, "__dict__")
+    assert tuple(f.name for f in dataclasses.fields(row)) == names
+    copy = dataclasses.replace(row)
+    assert copy is not row and copy == row and hash(copy) == hash(row)
+    changed = dataclasses.replace(row, **{names[1]: None})
+    assert changed != row and getattr(changed, names[0]) == getattr(row, names[0])
+    restored = pickle.loads(pickle.dumps(row))
+    assert restored == row and hash(restored) == hash(row) and repr(restored) == repr(row)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(row, names[0], None)
 
 
 def _exports(tree: ast.Module) -> list[str]:

@@ -15,6 +15,7 @@ from sturmlab.jsr import (
     A0,
     A1,
     ALPHA_STAR_DECIMAL,
+    MAX_ALPHA_BITS,
     PrecisionError,
     alpha_inverse,
     alpha_star_tau,
@@ -424,6 +425,16 @@ def test_precision_guards():
         alpha_star_tau(2, bits=256)
     with pytest.raises(PrecisionError):
         alpha_star_tau(31, bits=256)
+
+
+def test_precision_is_bounded_above():
+    for bits in (128, MAX_ALPHA_BITS):
+        assert matching_digits(alpha_star_tau(8, bits=bits).value) >= 10
+    budget = f"bits={MAX_ALPHA_BITS + 1}: the working precision budget is 128..{MAX_ALPHA_BITS} bits"
+    with pytest.raises(PrecisionError, match=budget):
+        alpha_star_tau(12, bits=MAX_ALPHA_BITS + 1)
+    with pytest.raises(PrecisionError, match=budget):
+        alpha_inverse(ContinuedFraction((1,) * 14), 12, bits=MAX_ALPHA_BITS + 1)
 
 
 def test_alpha_inverse_needs_enough_quotients():
