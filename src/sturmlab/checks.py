@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import cyclic, heaps, jsr, measures, queueing, wigner, words
 
 __all__ = ["CheckResult", "CHECKS", "run_check", "run_all"]
@@ -177,16 +179,17 @@ def _wigner_ground_states(shipped_convex, anti_convex, balanced, anti) -> tuple[
     )
 
 
-def _naive_balance(w: str) -> bool:
-    counts = [0]
-    for ch in w:
-        counts.append(counts[-1] + (ch == "1"))
-    m = len(w)
+def _balance_oracle(m: int) -> list[bool]:
+    """Balance of every length-m word, indexed by its reading, by definition (no window
+    length n < m spreads by 2 ones), in one pass over all (m+1, 2^m) int8 prefix counts."""
+    shifts = np.arange(m - 1, -1, -1, dtype=np.int16)[:, None]
+    letters = ((np.arange(2**m, dtype=np.int16) >> shifts) & 1).astype(np.int8)
+    counts = np.pad(letters.cumsum(axis=0, dtype=np.int8), ((1, 0), (0, 0)))
+    unbalanced = np.zeros(2**m, bool)
     for n in range(1, m):
-        ones = [counts[i + n] - counts[i] for i in range(m - n + 1)]
-        if max(ones) - min(ones) >= 2:
-            return False
-    return True
+        ones = counts[n:] - counts[:-n]
+        unbalanced |= ones.max(axis=0) - ones.min(axis=0) >= 2
+    return (~unbalanced).tolist()
 
 
 def _words_search():
@@ -197,8 +200,8 @@ def _words_search():
         for gamma in slopes
         for delta in [0, Fraction(1, 3), Fraction(9, 10), 0.25, 0.71]
     }
-    short = (format(bits, f"0{m}b") for m in range(1, 13) for bits in range(2**m))
-    mismatches = sum(words.is_balanced(w) != _naive_balance(w) for w in short)
+    mismatches = sum(words.is_balanced(format(bits, f"0{m}b")) != expected
+                     for m in range(1, 13) for bits, expected in enumerate(_balance_oracle(m)))
     complexities = {}
     for gamma in ((3 - math.sqrt(5)) / 2, math.sqrt(2) - 1):
         prefix = words.mechanical_word(gamma, 600)

@@ -293,11 +293,11 @@ def standard_matrices(cf: ContinuedFraction) -> tuple[tuple[int, int, int, int],
 
 
 def _perron_root(m) -> mp.mpf:
-    """(t + sqrt(t^2 - 4 det)) / 2 of a standard matrix m at the working
-    precision; real, as m is nonnegative with det 1, so t >= 2."""
+    """(t + sqrt(t^2 - 4 det)) / 2 of a standard matrix m at the working precision;
+    det is 1 (m is a product of A0 and A1), and m is nonnegative, so t >= 2: real."""
     import mpmath as mp
     t = mp.mpf(m[0] + m[3])
-    return (t + mp.sqrt(t * t - 4 * (m[0] * m[3] - m[1] * m[2]))) / 2
+    return (t + mp.sqrt(t * t - 4)) / 2
 
 
 @dataclass(frozen=True)
@@ -354,13 +354,14 @@ def alpha_inverse(gamma_cf: ContinuedFraction, terms: int, bits: int = 256) -> A
             f"need at least terms + 1 = {terms + 1} partial quotients, "
             f"got {len(quotients)}"
         )
-    q = [pair[1] for pair in gamma_cf.convergents]
+    cf = ContinuedFraction(quotients[: terms + 1])  # B_{-1}..B_{terms+1}: all that is read
+    q = [pair[1] for pair in cf.convergents]
     with mp.workprec(bits):
-        log_rho = [mp.log(_perron_root(m)) for m in standard_matrices(gamma_cf)]
+        log_rho = [mp.log(_perron_root(m)) for m in standard_matrices(cf)]
         # log_rho[n + 1] belongs to B_n.
         log_factors = [
             (-1) ** n * q[n + 1] * (a * log_rho[n + 1] + log_rho[n] - log_rho[n + 2])
-            for n, a in enumerate(quotients[: terms + 1])
+            for n, a in enumerate(cf.partial_quotients)
         ]
         i = terms + 1
         return _alpha_estimate(

@@ -15,7 +15,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Iterable, Optional, Union
 
 __all__ = [
@@ -108,30 +107,30 @@ def _balance_violation(w: str) -> Optional[tuple[str, str]]:
 def is_balanced(w: str) -> bool:
     """True iff every pair of equal-length factors differs by at most one '1'.
 
-    Equivalently (Lothaire, ch. 2), S_k - k*g spreads less than 1 for some g,
-    S_k = |w[:k]|_1.  Lowering g walks the max right along the upper hull and
-    the min left along the lower one; the spread is least where they cross.
+    Balanced words are the factors of Sturmian words (Lothaire, ch. 2), so Euclid
+    de-substitution keeps balance both ways: with the 1s isolated (complemented if
+    "11" occurs), inner blocks 0^g 1 take gaps c, c+1 only, end runs are <= c+1, and
+    the block code (a full end run is a long block) is balanced.  Each round halves w.
     """
     check_word(w)
-    if "00" in w and "11" in w:
-        return False
-    upper, lower = [(0, 0)], [(0, 0)]
-    for x, y in enumerate(accumulate(c == "1" for c in w), 1):
-        for hull, sign in ((upper, 1), (lower, -1)):
-            while len(hull) > 1 and sign * ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
-                                            - (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])) >= 0:
-                hull.pop()
-            hull.append((x, y))
-    i, j, a, b = 0, len(lower) - 1, 0, 1
-    while upper[i][0] < lower[j][0]:
-        (ux, uy), (vx, vy) = upper[i], upper[i + 1]
-        (lx, ly), (mx, my) = lower[j - 1], lower[j]
-        if (vy - uy) * (mx - lx) >= (my - ly) * (vx - ux):
-            a, b, i = vy - uy, vx - ux, i + 1
-        else:
-            a, b, j = my - ly, mx - lx, j - 1
-    (ux, uy), (lx, ly) = upper[i], lower[j]
-    return b * (uy - ly) - a * (ux - lx) < b
+    while True:
+        if "11" in w:
+            if "00" in w:
+                return False
+            w = w.translate(_COMPLEMENT)
+        first, last = w.find("1"), w.rfind("1")
+        if first == last:
+            return True
+        blocks = w[first + 1 : last + 1]
+        gaps = blocks.count("1")
+        c = (len(blocks) - gaps) // gaps
+        head, tail = first, len(w) - 1 - last
+        if head > c + 1 or tail > c + 1:
+            return False
+        code = blocks.replace("0" * (c + 1) + "1", "b").replace("0" * c + "1", "a")
+        if len(code) != gaps:  # a leftover letter: some gap is outside {c, c+1}
+            return False
+        w = "1" * (head == c + 1) + code.translate(_BLOCK_CODE) + "1" * (tail == c + 1)
 
 
 def balance_witness(w: str) -> Optional[tuple[str, str]]:
@@ -152,6 +151,7 @@ def _exact(x) -> Fraction:
 
 
 _COMPLEMENT = str.maketrans("01", "10")
+_BLOCK_CODE = str.maketrans("ab", "01")  # short block 0^c 1 -> 0, long 0^(c+1) 1 -> 1
 
 
 def _rotation_word(a: int, b: int, r: int, n: int) -> str:

@@ -40,13 +40,22 @@ class Mutant:
 
 
 MUTANTS = (
-    Mutant("hull-spread-le", "words.py",
-           "- a * (ux - lx) < b", "- a * (ux - lx) <= b",
-           ("tests/test_words.py::test_balance_matches_naive_oracle_on_every_short_word",)),
-    Mutant("hull-slope-compare-reversed", "words.py",
-           "if (vy - uy) * (mx - lx) >= (my - ly) * (vx - ux):",
-           "if (vy - uy) * (mx - lx) <= (my - ly) * (vx - ux):",
-           ("tests/test_words.py::test_balance_matches_naive_oracle_on_every_short_word",)),
+    Mutant("contraction-end-bound-loose", "words.py",
+           "if head > c + 1 or tail > c + 1:", "if head > c + 2 or tail > c + 2:",
+           ("tests/test_words.py::test_balance_matches_hull_oracle_on_every_word_up_to_16",)),
+    Mutant("contraction-leftover-unchecked", "words.py",
+           "if len(code) != gaps:", "if len(code) < gaps:",
+           ("tests/test_words.py::test_balance_matches_hull_oracle_on_every_word_up_to_16",)),
+    Mutant("contraction-replaces-swapped", "words.py",
+           'code = blocks.replace("0" * (c + 1) + "1", "b").replace("0" * c + "1", "a")',
+           'code = blocks.replace("0" * c + "1", "a").replace("0" * (c + 1) + "1", "b")',
+           ("tests/test_words.py::test_balance_matches_hull_oracle_on_every_word_up_to_16",)),
+    Mutant("contraction-head-block-dropped", "words.py",
+           'w = "1" * (head == c + 1) + code', 'w = code',
+           ("tests/test_words.py::test_balance_matches_hull_oracle_on_every_word_up_to_16",)),
+    Mutant("contraction-least-gap-rounded-up", "words.py",
+           "c = (len(blocks) - gaps) // gaps", "c = -((gaps - len(blocks)) // gaps)",
+           ("tests/test_words.py::test_balance_matches_hull_oracle_on_every_word_up_to_16",)),
     Mutant("necklace-period-test", "words.py",
            "if q % period == 0:", "if period == q:",
            ("tests/test_words.py::test_enumerate_orbits_matches_oracle",)),
@@ -246,6 +255,12 @@ MUTANTS = (
     Mutant("jsr-estimate-first-factor-skipped", "jsr.py",
            "accumulate(log_factors)]", "accumulate(log_factors[1:])]",
            ("tests/test_jsr.py::test_both_expansions_report_their_truncated_products",)),
+    Mutant("jsr-alpha-builds-one-matrix-more", "jsr.py",
+           "cf = ContinuedFraction(quotients[: terms + 1])", "cf = ContinuedFraction(quotients[: terms + 2])",
+           ("tests/test_jsr.py::test_alpha_inverse_builds_only_the_matrices_it_reads",)),
+    Mutant("jsr-alpha-builds-one-matrix-less", "jsr.py",
+           "cf = ContinuedFraction(quotients[: terms + 1])", "cf = ContinuedFraction(quotients[:terms])",
+           ("tests/test_jsr.py::test_alpha_inverse_builds_only_the_matrices_it_reads",)),
     Mutant("jsr-trace-record-ge", "jsr.py",
            "if trace > record:", "if trace >= record:",
            ("tests/test_jsr.py::test_necklace_table_holds_the_per_density_records",)),
@@ -490,6 +505,12 @@ MUTANTS = (
     Mutant("check-staircase-verdict-always", "checks.py",
            "ok = monotone and in_range and at_one", "ok = True",
            ("tests/test_checks.py::test_ratio_staircase_check_fails_on_a_wrong_argmax_at_alpha_one",)),
+    Mutant("check-balance-oracle-spread-3", "checks.py",
+           "ones.max(axis=0) - ones.min(axis=0) >= 2", "ones.max(axis=0) - ones.min(axis=0) >= 3",
+           ("tests/test_checks.py::test_batch_balance_oracle_matches_the_per_word_loop",)),
+    Mutant("check-balance-oracle-counts-shifted", "checks.py",
+           "((1, 0), (0, 0)))", "((0, 1), (0, 0)))",
+           ("tests/test_checks.py::test_batch_balance_oracle_matches_the_per_word_loop",)),
     Mutant("check-words-verdict-always", "checks.py",
            "ok = not unbalanced and mismatches == 0 and not complexity_bad", "ok = True",
            ("tests/test_checks.py::test_words_check_fails_on_an_unbalanced_word_and_oracle_mismatches",)),

@@ -101,6 +101,24 @@ def test_words_check_fails_on_an_unbalanced_word_and_oracle_mismatches():
     assert "all words up to length 12: 3;" in detail
 
 
+def _naive_balance(w: str) -> bool:
+    """Per-word reference: windows of one length n < |w| differ by >= 2 ones."""
+    counts = [0]
+    for ch in w:
+        counts.append(counts[-1] + (ch == "1"))
+    m = len(w)
+    for n in range(1, m):
+        ones = [counts[i + n] - counts[i] for i in range(m - n + 1)]
+        if max(ones) - min(ones) >= 2:
+            return False
+    return True
+
+
+def test_batch_balance_oracle_matches_the_per_word_loop():
+    for m in range(1, 13):
+        assert checks._balance_oracle(m) == [_naive_balance(format(b, f"0{m}b")) for b in range(2**m)], m
+
+
 def test_queue_check_fails_when_a_shuffle_beats_the_mechanical_word():
     verdict, (rows,) = _verdict_and_outcome("queue-admission")
     rows[7] = replace(rows[7], mean_cost=rows[0].mean_cost / 2)

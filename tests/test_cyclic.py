@@ -122,7 +122,7 @@ def test_scan_coprime_pairs_small():
 
 
 def test_balanced_flags_match_is_balanced():
-    """Rows are flagged by name against balanced_orbit; the hull test agrees."""
+    """Rows are flagged by name against balanced_orbit; is_balanced agrees."""
     for q in range(2, 18):
         for p in range(1, q):
             if math.gcd(p, q) == 1:

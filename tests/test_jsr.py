@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmlab import jsr
 from sturmlab.jsr import (
     A0,
     A1,
@@ -389,11 +390,27 @@ def test_standard_matrices_match_mat2_powers(quotients):
 
 
 def test_standard_matrix_determinants():
-    quotients = (2, 1, 3, 1, 2)
-    seq = standard_matrices(ContinuedFraction(quotients))
-    assert len(seq) == len(quotients) + 2
-    for m in seq:
-        assert abs(_det(m)) == 1
+    """_perron_root takes det = 1 for every standard matrix without computing it."""
+    for quotients in [(2, 1, 3, 1, 2), (1,) * 20, (5, 1, 1, 7, 2, 2, 1), (1, 4) * 6]:
+        seq = standard_matrices(ContinuedFraction(quotients))
+        assert len(seq) == len(quotients) + 2
+        assert {_det(m) for m in seq} == {1}, quotients
+
+
+@pytest.mark.parametrize("quotients, terms", [((1,) * 32, 12), ((2, 1, 3, 1, 2, 1, 1, 2, 1, 1), 6)])
+def test_alpha_inverse_builds_only_the_matrices_it_reads(monkeypatch, quotients, terms):
+    """Quotients past a_{terms+1} change nothing, and only B_{-1}..B_{terms+1}
+    are built: at the golden slope the later matrices are the largest."""
+    exact = alpha_inverse(ContinuedFraction(quotients[: terms + 1]), terms, bits=256)
+    built = []
+
+    def spy(cf):
+        built.append(standard_matrices(cf))
+        return built[-1]
+
+    monkeypatch.setattr(jsr, "standard_matrices", spy)
+    assert alpha_inverse(ContinuedFraction(quotients), terms, bits=256) == exact
+    assert [len(matrices) for matrices in built] == [terms + 3]
 
 
 def test_alpha_star_two_expansions_agree():

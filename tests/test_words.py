@@ -3,14 +3,13 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, pairwise, product
+from itertools import accumulate, combinations, pairwise, product
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sturmlab.checks import _naive_balance
 from sturmlab.words import (
     ContinuedFraction,
     MechanicalSpec,
@@ -53,6 +52,32 @@ def naive_balance(w: str) -> bool:
     return True
 
 
+def _hull_balance(w: str) -> bool:
+    """Slope-form reference: w is balanced iff S_k - k*g spreads less than 1
+    for some g, S_k = |w[:k]|_1 (Lothaire, ch. 2).  Lowering g walks the max
+    right along the upper convex hull of (k, S_k) and the min left along the
+    lower one; the spread is least where they cross."""
+    if "00" in w and "11" in w:
+        return False
+    upper, lower = [(0, 0)], [(0, 0)]
+    for x, y in enumerate(accumulate(c == "1" for c in w), 1):
+        for hull, sign in ((upper, 1), (lower, -1)):
+            while len(hull) > 1 and sign * ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                            - (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])) >= 0:
+                hull.pop()
+            hull.append((x, y))
+    i, j, a, b = 0, len(lower) - 1, 0, 1
+    while upper[i][0] < lower[j][0]:
+        (ux, uy), (vx, vy) = upper[i], upper[i + 1]
+        (lx, ly), (mx, my) = lower[j - 1], lower[j]
+        if (vy - uy) * (mx - lx) >= (my - ly) * (vx - ux):
+            a, b, i = vy - uy, vx - ux, i + 1
+        else:
+            a, b, j = my - ly, mx - lx, j - 1
+    (ux, uy), (lx, ly) = upper[i], lower[j]
+    return b * (uy - ly) - a * (ux - lx) < b
+
+
 @given(words_st)
 def test_balance_matches_naive_oracle(w):
     assert is_balanced(w) == naive_balance(w)
@@ -79,7 +104,7 @@ def near_balanced_words(draw):
     """Words of up to 300 letters that lack "00" or lack "11".
 
     Random text almost always holds both, which settles balance at length 2;
-    these words reach the hull test instead.  Either a mechanical word of
+    these words reach the contraction instead.  Either a mechanical word of
     rational slope and phase with one letter flipped or one adjacent pair
     swapped, or a free word over the blocks {1, 10} (complemented or not).
     """
@@ -105,7 +130,7 @@ def near_balanced_words(draw):
 @settings(deadline=None)
 @given(near_balanced_words())
 def test_balance_matches_oracles_on_near_balanced_words(w):
-    assert is_balanced(w) == naive_balance(w) == _naive_balance(w)
+    assert is_balanced(w) == naive_balance(w) == _hull_balance(w)
     _assert_witness_is_a_real_violation(w)
 
 
@@ -114,6 +139,53 @@ def test_balance_matches_naive_oracle_on_every_short_word():
         for letters in product("01", repeat=m):
             w = "".join(letters)
             assert is_balanced(w) == naive_balance(w), w
+
+
+def test_balance_matches_hull_oracle_on_every_word_up_to_16():
+    for m in range(1, 17):
+        mismatches = [
+            w for w in (format(bits, f"0{m}b") for bits in range(2**m))
+            if is_balanced(w) != _hull_balance(w)
+        ]
+        assert mismatches == [], m
+
+
+@st.composite
+def long_near_balanced_words(draw):
+    """Mechanical words of up to 3000 letters, with periods up to 10^6, left
+    whole, rotated, or with one letter flipped or one adjacent pair swapped;
+    the contraction runs several rounds on most of them."""
+    q = draw(st.integers(min_value=1, max_value=10**6))
+    gamma = Fraction(draw(st.integers(min_value=0, max_value=q)), q)
+    delta = Fraction(draw(st.integers(min_value=0, max_value=q - 1)), q)
+    w = list(mechanical_word(gamma, draw(st.integers(min_value=2, max_value=3000)), delta))
+    k = draw(st.integers(min_value=0, max_value=len(w) - 2))
+    edit = draw(st.sampled_from(["none", "rotate", "flip", "swap"]))
+    if edit == "rotate":
+        w = w[k:] + w[:k]
+    elif edit == "flip":
+        w[k] = "01"[w[k] == "0"]
+    elif edit == "swap":
+        w[k], w[k + 1] = w[k + 1], w[k]
+    return "".join(w)
+
+
+@settings(deadline=None, max_examples=60)
+@given(long_near_balanced_words())
+@example("0" * 1500 + "1" + "0" * 1499)
+@example(mechanical_word((3 - math.sqrt(5)) / 2, 3000))
+def test_balance_matches_hull_oracle_on_long_near_balanced_words(w):
+    assert is_balanced(w) == _hull_balance(w)
+
+
+def test_long_mechanical_word_is_balanced_and_one_swap_breaks_it():
+    w = mechanical_word((3 - math.sqrt(5)) / 2, 300_000)
+    assert is_balanced(w)
+    k = w.index("01", 150_000)
+    swapped = w[:k] + "10" + w[k + 2 :]
+    assert not is_balanced(swapped)
+    # The swap unbalances a short factor around it, which the hull oracle confirms.
+    assert not _hull_balance(swapped[k - 100 : k + 100])
 
 
 def test_mechanical_fixture():
