@@ -484,6 +484,8 @@ def manifest_argv(data) -> list[str]:
     then ``--seed``, ``--out`` and (table verbs only) ``--format``."""
     if not isinstance(data, dict) or not isinstance(data.get("parameters", {}), dict):
         raise ValueError("a manifest is a JSON object whose 'parameters' is an object")
+    if "verb" not in data:
+        raise ValueError("a manifest needs a 'verb' key (the verb it replays)")
     name = data["verb"]
     verb = VERBS.get(name) if isinstance(name, str) else None
     if verb is None or verb.columns is None:

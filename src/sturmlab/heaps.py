@@ -285,6 +285,8 @@ def model_from_dict(data: dict) -> HeapModel:
             )
             for key in ("piece0", "piece1")
         ]
+    except KeyError as exc:
+        raise ValueError(f"heap model needs a {exc.args[0]!r} key") from None
     except TypeError as exc:
         raise ValueError(f"malformed heap model: {exc}") from None
     return HeapModel(num_columns, *pieces)

@@ -8,14 +8,13 @@ balanced configuration, while a deliberately concave increasing fixture
 rewards clustering and guards the check against being vacuous.
 
 A pair's energy and image-tail bound depend only on its offset, so each
-energy reads one per-offset table.  Exact potentials (Coulomb, integer
-powers, the fixture) tabulate integers over a common denominator.  Without
-images, the pairs at offset m of a configuration read as the integer b are
-the set bits of ``b & (b >> m)``, so its energy numerator is a sum of table
-entries times popcounts; the scan orders configurations on those integers,
-without floating-point ambiguity, and builds one ``Fraction`` per row for
-the report.  Float families add their pairs in (a, b) order and tie within a
-relative ``TIE_MARGIN`` of the minimum.
+scan reads one per-offset table.  ``Fraction(x)`` is exact for a float too,
+so every entry is an integer over one scale, the lcm of their denominators.
+The pairs at offset m of a configuration read as the integer b are the set
+bits of ``b & (b >> m)``, so an energy numerator is a sum of table entries
+times popcounts, for every family, with or without images.  Exact reports
+order configurations on those integers; float families round each exact
+sum once and tie within a relative ``TIE_MARGIN`` of the minimum.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add
-from typing import Sequence, Union
+from typing import Union
 
 from .words import EXHAUSTIVE_Q, Orbit, balanced_orbit, enumerate_orbits, is_balanced
 
@@ -169,49 +166,29 @@ def is_convex_decreasing(potential: Potential) -> bool:
     return decreasing and convex and vanishing
 
 
-class _PairTable:
-    """Pair energies and image-tail bounds by offset m = b - a on a q-site ring.
-
-    Exact potentials store integers over ``scale``, the lcm of their
-    denominators; float potentials store floats and ``scale`` None.
-    """
-
-    def __init__(self, potential: Potential, q: int, images: int):
-        if images < 0:
-            raise ValueError("image cutoff must be >= 0")
-        if images > 0:  # refuses a divergent image series even on a ring with no pairs
-            potential.image_tail(1, max(q, 2), images)
-        self.values, self.tails = {}, dict.fromkeys(range(1, q), 0.0)
-        for m in range(1, q):
-            if images == 0:
-                self.values[m] = potential.value(min(m, q - m))
-                continue
-            value = potential.value(m)
-            for k in range(1, images + 1):
-                value = value + potential.value(m + k * q) + potential.value(k * q - m)
-            self.values[m], self.tails[m] = value, potential.image_tail(m, q, images)
-        self.scale = None
-        if all(isinstance(v, Fraction) for v in self.values.values()):
-            self.scale = math.lcm(*(v.denominator for v in self.values.values()))
-            for m, v in self.values.items():
-                self.values[m] = v.numerator * (self.scale // v.denominator)
-
-    def energy(self, offsets: Sequence[int]) -> Energy:
-        """Energy of the pairs at ``offsets``; no pairs is an exact 0 under any potential."""
-        if self.scale is not None:
-            return Fraction(sum(self.values[m] for m in offsets), self.scale)
-        # Left to right like a pair loop: builtin sum compensates floats from Python 3.12.
-        return reduce(add, (self.values[m] for m in offsets), 0.0) if offsets else Fraction(0)
-
-    def tail(self, offsets: Sequence[int]) -> float:
-        """Bound on the image-sum truncation error of the pairs at ``offsets``."""
-        return reduce(add, (self.tails[m] for m in offsets), 0.0)
+def _pair_table(potential: Potential, q: int, images: int) -> tuple[dict, dict]:
+    """Pair energies by offset m = b - a on a q-site ring and, with images,
+    their upper envelopes (energy plus image-tail bound), read exactly."""
+    if images < 0:
+        raise ValueError("image cutoff must be >= 0")
+    if images > 0:  # refuses a divergent image series even on a ring with no pairs
+        potential.image_tail(1, max(q, 2), images)
+    values, envelopes = {}, {}
+    for m in range(1, q):
+        value = potential.value(m if images else min(m, q - m))
+        for k in range(1, images + 1):
+            value = value + potential.value(m + k * q) + potential.value(k * q - m)
+        values[m] = Fraction(value)  # exact for a float too
+        if images:
+            envelopes[m] = values[m] + Fraction(potential.image_tail(m, q, images))
+    return values, envelopes
 
 
-def _pair_offsets(w: str) -> list[int]:
-    """Offsets b - a of the electron pairs a < b of w, in (a, b) order."""
-    electrons = [i for i, ch in enumerate(w) if ch == "1"]
-    return [b - a for i, a in enumerate(electrons) for b in electrons[i + 1:]]
+def _pair_sums(readings: list, table: dict, scale: int) -> list[int]:
+    """Per reading b, the sum of ``scale * table[m]`` over the pairs of b;
+    its offset-m pairs are the set bits of b & (b >> m)."""
+    weights = [(m, v.numerator * (scale // v.denominator)) for m, v in table.items()]
+    return [sum(w * (b & (b >> m)).bit_count() for m, w in weights) for b, _ in readings]
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,31 +227,24 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
         raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     readings = enumerate_orbits(p, q)
     orbits = [Orbit(format(b, f"0{q}b"), period) for b, period in readings]
-    table = _PairTable(potential, q, images)
-    exact = images == 0 and table.scale is not None
+    values, envelopes = _pair_table(potential, q, images)
+    fractions = p < 2 or isinstance(potential.value(1), Fraction)  # no pairs: an exact 0
+    exact = images == 0 and fractions
+    scale = math.lcm(*(v.denominator for v in (*values.values(), *envelopes.values())))
+    numerators = _pair_sums(readings, values, scale)
+    least = min(numerators)
+    if fractions:
+        energies, minimum = [Fraction(n, scale) for n in numerators], Fraction(least, scale)
+    else:
+        energies, minimum = [n / scale for n in numerators], least / scale
     if exact:
-        # Offset-m pairs of the reading b are the set bits of b & (b >> m).
-        numerators = [
-            sum(v * (b & (b >> m)).bit_count() for m, v in table.values.items())
-            for b, _ in readings
-        ]
-        least = min(numerators)
-        energies = [Fraction(n, table.scale) for n in numerators]
-        minimum = Fraction(least, table.scale)
         tied = [n == least for n in numerators]
     else:
-        offsets = [_pair_offsets(o.representative) for o in orbits]
-        energies = [table.energy(pairs) for pairs in offsets]
-        exact = images == 0 and all(isinstance(e, Fraction) for e in energies)
-        minimum = min(energies)
-        if exact:  # a float potential with no pairs: every energy is an exact 0
-            tied = [e == minimum for e in energies]
-        else:
-            # Truncated image sums underestimate the true energy by at most the
-            # tail bound, so any orbit whose computed energy undercuts the
-            # smallest upper envelope could be the true minimizer.
-            ceiling = min(float(e) + table.tail(pairs) for e, pairs in zip(energies, offsets))
-            tied = [float(e) <= ceiling + TIE_MARGIN * abs(ceiling) for e in energies]
+        # Truncated image sums underestimate the true energy by at most the
+        # tail bound, so any orbit whose computed energy undercuts the
+        # smallest upper envelope could be the true minimizer.
+        ceiling = (min(_pair_sums(readings, envelopes, scale)) if images else least) / scale
+        tied = [n / scale <= ceiling + TIE_MARGIN * abs(ceiling) for n in numerators]
     # The one balanced orbit is g copies of the balanced (p/g, q/g) word.
     g = math.gcd(p, q)
     balanced_rep = balanced_orbit(p // g, q // g).representative * g

@@ -392,14 +392,31 @@ MUTANTS = (
            "if point not in values:", "if not values.get(point):",
            ("tests/test_multimodular.py::test_check_multimodular_calls_J_once_per_lattice_point",)),
     Mutant("wigner-table-line-distance", "wigner.py",
-           "potential.value(min(m, q - m))", "potential.value(m)",
+           "potential.value(m if images else min(m, q - m))", "potential.value(m)",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
     Mutant("wigner-popcount-shift-long", "wigner.py",
            "(b & (b >> m)).bit_count()", "(b & (b >> (m + 1))).bit_count()",
-           ("tests/test_wigner.py::test_popcount_energies_match_pair_oracle",)),
+           ("tests/test_wigner.py::test_popcount_energies_match_pair_oracle",
+            "tests/test_wigner.py::test_ground_state_matches_pair_oracle")),
     Mutant("wigner-popcount-with-images", "wigner.py",
-           "exact = images == 0 and table.scale is not None",
-           "exact = table.scale is not None",
+           "exact = images == 0 and fractions", "exact = fractions",
+           ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-float-value-rounded", "wigner.py",
+           "values[m] = Fraction(value)", "values[m] = Fraction(value).limit_denominator(2**20)",
+           ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-float-report-without-pairs", "wigner.py",
+           "fractions = p < 2 or isinstance(potential.value(1), Fraction)",
+           "fractions = isinstance(potential.value(1), Fraction)",
+           ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-tail-wrong-offset", "wigner.py",
+           "Fraction(potential.image_tail(m, q, images))",
+           "Fraction(potential.image_tail(q - m, q, images))",
+           ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-envelope-without-tails", "wigner.py",
+           "min(_pair_sums(readings, envelopes, scale))", "min(_pair_sums(readings, values, scale))",
+           ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-scale-misses-envelopes", "wigner.py",
+           "(*values.values(), *envelopes.values())", "values.values()",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
     Mutant("wigner-popcount-ties-to-first", "wigner.py",
            "tied = [n == least for n in numerators]", "tied = [n == numerators[0] for n in numerators]",
@@ -424,7 +441,7 @@ MUTANTS = (
            ("tests/test_wigner.py::test_balanced_flags_match_is_balanced",)),
     Mutant("wigner-image-sign", "wigner.py",
            "potential.value(k * q - m)", "potential.value(k * q + m)",
-           ("tests/test_wigner.py::test_ring_energy_matches_pair_oracle",)),
+           ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
     Mutant("cli-heaps-n-max-unbounded", "cli.py",
            "if not 1 <= args.n_max <= heaps.MAX_EXHAUSTIVE_N:", "if args.n_max < 1:",
            ("tests/test_cli.py::test_heaps_scan_names_its_flag_before_any_search",)),
@@ -454,6 +471,12 @@ MUTANTS = (
     Mutant("cli-manifest-format-for-text-verb", "cli.py",
            "    if verb.columns:\n        argv.extend", "    if True:\n        argv.extend",
            ("tests/test_cli_golden.py::test_artifact_matches_golden_direct_and_replayed",)),
+    Mutant("cli-manifest-verb-key-unchecked", "cli.py",
+           'if "verb" not in data:', "if False:",
+           ("tests/test_cli.py::test_input_file_names_its_missing_key",)),
+    Mutant("heaps-model-missing-key-unnamed", "heaps.py",
+           'raise ValueError(f"heap model needs a {exc.args[0]!r} key") from None', "raise",
+           ("tests/test_cli.py::test_input_file_names_its_missing_key",)),
     Mutant("cli-manifest-output-path-unchecked", "cli.py",
            "if not isinstance(output_path, (str, type(None))):", "if False:",
            ("tests/test_cli.py::test_malformed_json_is_usage_error",)),

@@ -391,6 +391,22 @@ def test_malformed_json_is_usage_error(tmp_path, capsys, verb, flag, data):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        ("heaps scan --model", {"num_columns": 3, "piece0": _PIECE}, "heap model needs a 'piece1' key"),
+        ("heaps scan --model", _MODEL, "heap model needs a 'num_columns' key"),
+        ("heaps schedule --model", dict(_PIECES, num_columns=3, piece1={"columns": [1, 2]}),
+         "heap model needs a 'lower' key"),
+        ("run --manifest", {"parameters": {}}, "a manifest needs a 'verb' key (the verb it replays)"),
+    ],
+)
+def test_input_file_names_its_missing_key(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, *argv.split(), str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_model_and_config_files_stand_for_their_flags(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps(dict(_MODEL, num_columns=3)))
