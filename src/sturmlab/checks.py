@@ -34,7 +34,7 @@ class CheckResult:
 
 def _cyclic_search():
     products = (cyclic.orbit_product(w).product for w in ("10100", "11000"))
-    return (*products, cyclic.scan_coprime_pairs(14))
+    return (*products, cyclic.summarize_coprime_pairs(14))
 
 
 def _cyclic_products(b_10100, b_11000, scans) -> tuple[bool, str]:
@@ -156,13 +156,13 @@ def _heaps_balanced(scans, best) -> tuple[bool, str]:
 def _wigner_search():
     potentials = wigner.default_potentials()
     balanced = {
-        (p, q, potential): wigner.ground_state(p, q, potential).balanced
+        (p, q, potential): wigner.ground_state_summary(p, q, potential).balanced
         for p, q in words.coprime_pairs(14)
         for potential in potentials
     }
     anti = wigner.anti_coulomb()
     shipped = all(map(wigner.is_convex_decreasing, potentials))
-    return shipped, wigner.is_convex_decreasing(anti), balanced, wigner.ground_state(3, 8, anti)
+    return shipped, wigner.is_convex_decreasing(anti), balanced, wigner.ground_state_summary(3, 8, anti)
 
 
 def _wigner_ground_states(shipped_convex, anti_convex, balanced, anti) -> tuple[bool, str]:
@@ -174,7 +174,7 @@ def _wigner_ground_states(shipped_convex, anti_convex, balanced, anti) -> tuple[
         f"convex decreasing: shipped potentials {shipped_convex}, concave fixture {anti_convex}; "
         f"{len(balanced)} (density, potential) ground states all balanced "
         f"(failures: {unbalanced or 'none'}); concave fixture minimizer "
-        f"{anti.argmin[0].representative} is non-balanced: {anti_clusters}; "
+        f"{anti.argmin[0]} is non-balanced: {anti_clusters}; "
         f"float tie margin {wigner.TIE_MARGIN}"
     )
 

@@ -121,9 +121,9 @@ def _words_balanced(args) -> str:
 
 
 def _cyclic_verify(args):
-    scans = cyclic.scan_coprime_pairs(args.q_max)
+    scans = cyclic.summarize_coprime_pairs(args.q_max)
     rows = [
-        (s.p, s.q, len(s.rows), s.max_product, ";".join(s.argmax),
+        (s.p, s.q, s.orbits, s.max_product, ";".join(s.argmax),
          s.balanced_representative, s.passed)
         for s in scans
     ]

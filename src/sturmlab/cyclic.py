@@ -29,6 +29,8 @@ __all__ = [
     "ProductScan",
     "verify_balanced_product_maximum",
     "scan_coprime_pairs",
+    "ProductSummary",
+    "summarize_coprime_pairs",
 ]
 
 
@@ -80,13 +82,21 @@ class ProductScan:
     passed: bool = field(default=False)
 
 
-def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
-    """Check that the balanced orbit uniquely maximizes the orbit product.
+@dataclass(frozen=True)
+class ProductSummary:
+    """A product scan's verdict: orbit count, maximum, argmax words, balanced orbit."""
 
-    Enumerates every rotation orbit of length q with p ones (gcd(p, q) = 1
-    required), computes the full product for each, and passes iff the unique
-    argmax orbit is the balanced one.
-    """
+    p: int
+    q: int
+    orbits: int
+    max_product: int
+    argmax: tuple[str, ...]
+    balanced_representative: str
+    passed: bool
+
+
+def _product_scan(p: int, q: int):
+    """The one loop over the orbits: each orbit's rotation readings, their products, the summary."""
     if math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) = ({p}, {q}) must be coprime")
     if not 0 < p < q:
@@ -94,23 +104,44 @@ def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
     if q > EXHAUSTIVE_Q:
         raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     balanced_rep = balanced_orbit(p, q).representative
-    balanced = int(balanced_rep, 2)
     factors = [rotations(b, q) for b, _ in enumerate_orbits(p, q)]
     products = [math.prod(f) for f in factors]
     best = max(products)
+    argmax = tuple(format(f[0], f"0{q}b") for f, product in zip(factors, products) if product == best)
+    passed = argmax == (balanced_rep,)
+    return factors, products, ProductSummary(p, q, len(factors), best, argmax, balanced_rep, passed)
+
+
+def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
+    """Check that the balanced orbit uniquely maximizes the orbit product.
+
+    Enumerates every rotation orbit of length q with p ones (gcd(p, q) = 1
+    required), computes the full product for each, and passes iff the unique
+    argmax orbit is the balanced one.
+    """
+    factors, products, s = _product_scan(p, q)
+    balanced, best = int(s.balanced_representative, 2), s.max_product
     rows = tuple(
         ProductScanRow(format(f[0], f"0{q}b"), f, product, f[0] == balanced, product == best)
         for f, product in zip(factors, products)
     )
-    argmax = tuple(r.representative for r in rows if r.argmax)
-    passed = argmax == (balanced_rep,)
-    return ProductScan(p, q, rows, best, argmax, balanced_rep, passed)
+    return ProductScan(p, q, rows, s.max_product, s.argmax, s.balanced_representative, s.passed)
 
 
-def scan_coprime_pairs(q_max: int) -> list[ProductScan]:
-    """Run the product check for every coprime pair 0 < p < q <= q_max."""
+def _coprime_pairs(q_max: int) -> list[tuple[int, int]]:
+    """Every coprime pair 0 < p < q <= q_max, for a q_max an exhaustive scan accepts."""
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
     if q_max > EXHAUSTIVE_Q:
         raise ValueError(f"q_max={q_max} beyond the exhaustive bound {EXHAUSTIVE_Q}")
-    return [verify_balanced_product_maximum(p, q) for p, q in coprime_pairs(q_max)]
+    return coprime_pairs(q_max)
+
+
+def scan_coprime_pairs(q_max: int) -> list[ProductScan]:
+    """Run the product check for every coprime pair 0 < p < q <= q_max."""
+    return [verify_balanced_product_maximum(p, q) for p, q in _coprime_pairs(q_max)]
+
+
+def summarize_coprime_pairs(q_max: int) -> list[ProductSummary]:
+    """``scan_coprime_pairs``' verdicts from the same loop, without building their rows."""
+    return [_product_scan(p, q)[-1] for p, q in _coprime_pairs(q_max)]

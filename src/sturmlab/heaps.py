@@ -97,6 +97,11 @@ class HeapModel:
         d = math.lcm(*(x.denominator for p in (self.piece0, self.piece1) for x in p.lower + p.upper))
         return d, tuple(_integer_matrix(p, self.num_columns, d) for p in (self.piece0, self.piece1))
 
+    @cached_property
+    def _frontiers(self) -> dict:
+        """Per start profile, [its deepest Pareto frontier swept so far, least top heights by depth]."""
+        return {}
+
 
 def default_model() -> HeapModel:
     """Shipped default: optimal ratio 1/3 at rate 2/3, pure rates 1 and 3/2.
@@ -195,15 +200,17 @@ class RateScan:
     argmin: tuple[str, ...]
 
 
-def _frontier_minima(matrices, start: tuple, n: int) -> list[int]:
+def _frontier_minima(model: HeapModel, start: tuple, n: int) -> list[int]:
     """Least top height after r drops from ``start`` (None is -infinity), for r = 0..n.
 
     Each depth keeps only its Pareto-minimal profiles: drops are monotone, so a dominated
     profile never ends lower, and sorted with None first a profile follows all that dominate it.
+    The model keeps each start's deepest frontier, so a call sweeps only depths not yet reached.
     """
-    frontier = [start]
-    minima = [max(x for x in start if x is not None)]
-    for _ in range(n):
+    state = model._frontiers.setdefault(start, [[start], [max(x for x in start if x is not None)]])
+    frontier, minima = state
+    matrices = model._integer_form[1]
+    while len(minima) <= n:
         profiles = sorted({_apply(m, h) for h in frontier for m in matrices},
                           key=lambda h: [(x is not None, x or 0) for x in h])
         frontier = []
@@ -211,7 +218,8 @@ def _frontier_minima(matrices, start: tuple, n: int) -> list[int]:
             if not any(all(a is None or (b is not None and a <= b) for a, b in zip(g, h)) for g in frontier):
                 frontier.append(h)
         minima.append(min(max(x for x in h if x is not None) for h in frontier))
-    return minima
+        state[0] = frontier
+    return minima[: n + 1]
 
 
 def min_rate_exhaustive(model: HeapModel, n: int) -> RateScan:
@@ -227,9 +235,9 @@ def min_rate_exhaustive(model: HeapModel, n: int) -> RateScan:
     d, (zero, one) = model._integer_form
     columns = range(model.num_columns)
     ground = (0,) * model.num_columns
-    best = _frontier_minima((zero, one), ground, n)[n]
+    best = _frontier_minima(model, ground, n)[n]
     units = [tuple(0 if i == j else None for i in columns) for j in columns]
-    tails = list(zip(*(_frontier_minima((zero, one), unit, n) for unit in units)))
+    tails = list(zip(*(_frontier_minima(model, unit, n) for unit in units)))
     argmin: list[str] = []
     stack = [(ground, "")]
     while stack:

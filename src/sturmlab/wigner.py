@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Union
 
 from .words import EXHAUSTIVE_Q, Orbit, balanced_orbit, enumerate_orbits, is_balanced
@@ -38,6 +39,8 @@ __all__ = [
     "OrbitEnergy",
     "GroundStateReport",
     "ground_state",
+    "GroundStateSummary",
+    "ground_state_summary",
     "TIE_MARGIN",
 ]
 
@@ -175,12 +178,13 @@ def _pair_table(potential: Potential, q: int, images: int) -> tuple[dict, dict]:
         potential.image_tail(1, max(q, 2), images)
     values, envelopes = {}, {}
     for m in range(1, q):
-        value = potential.value(m if images else min(m, q - m))
+        d = min(m, q - m)  # images sum around the ring distance, the same in every rotation
+        value = potential.value(d)
         for k in range(1, images + 1):
-            value = value + potential.value(m + k * q) + potential.value(k * q - m)
+            value = value + potential.value(d + k * q) + potential.value(k * q - d)
         values[m] = Fraction(value)  # exact for a float too
         if images:
-            envelopes[m] = values[m] + Fraction(potential.image_tail(m, q, images))
+            envelopes[m] = values[m] + Fraction(potential.image_tail(d, q, images))
     return values, envelopes
 
 
@@ -211,14 +215,19 @@ class GroundStateReport:
     exact: bool
 
 
-def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> GroundStateReport:
-    """Exhaustive orbit-level minimum of the ring energy.
+@dataclass(frozen=True)
+class GroundStateSummary:
+    """A ground-state scan's verdict: orbit count, least energy, argmin words."""
 
-    Rotation invariance allows scanning one representative per orbit.  With
-    exact rational energies the argmin set is sharp; with float energies
-    every orbit within a relative ``TIE_MARGIN`` of the minimum (plus image
-    tail bounds) counts as tied, so near-degeneracies surface instead of hiding.
-    """
+    orbits: int
+    min_energy: Energy
+    argmin: tuple[str, ...]
+    balanced: bool
+    exact: bool
+
+
+def _energy_scan(p: int, q: int, potential: Potential, images: int):
+    """The one loop over the orbits: readings, energy numerators over ``scale``, tie flags, summary."""
     if q < 1:
         raise ValueError("ring needs at least one site")
     if not 0 <= p <= q:
@@ -226,17 +235,12 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
     if q > EXHAUSTIVE_Q:
         raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     readings = enumerate_orbits(p, q)
-    orbits = [Orbit(format(b, f"0{q}b"), period) for b, period in readings]
     values, envelopes = _pair_table(potential, q, images)
     fractions = p < 2 or isinstance(potential.value(1), Fraction)  # no pairs: an exact 0
     exact = images == 0 and fractions
     scale = math.lcm(*(v.denominator for v in (*values.values(), *envelopes.values())))
     numerators = _pair_sums(readings, values, scale)
     least = min(numerators)
-    if fractions:
-        energies, minimum = [Fraction(n, scale) for n in numerators], Fraction(least, scale)
-    else:
-        energies, minimum = [n / scale for n in numerators], least / scale
     if exact:
         tied = [n == least for n in numerators]
     else:
@@ -245,13 +249,35 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
         # smallest upper envelope could be the true minimizer.
         ceiling = (min(_pair_sums(readings, envelopes, scale)) if images else least) / scale
         tied = [n / scale <= ceiling + TIE_MARGIN * abs(ceiling) for n in numerators]
-    # The one balanced orbit is g copies of the balanced (p/g, q/g) word.
-    g = math.gcd(p, q)
-    balanced_rep = balanced_orbit(p // g, q // g).representative * g
+    argmin = tuple(format(b, f"0{q}b") for b, _ in compress(readings, tied))
+    minimum = Fraction(least, scale) if fractions else least / scale
+    summary = GroundStateSummary(len(readings), minimum, argmin, all(map(is_balanced, argmin)), exact)
+    return readings, numerators, scale, tied, summary
+
+
+def ground_state_summary(p: int, q: int, potential: Potential, images: int = 0) -> GroundStateSummary:
+    """``ground_state``'s verdict from the same loop, without building its rows."""
+    return _energy_scan(p, q, potential, images)[-1]
+
+
+def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> GroundStateReport:
+    """Exhaustive orbit-level minimum of the ring energy.
+
+    Energies read ring distances only, images too, so one rotation per orbit
+    is scanned.  With exact rational energies the argmin set is sharp; with
+    float energies every orbit within a relative ``TIE_MARGIN`` of the minimum
+    (plus image tail bounds) counts as tied, so near-degeneracies surface.
+    """
+    readings, numerators, scale, tied, summary = _energy_scan(p, q, potential, images)
+    if isinstance(summary.min_energy, Fraction):
+        energies = [Fraction(n, scale) for n in numerators]
+    else:
+        energies = [n / scale for n in numerators]
+    g = math.gcd(p, q)  # the one balanced orbit is g copies of the balanced (p/g, q/g) word
+    balanced = int(balanced_orbit(p // g, q // g).representative * g, 2)
     rows = tuple(
-        OrbitEnergy(o, e, o.representative == balanced_rep, t)
-        for o, e, t in zip(orbits, energies, tied)
+        OrbitEnergy(Orbit(format(b, f"0{q}b"), period), e, b == balanced, t)
+        for (b, period), e, t in zip(readings, energies, tied)
     )
     argmin = tuple(row.orbit for row in rows if row.argmin)
-    balanced = all(is_balanced(o.representative) for o in argmin)
-    return GroundStateReport(p, q, potential, rows, minimum, argmin, balanced, exact)
+    return GroundStateReport(p, q, potential, rows, summary.min_energy, argmin, summary.balanced, summary.exact)

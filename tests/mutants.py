@@ -231,6 +231,15 @@ MUTANTS = (
     Mutant("heaps-pareto-any-coordinate", "heaps.py",
            "if not any(all(", "if not any(any(",
            ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
+    Mutant("heaps-frontier-stops-short", "heaps.py",
+           "while len(minima) <= n:", "while len(minima) < n:",
+           ("tests/test_heaps.py::test_shared_frontier_matches_a_fresh_model_in_any_order",)),
+    Mutant("heaps-frontier-keyed-without-start", "heaps.py",
+           "model._frontiers.setdefault(start,", "model._frontiers.setdefault(len(start),",
+           ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
+    Mutant("heaps-frontier-kept-stale", "heaps.py",
+           "        state[0] = frontier\n", "",
+           ("tests/test_heaps.py::test_shared_frontier_matches_a_fresh_model_in_any_order",)),
     Mutant("jsr-norm-scale-short", "jsr.py",
            "_mul(x, y), scale**n)", "_mul(x, y), scale**(n - 1))",
            ("tests/test_jsr.py::test_bounds_match_product_necklace_oracle",)),
@@ -316,8 +325,17 @@ MUTANTS = (
            "if not check_word(w):", "if not w:",
            ("tests/test_cyclic.py::test_orbit_product_rejects_what_is_not_a_word",)),
     Mutant("cyclic-row-word-unpadded", "cyclic.py",
-           'format(f[0], f"0{q}b")', 'format(f[0], "b")',
+           'ProductScanRow(format(f[0], f"0{q}b")', 'ProductScanRow(format(f[0], "b")',
            ("tests/test_cyclic.py::test_product_scans_match_string_rotation_oracle",)),
+    Mutant("cyclic-summary-word-unpadded", "cyclic.py",
+           'argmax = tuple(format(f[0], f"0{q}b")', 'argmax = tuple(format(f[0], "b")',
+           ("tests/test_cyclic.py::test_summaries_match_the_scan_rows",)),
+    Mutant("cyclic-summary-tied-argmax-passes", "cyclic.py",
+           "argmax == (balanced_rep,)", "balanced_rep in argmax",
+           ("tests/test_cyclic.py::test_a_tied_maximum_fails_the_claim",)),
+    Mutant("cyclic-summary-counts-argmax", "cyclic.py",
+           "ProductSummary(p, q, len(factors),", "ProductSummary(p, q, len(argmax),",
+           ("tests/test_cyclic.py::test_summaries_match_the_scan_rows",)),
     Mutant("measures-support-whole-word", "measures.py",
            "sorted(rotations(b >> (q - t), t))", "sorted(rotations(b, q))",
            ("tests/test_measures.py::test_orbit_support_matches_string_rotation_oracle",)),
@@ -392,8 +410,26 @@ MUTANTS = (
            "if point not in values:", "if not values.get(point):",
            ("tests/test_multimodular.py::test_check_multimodular_calls_J_once_per_lattice_point",)),
     Mutant("wigner-table-line-distance", "wigner.py",
-           "potential.value(m if images else min(m, q - m))", "potential.value(m)",
+           "d = min(m, q - m)  #", "d = m  #",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
+    Mutant("wigner-images-around-offset", "wigner.py",
+           "potential.value(d + k * q) + potential.value(k * q - d)",
+           "potential.value(m + k * q) + potential.value(k * q - m)",
+           ("tests/test_wigner.py::test_ring_energy_matches_pair_oracle",
+            "tests/test_wigner.py::test_energy_is_rotation_invariant")),
+    Mutant("wigner-summary-ties-without-margin", "wigner.py",
+           "tied = [n / scale <= ceiling + TIE_MARGIN * abs(ceiling) for n in numerators]",
+           "tied = [n / scale <= ceiling for n in numerators]",
+           ("tests/test_wigner.py::test_float_energies_tie_within_the_margin",)),
+    Mutant("wigner-summary-any-argmin-balanced", "wigner.py",
+           "all(map(is_balanced, argmin))", "any(map(is_balanced, argmin))",
+           ("tests/test_wigner.py::test_float_energies_tie_within_the_margin",)),
+    Mutant("wigner-summary-word-unpadded", "wigner.py",
+           'argmin = tuple(format(b, f"0{q}b")', 'argmin = tuple(format(b, "b")',
+           ("tests/test_wigner.py::test_summary_matches_the_report_rows",)),
+    Mutant("wigner-summary-count-argmin", "wigner.py",
+           "GroundStateSummary(len(readings),", "GroundStateSummary(len(argmin),",
+           ("tests/test_wigner.py::test_summary_matches_the_report_rows",)),
     Mutant("wigner-popcount-shift-long", "wigner.py",
            "(b & (b >> m)).bit_count()", "(b & (b >> (m + 1))).bit_count()",
            ("tests/test_wigner.py::test_popcount_energies_match_pair_oracle",
@@ -409,8 +445,8 @@ MUTANTS = (
            "fractions = isinstance(potential.value(1), Fraction)",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
     Mutant("wigner-tail-wrong-offset", "wigner.py",
+           "Fraction(potential.image_tail(d, q, images))",
            "Fraction(potential.image_tail(m, q, images))",
-           "Fraction(potential.image_tail(q - m, q, images))",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
     Mutant("wigner-envelope-without-tails", "wigner.py",
            "min(_pair_sums(readings, envelopes, scale))", "min(_pair_sums(readings, values, scale))",
@@ -440,7 +476,7 @@ MUTANTS = (
            "balanced_orbit(p // g, q // g).representative",
            ("tests/test_wigner.py::test_balanced_flags_match_is_balanced",)),
     Mutant("wigner-image-sign", "wigner.py",
-           "potential.value(k * q - m)", "potential.value(k * q + m)",
+           "potential.value(k * q - d)", "potential.value(k * q + d)",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
     Mutant("cli-heaps-n-max-unbounded", "cli.py",
            "if not 1 <= args.n_max <= heaps.MAX_EXHAUSTIVE_N:", "if args.n_max < 1:",

@@ -7,6 +7,7 @@ verdict, and enforces the runtime budget where one is pinned.
 
 import pytest
 
+from sturmlab import cyclic, wigner
 from sturmlab.checks import run_all, run_check
 
 
@@ -56,6 +57,26 @@ def test_heaps_balanced_schedules():
 
 def test_wigner_ground_states_balanced():
     run_and_report("wigner-ground-states", budget=60.0)
+
+
+def test_scan_checks_read_summaries_and_build_no_orbit_row(monkeypatch):
+    # The verdicts need only each scan's optimum, so with every per-orbit row
+    # constructor raising, both checks still pass with their usual detail lines.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check built a per-orbit row")
+
+    monkeypatch.setattr(cyclic, "ProductScanRow", refuse)
+    monkeypatch.setattr(wigner, "OrbitEnergy", refuse)
+    monkeypatch.setattr(wigner, "Orbit", refuse)
+    results = run_all(["cyclic-products", "wigner-ground-states"])
+    assert [(r.passed, r.detail) for r in results] == [
+        (True, "B(10100)=162000, B(11000)=88128; 63 coprime pairs scanned, failures: none"),
+        (True, "convex decreasing: shipped potentials True, concave fixture False; 189 (density, "
+               "potential) ground states all balanced (failures: none); concave fixture minimizer "
+               "00000111 is non-balanced: True; float tie margin 1e-12"),
+    ]
+    with pytest.raises(AssertionError, match="per-orbit row"):
+        wigner.ground_state(2, 5, wigner.coulomb())
 
 
 def test_words_core_invariants():

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sturmlab import cyclic
 from sturmlab.cyclic import (
     OrbitProduct,
     ProductScan,
     ProductScanRow,
     orbit_product,
     scan_coprime_pairs,
+    summarize_coprime_pairs,
     verify_balanced_product_maximum,
 )
 from sturmlab.words import Orbit, balanced_orbit, is_balanced
@@ -64,6 +66,31 @@ def test_product_scans_match_string_rotation_oracle():
     pairs = [(p, q) for q in range(2, 13) for p in range(1, q) if math.gcd(p, q) == 1]
     for p, q in pairs:
         assert verify_balanced_product_maximum(p, q) == _product_scan_oracle(p, q)
+
+
+def test_summaries_match_the_scan_rows():
+    # Each verdict read off the rows, not off the scan's own summary fields.
+    summaries = summarize_coprime_pairs(16)
+    scans = scan_coprime_pairs(16)
+    assert [(s.p, s.q) for s in summaries] == [(s.p, s.q) for s in scans]
+    for summary, scan in zip(summaries, scans):
+        argmax = tuple(r.representative for r in scan.rows if r.argmax)
+        assert (summary.orbits, summary.max_product, summary.argmax) == (
+            len(scan.rows), max(r.product for r in scan.rows), argmax
+        ), (scan.p, scan.q)
+        assert summary.balanced_representative == scan.balanced_representative
+        assert argmax == tuple(r.representative for r in scan.rows if r.balanced)
+        assert summary.passed is scan.passed is True
+
+
+def test_a_tied_maximum_fails_the_claim(monkeypatch):
+    # A zero factor after each reading makes every product 0, so every orbit,
+    # the balanced one included, ties at the maximum: that is no pass.
+    monkeypatch.setattr(cyclic, "rotations", lambda b, q: (b,) + (0,) * (q - 1))
+    (summary,) = [s for s in summarize_coprime_pairs(5) if (s.p, s.q) == (2, 5)]
+    scan = verify_balanced_product_maximum(2, 5)
+    assert summary.argmax == scan.argmax == ("00011", "00101")
+    assert not summary.passed and not scan.passed
 
 
 def test_orbit_is_the_least_rotation_exhaustively():

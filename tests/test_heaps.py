@@ -214,6 +214,35 @@ def test_min_rate_matches_dfs_oracle_on_default_model(n):
     assert repr(min_rate_exhaustive(model, n)) == repr(_min_rate_dfs_oracle(model, n))
 
 
+# The two flat pieces sharing column 1 that the CLI tests read from a file.
+_FLAT = {"lower": ["0", "0"], "upper": ["1", "1"]}
+CLI_MODEL = {"num_columns": 3, "piece0": dict(_FLAT, columns=[0, 1]), "piece1": dict(_FLAT, columns=[1, 2])}
+
+
+def _fresh(model: HeapModel) -> HeapModel:
+    """An equal model that has swept no frontier yet."""
+    return HeapModel(model.num_columns, model.piece0, model.piece1)
+
+
+@pytest.mark.parametrize(
+    "order", (range(1, 13), range(12, 0, -1), (6, 6, 2, 11, 11, 1, 12, 9, 12)),
+    ids=("ascending", "descending", "repeated"),
+)
+@pytest.mark.parametrize("data", (README_MODEL_JSON, json.dumps(CLI_MODEL)), ids=("default", "cli"))
+def test_shared_frontier_matches_a_fresh_model_in_any_order(data, order):
+    # One model's frontiers grow across calls; each scan equals a fresh model's.
+    model = model_from_dict(json.loads(data))
+    for n in order:
+        assert min_rate_exhaustive(model, n) == min_rate_exhaustive(_fresh(model), n), n
+
+
+@settings(deadline=None, max_examples=40)
+@given(heap_models(), st.lists(st.integers(min_value=1, max_value=10), min_size=2, max_size=5))
+def test_shared_frontier_matches_fresh_models_on_random_models(model, order):
+    for n in order:
+        assert min_rate_exhaustive(model, n) == min_rate_exhaustive(_fresh(model), n), n
+
+
 def test_min_rate_keeps_every_tied_schedule():
     scan = min_rate_exhaustive(uniform_model(), 12)
     assert len(scan.argmin) == 4096

@@ -18,6 +18,7 @@ from sturmlab.wigner import (
     default_potentials,
     exponential_decay,
     ground_state,
+    ground_state_summary,
     inverse_power,
     is_convex_decreasing,
     screened,
@@ -50,11 +51,11 @@ POTENTIALS = (
 
 
 def _pair_value_oracle(potential, m, q, images):
-    if images == 0:
-        return potential.value(min(m, q - m))
-    total = potential.value(m)
+    """V(d) plus the images V(d + kq) and V(kq - d), k <= images, at the ring distance d."""
+    d = min(m, q - m)
+    total = potential.value(d)
     for k in range(1, images + 1):
-        total = total + potential.value(m + k * q) + potential.value(k * q - m)
+        total = total + potential.value(d + k * q) + potential.value(k * q - d)
     return total
 
 
@@ -76,7 +77,7 @@ def _pair_values(w, potential, images):
         potential.image_tail(1, max(q, 2), images)
     return [
         (_pair_value_oracle(potential, m, q, images),
-         potential.image_tail(m, q, images) if images else 0.0)
+         potential.image_tail(min(m, q - m), q, images) if images else 0.0)
         for m in _electron_pairs(w)
     ]
 
@@ -149,17 +150,18 @@ def _outcome(call, *args):
     st.integers(min_value=0, max_value=3),
 )
 def test_ring_energy_matches_pair_oracle(w, potential, images):
-    # A truncated image sum depends on the rotation, so the row is checked
-    # against its own representative.
+    # Images are summed around each pair's ring distance, so every rotation of
+    # w, and its reversal, sums to its orbit row's energy.
     try:
         row = _orbit_row(w, potential, images)
     except ValueError as err:
         with pytest.raises(ValueError, match=re.escape(str(err))):
             _ring_energy_oracle(w, potential, images)
         return
-    want = _ring_energy_oracle(row.orbit.representative, potential, images)
-    assert type(row.energy) is type(want)
-    assert row.energy == want
+    for v in [w[k:] + w[:k] for k in range(len(w))] + [w[::-1]]:
+        want = _ring_energy_oracle(v, potential, images)
+        assert type(row.energy) is type(want), v
+        assert row.energy == want, v
 
 
 # The exact families, whose energies without images come from popcounts.
@@ -211,6 +213,29 @@ def test_ground_state_matches_pair_oracle(potential, images):
             ), (p, q)
 
 
+def _summary_off_rows(p, q, potential, images):
+    """The verdict read off ground_state's rows: orbit count, least energy,
+    argmin representatives and whether each of them is balanced."""
+    rows = ground_state(p, q, potential, images).rows
+    argmin = tuple(r.orbit.representative for r in rows if r.argmin)
+    least = min(r.energy for r in rows)
+    return repr((len(rows), least, argmin, all(map(is_balanced, argmin))))
+
+
+@pytest.mark.parametrize("images", (0, 1, 3))
+@pytest.mark.parametrize("potential", POTENTIALS, ids=lambda p: p.describe())
+def test_summary_matches_the_report_rows(potential, images):
+    def summary(p, q, potential, images):
+        s = ground_state_summary(p, q, potential, images)
+        return repr((s.orbits, s.min_energy, s.argmin, s.balanced))
+
+    for q in range(1, 13):
+        for p in range(q + 1):
+            assert _outcome(summary, p, q, potential, images) == _outcome(
+                _summary_off_rows, p, q, potential, images
+            ), (p, q)
+
+
 @pytest.mark.parametrize(
     "potential", (exponential_decay(1.0), screened(1.0), inverse_power(2.5)),
     ids=lambda p: p.describe(),
@@ -254,10 +279,23 @@ def test_energy_is_exact_for_rational_potentials():
         assert {type(e) for e in _energies(2, 5, potential).values()} == {kind}
 
 
-@given(words_st, st.integers(min_value=0, max_value=11))
-def test_energy_is_rotation_invariant(w, k):
+# The families whose periodic image series converges.
+IMAGE_POTENTIALS = (inverse_power(2), inverse_power(2.5), exponential_decay(0.3), screened(1.0))
+
+
+@given(
+    words_st,
+    st.integers(min_value=0, max_value=11),
+    st.sampled_from(IMAGE_POTENTIALS),
+    st.integers(min_value=1, max_value=3),
+)
+def test_energy_is_rotation_invariant(w, k, potential, images):
+    # The pair oracle sums w itself, not its orbit's representative.
     k %= len(w)
-    assert _orbit_row(w[k:] + w[:k], coulomb()).energy == _ring_energy_oracle(w, coulomb())
+    row = _orbit_row(w[k:] + w[:k], potential, images)
+    assert row.energy == _ring_energy_oracle(w, potential, images)
+    assert row.energy == _ring_energy_oracle(w[::-1], potential, images)
+    assert _orbit_row(w[::-1], potential, images).energy == row.energy
 
 
 @given(words_st)
