@@ -10,7 +10,6 @@ integer sweep of hockey-stick integrals over the merged support points.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -76,7 +75,8 @@ class DiscreteMeasure:
 
     @cached_property
     def barycenter(self) -> Fraction:
-        return _barycenter([(1, self._integer_form)])
+        d, [(_, mass, moment)] = _class_forms([self._integer_form])
+        return Fraction(moment, d * mass)
 
     def to_json_dict(self) -> dict:
         record = {
@@ -150,26 +150,30 @@ def _merged_weights(terms) -> tuple[int, int, list[tuple[int, int]]]:
     return d, m, sorted(merged.items())
 
 
-def _barycenter(terms) -> Fraction:
-    """Barycenter of sum_k f_k * form_k over positive f_k and probability forms."""
-    moment = sum(Fraction(f * sum(map(operator.mul, xs, vs)), d * m) for f, (d, xs, m, vs) in terms)
-    return moment / sum(f for f, _ in terms)
+def _class_forms(forms) -> tuple[int, list]:
+    """Forms (d_k, xs, m_k, vs) as in DiscreteMeasure over the lcms d, m of the d_k, m_k: d and
+    per form its pairs (x, v), weight v / m at x / d, with their sums of v and of x * v."""
+    d, m = math.lcm(*(form[0] for form in forms)), math.lcm(*(form[2] for form in forms))
+    scaled = [[(x * (d // d_k), v * (m // m_k)) for x, v in zip(xs, vs)] for d_k, xs, m_k, vs in forms]
+    return d, [(pairs, sum(v for _, v in pairs), sum(x * v for x, v in pairs)) for pairs in scaled]
 
 
-def _first_violation(terms) -> Optional[Fraction]:
+def _first_violation(d: int, terms) -> Optional[Fraction]:
     """Least support point where sum_k f_k * form_k has a positive hockey-stick gap.
 
-    Every form is a probability measure; the positive and negative parts must
-    share mass and barycenter (else ValueError).  Then the gap has kinks only
-    at support points, vanishes at both ends, and is swept upward in integers.
+    The f_k are integers and the forms share one ``_class_forms``; the positive and
+    negative parts must share mass and barycenter (else ValueError).  Then the gap
+    has kinks only at support points, vanishes at both ends, and is swept upward in
+    integers over the sorted signed net (a repeated point adds no gap).
     """
-    d, _, net = _merged_weights(terms)
-    if sum(v for _, v in net):
+    if sum(f * mass for f, (_, mass, _) in terms):
         raise ValueError("convex order needs equal total masses")
-    if sum(x * v for x, v in net):
-        plus = _barycenter([(f, form) for f, form in terms if f > 0])
-        minus = _barycenter([(-f, form) for f, form in terms if f < 0])
+    if sum(f * moment for f, (_, _, moment) in terms):
+        mass = d * sum(f * form[1] for f, form in terms if f > 0)  # either part's mass, times d
+        plus, minus = (Fraction(sum(s * f * form[2] for f, form in terms if s * f > 0), mass)
+                       for s in (1, -1))
         raise ValueError(f"convex order needs equal barycenters: {plus} != {minus}")
+    net = sorted([(x, f * v) for f, (pairs, _, _) in terms for x, v in pairs])
     gap = mass = 0
     for (previous, weight), (t, _) in zip(net, net[1:]):
         mass += weight
@@ -187,7 +191,8 @@ def convex_order_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[F
     holds iff the hockey-stick integral of mu is <= that of nu at every
     merged support point.
     """
-    return _first_violation([(1, mu._integer_form), (-1, nu._integer_form)])
+    d, (mu_form, nu_form) = _class_forms([mu._integer_form, nu._integer_form])
+    return _first_violation(d, [(1, mu_form), (-1, nu_form)])
 
 
 @dataclass(frozen=True)
@@ -226,22 +231,18 @@ def verify_sturmian_least(
     scans = []
     for p, q in coprime_pairs(q_max):
         sturmian = _orbit_support(int(balanced_orbit(p, q).representative, 2), q, q)
-        pool = [
-            (format(b, f"0{k * q}b"), _orbit_support(b, k * q, t))
-            for k in range(1, q_max // q + 1)
-            for b, t in enumerate_orbits(k * p, k * q)
-        ]
-        bad = [
-            word for word, form in pool
-            if _first_violation([(1, sturmian), (-1, form)]) is not None
-        ]
+        orbits = [(b, k * q, t) for k in range(1, q_max // q + 1) for b, t in enumerate_orbits(k * p, k * q)]
+        # One scale for the class: each comparison below sorts and sweeps integers.
+        d, (sturmian, *scaled) = _class_forms([sturmian] + [_orbit_support(*orbit) for orbit in orbits])
+        pool = [(format(b, f"0{n}b"), form) for (b, n, _), form in zip(orbits, scaled)]
+        bad = [word for word, form in pool if _first_violation(d, [(1, sturmian), (-1, form)]) is not None]
         for _ in range(mixtures_per_pair):
             size = rng.randint(2, min(4, len(pool))) if len(pool) >= 2 else 1
             chosen = rng.sample(pool, size)
             raw = [rng.randint(1, 100) for _ in chosen]
             # sturmian <=_cx sum_k raw_k mu_k / sum(raw), scaled by sum(raw).
             terms = [(sum(raw), sturmian)] + [(-r, form) for r, (_, form) in zip(raw, chosen)]
-            if _first_violation(terms) is not None:
+            if _first_violation(d, terms) is not None:
                 bad.append("mixture:" + "+".join(word for word, _ in chosen))
         scans.append(LeastElementScan(p, q, len(pool), mixtures_per_pair, tuple(bad)))
     return scans

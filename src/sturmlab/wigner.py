@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from typing import Union
 
@@ -53,7 +54,7 @@ MAX_POWER = 32  # exact r**-s energies at q = 20 have about 3.6 s digits
 TIE_MARGIN = 1e-12  # float energies within this fraction of the minimum count as tied
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
     """Named pair potential V(r) on integer ring distances r >= 1."""
 
@@ -64,6 +65,15 @@ class Potential:
         if self.kind not in ("coulomb", "power", "exponential", "screened", "anti"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(self.params))
+
+    def _key(self) -> tuple:  # parameter types count: power(2) is exact, power(2.0) is not
+        return self.kind, tuple((type(x), x) for x in self.params)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Potential) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def value(self, r) -> Energy:
         if r <= 0:
@@ -169,9 +179,11 @@ def is_convex_decreasing(potential: Potential) -> bool:
     return decreasing and convex and vanishing
 
 
-def _pair_table(potential: Potential, q: int, images: int) -> tuple[dict, dict]:
-    """Pair energies by offset m = b - a on a q-site ring and, with images,
-    their upper envelopes (energy plus image-tail bound), read exactly."""
+@lru_cache(maxsize=256)
+def _pair_table(potential: Potential, q: int, images: int) -> tuple[int, tuple, tuple]:
+    """Pair energies by offset m = b - a on a q-site ring and, with images, their upper
+    envelopes (energy plus image-tail bound), read exactly: a scale and two tuples of
+    (m, scale * entry), built once per (potential, q, images) in a process."""
     if images < 0:
         raise ValueError("image cutoff must be >= 0")
     if images > 0:  # refuses a divergent image series even on a ring with no pairs
@@ -185,13 +197,14 @@ def _pair_table(potential: Potential, q: int, images: int) -> tuple[dict, dict]:
         values[m] = Fraction(value)  # exact for a float too
         if images:
             envelopes[m] = values[m] + Fraction(potential.image_tail(d, q, images))
-    return values, envelopes
+    scale = math.lcm(*(v.denominator for v in (*values.values(), *envelopes.values())))
+    return scale, *(tuple((m, v.numerator * (scale // v.denominator)) for m, v in table.items())
+                    for table in (values, envelopes))
 
 
-def _pair_sums(readings: list, table: dict, scale: int) -> list[int]:
-    """Per reading b, the sum of ``scale * table[m]`` over the pairs of b;
-    its offset-m pairs are the set bits of b & (b >> m)."""
-    weights = [(m, v.numerator * (scale // v.denominator)) for m, v in table.items()]
+def _pair_sums(readings: list, weights: tuple) -> list[int]:
+    """Per reading b, the sum of w over (m, w) in ``weights`` times the
+    offset-m pairs of b, the set bits of b & (b >> m)."""
     return [sum(w * (b & (b >> m)).bit_count() for m, w in weights) for b, _ in readings]
 
 
@@ -235,11 +248,10 @@ def _energy_scan(p: int, q: int, potential: Potential, images: int):
     if q > EXHAUSTIVE_Q:
         raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
     readings = enumerate_orbits(p, q)
-    values, envelopes = _pair_table(potential, q, images)
+    scale, values, envelopes = _pair_table(potential, q, images)
     fractions = p < 2 or isinstance(potential.value(1), Fraction)  # no pairs: an exact 0
     exact = images == 0 and fractions
-    scale = math.lcm(*(v.denominator for v in (*values.values(), *envelopes.values())))
-    numerators = _pair_sums(readings, values, scale)
+    numerators = _pair_sums(readings, values)
     least = min(numerators)
     if exact:
         tied = [n == least for n in numerators]
@@ -247,7 +259,7 @@ def _energy_scan(p: int, q: int, potential: Potential, images: int):
         # Truncated image sums underestimate the true energy by at most the
         # tail bound, so any orbit whose computed energy undercuts the
         # smallest upper envelope could be the true minimizer.
-        ceiling = (min(_pair_sums(readings, envelopes, scale)) if images else least) / scale
+        ceiling = (min(_pair_sums(readings, envelopes)) if images else least) / scale
         tied = [n / scale <= ceiling + TIE_MARGIN * abs(ceiling) for n in numerators]
     argmin = tuple(format(b, f"0{q}b") for b, _ in compress(readings, tied))
     minimum = Fraction(least, scale) if fractions else least / scale

@@ -342,6 +342,26 @@ MUTANTS = (
     Mutant("measures-gap-ge", "measures.py",
            "if gap > 0:", "if gap >= 0:",
            ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),
+    Mutant("class-lcm-points-first-form-only", "measures.py",
+           "d, m = math.lcm(*(form[0] for form in forms)),", "d, m = forms[0][0],",
+           ("tests/test_measures.py::test_class_scan_matches_mixture_oracle_at_every_small_size",)),
+    Mutant("class-lcm-weights-first-form-only", "measures.py",
+           "math.lcm(*(form[2] for form in forms))", "forms[0][2]",
+           ("tests/test_measures.py::test_class_scan_matches_mixture_oracle_at_every_small_size",)),
+    Mutant("class-moment-unweighted", "measures.py",
+           "sum(x * v for x, v in pairs)", "sum(x for x, v in pairs)",
+           ("tests/test_measures.py::test_class_scan_matches_mixture_oracle_at_every_small_size",)),
+    Mutant("class-net-unsorted", "measures.py",
+           "net = sorted([(x, f * v) for f, (pairs, _, _) in terms for x, v in pairs])",
+           "net = [(x, f * v) for f, (pairs, _, _) in terms for x, v in pairs]",
+           ("tests/test_measures.py::test_convex_order_balanced_below_clumped",
+            "tests/test_measures.py::test_failing_controls_match_the_oracle")),
+    Mutant("class-moment-check-dropped", "measures.py",
+           "if sum(f * moment for f, (_, _, moment) in terms):", "if False:",
+           ("tests/test_measures.py::test_class_scan_refuses_a_stand_in_of_another_density",)),
+    Mutant("class-mass-check-dropped", "measures.py",
+           "if sum(f * mass for f, (_, mass, _) in terms):", "if False:",
+           ("tests/test_measures.py::test_signed_sweep_requires_cancelling_mass_and_barycenter",)),
     Mutant("window-memo-by-weight", "multimodular.py",
            """        codes <<= 1
         codes |= bits[j : j + n]""",
@@ -449,7 +469,7 @@ MUTANTS = (
            "Fraction(potential.image_tail(m, q, images))",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
     Mutant("wigner-envelope-without-tails", "wigner.py",
-           "min(_pair_sums(readings, envelopes, scale))", "min(_pair_sums(readings, values, scale))",
+           "min(_pair_sums(readings, envelopes))", "min(_pair_sums(readings, values))",
            ("tests/test_wigner.py::test_ground_state_matches_pair_oracle",)),
     Mutant("wigner-scale-misses-envelopes", "wigner.py",
            "(*values.values(), *envelopes.values())", "values.values()",
@@ -458,6 +478,21 @@ MUTANTS = (
            "tied = [n == least for n in numerators]", "tied = [n == numerators[0] for n in numerators]",
            ("tests/test_wigner.py::test_popcount_energies_match_pair_oracle",
             "tests/test_wigner.py::test_popcount_minima_match_pair_oracle_on_long_rings")),
+    Mutant("potential-key-untyped", "wigner.py",
+           "return self.kind, tuple((type(x), x) for x in self.params)", "return self.kind, self.params",
+           ("tests/test_wigner.py::test_cached_pair_tables_follow_parameter_types_and_images",)),
+    Mutant("potential-hash-untyped", "wigner.py",
+           "return hash(self._key())", "return hash((self.kind, self.params))",
+           ("tests/test_wigner.py::test_potential_equality_keeps_parameter_types",)),
+    Mutant("pair-table-cache-dropped", "wigner.py",
+           "@lru_cache(maxsize=256)\n", "",
+           ("tests/test_acceptance.py::test_hot_checks_scale_each_class_once",)),
+    Mutant("pair-table-cache-unbounded", "wigner.py",
+           "@lru_cache(maxsize=256)", "@lru_cache(maxsize=None)",
+           ("tests/test_wigner.py::test_pair_tables_are_shared_read_only_and_bounded",)),
+    Mutant("pair-table-entries-mutable", "wigner.py",
+           "return scale, *(tuple((m,", "return scale, *(list((m,",
+           ("tests/test_wigner.py::test_pair_tables_are_shared_read_only_and_bounded",)),
     Mutant("cyclic-scan-bound-dropped", "cyclic.py",
            "if q_max > EXHAUSTIVE_Q:", "if False:",
            ("tests/test_cli.py::test_orbit_scan_bound_names_its_parameter",)),

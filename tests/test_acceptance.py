@@ -7,7 +7,7 @@ verdict, and enforces the runtime budget where one is pinned.
 
 import pytest
 
-from sturmlab import cyclic, wigner
+from sturmlab import cyclic, measures, wigner
 from sturmlab.checks import run_all, run_check
 
 
@@ -77,6 +77,29 @@ def test_scan_checks_read_summaries_and_build_no_orbit_row(monkeypatch):
     ]
     with pytest.raises(AssertionError, match="per-orbit row"):
         wigner.ground_state(2, 5, wigner.coulomb())
+
+
+def test_hot_checks_scale_each_class_once(monkeypatch):
+    # convex-order compares integer forms scaled once per slope class, so it
+    # builds no measure object and merges no dict; wigner-ground-states builds
+    # one pair table per distinct (potential, q), 40 for its 190 summaries.
+    def refuse(*args, **kwargs):
+        raise AssertionError("convex-order built a measure or merged a dict")
+
+    monkeypatch.setattr(measures, "_merged_weights", refuse)
+    monkeypatch.setattr(measures, "orbit_measure", refuse)
+    wigner._pair_table.cache_clear()
+    results = run_all(["convex-order", "wigner-ground-states"])
+    assert [(r.passed, r.detail) for r in results] == [
+        (True, "31 slope classes, 241 orbit competitors, 3100 random mixtures, counterexamples: none"),
+        (True, "convex decreasing: shipped potentials True, concave fixture False; 189 (density, "
+               "potential) ground states all balanced (failures: none); concave fixture minimizer "
+               "00000111 is non-balanced: True; float tie margin 1e-12"),
+    ]
+    tables = wigner._pair_table.cache_info()
+    assert (tables.misses, tables.hits) == (40, 150)
+    with pytest.raises(AssertionError, match="merged a dict"):
+        measures.mixture([measures.sturmian_measure(1, 2)], [1])
 
 
 def test_words_core_invariants():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from sturmlab import measures
 from sturmlab.measures import (
     DiscreteMeasure,
     LeastElementScan,
+    _class_forms,
     _first_violation,
     _orbit_support,
     convex_order_witness,
@@ -76,6 +78,9 @@ def test_convex_order_balanced_below_clumped():
 def test_convex_order_requires_equal_barycenters():
     with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 1/4$"):
         convex_order_witness(orbit_measure("01"), orbit_measure("0001"))
+    blend = mixture([orbit_measure("01"), orbit_measure("0001")], [Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(ValueError, match="^convex order needs equal barycenters: 3/8 != 1/3$"):
+        convex_order_witness(blend, orbit_measure("001"))
 
 
 def _orbit_support_oracle(w: str):
@@ -95,12 +100,14 @@ def test_orbit_support_matches_string_rotation_oracle():
 
 
 def test_signed_sweep_requires_cancelling_mass_and_barycenter():
-    half, third, quarter = (_orbit_support(int(w, 2), len(w), len(w)) for w in ("01", "001", "0001"))
+    d, (half, third, quarter) = _class_forms(
+        [_orbit_support(int(w, 2), len(w), len(w)) for w in ("01", "001", "0001")]
+    )
     # 2 * (01) against (001) + (0001): equal mass, barycenters 1/2 and 7/24.
     with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 7/24$"):
-        _first_violation([(2, half), (-1, third), (-1, quarter)])
-    with pytest.raises(ValueError, match="equal total masses"):
-        _first_violation([(1, half), (-2, half)])
+        _first_violation(d, [(2, half), (-1, third), (-1, quarter)])
+    with pytest.raises(ValueError, match="^convex order needs equal total masses$"):
+        _first_violation(d, [(1, half), (-2, half)])
 
 
 @given(
@@ -269,6 +276,47 @@ def test_sweep_flags_an_unbalanced_orbit_in_the_least_role(monkeypatch, stand_in
     if stand_in is _last_unbalanced:
         # Some mixtures pass and some fail in one class, so weights matter.
         assert any(0 < n < s.mixtures for n, s in zip(mixed, scans))
+
+
+@pytest.mark.parametrize("mixtures", [0, 1, 100])
+def test_class_scan_matches_mixture_oracle_at_every_small_size(mixtures):
+    # Scans with no mixture draw nothing, so one oracle run covers all seeds.
+    # The oracle builds every blend in Fractions, about 0.1 ms a mixture, so
+    # the largest sizes take one seed each, seeds 0..3 in turn, and 100
+    # mixtures a pair stop at q_max 7: the failing controls run q_max 9, 10.
+    for q_max in range(2, 8 if mixtures == 100 else 13):
+        for seed in range(4) if mixtures == 1 and q_max <= 10 else [q_max % 4]:
+            want = _verify_sturmian_least_oracle(q_max, mixtures, seed)
+            for other in [seed] if mixtures else range(4):
+                assert verify_sturmian_least(q_max, mixtures, other) == want, (q_max, other)
+
+
+@pytest.mark.parametrize(
+    "stand_in, q_max, mixtures, seed, found, oracle",
+    [
+        (_clumped, 9, 60, 3, 778, True),
+        (_last_unbalanced, 9, 60, 3, 395, True),
+        (_clumped, 10, 100, 0, 1439, False),  # the oracle agrees, in 0.4 s more
+    ],
+)
+def test_failing_controls_match_the_oracle(monkeypatch, stand_in, q_max, mixtures, seed, found, oracle):
+    # The oracle shares the sweep, so the counts pin the sweep itself.
+    monkeypatch.setattr(measures, "balanced_orbit", stand_in)
+    scans = verify_sturmian_least(q_max, mixtures, seed)
+    if oracle:
+        assert scans == _verify_sturmian_least_oracle(q_max, mixtures, seed)
+    assert sum(len(s.counterexamples) for s in scans) == found
+
+
+def test_class_scan_refuses_a_stand_in_of_another_density(monkeypatch):
+    # A stand-in with one more one than its class (first at 1/3) moves the
+    # barycenter; the class scan refuses it as convex_order_witness does.
+    monkeypatch.setattr(measures, "balanced_orbit", lambda p, q: _clumped(min(p + 1, q - 1), q))
+    with pytest.raises(ValueError) as info:
+        _verify_sturmian_least_oracle(4, 0, 0)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(info.value))}$"):
+        verify_sturmian_least(4, 0, 0)
+    assert str(info.value) == "convex order needs equal barycenters: 2/3 != 1/3"
 
 
 def test_verify_sturmian_least_small():

@@ -1,5 +1,6 @@
 """Ring configurations of repelling electrons and their ground states."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sturmlab import wigner
 from sturmlab.wigner import (
     MAX_POWER,
+    Potential,
     TIE_MARGIN,
     GroundStateReport,
     OrbitEnergy,
@@ -390,6 +393,43 @@ def test_potential_descriptions():
     assert coulomb().describe() == "coulomb"
     assert inverse_power(3).describe() == "power(3)"
     assert "exponential" in exponential_decay(2.0).describe()
+
+
+def test_potential_equality_keeps_parameter_types():
+    exact, rounded = inverse_power(2), inverse_power(2.0)
+    assert exact == inverse_power(2) and hash(exact) == hash(inverse_power(2))
+    assert exact != rounded and hash(exact) != hash(rounded)
+    assert exponential_decay(1.0) == exponential_decay(1) and coulomb() != anti_coulomb()
+    # Fields, repr and describe are as before.
+    assert [f.name for f in dataclasses.fields(Potential)] == ["kind", "params"]
+    assert (repr(exact), repr(rounded)) == (
+        "Potential(kind='power', params=(2,))", "Potential(kind='power', params=(2.0,))"
+    )
+    assert (exact.describe(), rounded.describe()) == ("power(2)", "power(2.0)")
+
+
+def test_cached_pair_tables_follow_parameter_types_and_images():
+    # Each call alone, with the table cache cleared, then all in one process,
+    # in both orders: a table cached for one potential or image cutoff must
+    # never answer for another.
+    calls = [(inverse_power(2), 0), (inverse_power(2.0), 0), (inverse_power(2), 1), (inverse_power(2.0), 1)]
+    alone = []
+    for potential, images in calls:
+        wigner._pair_table.cache_clear()
+        alone.append(repr(ground_state(3, 7, potential, images)))
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0]):
+        wigner._pair_table.cache_clear()
+        assert [repr(ground_state(3, 7, *calls[i])) for i in order] == [alone[i] for i in order]
+    assert type(ground_state(3, 7, inverse_power(2)).min_energy) is Fraction
+    assert type(ground_state(3, 7, inverse_power(2.0)).min_energy) is float
+
+
+def test_pair_tables_are_shared_read_only_and_bounded():
+    scale, values, envelopes = wigner._pair_table(inverse_power(3), 7, 2)
+    assert type(values) is type(envelopes) is tuple and len(values) == len(envelopes) == 6
+    assert {type(entry) for entry in values + envelopes} == {tuple}
+    assert wigner._pair_table(inverse_power(3), 7, 2)[1] is values
+    assert 0 < wigner._pair_table.cache_parameters()["maxsize"] < 10**4
 
 
 @pytest.mark.parametrize("factory", [inverse_power, exponential_decay, screened])
