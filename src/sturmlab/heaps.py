@@ -11,7 +11,7 @@ reach it from a depth-first search that cuts only hopeless prefixes.
 
 Every drop and matrix product runs one integer max-plus inner product: a model
 scales its piece matrices once by d, the lcm of the contours' denominators,
-and only returned values become Fractions.
+and only returned values become Fractions.  Max-plus -infinity is -math.inf.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .words import check_word, coprime_pairs, mechanical_word
 
@@ -39,8 +39,6 @@ __all__ = [
     "best_balanced_schedule",
     "model_from_dict",
 ]
-
-Number = Union[Fraction, int]
 
 MAX_EXHAUSTIVE_N = 20
 
@@ -92,7 +90,7 @@ class HeapModel:
             raise ValueError("pieces must jointly cover every column")
 
     @cached_property
-    def _integer_form(self) -> tuple[int, tuple[list[list[Optional[int]]], ...]]:
+    def _integer_form(self) -> tuple[int, tuple[list[list[float]], ...]]:
         """(d, matrices): the drop matrix of piece0 and of piece1, times d, the contours' lcm."""
         d = math.lcm(*(x.denominator for p in (self.piece0, self.piece1) for x in p.lower + p.upper))
         return d, tuple(_integer_matrix(p, self.num_columns, d) for p in (self.piece0, self.piece1))
@@ -118,61 +116,49 @@ def default_model() -> HeapModel:
     )
 
 
-def _dot(row: Sequence[Optional[Number]], column: Sequence[Optional[Number]]) -> Optional[Number]:
-    """Max-plus inner product max_k row[k] + column[k], with None as -infinity."""
-    best = None
-    for a, b in zip(row, column):
-        if a is not None and b is not None:
-            value = a + b
-            if best is None or value > best:
-                best = value
-    return best
+def _dot(row: Sequence, column: Sequence):
+    """Max-plus inner product max_k row[k] + column[k]."""
+    return max(map(operator.add, row, column))
 
 
-def _apply(matrix: list[list[Optional[Number]]], vector: Sequence[Optional[Number]]) -> tuple:
+def _apply(matrix: list[list], vector: Sequence) -> tuple:
     """Max-plus matrix-vector product: entry i is the product of row i and the vector."""
     return tuple([_dot(row, vector) for row in matrix])
 
 
-def _integer_matrix(piece: Piece, n: int, d: int) -> list[list[Optional[int]]]:
-    """Max-plus drop matrix of ``piece`` over ``n`` columns, times ``d``; None is -infinity.
+def _integer_matrix(piece: Piece, n: int, d: int) -> list[list[float]]:
+    """Max-plus drop matrix of ``piece`` over ``n`` columns, times ``d``.
 
     Row i, column j holds upper_i - lower_j on the piece's columns; untouched
     columns keep an identity (0) diagonal.
     """
-    matrix: list[list[Optional[int]]] = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    lower = dict(zip(piece.columns, piece.lower))
+    matrix = [[0 if i == j else -math.inf for j in range(n)] for i in range(n)]
     for ui, i in zip(piece.upper, piece.columns):
-        matrix[i] = [None] * n
-        for lj, j in zip(piece.lower, piece.columns):
-            matrix[i][j] = int((ui - lj) * d)
+        matrix[i] = [int((ui - lower[j]) * d) if j in lower else -math.inf for j in range(n)]
     return matrix
 
 
-def maxplus_matmul(
-    A: list[list[Optional[Number]]], B: list[list[Optional[Number]]]
-) -> list[list[Optional[Number]]]:
-    """(A (x) B)[i][j] = max_k A[i][k] + B[k][j], with None as -infinity."""
+def maxplus_matmul(A: list[list], B: list[list]) -> list[list]:
+    """(A (x) B)[i][j] = max_k A[i][k] + B[k][j], with -math.inf as -infinity."""
     columns = list(zip(*B))
     return [[_dot(row, column) for column in columns] for row in A]
 
 
-def max_cycle_mean(matrix: list[list[Optional[Number]]]) -> Fraction:
-    """Maximum cycle mean of a max-plus matrix (Karp), as an exact Fraction.
+def max_cycle_mean(matrix: list[list]) -> Fraction:
+    """Maximum cycle mean of a max-plus matrix (Karp) as an exact Fraction; -math.inf is -infinity.
 
     A virtual source with 0-weight edges to every node makes all cycles
     reachable, then Karp's formula max_v min_k (F_n(v) - F_k(v)) / (n - k)
     applies, where F_k(v) is the best (k+1)-edge walk weight from the source to v.
+    Where F_n(v) is finite so is every F_k(v): each suffix of its walk starts at the source.
     """
     n = len(matrix)
     walks = [(0,) * n]
     for _ in range(n):
         walks.append(_apply(matrix, walks[-1]))
-    means = [
-        min(Fraction(final - walk[v], n - k)
-            for k, walk in enumerate(walks[:n]) if walk[v] is not None)
-        for v, final in enumerate(walks[n])
-        if final is not None
-    ]
+    means = [min(Fraction(final - walk[v], n - k) for k, walk in enumerate(walks[:n]))
+             for v, final in enumerate(walks[n]) if final > -math.inf]
     if not means:
         raise ValueError("matrix digraph has no cycle")
     return max(means)
@@ -201,23 +187,22 @@ class RateScan:
 
 
 def _frontier_minima(model: HeapModel, start: tuple, n: int) -> list[int]:
-    """Least top height after r drops from ``start`` (None is -infinity), for r = 0..n.
+    """Least top height after r drops from ``start``, for r = 0..n.
 
     Each depth keeps only its Pareto-minimal profiles: drops are monotone, so a dominated
-    profile never ends lower, and sorted with None first a profile follows all that dominate it.
+    profile never ends lower, and sorted in tuple order a profile follows all that dominate it.
     The model keeps each start's deepest frontier, so a call sweeps only depths not yet reached.
     """
-    state = model._frontiers.setdefault(start, [[start], [max(x for x in start if x is not None)]])
+    state = model._frontiers.setdefault(start, [[start], [max(start)]])
     frontier, minima = state
     matrices = model._integer_form[1]
     while len(minima) <= n:
-        profiles = sorted({_apply(m, h) for h in frontier for m in matrices},
-                          key=lambda h: [(x is not None, x or 0) for x in h])
+        profiles = sorted({_apply(m, h) for h in frontier for m in matrices})
         frontier = []
         for h in profiles:
-            if not any(all(a is None or (b is not None and a <= b) for a, b in zip(g, h)) for g in frontier):
+            if not any(all(map(operator.le, g, h)) for g in frontier):
                 frontier.append(h)
-        minima.append(min(max(x for x in h if x is not None) for h in frontier))
+        minima.append(min(map(max, frontier)))
         state[0] = frontier
     return minima[: n + 1]
 
@@ -236,7 +221,7 @@ def min_rate_exhaustive(model: HeapModel, n: int) -> RateScan:
     columns = range(model.num_columns)
     ground = (0,) * model.num_columns
     best = _frontier_minima(model, ground, n)[n]
-    units = [tuple(0 if i == j else None for i in columns) for j in columns]
+    units = [tuple(0 if i == j else -math.inf for i in columns) for j in columns]
     tails = list(zip(*(_frontier_minima(model, unit, n) for unit in units)))
     argmin: list[str] = []
     stack = [(ground, "")]

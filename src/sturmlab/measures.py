@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 from .words import (
@@ -131,23 +132,12 @@ def mixture(measures: Sequence[DiscreteMeasure], coefficients: Sequence[Fraction
     coefficients = [Fraction(c) for c in coefficients]
     if any(c <= 0 for c in coefficients) or sum(coefficients) != 1:
         raise ValueError("coefficients must be positive and sum to 1")
-    d, m, combined = _merged_weights([(c, mu._integer_form) for mu, c in zip(measures, coefficients)])
-    return DiscreteMeasure(
-        tuple(Fraction(x, d) for x, _ in combined), tuple(Fraction(v, m) for _, v in combined)
-    )
-
-
-def _merged_weights(terms) -> tuple[int, int, list[tuple[int, int]]]:
-    """sum_k f_k * form_k over rational f_k and forms (d_k, xs, m_k, vs) as in
-    DiscreteMeasure, as sorted (x, v): weight v / m at x / d (d, m lcms)."""
-    d = math.lcm(*(form[0] for _, form in terms))
-    m = math.lcm(*(f.denominator * form[2] for f, form in terms))
-    merged: dict[int, int] = {}
-    for f, (d_k, xs, m_k, vs) in terms:
-        step, scale = d // d_k, f.numerator * (m // (f.denominator * m_k))
-        for x, v in zip(xs, vs):
-            merged[x * step] = merged.get(x * step, 0) + v * scale
-    return d, m, sorted(merged.items())
+    d, forms = _class_forms([mu._integer_form for mu in measures])
+    c = math.lcm(*(f.denominator for f in coefficients))  # every scaled form has mass forms[0][1]
+    net = sorted((x, v * int(f * c)) for f, (pairs, _, _) in zip(coefficients, forms) for x, v in pairs)
+    points, weights = zip(*[(Fraction(x, d), Fraction(sum(v for _, v in group), c * forms[0][1]))
+                            for x, group in groupby(net, key=lambda pair: pair[0])])
+    return DiscreteMeasure(points, weights)
 
 
 def _class_forms(forms) -> tuple[int, list]:

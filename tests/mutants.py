@@ -215,8 +215,14 @@ MUTANTS = (
            "if type(value) not in (int, float):", "if type(value) not in (int, float, str):",
            ("tests/test_queueing.py::test_config_floats_are_json_numbers",)),
     Mutant("heaps-dot-compare-flipped", "heaps.py",
-           "if best is None or value > best:", "if best is None or value < best:",
+           "return max(map(operator.add, row, column))", "return min(map(operator.add, row, column))",
            ("tests/test_heaps.py::test_integer_product_matches_fraction_oracles",)),
+    Mutant("heaps-untouched-column-lost", "heaps.py",
+           "matrix = [[0 if i == j else -math.inf", "matrix = [[-math.inf if i == j else -math.inf",
+           ("tests/test_heaps.py::test_integer_product_matches_fraction_oracles",)),
+    Mutant("heaps-karp-unreached-kept", "heaps.py",
+           "for v, final in enumerate(walks[n]) if final > -math.inf]", "for v, final in enumerate(walks[n])]",
+           ("tests/test_heaps.py::test_max_cycle_mean_requires_a_cycle",)),
     Mutant("heaps-rate-unscaled", "heaps.py",
            "return max_cycle_mean(matrix) / (len(w) * d)", "return max_cycle_mean(matrix) / len(w)",
            ("tests/test_heaps.py::test_integer_product_matches_fraction_oracles",)),
@@ -225,8 +231,14 @@ MUTANTS = (
            "if max(map(operator.add, heights, tails[left])) >= best:",
            ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
     Mutant("heaps-tails-from-ground", "heaps.py",
-           "units = [tuple(0 if i == j else None for i in columns) for j in columns]",
+           "units = [tuple(0 if i == j else -math.inf for i in columns) for j in columns]",
            "units = [ground for j in columns]",
+           ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
+    Mutant("heaps-start-top-is-min", "heaps.py",
+           "[[start], [max(start)]]", "[[start], [min(start)]]",
+           ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
+    Mutant("heaps-profile-top-is-min", "heaps.py",
+           "minima.append(min(map(max, frontier)))", "minima.append(min(map(min, frontier)))",
            ("tests/test_heaps.py::test_min_rate_matches_exhaustive_dfs_oracle",)),
     Mutant("heaps-pareto-any-coordinate", "heaps.py",
            "if not any(all(", "if not any(any(",
@@ -354,8 +366,13 @@ MUTANTS = (
     Mutant("class-net-unsorted", "measures.py",
            "net = sorted([(x, f * v) for f, (pairs, _, _) in terms for x, v in pairs])",
            "net = [(x, f * v) for f, (pairs, _, _) in terms for x, v in pairs]",
-           ("tests/test_measures.py::test_convex_order_balanced_below_clumped",
-            "tests/test_measures.py::test_failing_controls_match_the_oracle")),
+           ("tests/test_measures.py::test_verify_sturmian_least_matches_mixture_oracle",)),
+    Mutant("mixture-coefficient-unscaled", "measures.py",
+           "(x, v * int(f * c))", "(x, v * f.numerator)",
+           ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),
+    Mutant("mixture-mass-of-one-form", "measures.py",
+           "Fraction(sum(v for _, v in group), c * forms[0][1])", "Fraction(sum(v for _, v in group), forms[0][1])",
+           ("tests/test_measures.py::test_witness_matches_per_threshold_oracle",)),
     Mutant("class-moment-check-dropped", "measures.py",
            "if sum(f * moment for f, (_, _, moment) in terms):", "if False:",
            ("tests/test_measures.py::test_class_scan_refuses_a_stand_in_of_another_density",)),

@@ -81,12 +81,12 @@ def test_scan_checks_read_summaries_and_build_no_orbit_row(monkeypatch):
 
 def test_hot_checks_scale_each_class_once(monkeypatch):
     # convex-order compares integer forms scaled once per slope class, so it
-    # builds no measure object and merges no dict; wigner-ground-states builds
+    # builds no measure object and blends no mixture; wigner-ground-states builds
     # one pair table per distinct (potential, q), 40 for its 190 summaries.
     def refuse(*args, **kwargs):
-        raise AssertionError("convex-order built a measure or merged a dict")
+        raise AssertionError("convex-order built a measure or a mixture")
 
-    monkeypatch.setattr(measures, "_merged_weights", refuse)
+    monkeypatch.setattr(measures, "mixture", refuse)
     monkeypatch.setattr(measures, "orbit_measure", refuse)
     wigner._pair_table.cache_clear()
     results = run_all(["convex-order", "wigner-ground-states"])
@@ -98,7 +98,7 @@ def test_hot_checks_scale_each_class_once(monkeypatch):
     ]
     tables = wigner._pair_table.cache_info()
     assert (tables.misses, tables.hits) == (40, 150)
-    with pytest.raises(AssertionError, match="merged a dict"):
+    with pytest.raises(AssertionError, match="a mixture"):
         measures.mixture([measures.sturmian_measure(1, 2)], [1])
 
 

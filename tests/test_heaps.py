@@ -1,6 +1,7 @@
 """Max-plus heaps of pieces: growth rates and optimal schedules."""
 
 import json
+import math
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -10,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmlab.heaps import (
-    _apply,
     HeapModel,
     Piece,
     best_balanced_schedule,
@@ -47,7 +47,8 @@ def symmetric_model() -> HeapModel:
 
 
 # Fraction oracles: the one-value-at-a-time forms that the integer
-# max-plus product in sturmlab.heaps replaces.
+# max-plus product in sturmlab.heaps replaces.  They write -infinity as None;
+# _neg_inf reads their matrices in the -math.inf form the public functions take.
 
 
 def _piece(model, bit):
@@ -97,6 +98,10 @@ def _matmul_oracle(A, B):
     return out
 
 
+def _neg_inf(matrix):
+    return [[-math.inf if x is None else x for x in row] for row in matrix]
+
+
 def _word_matrix_oracle(model, w):
     matrix = _piece_matrix_oracle(model, w[0])
     for bit in w[1:]:
@@ -138,9 +143,27 @@ def _min_rate_oracle(model, n):
     return best / n, tuple(sorted(argmin))
 
 
+def _dot_oracle(row, column):
+    """Max-plus inner product with None as -infinity, one term at a time."""
+    best = None
+    for a, b in zip(row, column):
+        if a is not None and b is not None:
+            value = a + b
+            if best is None or value > best:
+                best = value
+    return best
+
+
+def _apply_oracle(matrix, vector):
+    return tuple(_dot_oracle(row, vector) for row in matrix)
+
+
 def _min_rate_dfs_oracle(model, n):
-    """Every schedule of length n, walked depth-first on the integer drop matrices."""
-    d, (zero, one) = model._integer_form
+    """Every schedule of length n, walked depth-first on integer drop matrices (None is -infinity)
+    scaled from the Fraction piece matrices by the contours' lcm d."""
+    d = math.lcm(*(x.denominator for p in (model.piece0, model.piece1) for x in p.lower + p.upper))
+    zero, one = ([[None if x is None else int(x * d) for x in row] for row in _piece_matrix_oracle(model, bit)]
+                 for bit in "01")
     best, argmin = None, []
     stack = [((0,) * model.num_columns, "")]
     while stack:
@@ -152,8 +175,8 @@ def _min_rate_dfs_oracle(model, n):
             elif height == best:
                 argmin.append(prefix)
             continue
-        stack.append((_apply(zero, heights), prefix + "0"))
-        stack.append((_apply(one, heights), prefix + "1"))
+        stack.append((_apply_oracle(zero, heights), prefix + "0"))
+        stack.append((_apply_oracle(one, heights), prefix + "1"))
     return RateScan(n, Fraction(best, n * d), tuple(sorted(argmin)))
 
 
@@ -196,10 +219,10 @@ def test_integer_product_matches_fraction_oracles(model, n, schedules):
     for w in schedules:
         expected = _word_matrix_oracle(model, w)
         assert repr(cycle_rate(w, model)) == repr(_karp_oracle(expected) / len(w))
-        assert repr(max_cycle_mean(expected)) == repr(_karp_oracle(expected))
+        assert repr(max_cycle_mean(_neg_inf(expected))) == repr(_karp_oracle(expected))
         if len(w) > 1:
-            head = _word_matrix_oracle(model, w[:-1])
-            assert maxplus_matmul(_piece_matrix_oracle(model, w[-1]), head) == expected
+            head = _neg_inf(_word_matrix_oracle(model, w[:-1]))
+            assert maxplus_matmul(_neg_inf(_piece_matrix_oracle(model, w[-1])), head) == _neg_inf(expected)
 
 
 @settings(deadline=None, max_examples=100)
@@ -253,8 +276,8 @@ def test_min_rate_keeps_every_tied_schedule():
 def test_maxplus_matmul_matches_triple_loop(u, v):
     model = default_model()
     left, right = _word_matrix_oracle(model, u), _word_matrix_oracle(model, v)
-    assert maxplus_matmul(left, right) == _matmul_oracle(left, right)
-    assert max_cycle_mean(left) == _karp_oracle(left)
+    assert maxplus_matmul(_neg_inf(left), _neg_inf(right)) == _neg_inf(_matmul_oracle(left, right))
+    assert max_cycle_mean(_neg_inf(left)) == _karp_oracle(left)
 
 
 def test_piece_validation():
@@ -309,15 +332,15 @@ def test_heap_height_matches_word_matrix():
 @given(words_st, words_st)
 def test_word_matrix_is_multiplicative(u, v):
     model = default_model()
-    left = _word_matrix_oracle(model, u + v)
-    right = maxplus_matmul(_word_matrix_oracle(model, v), _word_matrix_oracle(model, u))
+    left = _neg_inf(_word_matrix_oracle(model, u + v))
+    right = maxplus_matmul(_neg_inf(_word_matrix_oracle(model, v)), _neg_inf(_word_matrix_oracle(model, u)))
     assert left == right
 
 
 @given(words_st)
 def test_height_dominates_cycle_mean(w):
     model = default_model()
-    assert _heap_height_oracle(w, model) >= max_cycle_mean(_word_matrix_oracle(model, w))
+    assert _heap_height_oracle(w, model) >= max_cycle_mean(_neg_inf(_word_matrix_oracle(model, w)))
     assert _heap_height_oracle(w, model) >= cycle_rate(w, model) * len(w)
 
 
@@ -371,10 +394,20 @@ def test_uniform_contours_are_degenerate():
 
 
 def test_max_cycle_mean_requires_a_cycle():
-    acyclic = [[None, Fraction(1)], [None, None]]
-    with pytest.raises(ValueError):
+    acyclic = [[-math.inf, Fraction(1)], [-math.inf, -math.inf]]
+    with pytest.raises(ValueError, match="no cycle"):
         max_cycle_mean(acyclic)
     assert max_cycle_mean([[Fraction(3)]]) == Fraction(3)
+    # Node 1 has no in-edge, so no walk ends there: it is skipped, not averaged.
+    assert max_cycle_mean([[Fraction(2), Fraction(7)], [-math.inf, -math.inf]]) == Fraction(2)
+
+
+def test_none_is_not_minus_infinity():
+    # The public max-plus functions take -math.inf as -infinity; None is refused.
+    with pytest.raises(TypeError):
+        maxplus_matmul([[None, 1]], [[0], [1]])
+    with pytest.raises(TypeError):
+        max_cycle_mean([[None, Fraction(1)], [Fraction(1), None]])
 
 
 def test_min_rate_exhaustive_guard():
@@ -397,6 +430,6 @@ def test_piece_matrix_shape():
     assert len(matrix) == 3 and all(len(row) == 3 for row in matrix)
     # Column 2 is untouched by piece0: identity row.
     assert matrix[2][2] == 0
-    assert matrix[2][0] is None and matrix[2][1] is None
-    scaled = [[None if x is None else Fraction(x, d) for x in row] for row in matrix]
-    assert scaled == _piece_matrix_oracle(model, "0")
+    assert matrix[2][0] == matrix[2][1] == -math.inf
+    scaled = [[x if x == -math.inf else Fraction(x, d) for x in row] for row in matrix]
+    assert scaled == _neg_inf(_piece_matrix_oracle(model, "0"))
