@@ -11,7 +11,10 @@ cost, which ``admission_competition`` probes with common random numbers.
 A run counts only the admitted customers.  ``_completions`` gives each its
 busy-period head h and writes c_j = (a_h + s) + (j - h)*s wherever the
 recursion's own steps hold, bit for bit; ``_in_system`` counts departures
-from the head, checking each estimate.  Runs share one arrival stream.
+from the head, checking each estimate.  Both write every step into a
+``_workspace`` sized by the admitted count; ``simulate_queue`` takes one as
+``workspace``, so the runs of a race, which all admit the same count, share
+one as they share one arrival stream.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ __all__ = [
     "queue_config_from_dict",
 ]
 
-AdmissionSource = Union[str, MechanicalSpec]
-
 
 @dataclass(frozen=True)
 class QueueConfig:
@@ -53,7 +54,7 @@ class QueueConfig:
     service_time: float = 2.0
     horizon: int = 10_000
     seed: int = 0
-    admission: AdmissionSource = "1"
+    admission: Union[str, MechanicalSpec] = "1"
 
     def __post_init__(self):
         for name in ("mean_interarrival", "service_time"):
@@ -102,8 +103,9 @@ class QueueSummary:
 @lru_cache(maxsize=1)
 def _arrival_times(seed: int, mean_interarrival: float, horizon: int) -> np.ndarray:
     """The seeded arrival instants, read-only so runs can share one draw."""
+    arrivals = np.random.default_rng(seed).exponential(mean_interarrival, horizon)
     with np.errstate(over="ignore"):
-        arrivals = np.cumsum(np.random.default_rng(seed).exponential(mean_interarrival, horizon))
+        np.cumsum(arrivals, out=arrivals)
     if not math.isfinite(arrivals[-1]):
         raise ValueError(f"mean_interarrival {mean_interarrival} over horizon {horizon} overflows the arrival times")
     arrivals.flags.writeable = False
@@ -113,8 +115,14 @@ def _arrival_times(seed: int, mean_interarrival: float, horizon: int) -> np.ndar
 _LONG_PERIOD = 32  # a longer busy period is one add.accumulate; shorter ones advance together
 
 
-def _completions(arrivals: np.ndarray, service_time: float) -> tuple[np.ndarray, np.ndarray]:
-    """c_j = max(c_{j-1}, a_j) + s, bit for bit, and each customer's busy-period head h.
+def _workspace(n: int) -> tuple:
+    """Buffers for the runs that admit n customers: the index, then float64, int and bool row pairs."""
+    index = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    return index, np.empty((2, n)), np.empty((2, n), index.dtype), np.empty((2, n), bool)
+
+
+def _completions(arrivals: np.ndarray, service_time: float, workspace: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """c_j = max(c_{j-1}, a_j) + s, bit for bit, and each customer's busy-period head h, as workspace rows.
 
     Guess the starts (a_j - j*s at a new running maximum), write c_j = (a_h + s)
     + (j - h)*s, keep each period whose steps c_j == c_{j-1} + s all hold and
@@ -122,18 +130,16 @@ def _completions(arrivals: np.ndarray, service_time: float) -> tuple[np.ndarray,
     guess, the sequential recursion finishes and the true flags give the heads.
     """
     n = len(arrivals)
-    index = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    index, (buffer, completions), (heads, spare), (guess, check) = workspace
     with np.errstate(over="ignore"):
-        buffer = np.subtract(arrivals, np.multiply(index, service_time))
-        guess = buffer >= np.maximum.accumulate(buffer)
-        heads = np.maximum.accumulate(np.where(guess, index, 0))
-        completions = arrivals[heads]
-        completions += service_time
-        np.multiply(index - heads, service_time, out=buffer)
-        completions += buffer
+        np.subtract(arrivals, np.multiply(index, service_time, out=buffer), out=buffer)
+        np.greater_equal(buffer, np.fmax.accumulate(buffer, out=completions), out=guess)  # fmax: no NaN here, faster
+        np.maximum.accumulate(np.multiply(index, guess, out=heads), out=heads)
+        np.add(np.take(arrivals, heads, out=completions, mode="clip"), service_time, out=completions)
+        completions += np.multiply(np.subtract(index, heads, out=spare), service_time, out=buffer)
         np.add(completions[:-1], service_time, out=buffer[1:])
-        stepped = (buffer[1:] != completions[1:]) & ~guess[1:]  # a head starts afresh
-        if stepped.any():
+        stepped = np.not_equal(buffer[1:], completions[1:], out=check[1:])
+        if np.greater(stepped, guess[1:], out=stepped).any():  # a step fails where no head starts afresh
             chosen = np.zeros(n, dtype=bool)
             chosen[heads[1:][stepped]] = True
             lengths = np.diff(np.flatnonzero(guess), append=n)[chosen[guess]]
@@ -148,47 +154,48 @@ def _completions(arrivals: np.ndarray, service_time: float) -> tuple[np.ndarray,
                 starts, lengths = starts[lengths > offset], lengths[lengths > offset]
                 at = starts + offset
                 completions[at] = completions[at - 1] + service_time
-    missed = np.flatnonzero(guess[1:] != (arrivals[1:] >= completions[:-1]))
+    flags = np.greater_equal(arrivals[1:], completions[:-1], out=check[1:])  # check[0] is unset: index[0] = 0
+    missed = np.flatnonzero(np.not_equal(guess[1:], flags, out=flags))
     if missed.size:
         j = int(missed[0]) + 1
         last = float(completions[j - 1])
         steps = (last := (last if last > a else a) + service_time for a in arrivals[j:].tolist())
         completions[j:] = np.fromiter(steps, np.float64, n - j)
-        heads = np.maximum.accumulate(np.where(np.concatenate(([True], arrivals[1:] >= completions[:-1])), index, 0))
+        np.greater_equal(arrivals[1:], completions[:-1], out=flags)
+        np.maximum.accumulate(np.multiply(index, check, out=heads), out=heads)
     return completions, heads
 
 
-def _in_system(arrivals: np.ndarray, service_time: float) -> np.ndarray:
-    """How many admitted customers each one finds in the system on arrival, itself included.
+def _in_system(arrivals: np.ndarray, service_time: float, workspace: tuple) -> np.ndarray:
+    """How many admitted customers each one finds in the system on arrival, itself included, as a workspace row.
 
     All before j's head h have left by a_j, so j finds j - l, l the last one gone:
     l = h + floor((a_j - c_h)/s) in [h - 1, j - 1], checked by c_l <= a_j < c_{l+1}.
     A miss goes to searchsorted, capped at j: c_j can equal a_j for a tiny s.
     """
-    completions, heads = _completions(arrivals, service_time)
-    index = np.arange(len(arrivals), dtype=heads.dtype)
+    completions, heads = _completions(arrivals, service_time, workspace)
+    index, (estimate, _), (_, last), (early, late) = workspace
     with np.errstate(over="ignore"):
-        estimate = completions[heads]
-        np.subtract(arrivals, estimate, out=estimate)
-        np.floor(np.divide(estimate, service_time, out=estimate), out=estimate)
+        np.take(completions, heads, out=estimate, mode="clip")
+        np.floor(np.divide(np.subtract(arrivals, estimate, out=estimate), service_time, out=estimate), out=estimate)
         estimate += heads
-        np.clip(estimate, heads - 1, index - 1, out=estimate)
-    last = heads  # reuses the heads' memory; at l = -1, c_l reads c_{n-1}: a false miss
-    last[:] = estimate
-    del estimate  # its buffer is free before the gathers
-    missed = np.flatnonzero((arrivals < completions[last]) | (completions[last + 1] <= arrivals))
+        np.clip(estimate, np.subtract(heads, 1, out=heads), np.subtract(index, 1, out=last), out=estimate)
+    last[...] = estimate  # at l = -1, c_l wraps to c_{n-1}: a false miss
+    np.less(arrivals, np.take(completions, last, out=estimate, mode="wrap"), out=early)
+    np.less_equal(np.take(completions, np.add(last, 1, out=heads), out=estimate, mode="wrap"), arrivals, out=late)
+    missed = np.flatnonzero(np.logical_or(early, late, out=early))
     if missed.size:
         last[missed] = np.minimum(np.searchsorted(completions, arrivals[missed], side="right"), missed) - 1
     return np.subtract(index, last, out=last)
 
 
-def simulate_queue(config: QueueConfig) -> QueueSummary:
+def simulate_queue(config: QueueConfig, *, workspace: tuple | None = None) -> QueueSummary:
     """Run one seeded simulation of the admitted customers alone: the worst backlog is met at an admission."""
     arrivals = _arrival_times(config.seed, config.mean_interarrival, config.horizon)
     source = config.admission  # QueueConfig has checked a word
     word = symbol_stream(source, config.horizon) if isinstance(source, MechanicalSpec) else source
     admitted = arrivals.compress(np.resize(np.frombuffer(word.encode(), np.uint8) == ord("1"), config.horizon))
-    in_system = _in_system(admitted, config.service_time)
+    in_system = _in_system(admitted, config.service_time, workspace or _workspace(len(admitted)))
     return QueueSummary(config.seed, config.admission_density, config.horizon,
                         int(in_system.sum()) / config.horizon, int(in_system.max(initial=0)), len(admitted))
 
@@ -197,10 +204,9 @@ def random_admission_word(horizon: int, ones: int, seed: int) -> str:
     """A uniformly shuffled word with the given length and one-count."""
     if not 0 <= ones <= horizon:
         raise ValueError(f"one-count {ones} outside 0..{horizon}")
-    rng = np.random.default_rng(seed)
-    bits = np.zeros(horizon, dtype=np.uint8)
-    bits[rng.choice(horizon, size=ones, replace=False)] = 1
-    return (bits + ord("0")).tobytes().decode("ascii")
+    bits = np.full(horizon, ord("0"), dtype=np.uint8)
+    bits[np.random.default_rng(seed).choice(horizon, size=ones, replace=False)] = ord("1")
+    return bits.tobytes().decode("ascii")
 
 
 def admission_competition(
@@ -217,10 +223,12 @@ def admission_competition(
     if competitor_seed < 0:
         raise ValueError(f"competitor_seed must be >= 0, got {competitor_seed}")
     reference = simulate_queue(config)
+    workspace = _workspace(reference.admitted)  # every shuffle admits the same count
     rows = [reference]
     for i in range(competitors):
         word = random_admission_word(config.horizon, reference.admitted, competitor_seed + i)
-        rows.append(simulate_queue(replace(config, admission=word)))
+        rows.append(simulate_queue(replace(config, admission=word), workspace=workspace))
+        del word  # not held while the next shuffle is drawn
     return rows
 
 

@@ -266,6 +266,18 @@ def test_shared_frontier_matches_fresh_models_on_random_models(model, order):
         assert min_rate_exhaustive(model, n) == min_rate_exhaustive(_fresh(model), n), n
 
 
+def test_ground_frontier_sizes_are_pinned():
+    # Pareto pruning keeps the default model's ground frontier at 21 profiles by
+    # depth 12; kept whole, it holds 243 there, and every scan still agrees.
+    model = default_model()
+    ground = (0,) * model.num_columns
+    sizes = []
+    for n in range(1, 13):
+        min_rate_exhaustive(model, n)
+        sizes.append(len(model._frontiers[ground][0]))
+    assert sizes == [2, 4, 6, 7, 9, 11, 12, 14, 16, 17, 19, 21]
+
+
 def test_min_rate_keeps_every_tied_schedule():
     scan = min_rate_exhaustive(uniform_model(), 12)
     assert len(scan.argmin) == 4096

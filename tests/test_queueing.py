@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ from sturmlab.queueing import (
     _arrival_times,
     _completions,
     _in_system,
+    _workspace,
     admission_competition,
     queue_config_from_dict,
     random_admission_word,
@@ -116,7 +118,7 @@ def _heads_oracle(flags):
 def _assert_exact(arrivals, service_time):
     """``_completions`` equals the recursion bit for bit, and its heads are the true ones."""
     expected = _completions_oracle(arrivals, service_time)
-    completions, heads = _completions(arrivals, service_time)
+    completions, heads = _completions(arrivals, service_time, _workspace(len(arrivals)))
     assert _same_bits(completions, expected)
     assert heads.tolist() == _heads_oracle(_start_flags(arrivals, expected))
 
@@ -150,9 +152,12 @@ def test_completions_match_recursion_on_seeded_streams(service_time):
 @pytest.mark.parametrize("arrivals", [[], [3.5], [0.0, 2.0, 4.0, 6.0], [1.0, 1.0, 1.0]],
                          ids=["empty", "one", "touching", "simultaneous"])
 def test_completions_small_cases(arrivals):
+    # The in-system counts too: at n = 1 no gather may read past the only completion.
     arrivals = np.asarray(arrivals, dtype=np.float64)
     for service_time in (1e-300, 2.0):
         _assert_exact(arrivals, service_time)
+        expected = _in_system_oracle(arrivals, _completions_oracle(arrivals, service_time))
+        assert _in_system(arrivals, service_time, _workspace(len(arrivals))).tolist() == expected.tolist()
 
 
 def _guess_is_wrong(arrivals, service_time, completions):
@@ -235,7 +240,77 @@ def _in_system_oracle(arrivals, completions):
 def test_in_system_matches_searchsorted_oracle(gaps, service_time, start):
     arrivals = start + np.cumsum(np.asarray(gaps, dtype=np.float64))
     expected = _in_system_oracle(arrivals, _completions_oracle(arrivals, service_time))
-    assert _in_system(arrivals, service_time).tolist() == expected.tolist()
+    assert _in_system(arrivals, service_time, _workspace(len(arrivals))).tolist() == expected.tolist()
+
+
+# One workspace, two streams of the same length (exponential gaps, integer gaps with
+# exact ties, or gaps on a 0.1 grid, where guessed starts miss), so the second
+# stream can take another path through buffers the first one left written.
+def _stream(kind, seed, n):
+    rng = np.random.default_rng(seed)
+    return np.cumsum((rng.exponential(1.0, n), rng.integers(0, 5, n) * 1.0, rng.integers(0, 4, n) * 0.1)[kind])
+
+
+streams = st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2**16))
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=400), st.lists(streams, min_size=2, max_size=2),
+       st.sampled_from([1e-300, 0.1, 0.3, 0.37 * 7, 2.0, 1e308]))
+def test_one_workspace_serves_streams_back_to_back(n, pair, service_time):
+    workspace = _workspace(n)
+    for kind, seed in pair:
+        arrivals = _stream(kind, seed, n)
+        fresh = _in_system(arrivals, service_time, _workspace(n)).tolist()
+        assert _in_system(arrivals, service_time, workspace).tolist() == fresh
+
+
+# The battery's race (100k arrivals, 1/3 admitted, 50 shuffles) and the long-word
+# benchmark's (300k, 3/8, 10): every row through the shared workspace is the run
+# of the same word on its own, which builds its own workspace.
+@pytest.mark.parametrize("horizon, gamma, competitors", [(100_000, Fraction(1, 3), 50), (300_000, Fraction(3, 8), 10)],
+                         ids=["battery", "long-word"])
+def test_race_rows_equal_runs_without_a_shared_workspace(horizon, gamma, competitors):
+    config = mechanical_config(horizon, gamma=gamma)
+    rows = admission_competition(config, competitors)
+    shuffles = [random_admission_word(horizon, rows[0].admitted, 10_000 + i) for i in range(competitors)]
+    assert rows == [simulate_queue(config)] + [simulate_queue(replace(config, admission=w)) for w in shuffles]
+
+
+def test_a_race_shares_one_workspace(monkeypatch):
+    built = []
+    monkeypatch.setattr(queueing, "_workspace", lambda n: built.append(n) or _workspace(n))
+    rows = admission_competition(mechanical_config(3000), 6)
+    assert built == [rows[0].admitted] * 2  # the reference run's own, then the one every shuffle shares
+
+
+# tracemalloc peaks of the long-word race, measured with numpy 2.4 on CPython 3.11:
+# 8.95 MiB for the whole race, arrivals drawn inside it, met while a shuffle is
+# sampled next to the held workspace; 2.00 MiB for one shuffle's run through the
+# shared workspace, which allocates its admitted arrivals and np.take's intp copy
+# of the int32 heads.  Each bound is that peak plus 0.25 MiB, so holding a spent
+# shuffle or computing a step into a fresh array fails.
+RACE_PEAK_MIB, SHARED_RUN_PEAK_MIB = 8.95 + 0.25, 2.00 + 0.25
+
+
+def test_race_memory_peak_is_bounded():
+    admission_competition(mechanical_config(1000), 2)  # lazy imports and caches outside the measurement
+    config = mechanical_config(300_000, gamma=Fraction(3, 8))
+    _arrival_times.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = admission_competition(config, 10)
+        race = tracemalloc.get_traced_memory()[1]
+        workspace = _workspace(rows[0].admitted)
+        shuffle = replace(config, admission=random_admission_word(config.horizon, rows[0].admitted, 10_000))
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert simulate_queue(shuffle, workspace=workspace) == rows[1]
+        run = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert race / 2**20 <= RACE_PEAK_MIB, race / 2**20
+    assert run / 2**20 <= SHARED_RUN_PEAK_MIB, run / 2**20
 
 
 # Service times where the closed form c_j = (a_h + s) + (j - h)*s holds in every
