@@ -39,7 +39,7 @@ def _cyclic_search():
 
 def _cyclic_products(b_10100, b_11000, scans) -> tuple[bool, str]:
     """Exact orbit products and the balanced-maximizer scan to q = 14."""
-    failed = [f"{s.p}/{s.q}" for s in scans if not s.passed]
+    failed = [f"{s.p}/{s.q}" for s in scans if not s.balanced]
     return b_10100 == 162000 and b_11000 == 88128 and not failed, (
         f"B(10100)={b_10100}, B(11000)={b_11000}; "
         f"{len(scans)} coprime pairs scanned, failures: {failed or 'none'}"
@@ -174,7 +174,7 @@ def _wigner_ground_states(shipped_convex, anti_convex, balanced, anti) -> tuple[
         f"convex decreasing: shipped potentials {shipped_convex}, concave fixture {anti_convex}; "
         f"{len(balanced)} (density, potential) ground states all balanced "
         f"(failures: {unbalanced or 'none'}); concave fixture minimizer "
-        f"{anti.argmin[0]} is non-balanced: {anti_clusters}; "
+        f"{anti.argbest[0]} is non-balanced: {anti_clusters}; "
         f"float tie margin {wigner.TIE_MARGIN}"
     )
 

@@ -123,11 +123,11 @@ def _words_balanced(args) -> str:
 def _cyclic_verify(args):
     scans = cyclic.summarize_coprime_pairs(args.q_max)
     rows = [
-        (s.p, s.q, s.orbits, s.max_product, ";".join(s.argmax),
-         s.balanced_representative, s.passed)
+        (s.p, s.q, s.orbits, s.best, ";".join(s.argbest),
+         s.balanced_representative, s.balanced)
         for s in scans
     ]
-    return {"q_max": args.q_max}, rows, 0 if all(s.passed for s in scans) else 1
+    return {"q_max": args.q_max}, rows, 0 if all(s.balanced for s in scans) else 1
 
 
 def _cyclic_scan(args):

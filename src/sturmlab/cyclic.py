@@ -9,17 +9,18 @@ the unique maximizer of B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import (
     EXHAUSTIVE_Q,
     Orbit,
-    balanced_orbit,
+    OrbitSummary,
     check_word,
     coprime_pairs,
-    enumerate_orbits,
+    enumerate_orbits,  # not called here: perfbench's tracer test reads cyclic.enumerate_orbits
     minimal_period,
     rotations,
+    scan_orbits,
 )
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "ProductScan",
     "verify_balanced_product_maximum",
     "scan_coprime_pairs",
-    "ProductSummary",
     "summarize_coprime_pairs",
 ]
 
@@ -79,37 +79,23 @@ class ProductScan:
     max_product: int
     argmax: tuple[str, ...]
     balanced_representative: str
-    passed: bool = field(default=False)
-
-
-@dataclass(frozen=True)
-class ProductSummary:
-    """A product scan's verdict: orbit count, maximum, argmax words, balanced orbit."""
-
-    p: int
-    q: int
-    orbits: int
-    max_product: int
-    argmax: tuple[str, ...]
-    balanced_representative: str
     passed: bool
 
 
 def _product_scan(p: int, q: int):
-    """The one loop over the orbits: each orbit's rotation readings, their products, the summary."""
+    """Each orbit's rotation readings and their product, from one orbit scan, and its summary."""
     if math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) = ({p}, {q}) must be coprime")
     if not 0 < p < q:
         raise ValueError(f"need 0 < p < q, got ({p}, {q})")
-    if q > EXHAUSTIVE_Q:
-        raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
-    balanced_rep = balanced_orbit(p, q).representative
-    factors = [rotations(b, q) for b, _ in enumerate_orbits(p, q)]
-    products = [math.prod(f) for f in factors]
-    best = max(products)
-    argmax = tuple(format(f[0], f"0{q}b") for f, product in zip(factors, products) if product == best)
-    passed = argmax == (balanced_rep,)
-    return factors, products, ProductSummary(p, q, len(factors), best, argmax, balanced_rep, passed)
+    factors = []
+
+    def products(readings):
+        factors.extend(rotations(b, q) for b, _ in readings)
+        return [math.prod(f) for f in factors]
+
+    _, values, summary = scan_orbits(p, q, products, max)
+    return factors, values, summary
 
 
 def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
@@ -120,12 +106,13 @@ def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
     argmax orbit is the balanced one.
     """
     factors, products, s = _product_scan(p, q)
-    balanced, best = int(s.balanced_representative, 2), s.max_product
+    representative = s.balanced_representative
+    balanced = int(representative, 2)
     rows = tuple(
-        ProductScanRow(format(f[0], f"0{q}b"), f, product, f[0] == balanced, product == best)
+        ProductScanRow(format(f[0], f"0{q}b"), f, product, f[0] == balanced, product == s.best)
         for f, product in zip(factors, products)
     )
-    return ProductScan(p, q, rows, s.max_product, s.argmax, s.balanced_representative, s.passed)
+    return ProductScan(p, q, rows, s.best, s.argbest, representative, s.balanced)
 
 
 def _coprime_pairs(q_max: int) -> list[tuple[int, int]]:
@@ -142,6 +129,6 @@ def scan_coprime_pairs(q_max: int) -> list[ProductScan]:
     return [verify_balanced_product_maximum(p, q) for p, q in _coprime_pairs(q_max)]
 
 
-def summarize_coprime_pairs(q_max: int) -> list[ProductSummary]:
+def summarize_coprime_pairs(q_max: int) -> list[OrbitSummary]:
     """``scan_coprime_pairs``' verdicts from the same loop, without building their rows."""
     return [_product_scan(p, q)[-1] for p, q in _coprime_pairs(q_max)]

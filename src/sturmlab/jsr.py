@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence, Union
 
-from .words import ContinuedFraction, enumerate_orbits
+from .words import ContinuedFraction, enumerate_orbits, scan_orbits
 
 __all__ = [
     "A0",
@@ -205,26 +205,22 @@ def _product_tables(matrices, depth: int) -> list[list[tuple]]:
 
 @lru_cache(maxsize=32)
 def _necklace_log_radii(n: int) -> tuple[tuple[int, str, float], ...]:
-    """(ones, representative, log spectral radius of the 0-1 product) for each
-    necklace whose log radius strictly beats every earlier one of its density.
-    ``ones * log(alpha) + log_rho`` rounds monotonically in log_rho, so at any
-    alpha the first best-scoring necklace is one of these records.  Every
+    """(ones, representative, log spectral radius of the 0-1 product) of each
+    density's best necklace, the least one with the greatest trace.  Every
     product has determinant 1 and trace >= 2, so its radius grows with its
-    integer trace: the records are the trace records, and only they take a
-    logarithm (for n <= MAX_SCAN_N no two record traces round to one log)."""
+    integer trace, and at any alpha ``ones * log(alpha) + log_rho`` of a smaller
+    trace stays below the best's (for n <= MAX_SCAN_N trace gaps dwarf its
+    rounding), so only the best can win and only it takes a logarithm."""
     k = n - n // 2
     tables = _product_tables((A0, A1), k)
-    left, right = tables[n // 2], tables[k]
-    rows = []
-    for ones in range(n + 1):
-        record = 0
-        for index, _ in enumerate_orbits(ones, n):
-            x, y = left[index >> k], right[index & ((1 << k) - 1)]
-            trace = x[0] * y[0] + x[1] * y[2] + x[2] * y[1] + x[3] * y[3]
-            if trace > record:
-                record = trace
-                rows.append((ones, format(index, f"0{n}b"), math.log(_spectral_radius(trace, 1))))
-    return tuple(rows)
+    left, right, mask = tables[n // 2], tables[k], (1 << k) - 1
+
+    def traces(readings):
+        halves = zip([left[b >> k] for b, _ in readings], [right[b & mask] for b, _ in readings])
+        return [x[0] * y[0] + x[1] * y[2] + x[2] * y[1] + x[3] * y[3] for x, y in halves]
+
+    bests = (scan_orbits(ones, n, traces, max)[-1] for ones in range(n + 1))
+    return tuple((s.p, s.argbest[0], math.log(_spectral_radius(s.best, 1))) for s in bests)
 
 
 @dataclass(frozen=True)
@@ -239,10 +235,10 @@ class RatioScanResult:
 def optimal_ratio_scan(alpha: Scalar, n: int) -> RatioScanResult:
     """Best 1-density among length-n necklaces for the pair {A0, alpha*A1}.
 
-    Maximizes (alpha**ones * spectral_radius(product))^(1/n).  Necklaces are
-    visited in (ones, representative) order with strict improvement, so ties
-    resolve toward the smaller ratio; in particular the complement-transpose
-    symmetry of the undeformed pair lands the ratio in [0, 1/2].
+    Maximizes (alpha**ones * spectral_radius(product))^(1/n).  The first best
+    in (ones, representative) order wins, so ties resolve toward the smaller
+    ratio; in particular the complement-transpose symmetry of the undeformed
+    pair lands the ratio in [0, 1/2].
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
@@ -252,16 +248,9 @@ def optimal_ratio_scan(alpha: Scalar, n: int) -> RatioScanResult:
     if alpha == 0:
         return RatioScanResult(alpha, n, Fraction(0), "0" * n, 1.0)
     log_alpha = math.log(alpha)
-    best_score = -math.inf
-    best: tuple[int, str] = (0, "0" * n)
-    for ones, representative, log_rho in _necklace_log_radii(n):
-        score = ones * log_alpha + log_rho
-        if score > best_score:
-            best_score = score
-            best = (ones, representative)
-    return RatioScanResult(
-        alpha, n, Fraction(best[0], n), best[1], math.exp(best_score / n)
-    )
+    scores = [(ones * log_alpha + log_rho, ones, rep) for ones, rep, log_rho in _necklace_log_radii(n)]
+    score, ones, representative = max(scores, key=lambda row: row[0])  # max keeps the first of a tie
+    return RatioScanResult(alpha, n, Fraction(ones, n), representative, math.exp(score / n))
 
 
 def ratio_staircase(alphas: Sequence[Scalar], n: int) -> list[RatioScanResult]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Union
 
-from .words import EXHAUSTIVE_Q, Orbit, balanced_orbit, enumerate_orbits, is_balanced
+from .words import Orbit, OrbitSummary, enumerate_orbits, scan_orbits  # enumerate_orbits: read by perfbench
 
 __all__ = [
     "Potential",
@@ -40,7 +40,6 @@ __all__ = [
     "OrbitEnergy",
     "GroundStateReport",
     "ground_state",
-    "GroundStateSummary",
     "ground_state_summary",
     "TIE_MARGIN",
 ]
@@ -228,46 +227,35 @@ class GroundStateReport:
     exact: bool
 
 
-@dataclass(frozen=True)
-class GroundStateSummary:
-    """A ground-state scan's verdict: orbit count, least energy, argmin words."""
-
-    orbits: int
-    min_energy: Energy
-    argmin: tuple[str, ...]
-    balanced: bool
-    exact: bool
-
-
 def _energy_scan(p: int, q: int, potential: Potential, images: int):
-    """The one loop over the orbits: readings, energy numerators over ``scale``, tie flags, summary."""
+    """Readings, energy numerators over ``scale`` and the summary, from one orbit scan."""
     if q < 1:
         raise ValueError("ring needs at least one site")
     if not 0 <= p <= q:
         raise ValueError(f"electron count {p} outside 0..{q}")
-    if q > EXHAUSTIVE_Q:
-        raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
-    readings = enumerate_orbits(p, q)
-    scale, values, envelopes = _pair_table(potential, q, images)
+    scale = envelopes = None
+
+    def energies(readings):  # the table is built once scan_orbits has accepted q
+        nonlocal scale, envelopes
+        scale, values, envelopes = _pair_table(potential, q, images)
+        return _pair_sums(readings, values)
+
+    readings, numerators, summary = scan_orbits(p, q, energies, min)
+    least, argmin = summary.best, summary.argbest
     fractions = p < 2 or isinstance(potential.value(1), Fraction)  # no pairs: an exact 0
     exact = images == 0 and fractions
-    numerators = _pair_sums(readings, values)
-    least = min(numerators)
-    if exact:
-        tied = [n == least for n in numerators]
-    else:
+    if not exact:
         # Truncated image sums underestimate the true energy by at most the
         # tail bound, so any orbit whose computed energy undercuts the
         # smallest upper envelope could be the true minimizer.
         ceiling = (min(_pair_sums(readings, envelopes)) if images else least) / scale
-        tied = [n / scale <= ceiling + TIE_MARGIN * abs(ceiling) for n in numerators]
-    argmin = tuple(format(b, f"0{q}b") for b, _ in compress(readings, tied))
+        tied = (n / scale <= ceiling + TIE_MARGIN * abs(ceiling) for n in numerators)
+        argmin = tuple(format(b, f"0{q}b") for b, _ in compress(readings, tied))
     minimum = Fraction(least, scale) if fractions else least / scale
-    summary = GroundStateSummary(len(readings), minimum, argmin, all(map(is_balanced, argmin)), exact)
-    return readings, numerators, scale, tied, summary
+    return readings, numerators, scale, exact, OrbitSummary(p, q, summary.orbits, minimum, argmin)
 
 
-def ground_state_summary(p: int, q: int, potential: Potential, images: int = 0) -> GroundStateSummary:
+def ground_state_summary(p: int, q: int, potential: Potential, images: int = 0) -> OrbitSummary:
     """``ground_state``'s verdict from the same loop, without building its rows."""
     return _energy_scan(p, q, potential, images)[-1]
 
@@ -280,16 +268,15 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
     float energies every orbit within a relative ``TIE_MARGIN`` of the minimum
     (plus image tail bounds) counts as tied, so near-degeneracies surface.
     """
-    readings, numerators, scale, tied, summary = _energy_scan(p, q, potential, images)
-    if isinstance(summary.min_energy, Fraction):
+    readings, numerators, scale, exact, summary = _energy_scan(p, q, potential, images)
+    if isinstance(summary.best, Fraction):
         energies = [Fraction(n, scale) for n in numerators]
     else:
         energies = [n / scale for n in numerators]
-    g = math.gcd(p, q)  # the one balanced orbit is g copies of the balanced (p/g, q/g) word
-    balanced = int(balanced_orbit(p // g, q // g).representative * g, 2)
+    balanced, tied = int(summary.balanced_representative, 2), {int(w, 2) for w in summary.argbest}
     rows = tuple(
-        OrbitEnergy(Orbit(format(b, f"0{q}b"), period), e, b == balanced, t)
-        for (b, period), e, t in zip(readings, energies, tied)
+        OrbitEnergy(Orbit(format(b, f"0{q}b"), period), e, b == balanced, b in tied)
+        for (b, period), e in zip(readings, energies)
     )
     argmin = tuple(row.orbit for row in rows if row.argmin)
-    return GroundStateReport(p, q, potential, rows, summary.min_energy, argmin, summary.balanced, summary.exact)
+    return GroundStateReport(p, q, potential, rows, summary.best, argmin, summary.balanced, exact)

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
     "check_word",
@@ -32,6 +32,8 @@ __all__ = [
     "standard_words",
     "Orbit",
     "enumerate_orbits",
+    "OrbitSummary",
+    "scan_orbits",
     "coprime_pairs",
     "balanced_orbit",
     "symbol_stream",
@@ -371,6 +373,43 @@ def enumerate_orbits(p: int, q: int) -> list[tuple[int, int]]:
     return list(zip(readings[p], periods[p]))
 
 
+@dataclass(frozen=True)
+class OrbitSummary:
+    """An orbit scan of p ones in length q: the orbit count, the best value and
+    the words of the orbits that reach it, each its least rotation."""
+
+    p: int
+    q: int
+    orbits: int
+    best: Union[int, Fraction, float]
+    argbest: tuple[str, ...]
+
+    @property
+    def balanced_representative(self) -> str:
+        """The balanced orbit's least rotation: g = gcd(p, q) copies of the (p/g, q/g) one."""
+        g = math.gcd(self.p, self.q)
+        return balanced_orbit(self.p // g, self.q // g).representative * g
+
+    @property
+    def balanced(self) -> bool:
+        """The verdict: the balanced orbit alone reaches the best value."""
+        return self.argbest == (self.balanced_representative,)
+
+
+def scan_orbits(p: int, q: int, score: Callable[[list], list], best: Callable) -> tuple:
+    """The readings of :func:`enumerate_orbits`, the integer values ``score``
+    gives them in one call, and their summary under ``best`` (``max`` or
+    ``min``), its words in reading order.  A length above ``EXHAUSTIVE_Q``
+    raises ValueError before any orbit is read."""
+    if q > EXHAUSTIVE_Q:
+        raise ValueError(f"q={q} beyond the exhaustive bound {EXHAUSTIVE_Q}")
+    readings = enumerate_orbits(p, q)
+    values = score(readings)
+    top = best(values)
+    argbest = tuple(format(b, f"0{q}b") for (b, _), v in zip(readings, values) if v == top)
+    return readings, values, OrbitSummary(p, q, len(readings), top, argbest)
+
+
 def coprime_pairs(q_max: int) -> list[tuple[int, int]]:
     """Every slope class p/q in lowest terms with 0 < p < q <= q_max, by q then p."""
     return [(p, q) for q in range(1, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1]
@@ -390,7 +429,7 @@ def balanced_orbit(p: int, q: int) -> Orbit:
         raise ValueError(f"one-count p={p} outside 0..{q}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"p/q = {p}/{q} is not in lowest terms")
-    w = mechanical_word(Fraction(p, q), q)
+    w = _rotation_word(p, q, p % q, q)  # mechanical_word(p/q, q) on its integers
     return Orbit(w[-1] + w[:-1], q)
 
 

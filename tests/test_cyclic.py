@@ -1,7 +1,7 @@
 """Products of cyclic binary readings: the balanced orbit maximizes."""
 
 import math
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, product
 
 import pytest
@@ -40,6 +40,7 @@ def least_rotation_orbit(w: str) -> Orbit:
     return Orbit(min(turns), next((k for k in range(1, len(w)) if turns[k] == w), len(w)))
 
 
+@cache
 def _product_scan_oracle(p: int, q: int) -> ProductScan:
     """The scan on strings: every word with p ones kept when it is its own least
     rotation, and each rotation sliced out and read as a string."""
@@ -68,6 +69,20 @@ def test_product_scans_match_string_rotation_oracle():
         assert verify_balanced_product_maximum(p, q) == _product_scan_oracle(p, q)
 
 
+def test_summaries_match_the_string_rotation_oracle():
+    # The summary path against the string scan at every class the report
+    # test above covers and past it, to q = 16.
+    summaries = summarize_coprime_pairs(16)
+    assert [(s.p, s.q) for s in summaries] == [
+        (p, q) for q in range(2, 17) for p in range(1, q) if math.gcd(p, q) == 1
+    ]
+    for s in summaries:
+        oracle = _product_scan_oracle(s.p, s.q)
+        assert (s.orbits, s.best, s.argbest, s.balanced_representative, s.balanced) == (
+            len(oracle.rows), oracle.max_product, oracle.argmax, oracle.balanced_representative, oracle.passed
+        ), (s.p, s.q)
+
+
 def test_summaries_match_the_scan_rows():
     # Each verdict read off the rows, not off the scan's own summary fields.
     summaries = summarize_coprime_pairs(16)
@@ -75,12 +90,12 @@ def test_summaries_match_the_scan_rows():
     assert [(s.p, s.q) for s in summaries] == [(s.p, s.q) for s in scans]
     for summary, scan in zip(summaries, scans):
         argmax = tuple(r.representative for r in scan.rows if r.argmax)
-        assert (summary.orbits, summary.max_product, summary.argmax) == (
+        assert (summary.orbits, summary.best, summary.argbest) == (
             len(scan.rows), max(r.product for r in scan.rows), argmax
         ), (scan.p, scan.q)
         assert summary.balanced_representative == scan.balanced_representative
         assert argmax == tuple(r.representative for r in scan.rows if r.balanced)
-        assert summary.passed is scan.passed is True
+        assert summary.balanced is scan.passed is True
 
 
 def test_a_tied_maximum_fails_the_claim(monkeypatch):
@@ -89,8 +104,8 @@ def test_a_tied_maximum_fails_the_claim(monkeypatch):
     monkeypatch.setattr(cyclic, "rotations", lambda b, q: (b,) + (0,) * (q - 1))
     (summary,) = [s for s in summarize_coprime_pairs(5) if (s.p, s.q) == (2, 5)]
     scan = verify_balanced_product_maximum(2, 5)
-    assert summary.argmax == scan.argmax == ("00011", "00101")
-    assert not summary.passed and not scan.passed
+    assert summary.argbest == scan.argmax == ("00011", "00101")
+    assert not summary.balanced and not scan.passed
 
 
 def test_orbit_is_the_least_rotation_exhaustively():

@@ -27,11 +27,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # ROADMAP item that gives it one or removes it.
 UNCALLED = {
     "words.balance_witness": "item 1: names an unbalanced control's failing factor pair",
-    "multimodular.check_multimodular": "item 3: the multimodular-window claim's premise",
-    "multimodular.affine_function": "item 3: wired into multimodular-window, or deleted with it",
-    "multimodular.convex_window_load": "item 3: the multimodular-window claim's J",
-    "multimodular.negative_product": "item 3: a multimodular-window control",
-    "multimodular.coordinate_max": "item 3: a multimodular-window control",
+    "multimodular.check_multimodular": "item 6: the multimodular-window claim's premise",
+    "multimodular.affine_function": "item 6: wired into multimodular-window, or deleted with it",
+    "multimodular.convex_window_load": "item 6: the multimodular-window claim's J",
+    "multimodular.negative_product": "item 6: a multimodular-window control",
+    "multimodular.coordinate_max": "item 6: a multimodular-window control",
 }
 
 # The modules the deep scan reaches; none of them needs numpy or mpmath.

@@ -230,7 +230,7 @@ def _summary_off_rows(p, q, potential, images):
 def test_summary_matches_the_report_rows(potential, images):
     def summary(p, q, potential, images):
         s = ground_state_summary(p, q, potential, images)
-        return repr((s.orbits, s.min_energy, s.argmin, s.balanced))
+        return repr((s.orbits, s.best, s.argbest, s.balanced))
 
     for q in range(1, 13):
         for p in range(q + 1):
@@ -270,6 +270,16 @@ def test_float_energies_tie_within_the_margin():
     tied = ground_state(2, 5, exponential_decay(1e-13))
     assert [o.representative for o in tied.argmin] == ["00011", "00101"]
     assert not tied.balanced and not tied.exact
+
+
+def test_length_bound_is_refused_before_the_pair_table():
+    # A ring past the exhaustive bound is refused first, whatever else is wrong
+    # with the call, and no pair table is built for it.
+    built = wigner._pair_table.cache_info().misses
+    for potential, images in ((coulomb(), 1), (inverse_power(3), -1), (exponential_decay(1.0), 2)):
+        with pytest.raises(ValueError, match="^q=21 beyond the exhaustive bound 20$"):
+            ground_state_summary(2, 21, potential, images)
+    assert wigner._pair_table.cache_info().misses == built
 
 
 def test_four_site_fixture():

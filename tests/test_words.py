@@ -1,5 +1,6 @@
 """Core word combinatorics: balance, mechanical words, standard words."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,7 @@ from sturmlab.words import (
     ContinuedFraction,
     MechanicalSpec,
     Orbit,
+    OrbitSummary,
     balance_witness,
     balanced_orbit,
     check_word,
@@ -27,6 +29,7 @@ from sturmlab.words import (
     minimal_period,
     one_length,
     parse_slope,
+    scan_orbits,
     standard_words,
     symbol_stream,
 )
@@ -627,6 +630,40 @@ def test_necklace_table_bound_is_checked_before_any_table_is_built():
             enumerate_orbits(p, q)
         assert str(info.value) == f"q={q} beyond the necklace table bound 22"
     assert _necklace_table.cache_info().currsize == built
+
+
+def test_scan_orbits_scores_every_orbit_in_one_call():
+    # The score sees every reading at once; the words reaching the optimum,
+    # ties included, come back in order, checked against least string
+    # rotations scored on the string.
+    calls = []
+
+    def residues(readings):  # three values over fourteen orbits: ties both ways
+        calls.append(readings)
+        return [b % 3 for b, _ in readings]
+
+    necklaces = [w for w, _ in _orbits_oracle(4, 9)]
+    for best in (max, min):
+        calls.clear()
+        readings, values, s = scan_orbits(4, 9, residues, best)
+        assert calls == [readings] == [enumerate_orbits(4, 9)] and values == [b % 3 for b, _ in readings]
+        top = best(int(w, 2) % 3 for w in necklaces)
+        assert (s.p, s.q, s.orbits, s.best) == (4, 9, len(necklaces), top)
+        assert s.argbest == tuple(w for w in necklaces if int(w, 2) % 3 == top)
+        assert len(s.argbest) > 1 and not s.balanced
+    calls.clear()
+    with pytest.raises(ValueError, match="^q=21 beyond the exhaustive bound 20$"):
+        scan_orbits(1, 21, residues, max)
+    assert calls == []
+
+
+def test_summary_verdict_needs_the_balanced_orbit_alone():
+    summary = OrbitSummary(4, 10, 22, 0, ("0010100101",))
+    assert summary.balanced_representative == balanced_orbit(2, 5).representative * 2
+    assert summary.balanced
+    assert not dataclasses.replace(summary, argbest=("0001100011", "0010100101")).balanced
+    assert not dataclasses.replace(summary, argbest=("0001100011",)).balanced
+    assert OrbitSummary(0, 3, 1, 0, ("000",)).balanced and OrbitSummary(3, 3, 1, 0, ("111",)).balanced
 
 
 @pytest.mark.parametrize(
