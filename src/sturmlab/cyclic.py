@@ -91,7 +91,7 @@ def _product_scan(p: int, q: int):
     factors = []
 
     def products(readings):
-        factors.extend(rotations(b, q) for b, _ in readings)
+        factors.extend([rotations(b, q) for b, _ in readings])
         return [math.prod(f) for f in factors]
 
     _, values, summary = scan_orbits(p, q, products, max)
@@ -108,10 +108,10 @@ def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
     factors, products, s = _product_scan(p, q)
     representative = s.balanced_representative
     balanced = int(representative, 2)
-    rows = tuple(
+    rows = tuple([
         ProductScanRow(format(f[0], f"0{q}b"), f, product, f[0] == balanced, product == s.best)
         for f, product in zip(factors, products)
-    )
+    ])
     return ProductScan(p, q, rows, s.best, s.argbest, representative, s.balanced)
 
 

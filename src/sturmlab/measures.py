@@ -261,7 +261,7 @@ def maximize_over_orbits(
                     continue
                 d, xs, t, _ = _orbit_support(b, length, length)
                 # 1 / t and x / d round correctly, so they are float(Fraction(...)).
-                value = sum(1 / t * f(x / d) for x in xs)
+                value = sum([1 / t * f(x / d) for x in xs])
                 if best is None or value > best[1]:
                     best = (format(b, f"0{length}b"), value)
     assert best is not None

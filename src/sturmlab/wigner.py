@@ -7,14 +7,14 @@ state; for every shipped convex decreasing potential the minimizer is the
 balanced configuration, while a deliberately concave increasing fixture
 rewards clustering and guards the check against being vacuous.
 
-A pair's energy and image-tail bound depend only on its offset, so each
-scan reads one per-offset table.  ``Fraction(x)`` is exact for a float too,
-so every entry is an integer over one scale, the lcm of their denominators.
-The pairs at offset m of a configuration read as the integer b are the set
-bits of ``b & (b >> m)``, so an energy numerator is a sum of table entries
-times popcounts, for every family, with or without images.  Exact reports
-order configurations on those integers; float families round each exact
-sum once and tie within a relative ``TIE_MARGIN`` of the minimum.
+A pair's energy and image-tail bound depend only on its ring distance d, so
+each scan reads one table by d.  ``Fraction(x)`` is exact for a float too, so
+every entry is an integer over one scale, the lcm of their denominators.  The
+pairs at distance d of a configuration read as the integer b are the set bits
+of ``b & (b >> d | b << (q - d))`` (b >> d alone at d = q / 2), so an energy
+numerator is a sum of entries times popcounts, one list pass per distance.
+Exact reports order configurations on those integers; float families round
+each exact sum once and tie within a relative ``TIE_MARGIN`` of the minimum.
 """
 
 from __future__ import annotations
@@ -180,31 +180,34 @@ def is_convex_decreasing(potential: Potential) -> bool:
 
 @lru_cache(maxsize=256)
 def _pair_table(potential: Potential, q: int, images: int) -> tuple[int, tuple, tuple]:
-    """Pair energies by offset m = b - a on a q-site ring and, with images, their upper
-    envelopes (energy plus image-tail bound), read exactly: a scale and two tuples of
-    (m, scale * entry), built once per (potential, q, images) in a process."""
+    """Pair energies by ring distance d = 1..q // 2 and, with images, their upper envelopes
+    (energy plus image-tail bound), read exactly: a scale and two tuples of rows (d, left,
+    scale * entry), with left = q - d, the other offset at distance d, or q at d = q / 2,
+    whose two offsets are one; built once per (potential, q, images) in a process."""
     if images < 0:
         raise ValueError("image cutoff must be >= 0")
     if images > 0:  # refuses a divergent image series even on a ring with no pairs
         potential.image_tail(1, max(q, 2), images)
     values, envelopes = {}, {}
-    for m in range(1, q):
-        d = min(m, q - m)  # images sum around the ring distance, the same in every rotation
+    for d in range(1, q // 2 + 1):  # images sum around the ring distance, the same in every rotation
         value = potential.value(d)
         for k in range(1, images + 1):
             value = value + potential.value(d + k * q) + potential.value(k * q - d)
-        values[m] = Fraction(value)  # exact for a float too
+        values[d] = Fraction(value)  # exact for a float too
         if images:
-            envelopes[m] = values[m] + Fraction(potential.image_tail(d, q, images))
+            envelopes[d] = values[d] + Fraction(potential.image_tail(d, q, images))
     scale = math.lcm(*(v.denominator for v in (*values.values(), *envelopes.values())))
-    return scale, *(tuple((m, v.numerator * (scale // v.denominator)) for m, v in table.items())
-                    for table in (values, envelopes))
+    return scale, *(tuple([(d, q - d if 2 * d < q else q, v.numerator * (scale // v.denominator))
+                           for d, v in table.items()]) for table in (values, envelopes))
 
 
 def _pair_sums(readings: list, weights: tuple) -> list[int]:
-    """Per reading b, the sum of w over (m, w) in ``weights`` times the
-    offset-m pairs of b, the set bits of b & (b >> m)."""
-    return [sum(w * (b & (b >> m)).bit_count() for m, w in weights) for b, _ in readings]
+    """Per reading b, the sum of w over (d, left, w) in ``weights`` times the pairs of b
+    at ring distance d, the set bits of b & (b >> d | b << left): one pass per distance."""
+    total, bs = [0] * len(readings), [b for b, _ in readings]
+    for d, left, w in weights:
+        total = [t + w * (b & (b >> d | b << left)).bit_count() for t, b in zip(total, bs)]
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,14 +272,13 @@ def ground_state(p: int, q: int, potential: Potential, images: int = 0) -> Groun
     (plus image tail bounds) counts as tied, so near-degeneracies surface.
     """
     readings, numerators, scale, exact, summary = _energy_scan(p, q, potential, images)
-    if isinstance(summary.best, Fraction):
-        energies = [Fraction(n, scale) for n in numerators]
-    else:
-        energies = [n / scale for n in numerators]
+    fraction = isinstance(summary.best, Fraction)  # one energy object per distinct numerator
+    shared = {n: Fraction(n, scale) if fraction else n / scale for n in set(numerators)}
+    energies = [shared[n] for n in numerators]
     balanced, tied = int(summary.balanced_representative, 2), {int(w, 2) for w in summary.argbest}
-    rows = tuple(
+    rows = tuple([
         OrbitEnergy(Orbit(format(b, f"0{q}b"), period), e, b == balanced, b in tied)
         for (b, period), e in zip(readings, energies)
-    )
+    ])
     argmin = tuple(row.orbit for row in rows if row.argmin)
     return GroundStateReport(p, q, potential, rows, summary.best, argmin, summary.balanced, exact)

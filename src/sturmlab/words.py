@@ -69,9 +69,9 @@ def minimal_period(w: str) -> int:
 
 def rotations(b: int, q: int) -> tuple[int, ...]:
     """The q left-rotations of the length-q reading b, starting with b:
-    rotating by k shifts b left k places and wraps its top k bits round."""
-    mask = (1 << q) - 1
-    return tuple(((b << k) | (b >> (q - k))) & mask for k in range(q))
+    rotating by k keeps q bits of the doubled reading bb, shifted right q - k places."""
+    doubled, mask = b | b << q, (1 << q) - 1
+    return tuple([(doubled >> k) & mask for k in range(q, 0, -1)])
 
 
 def factor_set(w: str, n: int) -> set[str]:
@@ -322,31 +322,28 @@ def _necklace_table(q: int) -> tuple[list[array], list[bytearray]]:
     1986) on the integer reading: set the lowest 0 bit of the prenecklace b,
     at z, drop the bits below it, and repeat the q - z letters left
     periodically to fill q letters.  That is the next prenecklace, with
-    period q - z, and a necklace exactly when its period divides q.  Starting
-    from the all-0 word it visits the prenecklaces in ascending order, about
-    two per necklace (Ruskey-Savage-Wang, J. Algorithms 13, 1992).
+    period t = q - z, and a necklace exactly when t divides q.  Each step
+    reads one precomputed row by z + 1, the length of b ^ (b + 1): z, the
+    repunit of ceil(q/t) copies of period t, the shift that keeps the top q
+    bits of a t-bit prefix times it, and t if t divides q, else 0.  From the
+    all-0 necklace the walk visits the prenecklaces in ascending order up to
+    the all-1 word, about two per necklace (Ruskey-Savage-Wang, 1992).
     """
-    full = (1 << q) - 1
-    # extend[t]: a repunit of ceil(q/t) copies of period t, and the shift
-    # that keeps the top q bits of a t-bit prefix times it.
-    extend = [None]
-    for t in range(1, q + 1):
+    full, steps = (1 << q) - 1, [None]
+    for t in range(q, 0, -1):
         copies = -(-q // t)
-        extend.append((sum(1 << (k * t) for k in range(copies)), copies * t - q))
-    readings = [array("Q") for _ in range(q + 1)]
-    periods = [bytearray() for _ in range(q + 1)]
-    b, period = 0, 1
-    while True:
-        if q % period == 0:
+        steps.append((q - t, sum(1 << (k * t) for k in range(copies)), copies * t - q, t * (q % t == 0)))
+    readings = [array("Q", [0])] + [array("Q") for _ in range(q)]
+    periods = [bytearray([1])] + [bytearray() for _ in range(q)]
+    b = 0
+    while b != full:
+        z, repunit, shift, period = steps[(b ^ (b + 1)).bit_length()]
+        b = ((b >> z) | 1) * repunit >> shift
+        if period:
             ones = b.bit_count()
             readings[ones].append(b)
             periods[ones].append(period)
-        if b == full:
-            return readings, periods
-        z = (~b & (b + 1)).bit_length() - 1
-        period = q - z
-        repunit, shift = extend[period]
-        b = ((b >> z) | 1) * repunit >> shift
+    return readings, periods
 
 
 def enumerate_orbits(p: int, q: int) -> list[tuple[int, int]]:
@@ -406,7 +403,7 @@ def scan_orbits(p: int, q: int, score: Callable[[list], list], best: Callable) -
     readings = enumerate_orbits(p, q)
     values = score(readings)
     top = best(values)
-    argbest = tuple(format(b, f"0{q}b") for (b, _), v in zip(readings, values) if v == top)
+    argbest = tuple([format(b, f"0{q}b") for (b, _), v in zip(readings, values) if v == top])
     return readings, values, OrbitSummary(p, q, len(readings), top, argbest)
 
 
@@ -415,6 +412,7 @@ def coprime_pairs(q_max: int) -> list[tuple[int, int]]:
     return [(p, q) for q in range(1, q_max + 1) for p in range(1, q) if math.gcd(p, q) == 1]
 
 
+@lru_cache(maxsize=256, typed=True)  # summaries ask for each class once per potential
 def balanced_orbit(p: int, q: int) -> Orbit:
     """The unique balanced orbit with ``p`` ones in length ``q``.
 

@@ -7,7 +7,7 @@ verdict, and enforces the runtime budget where one is pinned.
 
 import pytest
 
-from sturmlab import cyclic, measures, wigner
+from sturmlab import cyclic, measures, wigner, words
 from sturmlab.checks import run_all, run_check
 
 
@@ -100,6 +100,15 @@ def test_hot_checks_scale_each_class_once(monkeypatch):
     assert (tables.misses, tables.hits) == (40, 150)
     with pytest.raises(AssertionError, match="a mixture"):
         measures.mixture([measures.sturmian_measure(1, 2)], [1])
+
+
+def test_wigner_check_builds_each_balanced_orbit_once():
+    # 190 verdicts over 63 slope classes (the concave fixture's 3/8 among them)
+    # each read their class's balanced orbit, built once per class.
+    words.balanced_orbit.cache_clear()
+    run_all(["wigner-ground-states"])
+    built = words.balanced_orbit.cache_info()
+    assert (built.misses, built.hits) == (63, 127)
 
 
 def test_words_core_invariants():

@@ -436,10 +436,49 @@ def test_cached_pair_tables_follow_parameter_types_and_images():
 
 def test_pair_tables_are_shared_read_only_and_bounded():
     scale, values, envelopes = wigner._pair_table(inverse_power(3), 7, 2)
-    assert type(values) is type(envelopes) is tuple and len(values) == len(envelopes) == 6
+    assert type(values) is type(envelopes) is tuple and len(values) == len(envelopes) == 3
     assert {type(entry) for entry in values + envelopes} == {tuple}
+    # One row per ring distance d with its left shift q - d; at d = q / 2, left = q.
+    assert [row[:2] for row in values] == [row[:2] for row in envelopes] == [(1, 6), (2, 5), (3, 4)]
+    assert [row[:2] for row in wigner._pair_table(inverse_power(3), 8, 0)[1]] == [(1, 7), (2, 6), (3, 5), (4, 8)]
     assert wigner._pair_table(inverse_power(3), 7, 2)[1] is values
     assert 0 < wigner._pair_table.cache_parameters()["maxsize"] < 10**4
+
+
+def _per_offset_pair_sums(readings, weights):
+    """Per reading b, the sum of w over (m, w) in ``weights`` times the
+    offset-m pairs of b, the set bits of b & (b >> m)."""
+    return [sum(w * (b & (b >> m)).bit_count() for m, w in weights) for b, _ in readings]
+
+
+def _offset_weights(rows, q):
+    """Ring-distance rows (d, left, w) spread over the offsets d and q - d of distance d."""
+    return sorted({(m, w) for d, _, w in rows for m in (d, q - d)})
+
+
+@pytest.mark.parametrize(
+    "potential",
+    (coulomb(), inverse_power(3), inverse_power(2.5), exponential_decay(1.0), screened(0.7), anti_coulomb()),
+    ids=lambda p: p.describe(),
+)
+def test_pair_sums_match_per_offset_oracle(potential):
+    # Odd and even q, so the d = q / 2 row, whose two offsets are one, is read too.
+    cutoffs = (0,) if potential.kind in ("coulomb", "anti") else (0, 1, 2)
+    cases = [(p, q) for q in range(1, 15) for p in range(q + 1)]
+    cases += [(p, 17) for p in range(18)] if potential.kind == "coulomb" else []
+    for images in cutoffs:
+        for p, q in cases:
+            _, values, envelopes = wigner._pair_table(potential, q, images)
+            readings = enumerate_orbits(p, q)
+            for rows in (values, envelopes):
+                assert wigner._pair_sums(readings, rows) == _per_offset_pair_sums(
+                    readings, _offset_weights(rows, q)
+                ), (p, q, images)
+
+
+def test_exact_energies_are_shared_per_distinct_value():
+    energies = [row.energy for row in ground_state(5, 17, coulomb()).rows]
+    assert len({id(e) for e in energies}) == len(set(energies)) < len(energies)
 
 
 @pytest.mark.parametrize("factory", [inverse_power, exponential_decay, screened])

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import accumulate, combinations, pairwise, product
 
@@ -608,6 +609,35 @@ def test_enumerate_orbits_matches_fixed_density_walk(q):
         assert enumerate_orbits(p, q) == _fixed_density_walk(p, q), (p, q)
 
 
+def _fkm_necklace_table(q: int) -> tuple[list[array], list[bytearray]]:
+    """The Fredricksen-Kessler-Maiorana successor one step at a time: find the
+    lowest 0 bit z of the prenecklace b, set it, drop the bits below it and
+    repeat the q - z letters left periodically to q letters; the period is
+    q - z, and a prenecklace whose period divides q is a necklace."""
+    full = (1 << q) - 1
+    readings = [array("Q") for _ in range(q + 1)]
+    periods = [bytearray() for _ in range(q + 1)]
+    b, period = 0, 1
+    while True:
+        if q % period == 0:
+            readings[b.bit_count()].append(b)
+            periods[b.bit_count()].append(period)
+        if b == full:
+            return readings, periods
+        z = (~b & (b + 1)).bit_length() - 1
+        period = q - z
+        copies = -(-q // period)
+        repunit = sum(1 << (k * period) for k in range(copies))
+        b = ((b >> z) | 1) * repunit >> (copies * period - q)
+
+
+@pytest.mark.parametrize("q", range(1, 19))
+def test_necklace_table_matches_fkm_successor_oracle(q):
+    readings, periods = _necklace_table(q)
+    assert [(a.typecode, type(t)) for a, t in zip(readings, periods)] == [("Q", bytearray)] * (q + 1)
+    assert (readings, periods) == _fkm_necklace_table(q)
+
+
 def test_enumerate_orbits_returns_a_new_list_each_call():
     first = enumerate_orbits(3, 9)
     expected = list(first)
@@ -698,6 +728,16 @@ def test_balanced_orbit_is_the_least_rotation_of_its_mechanical_word():
         w = mechanical_word(Fraction(p, q), q)
         least = format(min(reading_rotations(int(w, 2), q)), f"0{q}b")
         assert balanced_orbit(p, q) == Orbit(least, minimal_period(w)), (p, q)
+
+
+def test_balanced_orbit_is_built_once_and_keeps_argument_types():
+    # Orbits are kept in a bounded cache keyed on argument types too, so a float
+    # is still refused after the int it equals has been built.
+    assert balanced_orbit(2, 5) is balanced_orbit(2, 5) == Orbit("00101", 5)
+    kept = balanced_orbit.cache_parameters()
+    assert kept["typed"] and 0 < kept["maxsize"] < 10**4
+    with pytest.raises(TypeError):
+        balanced_orbit(2.0, 5)
 
 
 def test_balanced_orbit_unique_and_balanced():
