@@ -119,9 +119,9 @@ def check_multimodular(
 def window_average(J: LatticeFunction, source, n: int):
     """Average of J over the first ``n`` sliding windows of a symbol source.
 
-    The source is a word (repeated) or a MechanicalSpec.  J is called once
-    per distinct m-bit window code (first letter highest, m <= 64), in code
-    order, so it must be pure; the failing window first in the stream raises.
+    The source is a word (repeated) or a MechanicalSpec.  J is called once per
+    distinct m-bit window code (first letter highest, m <= 64) in the order a
+    stable sort gives, so it must be pure; the stream's first bad window raises.
     Int/Fraction values give the exact Fraction sum(count * value) / n; other
     values are added window by window in stream order, keeping float rounding.
     """
@@ -137,7 +137,9 @@ def window_average(J: LatticeFunction, source, n: int):
     for j in range(m):
         codes <<= 1
         codes |= bits[j : j + n]
-    distinct, counts = (a.tolist() for a in np.unique(codes, return_counts=True))
+    ordered = np.sort(codes, kind="stable")  # a radix sort for codes of up to 16 bits
+    starts = np.flatnonzero(np.diff(ordered, prepend=~ordered[:1]))
+    distinct, counts = ordered[starts].tolist(), np.diff(starts, append=n).tolist()
     values, errors = [], {}
     for code in distinct:
         try:

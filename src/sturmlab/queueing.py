@@ -8,19 +8,18 @@ arrival, counting itself when admitted; rejected customers cost zero.  With
 admission density fixed, mechanically spread admissions minimize the mean
 cost, which ``admission_competition`` probes with common random numbers.
 
-A run counts only the admitted customers.  ``_completions`` gives each its
-busy-period head h and writes c_j = (a_h + s) + (j - h)*s wherever the
-recursion's own steps hold, bit for bit; ``_in_system`` counts departures
-from the head, checking each estimate.  Both write every step into a
-``_workspace`` sized by the admitted count; ``simulate_queue`` takes one as
-``workspace``, so the runs of a race, which all admit the same count, share
-one as they share one arrival stream.
+A run takes a bool mask over the horizon and counts only the admitted
+customers.  ``_completions`` gives each its busy-period head h and writes
+c_j = (a_h + s) + (j - h)*s wherever the recursion's own steps hold, bit for
+bit; ``_in_system`` counts departures from the head, checking each estimate.
+Both write every step into a ``_workspace`` sized by the admitted count;
+a race's shuffle masks all admit one count, so their runs share one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -179,7 +178,8 @@ def _in_system(arrivals: np.ndarray, service_time: float, workspace: tuple) -> n
         np.take(completions, heads, out=estimate, mode="clip")
         np.floor(np.divide(np.subtract(arrivals, estimate, out=estimate), service_time, out=estimate), out=estimate)
         estimate += heads
-        np.clip(estimate, np.subtract(heads, 1, out=heads), np.subtract(index, 1, out=last), out=estimate)
+        np.maximum(estimate, np.subtract(heads, 1, out=heads), out=estimate)  # np.clip would cast the int bounds
+        np.minimum(estimate, np.subtract(index, 1, out=last), out=estimate)
     last[...] = estimate  # at l = -1, c_l wraps to c_{n-1}: a false miss
     np.less(arrivals, np.take(completions, last, out=estimate, mode="wrap"), out=early)
     np.less_equal(np.take(completions, np.add(last, 1, out=heads), out=estimate, mode="wrap"), arrivals, out=late)
@@ -189,24 +189,34 @@ def _in_system(arrivals: np.ndarray, service_time: float, workspace: tuple) -> n
     return np.subtract(index, last, out=last)
 
 
-def simulate_queue(config: QueueConfig, *, workspace: tuple | None = None) -> QueueSummary:
-    """Run one seeded simulation of the admitted customers alone: the worst backlog is met at an admission."""
-    arrivals = _arrival_times(config.seed, config.mean_interarrival, config.horizon)
-    source = config.admission  # QueueConfig has checked a word
-    word = symbol_stream(source, config.horizon) if isinstance(source, MechanicalSpec) else source
-    admitted = arrivals.compress(np.resize(np.frombuffer(word.encode(), np.uint8) == ord("1"), config.horizon))
+def _run(config: QueueConfig, admit: np.ndarray, gamma: Fraction | float, workspace: tuple | None) -> QueueSummary:
+    """One run of the customers admitted by ``admit``, a bool mask over the horizon."""
+    admitted = _arrival_times(config.seed, config.mean_interarrival, config.horizon).compress(admit)
     in_system = _in_system(admitted, config.service_time, workspace or _workspace(len(admitted)))
-    return QueueSummary(config.seed, config.admission_density, config.horizon,
+    return QueueSummary(config.seed, gamma, config.horizon,
                         int(in_system.sum()) / config.horizon, int(in_system.max(initial=0)), len(admitted))
 
 
-def random_admission_word(horizon: int, ones: int, seed: int) -> str:
-    """A uniformly shuffled word with the given length and one-count."""
+def simulate_queue(config: QueueConfig, *, workspace: tuple | None = None) -> QueueSummary:
+    """Run one seeded simulation of the admitted customers alone: the worst backlog is met at an admission."""
+    source = config.admission  # QueueConfig has checked a word
+    word = symbol_stream(source, config.horizon) if isinstance(source, MechanicalSpec) else source
+    admit = np.resize(np.frombuffer(word.encode(), np.uint8) == ord("1"), config.horizon)
+    return _run(config, admit, config.admission_density, workspace)
+
+
+def _shuffle(horizon: int, ones: int, seed: int) -> np.ndarray:
+    """A uniformly shuffled bool mask with the given length and one-count."""
     if not 0 <= ones <= horizon:
         raise ValueError(f"one-count {ones} outside 0..{horizon}")
-    bits = np.full(horizon, ord("0"), dtype=np.uint8)
-    bits[np.random.default_rng(seed).choice(horizon, size=ones, replace=False)] = ord("1")
-    return bits.tobytes().decode("ascii")
+    mask = np.zeros(horizon, bool)
+    mask[np.random.default_rng(seed).choice(horizon, size=ones, replace=False)] = True
+    return mask
+
+
+def random_admission_word(horizon: int, ones: int, seed: int) -> str:
+    """A uniformly shuffled word with the given length and one-count: a race's shuffle mask as letters."""
+    return (_shuffle(horizon, ones, seed).view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def admission_competition(
@@ -215,20 +225,18 @@ def admission_competition(
     """Mechanical admission versus seeded random same-density admissions.
 
     Every run shares the arrival stream of ``config`` (common random
-    numbers); competitor words are fresh shuffles with exactly the same
-    one-count over the horizon.  Returns the mechanical summary first.
+    numbers); competitors are seeded shuffle masks, not words, with exactly
+    the same one-count over the horizon.  Returns the mechanical summary first.
     """
     if competitors < 1:
         raise ValueError("need at least one competitor")
     if competitor_seed < 0:
         raise ValueError(f"competitor_seed must be >= 0, got {competitor_seed}")
     reference = simulate_queue(config)
-    workspace = _workspace(reference.admitted)  # every shuffle admits the same count
+    gamma, workspace = Fraction(reference.admitted, config.horizon), _workspace(reference.admitted)
     rows = [reference]
-    for i in range(competitors):
-        word = random_admission_word(config.horizon, reference.admitted, competitor_seed + i)
-        rows.append(simulate_queue(replace(config, admission=word), workspace=workspace))
-        del word  # not held while the next shuffle is drawn
+    for i in range(competitors):  # no mask outlives its run, so none is held while the next is drawn
+        rows.append(_run(config, _shuffle(config.horizon, reference.admitted, competitor_seed + i), gamma, workspace))
     return rows
 
 

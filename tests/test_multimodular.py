@@ -218,8 +218,8 @@ _sources = st.one_of(
 
 
 @st.composite
-def _objectives(draw):
-    m = draw(st.integers(1, 5))
+def _objectives(draw, arities=st.integers(1, 5)):
+    m = draw(arities)
     kind = draw(st.sampled_from(["load", "int", "fraction", "float", "binary"]))
     if kind == "load":
         return convex_window_load(m, draw(st.integers(-2, 6)))
@@ -237,6 +237,15 @@ def _objectives(draw):
 @settings(deadline=None, max_examples=300)
 @given(_objectives(), _sources, st.integers(1, 400))
 def test_window_average_matches_per_window_oracle(J, source, n):
+    assert repr(window_average(J, source, n)) == repr(_window_average_oracle(J, source, n))
+
+
+# Codes wider than a byte: uint16 at m = 9, uint32 at 17, uint64 at 33 and 64.
+@pytest.mark.parametrize("m", [9, 17, 33, 64])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data(), source=_sources, n=st.integers(1, 400))
+def test_window_average_matches_per_window_oracle_on_wide_codes(m, data, source, n):
+    J = data.draw(_objectives(st.just(m)))
     assert repr(window_average(J, source, n)) == repr(_window_average_oracle(J, source, n))
 
 

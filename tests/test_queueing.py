@@ -284,12 +284,31 @@ def test_a_race_shares_one_workspace(monkeypatch):
     assert built == [rows[0].admitted] * 2  # the reference run's own, then the one every shuffle shares
 
 
+def test_a_race_builds_no_words(monkeypatch):
+    config = mechanical_config(3000)
+    expected = admission_competition(config, 6)
+    calls, simulate = [], queueing.simulate_queue
+    monkeypatch.setattr(queueing, "simulate_queue", lambda *a, **k: calls.append(a) or simulate(*a, **k))
+    monkeypatch.setattr(queueing, "random_admission_word", lambda *a: pytest.fail("a race built a shuffled word"))
+    assert admission_competition(config, 6) == expected
+    assert len(calls) == 1  # the mechanical run alone; every shuffle runs as a mask
+
+
+@pytest.mark.parametrize("horizon, ones", [(1, 0), (1, 1), (60, 0), (60, 60), (60, 23), (1000, 377)])
+@pytest.mark.parametrize("seed", [0, 1, 10_000])
+def test_random_admission_word_is_the_shuffle_mask_as_letters(horizon, ones, seed):
+    mask = queueing._shuffle(horizon, ones, seed)
+    assert mask.dtype == bool and int(mask.sum()) == ones
+    assert random_admission_word(horizon, ones, seed) == "".join("01"[bit] for bit in mask.tolist())
+
+
 # tracemalloc peaks of the long-word race, measured with numpy 2.4 on CPython 3.11:
-# 8.95 MiB for the whole race, arrivals drawn inside it, met while a shuffle is
-# sampled next to the held workspace; 2.00 MiB for one shuffle's run through the
-# shared workspace, which allocates its admitted arrivals and np.take's intp copy
-# of the int32 heads.  Each bound is that peak plus 0.25 MiB, so holding a spent
-# shuffle or computing a step into a fresh array fails.
+# 8.95 MiB for the whole race, arrivals drawn inside it, met while a shuffle mask
+# is sampled (rng.choice shuffles a full int64 range) next to the held workspace;
+# 2.00 MiB for one shuffle word's run through the shared workspace, which
+# allocates its mask, its admitted arrivals and np.take's intp copy of the int32
+# heads.  Each bound is that peak plus 0.25 MiB, so holding a spent mask
+# (0.29 MiB) across the next draw or computing a step into a fresh array fails.
 RACE_PEAK_MIB, SHARED_RUN_PEAK_MIB = 8.95 + 0.25, 2.00 + 0.25
 
 
