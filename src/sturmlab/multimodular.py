@@ -1,12 +1,12 @@
-"""Multimodularity checks and sliding-window time averages.
+"""Sliding-window time averages of a function on 0-1 windows.
 
-A function J on Z^m is multimodular when, for every pair of distinct vectors
-v != w from the basis F = {f_0 = -e_1, f_i = e_i - e_{i+1} (1 <= i < m),
-f_m = e_m}, the inequality J(u + v) + J(u + w) >= J(u) + J(u + v + w) holds.
-Time averages of such J over sliding windows of a 0-1 admission sequence are
-minimized by mechanical (balanced) sequences among all sequences with the
-same density; the queue simulation in ``queueing`` provides the stochastic
-counterpart.
+``window_average`` averages a function J of m consecutive letters over the
+sliding windows of a word or mechanical sequence.  J is chosen multimodular:
+for every pair of distinct vectors v != w from the basis F = {f_0 = -e_1,
+f_i = e_i - e_{i+1} (1 <= i < m), f_m = e_m}, J(u + v) + J(u + w) >= J(u) +
+J(u + v + w).  Such averages are minimized by mechanical (balanced)
+sequences among all sequences with the same density; the queue simulation
+in ``queueing`` provides the stochastic counterpart.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
 from operator import add, mul
 from typing import Callable, Sequence
 
@@ -23,28 +22,12 @@ import numpy as np
 from .words import symbol_stream
 
 __all__ = [
-    "multimodular_basis",
     "LatticeFunction",
     "LatticeDomainError",
-    "check_multimodular",
     "window_average",
-    "affine_function",
     "convex_window_load",
     "slotted_queue_backlog",
-    "negative_product",
-    "coordinate_max",
 ]
-
-
-def multimodular_basis(m: int) -> list[tuple[int, ...]]:
-    """The m + 1 basis vectors f_0, ..., f_m in Z^m; they sum to zero."""
-    if m < 1:
-        raise ValueError("arity m must be >= 1")
-    vectors = [tuple(-1 if j == 0 else 0 for j in range(m))]
-    for i in range(1, m):
-        vectors.append(tuple(1 if j == i - 1 else -1 if j == i else 0 for j in range(m)))
-    vectors.append(tuple(1 if j == m - 1 else 0 for j in range(m)))
-    return vectors
 
 
 @dataclass(frozen=True)
@@ -77,43 +60,6 @@ def _evaluate(J: LatticeFunction, point: tuple[int, ...]):
         raise
     except Exception as exc:
         raise LatticeDomainError(point, exc) from exc
-
-
-def check_multimodular(
-    J: LatticeFunction, box: Sequence[tuple[int, int]]
-) -> tuple[bool, list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]]:
-    """Test the multimodularity inequalities on an integer box.
-
-    ``box`` gives inclusive (lo, hi) bounds per coordinate; J must be defined
-    on the box inflated by one basis step in every direction.  Returns
-    (verdict, violations) with every violating triple (u, v, w) reported.
-
-    Exact when J returns ints/Fractions; float-valued J is compared as-is.
-    J is called once per lattice point, at first use, so it must be pure.
-    """
-    if len(box) != J.arity:
-        raise ValueError(f"box has {len(box)} coordinates, function arity is {J.arity}")
-    for i, (lo, hi) in enumerate(box):
-        if lo > hi:
-            raise ValueError(f"box coordinate {i} is empty: lo {lo} > hi {hi}")
-    basis = multimodular_basis(J.arity)
-    pairs = [(i, j, tuple(map(add, v, w))) for (i, v), (j, w) in combinations(enumerate(basis), 2)]
-    values = {}
-
-    def value(point):
-        if point not in values:
-            values[point] = _evaluate(J, point)
-        return values[point]
-
-    violations = []
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    for u in product(*ranges):
-        base = value(u)
-        steps = [tuple(map(add, u, f)) for f in basis]
-        for i, j, vw in pairs:
-            if value(steps[i]) + value(steps[j]) < base + value(tuple(map(add, u, vw))):
-                violations.append((u, basis[i], basis[j]))
-    return not violations, violations
 
 
 def window_average(J: LatticeFunction, source, n: int):
@@ -154,16 +100,6 @@ def window_average(J: LatticeFunction, source, n: int):
     return reduce(add, map(dict(zip(distinct, values)).__getitem__, codes.tolist())) / n
 
 
-def affine_function(coefficients: Sequence, constant=0) -> LatticeFunction:
-    """J(u) = c . u + b; multimodular with equality everywhere."""
-    coefficients = tuple(coefficients)
-
-    def fn(u):
-        return sum(c * x for c, x in zip(coefficients, u)) + constant
-
-    return LatticeFunction(len(coefficients), fn, "affine")
-
-
 def convex_window_load(m: int, target: int = 1) -> LatticeFunction:
     """J(u) = (u_1 + ... + u_m - target)^2; convex in the window sum."""
 
@@ -189,13 +125,3 @@ def slotted_queue_backlog(m: int) -> LatticeFunction:
         return backlog
 
     return LatticeFunction(m, fn, f"slotted-backlog(m={m})")
-
-
-def negative_product() -> LatticeFunction:
-    """J(u) = -(u_1 * u_2); a classic non-multimodular fixture."""
-    return LatticeFunction(2, lambda u: -(u[0] * u[1]), "neg-product")
-
-
-def coordinate_max(m: int = 2) -> LatticeFunction:
-    """J(u) = max(u); not multimodular either."""
-    return LatticeFunction(m, lambda u: max(u), f"coordinate-max(m={m})")

@@ -197,12 +197,12 @@ def _run(config: QueueConfig, admit: np.ndarray, gamma: Fraction | float, worksp
                         int(in_system.sum()) / config.horizon, int(in_system.max(initial=0)), len(admitted))
 
 
-def simulate_queue(config: QueueConfig, *, workspace: tuple | None = None) -> QueueSummary:
+def simulate_queue(config: QueueConfig) -> QueueSummary:
     """Run one seeded simulation of the admitted customers alone: the worst backlog is met at an admission."""
     source = config.admission  # QueueConfig has checked a word
     word = symbol_stream(source, config.horizon) if isinstance(source, MechanicalSpec) else source
     admit = np.resize(np.frombuffer(word.encode(), np.uint8) == ord("1"), config.horizon)
-    return _run(config, admit, config.admission_density, workspace)
+    return _run(config, admit, config.admission_density, None)
 
 
 def _shuffle(horizon: int, ones: int, seed: int) -> np.ndarray:

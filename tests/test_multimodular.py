@@ -1,4 +1,4 @@
-"""Multimodularity checks and balanced minimality of window averages."""
+"""Multimodularity of the window costs and balanced minimality of window averages."""
 
 import math
 import random
@@ -13,16 +13,51 @@ from hypothesis import strategies as st
 from sturmlab.multimodular import (
     LatticeDomainError,
     LatticeFunction,
-    affine_function,
-    check_multimodular,
     convex_window_load,
-    coordinate_max,
-    multimodular_basis,
-    negative_product,
     slotted_queue_backlog,
     window_average,
 )
 from sturmlab.words import MechanicalSpec, balanced_orbit, mechanical_word, symbol_stream
+
+
+def multimodular_basis(m: int) -> list[tuple[int, ...]]:
+    """The m + 1 basis vectors f_0, ..., f_m in Z^m; they sum to zero."""
+    if m < 1:
+        raise ValueError("arity m must be >= 1")
+    vectors = [tuple(-1 if j == 0 else 0 for j in range(m))]
+    for i in range(1, m):
+        vectors.append(tuple(1 if j == i - 1 else -1 if j == i else 0 for j in range(m)))
+    vectors.append(tuple(1 if j == m - 1 else 0 for j in range(m)))
+    return vectors
+
+
+def _check_multimodular_oracle(J: LatticeFunction, box):
+    """Every violating triple (u, v, w) of the multimodularity inequality on an
+    inclusive integer box: J called afresh at u, u + v, u + w and u + v + w for
+    every basis pair at every box point, so J must be defined one step out."""
+    basis = multimodular_basis(J.arity)
+    violations = []
+    for u in product(*[range(lo, hi + 1) for lo, hi in box]):
+        base = J(u)
+        for v, w in combinations(basis, 2):
+            uv = tuple(a + b for a, b in zip(u, v))
+            uw = tuple(a + b for a, b in zip(u, w))
+            uvw = tuple(a + b + c for a, b, c in zip(u, v, w))
+            if J(uv) + J(uw) < base + J(uvw):
+                violations.append((u, v, w))
+    return not violations, violations
+
+
+def _affine(coefficients, constant) -> LatticeFunction:
+    """J(u) = c . u + b; multimodular with equality everywhere."""
+    coefficients = tuple(coefficients)
+    return LatticeFunction(len(coefficients), lambda u: sum(c * x for c, x in zip(coefficients, u)) + constant,
+                           "affine")
+
+
+# The oracle's failing controls: neither is multimodular.
+NEGATIVE_PRODUCT = LatticeFunction(2, lambda u: -(u[0] * u[1]), "neg-product")
+COORDINATE_MAX = LatticeFunction(2, max, "coordinate-max")
 
 
 def test_basis_shape_and_zero_sum():
@@ -37,13 +72,13 @@ def test_basis_shape_and_zero_sum():
 
 def test_convex_window_load_is_multimodular():
     J = convex_window_load(3)
-    ok, violations = check_multimodular(J, [(-2, 2)] * 3)
+    ok, violations = _check_multimodular_oracle(J, [(-2, 2)] * 3)
     assert ok, violations
 
 
 def test_slotted_backlog_is_multimodular():
     J = slotted_queue_backlog(3)
-    ok, violations = check_multimodular(J, [(-1, 2)] * 3)
+    ok, violations = _check_multimodular_oracle(J, [(-1, 2)] * 3)
     assert ok, violations
 
 
@@ -57,11 +92,11 @@ def test_slotted_backlog_is_zero_on_binary_windows():
 
 
 def test_negative_product_is_not_multimodular():
-    ok, violations = check_multimodular(negative_product(), [(-2, 2)] * 2)
+    J = NEGATIVE_PRODUCT
+    ok, violations = _check_multimodular_oracle(J, [(-2, 2)] * 2)
     assert not ok
     u, v, w = violations[0]
     # Re-check the reported violation by hand.
-    J = negative_product()
     uv = tuple(a + b for a, b in zip(u, v))
     uw = tuple(a + b for a, b in zip(u, w))
     uvw = tuple(a + b + c for a, b, c in zip(u, v, w))
@@ -69,7 +104,7 @@ def test_negative_product_is_not_multimodular():
 
 
 def test_coordinate_max_is_not_multimodular():
-    ok, _ = check_multimodular(coordinate_max(2), [(-2, 2)] * 2)
+    ok, _ = _check_multimodular_oracle(COORDINATE_MAX, [(-2, 2)] * 2)
     assert not ok
 
 
@@ -78,29 +113,34 @@ def test_coordinate_max_is_not_multimodular():
     st.integers(min_value=-3, max_value=3),
 )
 def test_affine_functions_are_multimodular(coefficients, constant):
-    J = affine_function(coefficients, constant)
-    ok, violations = check_multimodular(J, [(-1, 1)] * J.arity)
+    J = _affine(coefficients, constant)
+    ok, violations = _check_multimodular_oracle(J, [(-1, 1)] * J.arity)
     assert ok, violations
 
 
-def test_empty_box_is_refused_by_coordinate():
-    # An empty box has no point to test, so it would pass any J at all.
-    with pytest.raises(ValueError, match=r"^box coordinate 0 is empty: lo 1 > hi 0$"):
-        check_multimodular(coordinate_max(2), [(1, 0), (0, 3)])
-    with pytest.raises(ValueError, match=r"^box coordinate 1 is empty: lo 0 > hi -1$"):
-        check_multimodular(negative_product(), [(0, 0), (0, -1)])
+def test_lattice_function_refuses_a_point_of_another_arity():
+    J = convex_window_load(3)
+    for point in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match=rf"^window-load\(m=3,target=1\) expects arity 3, got {len(point)}$"):
+            J(point)
+    with pytest.raises(ValueError, match="^function expects arity 1, got 0$"):
+        LatticeFunction(1, sum)(())
 
 
-def test_domain_error_carries_point():
-    def partial(u):
-        if u[0] < 0:
-            raise KeyError("untabulated")
-        return u[0]
+def test_window_average_passes_a_domain_error_from_J_through():
+    # A J that tabulates its own domain reports the point it missed, not the window.
+    table = {(0,): 0, (1,): 1}
 
-    J = LatticeFunction(1, partial, "partial")
-    with pytest.raises(LatticeDomainError) as info:
-        check_multimodular(J, [(0, 1)])
-    assert info.value.point[0] < 0
+    def load_of_sum(u):
+        point = (sum(u),)
+        try:
+            return table[point]
+        except KeyError as exc:
+            raise LatticeDomainError(point, exc) from exc
+
+    with pytest.raises(LatticeDomainError, match=r"^lattice function undefined at \(2,\): ") as info:
+        window_average(LatticeFunction(2, load_of_sum, "load-of-sum"), "0110", 4)
+    assert info.value.point == (2,)
 
 
 def cyclic_average(J: LatticeFunction, w: str) -> Fraction:
@@ -231,7 +271,7 @@ def _objectives(draw, arities=st.integers(1, 5)):
         "float": st.floats(-1e3, 1e3, allow_nan=False),
     }[kind]
     coefficients = draw(st.lists(values, min_size=m, max_size=m, unique=True))
-    return affine_function(coefficients, draw(values))
+    return _affine(coefficients, draw(values))
 
 
 @settings(deadline=None, max_examples=300)
@@ -280,7 +320,7 @@ def test_window_average_fails_at_the_oracles_first_bad_window(m, data, source, n
     except LatticeDomainError as error:
         with pytest.raises(LatticeDomainError) as info:
             window_average(J, source, n)
-        assert info.value.point == error.point
+        assert info.value.point == error.point and info.value.point in bad
     else:
         assert window_average(J, source, n) == want
 
@@ -302,104 +342,3 @@ def test_window_average_matches_oracle_at_benchmark_scale(objective):
         # Coordinate j of an affine J reads n of the n + 3 letters, whose ones
         # differ between the sources by at most 3: weights 8 + 4 + 2 + 1 = 15.
         assert abs(averages[0] - averages[1]) <= Fraction(3 * 15, n)
-
-
-def _check_multimodular_oracle(J: LatticeFunction, box):
-    """The per-triple loop check_multimodular replaced: J called afresh at
-    u, u + v, u + w and u + v + w for every basis pair at every box point."""
-    basis = multimodular_basis(J.arity)
-
-    def call(point):
-        try:
-            return J(point)
-        except Exception as exc:
-            raise LatticeDomainError(point, exc) from exc
-
-    violations = []
-    for u in product(*[range(lo, hi + 1) for lo, hi in box]):
-        base = call(u)
-        for v, w in combinations(basis, 2):
-            uv = tuple(a + b for a, b in zip(u, v))
-            uw = tuple(a + b for a, b in zip(u, w))
-            uvw = tuple(a + b + c for a, b, c in zip(u, v, w))
-            if call(uv) + call(uw) < base + call(uvw):
-                violations.append((u, v, w))
-    return not violations, violations
-
-
-_boxes = st.integers(1, 3).flatmap(
-    lambda m: st.lists(
-        st.tuples(st.integers(-2, 1), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
-        min_size=m,
-        max_size=m,
-    )
-)
-
-
-@st.composite
-def _box_objectives(draw):
-    """A box and a J on it: multimodular, violated, order-sensitive or partial."""
-    box = draw(_boxes)
-    m = len(box)
-    kind = draw(st.sampled_from(["load", "backlog", "max", "quadratic", "float", "partial"]))
-    if kind == "load":
-        return convex_window_load(m, draw(st.integers(-2, 4))), box
-    if kind == "backlog":
-        return slotted_queue_backlog(m), box
-    if kind == "max":
-        return coordinate_max(m), box
-    if kind == "float":
-        coefficients = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m))
-        return affine_function(coefficients, draw(st.floats(-1e3, 1e3))), box
-    weights = draw(st.lists(st.integers(-3, 3), min_size=2 * m, max_size=2 * m))
-
-    def quadratic(u):
-        return sum(a * x * x + b * x * u[i - 1] for i, (x, a, b) in enumerate(zip(u, weights, weights[m:])))
-
-    if kind == "quadratic":
-        return LatticeFunction(m, quadratic, "quadratic"), box
-    inflated = [range(lo - 1, hi + 2) for lo, hi in box]
-    bad = draw(st.sets(st.tuples(*[st.sampled_from(r) for r in inflated]), min_size=1, max_size=3))
-
-    def partial(u):
-        if u in bad:
-            raise KeyError("untabulated")
-        return quadratic(u)
-
-    return LatticeFunction(m, partial, "partial"), box
-
-
-@settings(deadline=None, max_examples=300)
-@given(_box_objectives())
-def test_check_multimodular_matches_per_triple_oracle(case):
-    J, box = case
-    try:
-        want = _check_multimodular_oracle(J, box)
-    except LatticeDomainError as error:
-        with pytest.raises(LatticeDomainError) as info:
-            check_multimodular(J, box)
-        assert info.value.point == error.point
-    else:
-        assert check_multimodular(J, box) == want
-
-
-@given(_boxes, st.integers(-2, 4))
-def test_check_multimodular_calls_J_once_per_lattice_point(box, target):
-    m = len(box)
-    calls = []
-    load = convex_window_load(m, target)
-
-    def counted(u):
-        calls.append(u)
-        return load(u)
-
-    check_multimodular(LatticeFunction(m, counted, "counted"), box)
-    basis = multimodular_basis(m)
-    reached = set()
-    for u in product(*[range(lo, hi + 1) for lo, hi in box]):
-        for v, w in combinations(basis, 2):
-            reached.update({u, tuple(map(sum, zip(u, v))), tuple(map(sum, zip(u, w))),
-                            tuple(map(sum, zip(u, v, w)))})
-    # Falsy values (a load of 0) are memoised too.
-    assert len(calls) == len(set(calls))
-    assert set(calls) == reached

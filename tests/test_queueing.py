@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -284,6 +285,20 @@ def test_a_race_shares_one_workspace(monkeypatch):
     assert built == [rows[0].admitted] * 2  # the reference run's own, then the one every shuffle shares
 
 
+def test_a_race_holds_no_spent_mask(monkeypatch):
+    masks, shuffle = [], queueing._shuffle
+
+    def recorded(*args):
+        assert [ref() for ref in masks if ref() is not None] == [], "a spent mask is alive at the next draw"
+        mask = shuffle(*args)
+        masks.append(weakref.ref(mask))
+        return mask
+
+    monkeypatch.setattr(queueing, "_shuffle", recorded)
+    admission_competition(mechanical_config(3000), 6)
+    assert len(masks) == 6 and all(ref() is None for ref in masks)
+
+
 def test_a_race_builds_no_words(monkeypatch):
     config = mechanical_config(3000)
     expected = admission_competition(config, 6)
@@ -305,11 +320,11 @@ def test_random_admission_word_is_the_shuffle_mask_as_letters(horizon, ones, see
 # tracemalloc peaks of the long-word race, measured with numpy 2.4 on CPython 3.11:
 # 8.95 MiB for the whole race, arrivals drawn inside it, met while a shuffle mask
 # is sampled (rng.choice shuffles a full int64 range) next to the held workspace;
-# 2.00 MiB for one shuffle word's run through the shared workspace, which
-# allocates its mask, its admitted arrivals and np.take's intp copy of the int32
-# heads.  Each bound is that peak plus 0.25 MiB, so holding a spent mask
-# (0.29 MiB) across the next draw or computing a step into a fresh array fails.
-RACE_PEAK_MIB, SHARED_RUN_PEAK_MIB = 8.95 + 0.25, 2.00 + 0.25
+# 1.72 MiB for one shuffle mask's run through the shared workspace, the mask
+# drawn beforehand, which allocates its admitted arrivals and np.take's intp copy
+# of the int32 heads.  Each bound is that peak plus 0.25 MiB, so computing a step
+# into a fresh array fails; test_a_race_holds_no_spent_mask catches a held mask.
+RACE_PEAK_MIB, SHARED_RUN_PEAK_MIB = 8.95 + 0.25, 1.72 + 0.25
 
 
 def test_race_memory_peak_is_bounded():
@@ -321,10 +336,11 @@ def test_race_memory_peak_is_bounded():
         rows = admission_competition(config, 10)
         race = tracemalloc.get_traced_memory()[1]
         workspace = _workspace(rows[0].admitted)
-        shuffle = replace(config, admission=random_admission_word(config.horizon, rows[0].admitted, 10_000))
+        mask = queueing._shuffle(config.horizon, rows[0].admitted, 10_000)
+        gamma = Fraction(rows[0].admitted, config.horizon)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert simulate_queue(shuffle, workspace=workspace) == rows[1]
+        assert queueing._run(config, mask, gamma, workspace) == rows[1]
         run = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
