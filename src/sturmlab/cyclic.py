@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .words import (
     EXHAUSTIVE_Q,
@@ -82,22 +83,6 @@ class ProductScan:
     passed: bool
 
 
-def _product_scan(p: int, q: int):
-    """Each orbit's rotation readings and their product, from one orbit scan, and its summary."""
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"(p, q) = ({p}, {q}) must be coprime")
-    if not 0 < p < q:
-        raise ValueError(f"need 0 < p < q, got ({p}, {q})")
-    factors = []
-
-    def products(readings):
-        factors.extend([rotations(b, q) for b, _ in readings])
-        return [math.prod(f) for f in factors]
-
-    _, values, summary = scan_orbits(p, q, products, max)
-    return factors, values, summary
-
-
 def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
     """Check that the balanced orbit uniquely maximizes the orbit product.
 
@@ -105,7 +90,17 @@ def verify_balanced_product_maximum(p: int, q: int) -> ProductScan:
     required), computes the full product for each, and passes iff the unique
     argmax orbit is the balanced one.
     """
-    factors, products, s = _product_scan(p, q)
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"(p, q) = ({p}, {q}) must be coprime")
+    if not 0 < p < q:
+        raise ValueError(f"need 0 < p < q, got ({p}, {q})")
+    factors = []
+
+    def score(readings):
+        factors.extend([rotations(b, q) for b, _ in readings])
+        return [math.prod(f) for f in factors]
+
+    _, products, s = scan_orbits(p, q, score, max)
     representative = s.balanced_representative
     balanced = int(representative, 2)
     rows = tuple([
@@ -129,6 +124,11 @@ def scan_coprime_pairs(q_max: int) -> list[ProductScan]:
     return [verify_balanced_product_maximum(p, q) for p, q in _coprime_pairs(q_max)]
 
 
+def _products(q: int, readings) -> list[int]:
+    return [math.prod(rotations(b, q)) for b, _ in readings]
+
+
 def summarize_coprime_pairs(q_max: int) -> list[OrbitSummary]:
-    """``scan_coprime_pairs``' verdicts from the same loop, without building their rows."""
-    return [_product_scan(p, q)[-1] for p, q in _coprime_pairs(q_max)]
+    """``scan_coprime_pairs``' verdicts from the same orbit scan, without their rows: each
+    orbit is scored by its product alone, so no rotation tuple outlives its product."""
+    return [scan_orbits(p, q, partial(_products, q), max)[-1] for p, q in _coprime_pairs(q_max)]

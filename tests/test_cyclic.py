@@ -1,6 +1,7 @@
 """Products of cyclic binary readings: the balanced orbit maximizes."""
 
 import math
+import weakref
 from functools import cache, reduce
 from itertools import combinations, product
 
@@ -19,6 +20,7 @@ from sturmlab.cyclic import (
     verify_balanced_product_maximum,
 )
 from sturmlab.words import Orbit, balanced_orbit, is_balanced
+from sturmlab.words import rotations as words_rotations
 
 words_st = st.text(alphabet="01", min_size=1, max_size=16)
 
@@ -81,6 +83,31 @@ def test_summaries_match_the_string_rotation_oracle():
         assert (s.orbits, s.best, s.argbest, s.balanced_representative, s.balanced) == (
             len(oracle.rows), oracle.max_product, oracle.argmax, oracle.balanced_representative, oracle.passed
         ), (s.p, s.q)
+
+
+class _Readings(list):
+    """A rotation list that can be weakly referenced."""
+
+
+def test_summaries_keep_no_rotation_tuple(monkeypatch):
+    # Every rotation list is watched: when the next is asked for, the summaries
+    # hold none of the earlier ones, while the scan keeps each class's lists in
+    # its rows.
+    watched, alive = [], []
+
+    def rotations(b, q):
+        alive.append(sum(ref() is not None for ref in watched))
+        made = _Readings(words_rotations(b, q))
+        watched.append(weakref.ref(made))
+        return made
+
+    want = summarize_coprime_pairs(12)
+    monkeypatch.setattr(cyclic, "rotations", rotations)
+    assert summarize_coprime_pairs(12) == want
+    assert len(alive) == sum(s.orbits for s in want) and max(alive) == 0
+    watched.clear(), alive.clear()
+    scans = scan_coprime_pairs(12)
+    assert max(alive) == sum(len(s.rows) for s in scans) - 1
 
 
 def test_summaries_match_the_scan_rows():

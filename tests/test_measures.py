@@ -1,8 +1,10 @@
 """Orbit measures of the doubling map and the convex order."""
 
+import gc
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,8 +16,10 @@ from sturmlab.measures import (
     DiscreteMeasure,
     LeastElementScan,
     _class_forms,
-    _first_violation,
     _orbit_support,
+    _require_cancelling,
+    _sweep,
+    _table,
     convex_order_witness,
     cosine_objective,
     maximize_over_orbits,
@@ -99,15 +103,43 @@ def test_orbit_support_matches_string_rotation_oracle():
                 assert _orbit_support(int(w, 2), q, orbit.period) == _orbit_support_oracle(w)
 
 
+def _first_violation(d, terms):
+    """Least support point where sum_k f_k * form_k has a positive hockey-stick gap: one
+    comparison's sort and sweep in Python ints, the loop that ``measures._sweep`` replaced.
+
+    The f_k are integers and the forms share one ``_class_forms``; the positive and
+    negative parts must share mass and barycenter (else ValueError).  Then the gap
+    has kinks only at support points, vanishes at both ends, and is swept upward in
+    integers over the sorted signed net (a repeated point adds no gap).
+    """
+    if sum(f * mass for f, (_, mass, _) in terms):
+        raise ValueError("convex order needs equal total masses")
+    if sum(f * moment for f, (_, _, moment) in terms):
+        mass = d * sum(f * form[1] for f, form in terms if f > 0)
+        plus, minus = (Fraction(sum(s * f * form[2] for f, form in terms if s * f > 0), mass)
+                       for s in (1, -1))
+        raise ValueError(f"convex order needs equal barycenters: {plus} != {minus}")
+    net = sorted([(x, f * v) for f, (pairs, _, _) in terms for x, v in pairs])
+    gap = mass = 0
+    for (previous, weight), (t, _) in zip(net, net[1:]):
+        mass += weight
+        gap += mass * (t - previous)
+        if gap > 0:
+            return Fraction(t, d)
+    return None
+
+
 def test_signed_sweep_requires_cancelling_mass_and_barycenter():
     d, (half, third, quarter) = _class_forms(
         [_orbit_support(int(w, 2), len(w), len(w)) for w in ("01", "001", "0001")]
     )
     # 2 * (01) against (001) + (0001): equal mass, barycenters 1/2 and 7/24.
-    with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 7/24$"):
-        _first_violation(d, [(2, half), (-1, third), (-1, quarter)])
-    with pytest.raises(ValueError, match="^convex order needs equal total masses$"):
-        _first_violation(d, [(1, half), (-2, half)])
+    for check in (_require_cancelling, _first_violation):
+        with pytest.raises(ValueError, match="^convex order needs equal barycenters: 1/2 != 7/24$"):
+            check(d, [(2, half), (-1, third), (-1, quarter)])
+        with pytest.raises(ValueError, match="^convex order needs equal total masses$"):
+            check(d, [(1, half), (-2, half)])
+    assert _require_cancelling(d, [(2, half), (-1, half), (-1, half)]) is None
 
 
 @given(
@@ -205,6 +237,123 @@ def test_witness_matches_per_threshold_oracle(data, q):
     want = _witness_oracle(mu, nu)
     assert convex_order_witness(mu, nu) == want == _downward_witness_oracle(_atoms(mu), _atoms(nu))
     assert convex_order_witness(nu, mu) == _witness_oracle(nu, mu)
+
+
+def _class_pool(p, q, q_max):
+    """``_class_forms`` of every orbit of density p/q up to length q_max, and the scale d."""
+    supports = [_orbit_support(b, k * q, t) for k in range(1, q_max // q + 1)
+                for b, t in enumerate_orbits(k * p, k * q)]
+    return _class_forms(supports)
+
+
+@st.composite
+def _comparisons(draw, classes):
+    """(class, terms): signed integer multiples of one class's forms whose sum of f is 0, so
+    mass and barycenter cancel (every form of a class has both in common).  A form may come
+    twice, and an orbit of a proper period has its primitive orbit's points, so points repeat."""
+    c = draw(st.integers(0, len(classes) - 1))
+    forms = classes[c][1]
+    picks = draw(st.lists(st.integers(0, len(forms) - 1), min_size=1, max_size=4))
+    fs = [draw(st.integers(-60, 60).filter(bool)) for _ in picks]
+    closing = draw(st.integers(0, len(forms) - 1))
+    return c, [(f, forms[k]) for f, k in zip(fs, picks)] + [(-sum(fs), forms[closing])] * bool(sum(fs))
+
+
+def _swept(classes, comparisons):
+    """_sweep's failures as (comparison index, point) over each class's own table."""
+    tables = [_table(d, forms) for d, forms in classes]
+    index = [{id(form): k for k, form in enumerate(forms)} for _, forms in classes]
+    stream = [(tables[c], [index[c][id(form)] for _, form in terms], [f for f, _ in terms],
+               sum(abs(f) for f, _ in terms), (i, classes[c][0])) for i, (c, terms) in enumerate(comparisons)]
+    return [(i, Fraction(t, d)) for (i, d), t in _sweep(stream)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data(), st.lists(st.sampled_from([(1, 2), (1, 3), (2, 5), (3, 7), (1, 4), (3, 8)]),
+                           min_size=1, max_size=3), st.integers(1, 9))
+def test_segmented_sweep_matches_per_comparison_oracle(data, pairs, block):
+    # Many comparisons a call, from up to three classes, in blocks of 1..9 comparisons,
+    # so segments restart inside and across blocks and tables, at every block boundary.
+    classes = [_class_pool(p, q, 10) for p, q in pairs]
+    comparisons = data.draw(st.lists(_comparisons(classes), min_size=1, max_size=40))
+    want = [(i, _first_violation(classes[c][0], terms)) for i, (c, terms) in enumerate(comparisons)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "SWEEP_BLOCK", block)
+        assert _swept(classes, comparisons) == [(i, t) for i, t in want if t is not None]
+
+
+def _largest_gap(terms):
+    """The largest |hockey-stick gap| of sum_k f_k * form_k over its sorted points."""
+    net = sorted([(x, f * v) for f, (pairs, _, _) in terms for x, v in pairs])
+    gap = mass = largest = 0
+    for (previous, weight), (t, _) in zip(net, net[1:]):
+        mass += weight
+        gap += mass * (t - previous)
+        largest = max(largest, abs(gap))
+    return largest
+
+
+def test_sweep_past_the_int64_bound_matches_the_oracle():
+    # Class 1/2 to length 16 has d * mass near 2^57, so its mixtures (sum |f| up to 800)
+    # are swept in Python ints.  Against the clumped orbit some comparisons fail, and
+    # mixture weights up to 2^40 drive gaps past 2^63, where int64 sums wrap.  The
+    # comparisons cross the real block size twice; the balanced orbit 01 is the first form.
+    d, forms = _class_pool(1, 2, 16)
+    width = _table(d, forms)[0]
+    assert width * 800 >= measures.INT64_LIMIT > width * 2
+    rng = random.Random(5)
+    clumped = min(forms, key=lambda form: form[0][0])  # 0000000011111111 reads the least point
+    comparisons = [[(1, forms[0]), (-1, form)] for form in forms]
+    comparisons += [[(1, clumped), (-1, form)] for form in forms]
+    for k in range(400):
+        raw = [rng.randint(1, 100 if k % 2 else 2**40) for _ in range(rng.randint(2, 4))]
+        head = rng.choice([forms[0], clumped])
+        comparisons.append([(sum(raw), head)] + [(-r, rng.choice(forms)) for r in raw])
+    want = [(i, t) for i, terms in enumerate(comparisons) if (t := _first_violation(d, terms)) is not None]
+    assert len(comparisons) > 2 * measures.SWEEP_BLOCK and 0 < len(want) < len(comparisons)
+    assert max(map(_largest_gap, comparisons)) >= 2**63
+    assert _swept([(d, forms)], [(0, terms) for terms in comparisons]) == want
+
+
+def _spread(atoms, x, a, b):
+    """The atoms with the one at x split to x - a and x + b, keeping mass and barycenter."""
+    w = atoms.pop(x)
+    for point, weight in ((x - a, w * b / (a + b)), (x + b, w * a / (a + b))):
+        atoms[point] = atoms.get(point, 0) + weight
+    return atoms
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, 2**40 - 1), min_size=2, max_size=5, unique=True),
+       st.integers(2**40, 2**40 + 2**20), st.integers(2**39, 2**40), st.integers(0, 4))
+def test_witness_past_the_int64_bound_matches_the_oracle(numerators, denominator, spread, which):
+    # Points over denominators near 2^40 put d near 2^80: the witness sweeps Python ints.
+    atoms = {Fraction(n, denominator + k): Fraction(1, len(numerators)) for k, n in enumerate(numerators)}
+    x = sorted(atoms)[which % len(atoms)]
+    a, b = x * Fraction(spread, 2**41 + 1), (1 - x) * Fraction(spread, 2**41 + 3)
+    wider = _spread(dict(atoms), x, a, b)
+    mu, nu = (DiscreteMeasure(tuple(sorted(m)), tuple(m[t] for t in sorted(m))) for m in (atoms, wider))
+    assert _table(*_class_forms([mu._integer_form, nu._integer_form]))[0] >= measures.INT64_LIMIT
+    assert convex_order_witness(mu, nu) is None is _witness_oracle(mu, nu)
+    assert convex_order_witness(nu, mu) == _witness_oracle(nu, mu) is not None
+
+
+def test_scan_memory_does_not_grow_with_the_mixture_budget(monkeypatch):
+    # The scan sweeps SWEEP_BLOCK comparisons at a time, so ten times the mixtures must not
+    # hold ten times the arrays.  Blocks of 100 keep the run short: 2 and 20 blocks, each
+    # peaking near 0.12 MiB, where one block of every comparison would peak near 1 MiB.
+    monkeypatch.setattr(measures, "SWEEP_BLOCK", 100)
+    verify_sturmian_least(2, 1, 0)  # numpy's import is no part of the scan's peak
+    peaks = []
+    for mixtures in (200, 2000):
+        gc.collect()  # empties the free lists, whose memory tracemalloc would count
+        tracemalloc.start()
+        try:
+            assert verify_sturmian_least(2, mixtures, 0)[0].passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 32 * 1024, peaks
 
 
 # The Fraction forms that the signed integer sweep replaces: every competitor
