@@ -5,8 +5,8 @@ x = b(w) / (2^q - 1); the uniform measure on that orbit has barycenter p/q.
 The balanced word's measure is the least element of its barycenter class in
 the convex (majorization) order, which this module checks exactly: every
 comparison's signed integer net, sorted by (comparison, point) with the others
-of its block, and two cumulative sums giving each comparison's running mass and
-hockey-stick gap (numpy, imported on first use).
+of its block from its slope class, and two cumulative sums giving each
+comparison's running mass and hockey-stick gap (numpy, imported on first use).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .words import (
     format_fraction,
     minimal_period,
     rotations,
+    scan_orbits,
 )
 
 __all__ = [
@@ -165,62 +166,38 @@ def _require_cancelling(d: int, terms) -> None:
         raise ValueError(f"convex order needs equal barycenters: {plus} != {minus}")
 
 
-def _table(d: int, forms) -> tuple:
-    """``_class_forms``' forms as numpy arrays for ``_sweep``: (width, xs, ranks, vs, starts), the
-    rows' points, their places in the table's points sorted, and their weights, form after form,
-    and each form's first row, then the row count.  A signed sum of the forms stays below width =
-    d times the greatest mass, times its sum of |f|, so the arrays are int64 while width < 2^62."""
+def _sweep(d: int, forms, comparisons) -> Iterator[tuple[object, int]]:
+    """(key, t) for each comparison (ks, f, weight, key) whose gap turns positive, t / d the first
+    point where it does: sum_i f[i] * forms[ks[i]] of one ``_class_forms`` (d, forms), whose mass and
+    barycenter cancel (``_require_cancelling``), and weight = sum |f|.  SWEEP_BLOCK comparisons at a
+    time are one array of rows sorted by (comparison, point), whose two cumulative sums are each one's
+    running mass and gap, 0 again at its end and below weight * width: int64 under 2^62, else ints."""
     import numpy as np
 
     width = d * max(mass for _, mass, _ in forms)
-    rows = [pair for pairs, _, _ in forms for pair in pairs]
-    xs, vs = (np.array(column, np.int64 if width < INT64_LIMIT else object) for column in zip(*rows))
+    table = [pair for pairs, _, _ in forms for pair in pairs]
+    xs, vs = (np.array(column, np.int64 if width < INT64_LIMIT else object) for column in zip(*table))
     ranks = np.empty(len(xs), np.int64)
     ranks[np.argsort(xs, kind="stable")] = np.arange(len(xs))
-    return width, xs, ranks, vs, np.cumsum([0] + [len(p) for p, _, _ in forms])
-
-
-def _sweep(comparisons) -> Iterator[tuple[object, int]]:
-    """(key, t) for each comparison (table, forms, f, weight, key) whose gap turns positive, t / d
-    the first point where it does.  The comparison is sum_k f[k] times the table's form forms[k],
-    its mass and barycenter cancel (``_require_cancelling``), and weight = sum |f|.  Comparisons
-    are swept SWEEP_BLOCK at a time, each block in int64 while every weight * width in it is
-    below 2^62, which bounds every value the sweep forms, else in Python ints."""
-    import numpy as np
-
+    starts = np.cumsum([0] + [len(p) for p, _, _ in forms])  # each form's first row, then the row count
     comparisons = iter(comparisons)
     while block := list(islice(comparisons, SWEEP_BLOCK)):
-        yield from _sweep_block(np, block)
-
-
-def _sweep_block(np, block) -> Iterator[tuple[object, int]]:
-    """One block: all rows of all its comparisons in one array sorted by (comparison, point),
-    whose two cumulative sums are every comparison's running mass and hockey-stick gap.  Both
-    are 0 after a comparison's last row, as its mass and barycenter cancel, so every
-    comparison's sums start from 0."""
-    tables, forms, coefficients, weights, keys = zip(*block)
-    dtype = object if any(t[0] * w >= INT64_LIMIT for t, w in zip(tables, weights)) else np.int64
-    runs = [list(run) for _, run in groupby(tables, key=id)]  # the comparisons of one table in a row
-    _, xs, ranks, vs, starts = zip(*[run[0] for run in runs])
-    first_rows = np.cumsum([0] + [len(x) for x in xs])
-    first_forms = np.cumsum([0] + [len(s) - 1 for s in starts[:-1]]).repeat([len(run) for run in runs])
-    starts = np.concatenate([s[:-1] + r for s, r in zip(starts, first_rows)] + [first_rows[-1:]])
-    counts = np.fromiter(map(len, forms), np.int64, len(block))
-    forms = np.fromiter(chain.from_iterable(forms), np.int64) + first_forms.repeat(counts)
-    lengths = np.diff(starts)[forms]
-    ends = np.cumsum(lengths)
-    rows = np.arange(ends[-1]) + (starts[forms] - ends + lengths).repeat(lengths)
-    comparison = np.arange(len(block)).repeat(counts).repeat(lengths)
-    # A block inside one table gathers from its arrays without copying them whole.
-    ranks, xs, vs = (c[0] if len(c) == 1 else np.concatenate(c) for c in (ranks, xs, vs))
-    order = np.argsort(comparison * len(ranks) + ranks[rows], kind="stable")  # ranks order a table's points
-    xs, vs = (column[rows[order]].astype(dtype, copy=False) for column in (xs, vs))
-    mass = np.cumsum(vs * np.fromiter(chain.from_iterable(coefficients), dtype).repeat(lengths)[order])
-    gap = np.cumsum(mass[:-1] * np.diff(xs))
-    hits = np.flatnonzero(gap > 0) + 1
-    failed = comparison[hits]  # the sort kept every comparison's rows in place
-    first = np.flatnonzero(np.diff(failed, prepend=-1))
-    return zip([keys[i] for i in failed[first]], xs[hits[first]].tolist())
+        picks, coefficients, weights, keys = zip(*block)
+        dtype = object if width * max(weights) >= INT64_LIMIT else np.int64
+        counts = np.fromiter(map(len, picks), np.int64, len(keys))
+        picks = np.fromiter(chain.from_iterable(picks), np.int64)
+        lengths = np.diff(starts)[picks]
+        ends = np.cumsum(lengths)
+        rows = np.arange(ends[-1]) + (starts[picks] - ends + lengths).repeat(lengths)
+        comparison = np.arange(len(keys)).repeat(counts).repeat(lengths)
+        order = np.argsort(comparison * len(ranks) + ranks[rows], kind="stable")  # ranks order the points
+        x, v = (column[rows[order]].astype(dtype, copy=False) for column in (xs, vs))
+        mass = np.cumsum(v * np.fromiter(chain.from_iterable(coefficients), dtype).repeat(lengths)[order])
+        gap = np.cumsum(mass[:-1] * np.diff(x))
+        hits = np.flatnonzero(gap > 0) + 1
+        failed = comparison[hits]  # the sort kept every comparison's rows in place
+        first = np.flatnonzero(np.diff(failed, prepend=-1))
+        yield from zip([keys[i] for i in failed[first]], x[hits[first]].tolist())
 
 
 def convex_order_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[Fraction]:
@@ -233,7 +210,7 @@ def convex_order_witness(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Optional[F
     """
     d, forms = _class_forms([mu._integer_form, nu._integer_form])
     _require_cancelling(d, [(1, forms[0]), (-1, forms[1])])
-    for _, t in _sweep([(_table(d, forms), (0, 1), (1, -1), 2, None)]):
+    for _, t in _sweep(d, forms, [((0, 1), (1, -1), 2, None)]):
         return Fraction(t, d)
     return None
 
@@ -264,10 +241,8 @@ def verify_sturmian_least(
     random convex combinations drawn from that pool (their barycenters equal
     p/q automatically, so no re-weighting is ever needed).  Hockey-stick
     integrals are linear in the measure, so a blend of passing competitors
-    passes too: the mixtures are no attack of their own.  All comparisons go
-    through one segmented sweep (``_sweep``), SWEEP_BLOCK at a time across
-    classes, in int64 while sum |f| * d * mass < 2^62, else in Python ints
-    (class 1/2 from q_max 16).
+    passes too: the mixtures are no attack of their own.  Each class is swept
+    (``_sweep``) as soon as it is built; class 1/2 needs Python ints from q_max 16.
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
@@ -276,34 +251,32 @@ def verify_sturmian_least(
     if mixtures_per_pair < 0:
         raise ValueError(f"mixtures_per_pair must be >= 0, got {mixtures_per_pair}")
     rng = random.Random(seed)
-    classes = []
 
-    def comparisons():
-        for p, q in coprime_pairs(q_max):
-            sturmian = _orbit_support(int(balanced_orbit(p, q).representative, 2), q, q)
-            orbits = [(b, k * q, t) for k in range(1, q_max // q + 1) for b, t in enumerate_orbits(k * p, k * q)]
-            # One scale for the class; the balanced form is the last, at index len(pool).
-            d, forms = _class_forms([_orbit_support(*orbit) for orbit in orbits] + [sturmian])
-            # Mass and moment are linear in f, so every mixture cancels once every orbit does.
-            for form in forms[:-1]:
-                if form[1:] != forms[-1][1:]:
-                    _require_cancelling(d, [(1, forms[-1]), (-1, form)])
-            table, pool = _table(d, forms), [format(b, f"0{n}b") for b, n, _ in orbits]
-            bad, indices = [], list(range(len(pool)))
-            classes.append((p, q, len(pool), bad))
-            for j in indices:
-                yield table, (len(pool), j), (1, -1), 2, (bad, pool, j)
-            for _ in range(mixtures_per_pair):
-                size = rng.randint(2, min(4, len(pool))) if len(pool) >= 2 else 1
-                chosen = rng.sample(indices, size)
-                raw = [rng.randint(1, 100) for _ in chosen]
-                # sturmian <=_cx sum_k raw_k mu_k / sum(raw), scaled by sum(raw).
-                total = sum(raw)
-                yield table, [len(pool), *chosen], [total, *[-r for r in raw]], 2 * total, (bad, pool, chosen)
+    def mixtures(n):  # drawn as the sweep asks for them, each against the balanced form n
+        for _ in range(mixtures_per_pair):
+            size = rng.randint(2, min(4, n)) if n >= 2 else 1
+            chosen = rng.sample(range(n), size)
+            raw = [rng.randint(1, 100) for _ in chosen]
+            # sturmian <=_cx sum_k raw_k mu_k / sum(raw), scaled by sum(raw).
+            total = sum(raw)
+            yield [n, *chosen], [total, *[-r for r in raw]], 2 * total, chosen
 
-    for (bad, pool, chosen), _ in _sweep(comparisons()):
-        bad.append(pool[chosen] if isinstance(chosen, int) else "mixture:" + "+".join(pool[i] for i in chosen))
-    return [LeastElementScan(p, q, n, mixtures_per_pair, tuple(bad)) for p, q, n, bad in classes]
+    scans = []
+    for p, q in coprime_pairs(q_max):
+        sturmian = _orbit_support(int(balanced_orbit(p, q).representative, 2), q, q)
+        orbits = [(b, k * q, t) for k in range(1, q_max // q + 1) for b, t in enumerate_orbits(k * p, k * q)]
+        # One scale for the class; the balanced form is the last, at index len(pool).
+        d, forms = _class_forms([_orbit_support(*orbit) for orbit in orbits] + [sturmian])
+        # Mass and moment are linear in f, so every mixture cancels once every orbit does.
+        for form in forms[:-1]:
+            if form[1:] != forms[-1][1:]:
+                _require_cancelling(d, [(1, forms[-1]), (-1, form)])
+        pool = [format(b, f"0{n}b") for b, n, _ in orbits]
+        singles = [((len(pool), j), (1, -1), 2, j) for j in range(len(pool))]  # each orbit alone
+        bad = tuple(pool[chosen] if isinstance(chosen, int) else "mixture:" + "+".join(pool[i] for i in chosen)
+                    for chosen, _ in _sweep(d, forms, chain(singles, mixtures(len(pool)))))
+        scans.append(LeastElementScan(p, q, len(pool), mixtures_per_pair, bad))
+    return scans
 
 
 def maximize_over_orbits(
@@ -312,28 +285,25 @@ def maximize_over_orbits(
     """Best periodic orbit measure for the integral of ``f``, brute force.
 
     Scans every primitive orbit of period 1..max_period (all one-counts,
-    excluding the all-ones word), evaluating f at float(support point).
-    Ties break deterministically toward the first candidate in (period,
-    one-count, representative) order: the shortest period, then the fewest
-    ones, then the lexicographically least canonical representative.
+    excluding the all-ones word) with ``words.scan_orbits``, one summary per
+    (period, one-count), evaluating f at float(support point); an orbit of a
+    proper period scores -inf.  Ties go to the first summary, then the first
+    reading: the shortest period, then the fewest ones, then the least word.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     if max_period > EXHAUSTIVE_Q:
         raise ValueError(f"max_period={max_period} beyond the exhaustive bound {EXHAUSTIVE_Q}")
-    best: Optional[tuple[str, float]] = None
-    for length in range(1, max_period + 1):
-        for p in range(0, length):
-            for b, period in enumerate_orbits(p, length):
-                if period != length:
-                    continue
-                d, xs, t, _ = _orbit_support(b, length, length)
-                # 1 / t and x / d round correctly, so they are float(Fraction(...)).
-                value = sum([1 / t * f(x / d) for x in xs])
-                if best is None or value > best[1]:
-                    best = (format(b, f"0{length}b"), value)
-    assert best is not None
-    return orbit_measure(best[0]), best[1]
+
+    def score(q):  # the values of a length-q scan, with 2^q - 1 and 1 / q computed once
+        d, weight = 2**q - 1, 1 / q
+        # 1 / q and x / d round correctly, so they are float(Fraction(...)).
+        return lambda readings: [sum([weight * f(x / d) for x in sorted(rotations(b, q))]) if t == q
+                                 else -math.inf for b, t in readings]
+
+    summaries = [scan_orbits(p, q, score(q), max)[2] for q in range(1, max_period + 1) for p in range(q)]
+    best = max(summaries, key=lambda summary: summary.best)  # the first of a tie
+    return orbit_measure(best.argbest[0]), best.best
 
 
 def cosine_objective(theta: float) -> Callable[[float], float]:

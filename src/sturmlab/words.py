@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
@@ -87,25 +88,6 @@ def complexity(w: str, n: int) -> int:
     return len(factor_set(w, n))
 
 
-def _balance_violation(w: str) -> Optional[tuple[str, str]]:
-    """Scan window one-counts per length; return a violating factor pair."""
-    m = len(w)
-    bits = [1 if c == "1" else 0 for c in w]
-    for n in range(1, m):
-        count = sum(bits[:n])
-        lo = hi = count
-        lo_at = hi_at = 0
-        for i in range(1, m - n + 1):
-            count += bits[i + n - 1] - bits[i - 1]
-            if count > hi:
-                hi, hi_at = count, i
-            elif count < lo:
-                lo, lo_at = count, i
-        if hi - lo >= 2:
-            return w[hi_at : hi_at + n], w[lo_at : lo_at + n]
-    return None
-
-
 def is_balanced(w: str) -> bool:
     """True iff every pair of equal-length factors differs by at most one '1'.
 
@@ -141,7 +123,14 @@ def balance_witness(w: str) -> Optional[tuple[str, str]]:
     The pair returned is the first maximal/minimal count pair at the smallest
     violating factor length, so the witness is deterministic.
     """
-    return None if is_balanced(w) else _balance_violation(w)
+    if is_balanced(w):
+        return None
+    prefix = list(accumulate(map("1".__eq__, w), initial=0))  # ones before each letter
+    for n in range(1, len(w)):
+        counts = [prefix[i + n] - prefix[i] for i in range(len(w) - n + 1)]
+        if max(counts) - min(counts) >= 2:
+            i, j = counts.index(max(counts)), counts.index(min(counts))
+            return w[i : i + n], w[j : j + n]
 
 
 def _exact(x) -> Fraction:
@@ -394,7 +383,7 @@ class OrbitSummary:
 
 
 def scan_orbits(p: int, q: int, score: Callable[[list], list], best: Callable) -> tuple:
-    """The readings of :func:`enumerate_orbits`, the integer values ``score``
+    """The readings of :func:`enumerate_orbits`, the values ``score``
     gives them in one call, and their summary under ``best`` (``max`` or
     ``min``), its words in reading order.  A length above ``EXHAUSTIVE_Q``
     raises ValueError before any orbit is read."""

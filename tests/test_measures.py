@@ -19,7 +19,6 @@ from sturmlab.measures import (
     _orbit_support,
     _require_cancelling,
     _sweep,
-    _table,
     convex_order_witness,
     cosine_objective,
     maximize_over_orbits,
@@ -260,20 +259,22 @@ def _comparisons(draw, classes):
 
 
 def _swept(classes, comparisons):
-    """_sweep's failures as (comparison index, point) over each class's own table."""
-    tables = [_table(d, forms) for d, forms in classes]
-    index = [{id(form): k for k, form in enumerate(forms)} for _, forms in classes]
-    stream = [(tables[c], [index[c][id(form)] for _, form in terms], [f for f, _ in terms],
-               sum(abs(f) for f, _ in terms), (i, classes[c][0])) for i, (c, terms) in enumerate(comparisons)]
-    return [(i, Fraction(t, d)) for (i, d), t in _sweep(stream)]
+    """_sweep's failures as (comparison index, point), each class's comparisons swept in one call."""
+    found = []
+    for c, (d, forms) in enumerate(classes):
+        index = {id(form): k for k, form in enumerate(forms)}
+        stream = [([index[id(form)] for _, form in terms], [f for f, _ in terms],
+                   sum(abs(f) for f, _ in terms), i) for i, (k, terms) in enumerate(comparisons) if k == c]
+        found += [(i, Fraction(t, d)) for i, t in _sweep(d, forms, stream)]
+    return sorted(found)
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.data(), st.lists(st.sampled_from([(1, 2), (1, 3), (2, 5), (3, 7), (1, 4), (3, 8)]),
                            min_size=1, max_size=3), st.integers(1, 9))
 def test_segmented_sweep_matches_per_comparison_oracle(data, pairs, block):
-    # Many comparisons a call, from up to three classes, in blocks of 1..9 comparisons,
-    # so segments restart inside and across blocks and tables, at every block boundary.
+    # Many comparisons from up to three classes, each class's in blocks of 1..9 comparisons,
+    # so segments restart inside and across blocks, at every block boundary.
     classes = [_class_pool(p, q, 10) for p, q in pairs]
     comparisons = data.draw(st.lists(_comparisons(classes), min_size=1, max_size=40))
     want = [(i, _first_violation(classes[c][0], terms)) for i, (c, terms) in enumerate(comparisons)]
@@ -299,7 +300,7 @@ def test_sweep_past_the_int64_bound_matches_the_oracle():
     # mixture weights up to 2^40 drive gaps past 2^63, where int64 sums wrap.  The
     # comparisons cross the real block size twice; the balanced orbit 01 is the first form.
     d, forms = _class_pool(1, 2, 16)
-    width = _table(d, forms)[0]
+    width = d * max(mass for _, mass, _ in forms)
     assert width * 800 >= measures.INT64_LIMIT > width * 2
     rng = random.Random(5)
     clumped = min(forms, key=lambda form: form[0][0])  # 0000000011111111 reads the least point
@@ -333,7 +334,8 @@ def test_witness_past_the_int64_bound_matches_the_oracle(numerators, denominator
     a, b = x * Fraction(spread, 2**41 + 1), (1 - x) * Fraction(spread, 2**41 + 3)
     wider = _spread(dict(atoms), x, a, b)
     mu, nu = (DiscreteMeasure(tuple(sorted(m)), tuple(m[t] for t in sorted(m))) for m in (atoms, wider))
-    assert _table(*_class_forms([mu._integer_form, nu._integer_form]))[0] >= measures.INT64_LIMIT
+    d, forms = _class_forms([mu._integer_form, nu._integer_form])
+    assert d * max(mass for _, mass, _ in forms) >= measures.INT64_LIMIT
     assert convex_order_witness(mu, nu) is None is _witness_oracle(mu, nu)
     assert convex_order_witness(nu, mu) == _witness_oracle(nu, mu) is not None
 

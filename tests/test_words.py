@@ -103,6 +103,34 @@ def test_balance_witness_is_a_real_violation(w):
     _assert_witness_is_a_real_violation(w)
 
 
+def _balance_violation(w: str):
+    """The window scan that ``balance_witness`` replaced: per length, one running window
+    one-count, tracking where it first reaches its greatest and least value."""
+    m = len(w)
+    bits = [1 if c == "1" else 0 for c in w]
+    for n in range(1, m):
+        count = sum(bits[:n])
+        lo = hi = count
+        lo_at = hi_at = 0
+        for i in range(1, m - n + 1):
+            count += bits[i + n - 1] - bits[i - 1]
+            if count > hi:
+                hi, hi_at = count, i
+            elif count < lo:
+                lo, lo_at = count, i
+        if hi - lo >= 2:
+            return w[hi_at : hi_at + n], w[lo_at : lo_at + n]
+    return None
+
+
+def test_balance_witness_matches_the_window_scan_oracle():
+    # Pins the order of the pair: swapped, it would differ by two ones or more just the same.
+    for n in range(13):
+        for letters in product("01", repeat=n):
+            w = "".join(letters)
+            assert balance_witness(w) == _balance_violation(w), w
+
+
 @st.composite
 def near_balanced_words(draw):
     """Words of up to 300 letters that lack "00" or lack "11".
