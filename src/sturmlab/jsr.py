@@ -8,10 +8,10 @@ Scanning necklaces of a fixed length while alpha sweeps [0, 1] produces a
 non-decreasing staircase of optimal 1-densities with values in [0, 1/2].
 
 A 2x2 matrix is the row-major 4-tuple (a, b, c, d), and every product is
-``_mul`` on integer tuples.  ``jsr_bounds`` reads its entries as ``Fraction``
-and scales them by their common denominator d; both of its bounds read one
-list of half-word product tables, and its closed forms read a length-n
-product over d**n with one rounding each.
+``_mul`` on integer tuples.  ``jsr_bounds`` scales its ``Fraction`` entries
+by their common denominator d, scans each density with ``words.scan_orbits``
+like the staircase, and reads both bounds off one list of half-word product
+tables, each float a length-n product over d**n with one rounding.
 
 At the golden-mean slope the deformation threshold has two independent
 product expansions, one through the trace sequence tau_{n+1} =
@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence, Union
 
-from .words import ContinuedFraction, enumerate_orbits, scan_orbits
+from .words import EXHAUSTIVE_Q, ContinuedFraction, enumerate_orbits, scan_orbits  # enumerate_orbits: read by perfbench
 
 __all__ = [
     "A0",
@@ -145,10 +145,10 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
     The lower bound is the best normalized spectral radius over necklaces of
     each length up to n_max; the upper bound is the smallest normalized norm
     maximum over all products of a fixed length.  Both sandwich the true
-    value for any sub-multiplicative norm.  Necklaces are the binary ones
-    from :func:`enumerate_orbits` in lexicographic (for one length, numeric)
-    order, letter i standing for ``matrices[i]``, so the set is a pair of
-    row-major 4-tuples.
+    value for any sub-multiplicative norm.  Each density of a length is one
+    :func:`scan_orbits` pass over its necklaces, letter i standing for
+    ``matrices[i]``, so the set is a pair of row-major 4-tuples; a tie goes
+    to the numerically least necklace across the densities that reach it.
     Products run on integers over the entries' common denominator, and each
     float is taken from a length-n product and that denominator to the n-th
     power.
@@ -162,7 +162,7 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
         raise ValueError("n_max must be >= 1")
     if norm not in _NORMS:
         raise ValueError(f"unknown norm {norm!r}; choose from {sorted(_NORMS)}")
-    if n_max > 20:
+    if n_max > EXHAUSTIVE_Q:
         raise ValueError("alphabet**n_max beyond the exhaustive budget (2^20)")
     entries = [[Fraction(x) for x in m] for m in matrices]
     scale = math.lcm(*[x.denominator for row in entries for x in row])
@@ -171,26 +171,21 @@ def jsr_bounds(matrices: Sequence[Sequence[Scalar]], n_max: int, norm: str = "sp
     norm_fn = _NORMS[norm]
 
     rows = []
-    lower = 0.0
-    upper = math.inf
     for n in range(1, n_max + 1):
-        lower_n = -math.inf
-        argmax = 0
-        necklaces = sorted(b for ones in range(n + 1) for b, _ in enumerate_orbits(ones, n))
         k = n - n // 2
         left, right = tables[n // 2], tables[k]
-        for index in necklaces:
-            a, b, c, d = _mul(left[index >> k], right[index & ((1 << k) - 1)])
-            value = _spectral_radius(a + d, a * d - b * c, scale**n) ** (1.0 / n)
-            if value > lower_n:
-                lower_n = value
-                argmax = index
+
+        def radii(readings):
+            products = [_mul(left[b >> k], right[b & ((1 << k) - 1)]) for b, _ in readings]
+            return [_spectral_radius(a + d, a * d - b * c, scale**n) ** (1.0 / n) for a, b, c, d in products]
+
+        bests = [scan_orbits(ones, n, radii, max)[-1] for ones in range(n + 1)]
+        lower_n = max(s.best for s in bests)
         # Every length-n word is a left half followed by a right half.
         upper_n = max(norm_fn(_mul(x, y), scale**n) for x in left for y in right) ** (1.0 / n)
-        lower = max(lower, lower_n)
-        upper = min(upper, upper_n)
-        rows.append(BoundsRow(n, lower_n, upper_n, format(argmax, f"0{n}b")))
-    return JsrBounds(norm, tuple(rows), lower, upper)
+        argmax = min(s.argbest[0] for s in bests if s.best == lower_n)
+        rows.append(BoundsRow(n, lower_n, upper_n, argmax))
+    return JsrBounds(norm, tuple(rows), max(0.0, *(r.lower for r in rows)), min(r.upper for r in rows))
 
 
 def _product_tables(matrices, depth: int) -> list[list[tuple]]:

@@ -272,6 +272,7 @@ def test_usage_errors(capsys):
         "words mechanical --gamma abc --n 5",
         "queue run --gamma 1/3 --delta 1/y",
         "jsr bounds --alpha 3/z",
+        "wigner ground-state --p 2 --q 5 --images -1",
     ],
 )
 def test_bad_parameter_is_usage_error(capsys, argv):

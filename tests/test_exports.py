@@ -1,8 +1,9 @@
 """Every exported name resolves, so a deleted name cannot linger in an
 export list, and every exported name has a caller, so a name whose last
 caller went cannot linger in the package; the package root imports no
-testbed, each module loads only the libraries it uses, and the per-orbit
-rows the scans build carry no instance dict."""
+testbed, each module loads only the libraries it uses, the per-orbit
+rows the scans build carry no instance dict, and only the scan engine and
+the convex-order competitor pool call the orbit enumerator."""
 
 import ast
 import dataclasses
@@ -33,6 +34,11 @@ UNCALLED = {
 # Exported names whose only caller is a perfbench span-name string: they lose
 # it when item 4 retires the tracer, and need a real caller or go by then.
 TRACED_ONLY = {"measures.mixture", "measures.convex_order_witness", "queueing.random_admission_word"}
+
+# The src/ functions that call words.enumerate_orbits: the scan engine, which
+# every search for a best goes through, and the convex-order check, whose
+# competitor pool reads every orbit of a class rather than a best.
+ORBIT_ENUMERATORS = {"words.scan_orbits", "measures.verify_sturmian_least"}
 
 # The modules the deep scan reaches; none of them needs numpy or mpmath.
 NUMPY_FREE = ("cyclic", "heaps", "jsr", "measures", "wigner")
@@ -147,3 +153,27 @@ def test_every_export_has_a_caller():
     exports = {(module, name) for module, tree in trees.items() for name in _exports(tree)}
     assert {f"{module}.{name}" for module, name in exports - read - traced} == set(UNCALLED)
     assert {f"{module}.{name}" for module, name in exports & traced - read} == TRACED_ONLY
+
+
+def _callers(node: ast.AST, name: str, scope: str) -> set[str]:
+    """The innermost enclosing function (``scope`` at module level) of every
+    call to ``name`` or ``<anything>.name`` under ``node``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope.partition('.')[0]}.{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.add(scope)
+        found |= _callers(child, name, inner)
+    return found
+
+
+def test_only_the_scan_engine_and_the_competitor_pool_enumerate_orbits():
+    callers = set()
+    for path in (ROOT / "src" / "sturmlab").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= _callers(tree, "enumerate_orbits", path.stem)
+    assert callers == ORBIT_ENUMERATORS

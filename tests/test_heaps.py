@@ -445,3 +445,23 @@ def test_piece_matrix_shape():
     assert matrix[2][0] == matrix[2][1] == -math.inf
     scaled = [[x if x == -math.inf else Fraction(x, d) for x in row] for row in matrix]
     assert scaled == _neg_inf(_piece_matrix_oracle(model, "0"))
+
+
+_UNIT_PIECE = Piece((0,), (0,), (1,))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Piece((), (), ()), "a piece must occupy at least one column"),
+        (lambda: Piece((0, 1), (0,), (0, 1)), "contours must align with columns"),
+        (lambda: HeapModel(0, _UNIT_PIECE, _UNIT_PIECE), "need at least one column"),
+        (lambda: HeapModel(1, _UNIT_PIECE, Piece((1,), (0,), (1,))), "piece columns outside the column range"),
+        (lambda: best_balanced_schedule(default_model(), 0), "q_max must be >= 1"),
+    ],
+    ids=["no-columns", "misaligned", "no-model-columns", "column-out-of-range", "q-max"],
+)
+def test_heap_guards_name_what_they_refuse(build, message):
+    with pytest.raises(Exception) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

@@ -177,11 +177,13 @@ def _jsr_bounds_oracle(matrices, n_max: int, norm: str) -> JsrBounds:
         ([(0, -1, 1, 0), (Fraction(-3, 4), 2, 1, Fraction(1, 5))], 8),
         (scaled_pair(Fraction(3, 5)), 9),
         ([(0.5, 1, 0, 1), (1, 0, -0.25, 1)], 7),
+        # A squares to the identity, so the least norm row is an even length, not the last.
+        ([(0, 4, Fraction(1, 4), 0), (0, -4, Fraction(-1, 4), 0)], 7),
     ],
     ids=[
         "alpha=0", "alpha=1/3", "alpha=1/2", "alpha=3/4", "alpha=749/1000", "alpha=1",
         "alpha=float0.1", "alpha=2/7", "halves-thirds", "rotation-mixed-sign",
-        "alpha=3/5-odd-length", "float-entries-odd-length",
+        "alpha=3/5-odd-length", "float-entries-odd-length", "period-two-norms",
     ],
 )
 def test_bounds_match_product_necklace_oracle(matrices, n_max, norm):
@@ -190,8 +192,8 @@ def test_bounds_match_product_necklace_oracle(matrices, n_max, norm):
 
 def test_cross_density_ties_name_the_numerically_least_necklace():
     # At n = 6, 001001 = (001)^2 and 000111 tie for the best radius, which is
-    # n = 3's. Necklaces are taken in numeric order across densities, so the
-    # first tied one is 000111, not the per-density order's 001001.
+    # n = 3's. The least tied necklace across the densities is 000111, not
+    # 001001, the best of the first tied density (two ones).
     rows = jsr_bounds([(-1, 2, 0, -1), (-1, 0, -2, -1)], 7).rows
     assert rows[5].n == 6 and rows[5].argmax_necklace == "000111"
     assert rows[5].lower == rows[2].lower
@@ -515,3 +517,25 @@ def test_both_expansions_report_their_truncated_products(terms):
         assert estimate.value == estimate.partials[-1]
         with mp.workprec(256):
             assert estimate.error == abs(estimate.partials[-1] - estimate.partials[-2])
+
+
+def test_matching_digits_reads_a_float_exactly():
+    # The double nearest 0.7493 lies just below it, so it agrees to 0.749 only.
+    assert Fraction(0.7493) < Fraction(7493, 10000)
+    assert matching_digits(0.7493) == 3
+    assert matching_digits(0.75) == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: optimal_ratio_scan(Fraction(3, 2), 4), "alpha must lie in [0, 1], got 3/2"),
+        (lambda: optimal_ratio_scan(-1, 4), "alpha must lie in [0, 1], got -1"),
+        (lambda: tau_sequence(-1), "n_max must be >= 0"),
+    ],
+    ids=["alpha-above-one", "alpha-negative", "tau-length"],
+)
+def test_jsr_guards_name_what_they_refuse(call, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

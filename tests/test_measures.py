@@ -573,3 +573,37 @@ def test_orbit_maximum_ties_go_to_fewer_ones_before_the_least_word():
     assert (mu.word, value) == ("0001001", 0.9999999999999998)
     alone = points("0000111")
     assert maximize_over_orbits(lambda x: 1.0 if x in alone else 0.0, 7)[1] == value
+
+
+def test_mixture_record_lists_unequal_weights():
+    mu, nu = orbit_measure("01"), orbit_measure("001")
+    record = mixture([mu, nu], [Fraction(1, 4), Fraction(3, 4)]).to_json_dict()
+    # 001 puts 3/4 * 1/3 on each of 1/7, 2/7, 4/7; 01 puts 1/4 * 1/2 on 1/3 and 2/3.
+    assert record == {"word": None, "support": ["1/7", "2/7", "1/3", "4/7", "2/3"],
+                      "weights": ["1/4", "1/4", "1/8", "1/4", "1/8"]}
+    assert "weight" not in record
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DiscreteMeasure((Fraction(1, 2),), ()), "points and weights must be equal-length and nonempty"),
+        (lambda: DiscreteMeasure((), ()), "points and weights must be equal-length and nonempty"),
+        (lambda: DiscreteMeasure((Fraction(1),), (Fraction(1),)), "support points must lie in [0, 1)"),
+        (lambda: DiscreteMeasure((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 2),) * 2),
+         "support points must be strictly increasing"),
+        (lambda: DiscreteMeasure((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 2))),
+         "weights must be positive and sum to 1"),
+        (lambda: DiscreteMeasure((Fraction(1, 4), Fraction(1, 2)), (Fraction(3, 2), Fraction(-1, 2))),
+         "weights must be positive and sum to 1"),
+        (lambda: orbit_measure(""), "orbit measure is undefined for the empty word"),
+        (lambda: mixture([orbit_measure("01")], [Fraction(1, 2)] * 2),
+         "need equally many measures and coefficients, at least one"),
+    ],
+    ids=["weights-short", "empty", "point-at-one", "decreasing", "weights-sum", "negative-weight",
+         "empty-word", "mixture-counts"],
+)
+def test_measure_guards_name_what_they_refuse(build, message):
+    with pytest.raises(Exception) as info:
+        build()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

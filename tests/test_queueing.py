@@ -576,3 +576,17 @@ def test_mean_cost_scales_with_admission_rate(numerator):
     summary = simulate_queue(mechanical_config(horizon=2000, gamma=gamma))
     assert summary.admitted_fraction == pytest.approx(float(gamma), abs=0.01)
     assert summary.mean_cost >= 0.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: QueueConfig(admission=""), "admission word must be nonempty"),
+        (lambda: admission_competition(QueueConfig(horizon=10), 0), "need at least one competitor"),
+    ],
+    ids=["empty-word", "no-competitors"],
+)
+def test_queue_guards_name_what_they_refuse(call, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

@@ -506,3 +506,18 @@ def test_orbit_guards_name_what_they_refuse(p, q, message):
     with pytest.raises(ValueError) as info:
         ground_state(p, q, coulomb())
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Potential("yukawa"), "unknown potential kind 'yukawa'"),
+        (lambda: coulomb().value(0), "potential undefined at distance 0"),
+        (lambda: ground_state(2, 5, coulomb(), images=-1), "image cutoff must be >= 0"),
+    ],
+    ids=["kind", "distance-zero", "negative-images"],
+)
+def test_potential_guards_name_what_they_refuse(call, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)

@@ -830,3 +830,21 @@ def test_symbol_stream_sources():
         symbol_stream("", 4)
     with pytest.raises(TypeError, match="unsupported symbol source"):
         symbol_stream(iter("01"), 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: factor_set("0101", 0), "factor length 0 outside 1..4"),
+        (lambda: factor_set("0101", 5), "factor length 5 outside 1..4"),
+        (lambda: mechanical_word(Fraction(1, 2), -1), "length n must be >= 0"),
+        (lambda: symbol_stream("01", -1), "n must be >= 0"),
+        (lambda: ContinuedFraction(()), "need at least one partial quotient"),
+        (lambda: ContinuedFraction((1, 0, 2)), "partial quotients must be >= 1, got (1, 0, 2)"),
+    ],
+    ids=["factor-short", "factor-long", "mechanical-length", "stream-length", "no-quotients", "zero-quotient"],
+)
+def test_word_guards_name_what_they_refuse(call, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (ValueError, message)
